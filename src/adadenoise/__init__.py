@@ -1,10 +1,11 @@
 """Noise-adaptive low-rank matrix denoising.
 
 Estimate a low-rank signal observed through i.i.d. additive noise with
-an unknown distribution: a shift-corrected kernel estimate of the noise
-density drives an entrywise score transform whose signal gain is
-calibrated against its noise variance, the transformed matrix is
-rescaled by the estimated Fisher information, and its singular values
+an unknown distribution: kernel estimates of the noise density and its
+derivative, tabulated on one grid from the centered entries, give a
+score map that is applied to those same centered entries; its signal
+gain is calibrated against its noise variance, the transformed matrix
+is rescaled by the estimated Fisher information, and its singular values
 are threshold-shrunk through the closed-form spiked-model inverse map.
 Closed-form asymptotic predictions and a reproducible Monte-Carlo
 harness round out the package.
@@ -13,8 +14,8 @@ harness round out the package.
 from .estimator import (DenoiseResult, DenoiserParams, baseline_estimate,
                         default_params, denoise, denoise_entrywise,
                         oracle_denoise)
-from .kde import (DensityEstimate, ExactDensity, KdeSettings, gaussian_kernel,
-                  gaussian_kernel_deriv, kde_binned, kde_exact, mean_entry)
+from .kde import (DensityEstimate, gaussian_kernel, gaussian_kernel_deriv,
+                  kde_binned, kde_exact, mean_entry)
 from .linalg import (Svd, op_norm, read_matrix_csv, subspace_overlap, svd,
                      write_matrix_csv)
 from .noise import (Gaussian, GaussianMixture, NoiseModel, TabulatedDensity,
@@ -33,8 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DenoiseResult", "DenoiserParams", "baseline_estimate", "default_params",
     "denoise", "denoise_entrywise", "oracle_denoise",
-    "DensityEstimate", "ExactDensity", "KdeSettings", "gaussian_kernel",
-    "gaussian_kernel_deriv", "kde_binned", "kde_exact", "mean_entry",
+    "DensityEstimate", "gaussian_kernel", "gaussian_kernel_deriv",
+    "kde_binned", "kde_exact", "mean_entry",
     "Svd", "op_norm", "read_matrix_csv", "subspace_overlap", "svd",
     "write_matrix_csv",
     "Gaussian", "GaussianMixture", "NoiseModel", "TabulatedDensity",

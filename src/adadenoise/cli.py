@@ -19,9 +19,8 @@ import time
 
 import numpy as np
 
-from .estimator import (DenoiserParams, baseline_estimate, default_params,
-                        denoise, denoise_entrywise)
-from .kde import KdeSettings
+from .estimator import (baseline_estimate, default_params, denoise,
+                        denoise_entrywise)
 from .linalg import read_matrix_csv, write_matrix_csv
 from .shrinkage import debiased_sv, inflated_sv
 from .sim import ConfigError, load_config, parse_grid, run_grid
@@ -94,13 +93,10 @@ def cmd_denoise(args) -> int:
         _err("--noise-sd is required with --mode baseline")
         return USAGE_ERROR
 
-    kde = KdeSettings(h=1.0, mode=args.kde_mode, bins=args.kde_bins)
-    base = default_params(m, n, eps=args.eps, delta=args.delta, kde=kde)
     try:
-        params = DenoiserParams(
-            h=args.h if args.h is not None else base.h,
-            h_prime=args.h_prime if args.h_prime is not None else base.h_prime,
-            eps=args.eps, delta=args.delta, kde=kde)
+        params = default_params(m, n, eps=args.eps, delta=args.delta,
+                                h=args.h, h_prime=args.h_prime,
+                                bins=args.kde_bins)
         gamma = args.gamma if args.gamma is not None else m / n
         prefix = args.output_prefix
         if args.mode == "adaptive":
@@ -190,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aspect ratio (default m/n of the input)")
     p_den.add_argument("--noise-sd", type=float, default=None,
                        help="noise standard deviation (baseline mode)")
-    p_den.add_argument("--kde-mode", choices=["binned", "exact"], default="binned")
-    p_den.add_argument("--kde-bins", type=int, default=4096)
+    p_den.add_argument("--kde-bins", type=int, default=4096,
+                       help="nodes of the KDE grid (>= 256)")
     p_den.set_defaults(func=cmd_denoise)
 
     p_th = sub.add_parser("theory", help="tabulate closed-form limit curves as CSV")

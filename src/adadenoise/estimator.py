@@ -2,38 +2,37 @@
 
 Given a single noisy matrix Y the pipeline
 
-1. centers a copy of the entries by the grand mean and uses them as
-   surrogate noise samples,
+1. centers the entries by the grand mean, c = Y - mean(Y), and uses them
+   as surrogate noise samples,
 2. builds kernel estimates of the noise density and its derivative (two
-   independent bandwidths),
-3. applies the regularized score map psi = -p'/(p + eps) entrywise and
-   measures two moments of it over the centered entries: the signal
-   gain a = mean psi'(c), less the slope each entry's own kernel adds,
-   and the noise variance b = mean psi(c)^2 + eps.
-   The scored matrix is rescaled by a/b, so that, as for the true score,
-   its gain equals its variance, and both equal the Fisher-information
-   estimate i_hat = a^2/b,
+   independent bandwidths) on one grid, from one binning pass, and
+   tabulates the regularized score map psi = -p'/(p + eps) on that grid,
+3. looks psi up at the centered entries and measures two moments of it:
+   the signal gain a = mean psi'(c), less the slope each entry's own
+   kernel adds, and the noise variance b = mean psi(c)^2 + eps.
+   The scored matrix is psi(c) rescaled by a/b, so that, as for the true
+   score, its gain equals its variance, and both equal the
+   Fisher-information estimate i_hat = a^2/b,
 4. takes the SVD of the scored matrix in (m n)^{1/4}-scaled units, and
 5. threshold-shrinks the singular values to produce the final low-rank
    estimate.
 
-Both density estimates are built once and then queried at the two point
-sets the pipeline needs (raw entries for the score, centered entries for
-the variance); the gain comes from the map tabulated on the density grid
-(O(bins)), so the whole thing stays O(m n) plus one SVD.
+The score map is looked up once, at one point set (the centered
+entries), with an O(1) uniform-grid index; the gain comes from the map
+tabulated on the grid (O(bins)), so the whole thing stays O(m n) plus
+one SVD.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .kde import (DensityEstimate, ExactDensity, KdeSettings, gaussian_kernel,
-                  kde_binned, mean_entry)
+from .kde import (MIN_BINS, DensityEstimate, gaussian_kernel, kde_binned,
+                  mean_entry)
 from .linalg import as_matrix
 from .noise import NoiseModel
 from .shrinkage import shrink_adaptive, shrink_known_sd
@@ -48,9 +47,6 @@ __all__ = [
     "oracle_denoise",
 ]
 
-# central-difference step of the exact-mode score slope, in bandwidths
-_SLOPE_STEP = 1e-4
-
 
 @dataclass(frozen=True)
 class DenoiserParams:
@@ -59,15 +55,14 @@ class DenoiserParams:
     `h` is the density bandwidth, `h_prime` the derivative bandwidth,
     `eps` the score regularizer (also a floor for the estimated Fisher
     information), `delta` the relative threshold margin of the shrink
-    step.  `kde` carries the evaluation settings; its bandwidth field is
-    overridden by `h` / `h_prime` for the two estimates.
+    step, and `bins` the number of nodes of the KDE grid.
     """
 
     h: float
     h_prime: float
     eps: float = 1e-3
     delta: float = 0.01
-    kde: KdeSettings | None = None
+    bins: int = 4096
 
     def __post_init__(self):
         if not (self.h > 0 and self.h_prime > 0):
@@ -76,20 +71,25 @@ class DenoiserParams:
             raise ValueError("eps must be positive")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
-
-    def settings_for(self, h: float) -> KdeSettings:
-        base = self.kde if self.kde is not None else KdeSettings(h=h)
-        return dataclasses.replace(base, h=h)
+        if self.bins < MIN_BINS:
+            raise ValueError(f"bins must be >= {MIN_BINS}")
 
 
-def default_params(m: int, n: int, eps: float = 1e-3, delta: float = 0.01,
-                   kde: KdeSettings | None = None) -> DenoiserParams:
-    """Bandwidth rule of thumb: h = 1.2 (mn)^{-1/5}, h' = (mn)^{-1/7}."""
+def default_params(m: int, n: int, *, eps: float = 1e-3, delta: float = 0.01,
+                   h: float | None = None, h_prime: float | None = None,
+                   bins: int = 4096) -> DenoiserParams:
+    """Parameters for an m x n input.
+
+    Omitted bandwidths follow the rule of thumb h = 1.2 (mn)^{-1/5},
+    h' = (mn)^{-1/7}.
+    """
     mn = m * n
     if mn < 1:
         raise ValueError("m and n must be >= 1")
-    return DenoiserParams(h=1.2 * mn ** -0.2, h_prime=mn ** (-1.0 / 7.0),
-                          eps=eps, delta=delta, kde=kde)
+    return DenoiserParams(h=1.2 * mn ** -0.2 if h is None else h,
+                          h_prime=mn ** (-1.0 / 7.0) if h_prime is None
+                          else h_prime,
+                          eps=eps, delta=delta, bins=bins)
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,11 @@ class DenoiseResult:
 
     `x0` is the scored matrix, rescaled by a/b so that its signal gain
     and noise variance both equal `i_hat` = a^2/b (see the module
-    docstring); `x_star` = x0 / i_hat = psi(Y) / a is the rank-free
-    estimate, `x_hat` the rank-`k_hat` shrunk estimate.  `sigma0` holds
-    the singular values of x0 divided by (m n)^{1/4}, descending;
-    `sigma_shrunk` the thresholded-and-debiased values on the same
-    scale.  For the PCA baseline (which never scores the entries)
+    docstring); `x_star` = x0 / i_hat = psi(Y - y_bar) / a is the
+    rank-free estimate, `x_hat` the rank-`k_hat` shrunk estimate.
+    `sigma0` holds the singular values of x0 divided by (m n)^{1/4},
+    descending; `sigma_shrunk` the thresholded-and-debiased values on the
+    same scale.  For the PCA baseline (which never scores the entries)
     `x_star`, `i_hat` and `y_bar` are None and `x0` is the input itself.
     """
 
@@ -120,83 +120,70 @@ class DenoiseResult:
 
 class _Scored(NamedTuple):
     """What `_scored_matrix` computed: the calibrated scored matrix, the
-    information estimate, the centering mean, the two density estimates
-    and the two moments of the raw score map psi = -p'/(p + eps)."""
+    information estimate, the centering mean, the density estimate, the
+    score map psi = -p'/(p + eps) tabulated on its grid, and the two
+    moments of psi."""
 
     x0: np.ndarray
     i_hat: float
     y_bar: float
-    dens: DensityEstimate | ExactDensity
-    derv: DensityEstimate | ExactDensity
+    kde: DensityEstimate
+    psi: np.ndarray
     gain: float
     variance: float
 
     @property
     def factor(self) -> float:
-        """The gain-to-variance ratio a/b by which psi(Y) was rescaled."""
+        """The gain-to-variance ratio a/b by which psi(c) was rescaled."""
         return self.gain / self.variance
 
 
-def _score_map(dens, derv, x, eps: float) -> np.ndarray:
-    return -derv.evaluate(x) / (dens.evaluate(x) + eps)
-
-
-def _score_gain(dens, derv, centered: np.ndarray, eps: float) -> float:
-    """Signal gain of the score map: its mean slope over the centered
-    entries, less each entry's self-influence.
+def _score_gain(est: DensityEstimate, psi: np.ndarray, eps: float,
+                n: int) -> float:
+    """Signal gain of the score map: its mean slope over the `n` binned
+    samples, less each sample's self-influence.
 
     Each entry's own kernel in the derivative estimate moves with the
     entry, so it adds slope K(0) / (N h'^3 (p + eps)) to psi at that
-    entry but no gain on the signal; that share is taken out.  Binned
-    mode tabulates the slope on the density grid and weights it by the
-    linear-binning counts, which equals the mean of the interpolated
-    slope at the entries at O(bins) cost.  Exact mode takes central
-    differences at every entry and sums them in sorted order.
+    entry but no gain on the signal; that share is taken out.  The slope
+    is tabulated on the grid and weighted by the linear-binning counts,
+    which equals the mean of the interpolated slope at the samples at
+    O(bins) cost.
     """
-    self_slope = float(gaussian_kernel(0.0)) / (centered.size * derv.h ** 3)
-    if isinstance(dens, DensityEstimate):
-        grid = dens.grid
-        slope = (np.gradient(_score_map(dens, derv, grid, eps), grid)
-                 - self_slope / (dens.values + eps))
-        return float(dens.counts @ slope) / centered.size
-    step = _SLOPE_STEP * min(dens.h, derv.h)
-    slope = ((_score_map(dens, derv, centered + step, eps)
-              - _score_map(dens, derv, centered - step, eps)) / (2.0 * step)
-             - self_slope / (dens.evaluate(centered) + eps))
-    return float(np.sort(slope).sum() / slope.size)
+    self_slope = float(gaussian_kernel(0.0)) / (n * est.h_prime ** 3)
+    slope = (np.gradient(psi, est.spacing)
+             - self_slope / (est.density + eps))
+    return float(est.counts @ slope) / n
 
 
 def _scored_matrix(y: np.ndarray, params: DenoiserParams) -> _Scored:
     y_bar = mean_entry(y)
-    centered = (y - y_bar).ravel()
-
-    dens = kde_binned(centered, params.settings_for(params.h), deriv=False,
-                      shift=y_bar)
-    derv = kde_binned(centered, params.settings_for(params.h_prime), deriv=True,
-                      shift=y_bar)
+    centered = y - y_bar
+    est = kde_binned(centered, params.h, params.h_prime, params.bins)
 
     eps = params.eps
-    psi_y = _score_map(dens, derv, y.ravel(), eps)
+    psi = -est.deriv / (est.density + eps)
+    x0 = est.evaluate(centered, psi)
+    del centered  # not held through the sort's temporaries
     # summed in sorted order: the estimate depends only on the multiset of
     # entries, never on their layout
-    scores_sq = np.sort(np.square(_score_map(dens, derv, centered, eps)))
-    variance = float(scores_sq.sum() / scores_sq.size) + eps
-    gain = _score_gain(dens, derv, centered, eps)
+    variance = float(np.sort(np.square(x0), axis=None).sum() / x0.size) + eps
+    gain = _score_gain(est, psi, eps, x0.size)
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"score map gain {gain!r} is not positive and "
                          f"finite; the noise density estimate is unusable")
     # rescaled by a/b, the map's gain equals its variance, as the true
     # score's does, and both equal a^2/b
-    x0 = ((gain / variance) * psi_y).reshape(y.shape)
+    x0 *= gain / variance
     i_hat = max(gain * gain / variance, eps)
-    return _Scored(x0, i_hat, y_bar, dens, derv, gain, variance)
+    return _Scored(x0, i_hat, y_bar, est, psi, gain, variance)
 
 
 def denoise_entrywise(y, params: DenoiserParams):
     """Score the entries of Y and estimate the noise Fisher information.
 
-    Returns ``(x0, i_hat, y_bar)``: the scored matrix (a/b) psi(Y), the
-    estimated Fisher information a^2/b, floored at eps, and the grand
+    Returns ``(x0, i_hat, y_bar)``: the scored matrix (a/b) psi(Y - y_bar),
+    the estimated Fisher information a^2/b, floored at eps, and the grand
     mean used to center the surrogate noise samples.  Here a is the
     mean slope (less each entry's self-influence) and b the mean square
     (plus eps) of the score map psi over the centered entries.  Raises

@@ -1,18 +1,20 @@
 """Kernel density estimation for the entrywise denoiser.
 
-Two evaluation paths share one convention:
+* ``kde_binned`` is the pipeline's estimator.  It linear-bins the
+  samples once onto a uniform grid and convolves the bin counts with the
+  kernel and with its derivative, each sampled at grid offsets, giving
+  the density and density-derivative estimates tabulated on that one
+  grid.  ``DensityEstimate.evaluate`` interpolates any table on the grid
+  with an O(1) index per point.  Cost is O(samples + bins * kernel
+  width) instead of O(samples * queries), which is what makes denoising
+  an 800 x 800 matrix (queries at every entry) cheap.
+* ``kde_exact`` sums the Gaussian kernel over every sample.  It is the
+  reference the binned estimates are tested against.
 
-* ``kde_exact`` sums the Gaussian kernel over every sample.  Samples are
-  canonically sorted first, so the result is exactly invariant under
-  permutation of the input.
-* ``kde_binned`` linear-bins the samples onto a uniform grid, convolves
-  with the kernel sampled at grid offsets, and interpolates.  Cost is
-  O(samples + bins * kernel_width) instead of O(samples * queries), which
-  is what makes denoising an 800 x 800 matrix (queries at every entry)
-  cheap.
-
-The derivative estimator targets d/dx of the density: its expectation is
-the kernel-smoothed p'.
+Both sum in a canonical order (the samples sorted), so their results
+depend only on the multiset of samples, never on their layout.  The
+derivative estimator targets d/dx of the density: its expectation is the
+kernel-smoothed p'.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "KdeSettings",
     "DensityEstimate",
-    "ExactDensity",
     "gaussian_kernel",
     "gaussian_kernel_deriv",
     "mean_entry",
@@ -35,6 +35,11 @@ __all__ = [
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _CHUNK = 512  # query rows per block in the exact path
+_LOOKUP_BLOCK = 1 << 15  # points per block of a lookup: small temporaries
+# Kernel cut-off and grid margin, in bandwidths: the Gaussian tail beyond
+# it is below double precision noise.
+TRUNCATION = 8.0
+MIN_BINS = 256
 
 
 def gaussian_kernel(z):
@@ -61,31 +66,6 @@ def mean_entry(a) -> float:
     return float(np.sort(a, axis=None).sum() / a.size)
 
 
-@dataclass(frozen=True)
-class KdeSettings:
-    """Bandwidth and evaluation strategy for one density estimate.
-
-    `bins` and `truncation_radius` only matter in binned mode; the kernel
-    is cut off at `truncation_radius * h`, far enough out that the
-    discarded Gaussian tail is below double precision noise.
-    """
-
-    h: float
-    mode: str = "binned"
-    bins: int = 4096
-    truncation_radius: float = 8.0
-
-    def __post_init__(self):
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError("bandwidth h must be positive and finite")
-        if self.mode not in ("binned", "exact"):
-            raise ValueError(f"unknown KDE mode {self.mode!r}")
-        if self.bins < 256:
-            raise ValueError("bins must be >= 256")
-        if self.truncation_radius < 6:
-            raise ValueError("truncation_radius must be >= 6")
-
-
 def _exact_sum(samples_sorted: np.ndarray, x: np.ndarray, h: float,
                deriv: bool) -> np.ndarray:
     n = samples_sorted.size
@@ -110,8 +90,8 @@ def kde_exact(samples, x, h: float, deriv: bool = False):
 
     Samples are summed in sorted order, so the result depends only on
     their multiset.  A point mass (all samples equal) collapses to a
-    single kernel evaluation, keeping the degenerate fallback cheap for
-    arbitrarily many samples.
+    single kernel evaluation, so it stays cheap for arbitrarily many
+    samples.
     """
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size == 0:
@@ -130,91 +110,105 @@ def kde_exact(samples, x, h: float, deriv: bool = False):
 
 
 @dataclass(frozen=True)
-class ExactDensity:
-    """Exact-sum evaluator with the same interface as DensityEstimate.
-
-    Used when binning is impossible (all samples equal) or when exact
-    mode is requested outright.
-    """
-
-    samples: np.ndarray
-    h: float
-    is_derivative: bool
-    shift: float = 0.0
-
-    def evaluate(self, x):
-        return kde_exact(self.samples, x, self.h, self.is_derivative)
-
-
-@dataclass(frozen=True)
 class DensityEstimate:
-    """Binned estimate: values on a uniform grid plus linear interpolation.
+    """Density and density-derivative estimates on one uniform grid.
 
-    Queries outside the grid clamp to the boundary values; the grid
-    carries an 8-bandwidth margin on both sides of the sample range, so
-    clamping only triggers for points where the true estimate is zero to
+    Node i of the grid sits at ``lo + i * spacing``.  `density` is the
+    estimate with bandwidth `h`, `deriv` the derivative estimate with
+    bandwidth `h_prime`.  The grid carries a margin of ``TRUNCATION``
+    times the larger bandwidth on both sides of the sample range, so it
+    is never degenerate, even when all samples are equal, and clamping
+    outside it only affects points where both estimates are zero to
     machine precision anyway.
 
     `counts` holds the linear-binning weights of the samples.  They are
-    the interpolation weights at the samples, so for any function f
-    tabulated on the grid, ``counts @ f`` equals the sum of
-    ``np.interp(samples, grid, f)`` in O(bins).
+    the interpolation weights at the samples, so for any table f on the
+    grid, ``counts @ f`` equals the sum of ``evaluate(samples, f)`` in
+    O(bins).
     """
 
-    grid: np.ndarray
-    values: np.ndarray
+    lo: float
+    spacing: float
     counts: np.ndarray
+    density: np.ndarray
+    deriv: np.ndarray
     h: float
-    is_derivative: bool
-    shift: float = 0.0
+    h_prime: float
 
-    def evaluate(self, x):
+    @property
+    def grid(self) -> np.ndarray:
+        return self.lo + self.spacing * np.arange(self.counts.size)
+
+    def evaluate(self, x, table):
+        """Linear interpolation at `x` (scalar or array) of `table`, a
+        function tabulated on the grid.
+
+        The cell index comes straight from the uniform spacing, O(1) per
+        point.  Points outside the grid clamp to the end values, as in
+        ``np.interp``.
+        """
         x = np.asarray(x, dtype=np.float64)
-        out = np.interp(x, self.grid, self.values)
-        return float(out) if x.ndim == 0 else out
+        flat = x.ravel()
+        out = np.empty(flat.shape)
+        for start in range(0, flat.size, _LOOKUP_BLOCK):
+            pos = (flat[start:start + _LOOKUP_BLOCK] - self.lo) / self.spacing
+            cell = np.clip(np.floor(pos), 0, table.size - 2)
+            frac = np.clip(pos - cell, 0.0, 1.0)
+            idx = cell.astype(np.intp)
+            # (1 - t) f[i] + t f[i+1] gives the end values exactly at t = 0
+            # and t = 1, so points off the grid clamp as in np.interp
+            out[start:start + _LOOKUP_BLOCK] = ((1.0 - frac) * table[idx]
+                                                + frac * table[idx + 1])
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def kde_binned(samples, settings: KdeSettings, deriv: bool = False,
-               shift: float = 0.0):
-    """Build a density (or density-derivative) estimate from samples.
+def kde_binned(samples, h: float, h_prime: float,
+               bins: int = 4096) -> DensityEstimate:
+    """Build the density (bandwidth `h`) and derivative (bandwidth
+    `h_prime`) estimates of the samples on one grid of `bins` nodes.
 
     Linear binning splits each sample's unit mass between the two nearest
     grid nodes, which keeps the binning error second order in the cell
-    width.  Falls back to the exact evaluator when the sample range is
-    degenerate.
+    width.  The samples are binned in sorted order, so the tables depend
+    only on their multiset.
     """
-    samples = np.asarray(samples, dtype=np.float64).ravel()
+    samples = np.sort(np.asarray(samples, dtype=np.float64), axis=None)
     if samples.size == 0:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(samples)):
+    # sorted: -inf comes first, +inf and nan last
+    if not (np.isfinite(samples[0]) and np.isfinite(samples[-1])):
         raise ValueError("samples contain non-finite values")
+    if not (0 < h < math.inf and 0 < h_prime < math.inf):
+        raise ValueError("bandwidths must be positive and finite")
+    if bins < MIN_BINS:
+        raise ValueError(f"bins must be >= {MIN_BINS}")
 
-    h = settings.h
-    lo_s, hi_s = float(samples.min()), float(samples.max())
-    if settings.mode == "exact" or hi_s == lo_s:
-        return ExactDensity(samples=np.sort(samples), h=h,
-                            is_derivative=deriv, shift=shift)
+    margin = TRUNCATION * max(h, h_prime)
+    lo = float(samples[0]) - margin
+    spacing = (float(samples[-1]) + margin - lo) / (bins - 1)
 
-    bins = settings.bins
-    lo = lo_s - 8.0 * h
-    hi = hi_s + 8.0 * h
-    delta = (hi - lo) / (bins - 1)
-    grid = lo + delta * np.arange(bins)
-
-    pos = (samples - lo) / delta
+    pos = (samples - lo) / spacing
     idx = np.minimum(pos.astype(np.int64), bins - 2)
     frac = pos - idx
     counts = np.bincount(idx, weights=1.0 - frac, minlength=bins)
     counts += np.bincount(idx + 1, weights=frac, minlength=bins)
 
-    radius = int(math.ceil(settings.truncation_radius * h / delta))
-    offsets = (np.arange(2 * radius + 1) - radius) * delta
     n = samples.size
-    if deriv:
-        kernel = gaussian_kernel_deriv(offsets / h) / (n * h * h)
-    else:
-        kernel = gaussian_kernel(offsets / h) / (n * h)
-    values = np.convolve(counts, kernel, mode="full")[radius:radius + bins]
+    density = _smooth(counts, spacing, h, gaussian_kernel, n * h)
+    deriv = _smooth(counts, spacing, h_prime, gaussian_kernel_deriv,
+                    n * h_prime * h_prime)
+    return DensityEstimate(lo=lo, spacing=spacing, counts=counts,
+                           density=density, deriv=deriv, h=h,
+                           h_prime=h_prime)
 
-    return DensityEstimate(grid=grid, values=values, counts=counts, h=h,
-                           is_derivative=deriv, shift=shift)
+
+def _smooth(counts: np.ndarray, spacing: float, bandwidth: float, kernel,
+            norm: float) -> np.ndarray:
+    """Convolve the bin counts with `kernel` / `norm` at bandwidth
+    `bandwidth`, sampled at grid offsets and cut off at ``TRUNCATION``
+    bandwidths."""
+    radius = int(math.ceil(TRUNCATION * bandwidth / spacing))
+    offsets = (np.arange(2 * radius + 1) - radius) * spacing
+    weights = kernel(offsets / bandwidth) / norm
+    full = np.convolve(counts, weights, mode="full")
+    return full[radius:radius + counts.size]

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import DenoiserParams, baseline_estimate, default_params, denoise
-from .kde import KdeSettings
 from .linalg import op_norm, subspace_overlap
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
@@ -194,7 +193,6 @@ class ExperimentConfig:
     delta: float = 0.01
     h: float | None = None          # None: 1.2 (mn)^{-1/5}
     h_prime: float | None = None    # None: (mn)^{-1/7}
-    kde_mode: str = "binned"
     kde_bins: int = 4096
     trials: int = 50
     base_seed: int = 0
@@ -227,12 +225,8 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
 
     def params_for(self, m: int, n: int) -> DenoiserParams:
-        kde = KdeSettings(h=1.0, mode=self.kde_mode, bins=self.kde_bins)
-        base = default_params(m, n, eps=self.eps, delta=self.delta, kde=kde)
-        h = self.h if self.h is not None else base.h
-        hp = self.h_prime if self.h_prime is not None else base.h_prime
-        return DenoiserParams(h=h, h_prime=hp, eps=self.eps,
-                              delta=self.delta, kde=kde)
+        return default_params(m, n, eps=self.eps, delta=self.delta, h=self.h,
+                              h_prime=self.h_prime, bins=self.kde_bins)
 
     def cells(self):
         """Deterministic cell enumeration: n outer, rank middle, sigma inner."""
@@ -274,8 +268,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 _CONFIG_KEYS = {
     "n", "rank", "sigma1", "sigma_ratios", "noise", "noise_mu",
-    "noise_variance", "eps", "delta", "h", "h_prime", "kde_mode",
-    "kde_bins", "trials", "base_seed", "gamma", "output", "workers",
+    "noise_variance", "eps", "delta", "h", "h_prime", "kde_bins", "trials",
+    "base_seed", "gamma", "output", "workers",
 }
 
 
@@ -345,7 +339,6 @@ def load_config(path) -> ExperimentConfig:
             sigma_ratios=ratios, noise=noise,
             eps=getf("eps", 1e-3), delta=getf("delta", 0.01),
             h=getf("h"), h_prime=getf("h_prime"),
-            kde_mode=raw.get("kde_mode", "binned"),
             kde_bins=geti("kde_bins", 4096),
             trials=geti("trials"), base_seed=geti("base_seed", 0),
             gamma=getf("gamma", 1.0), output=raw["output"],

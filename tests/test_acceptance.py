@@ -16,7 +16,7 @@ import numpy as np
 from adadenoise import (Gaussian, GaussianMixture, bulk_edge,
                         check_spectral_map_perturbation, debiased_sv,
                         default_params, denoise_entrywise, inflated_sv,
-                        kde_binned, kde_exact, KdeSettings, make_signal,
+                        kde_binned, kde_exact, make_signal,
                         op_norm, overlap_limit, shrink_adaptive, SignalSpec,
                         svd)
 from adadenoise.estimator import _scored_matrix
@@ -219,9 +219,9 @@ def _check_inverse_vs_bisection(failures, rng):
 def _check_binned_vs_exact(failures):
     samples = GaussianMixture(2.0).sample(100, 100, seed=60).ravel()
     h = 1.2 * samples.size ** -0.2
-    est = kde_binned(samples, KdeSettings(h=h))
+    est = kde_binned(samples, h, samples.size ** (-1 / 7))
     exact = kde_exact(samples, est.grid, h)
-    gap = float(np.max(np.abs(est.values - exact)))
+    gap = float(np.max(np.abs(est.density - exact)))
     tol = 1e-3 * float(np.max(exact))
     if gap > tol:
         failures.append(f"binned vs exact KDE gap {gap:.2e} > {tol:.2e}")
@@ -232,8 +232,7 @@ def _check_gaussian_score_identity(failures):
     params = default_params(400, 400)
     scored = _scored_matrix(y, params)
     t = np.linspace(-3.0, 3.0, 241)
-    fitted = (scored.factor * -scored.derv.evaluate(t)
-              / (scored.dens.evaluate(t) + params.eps) / scored.i_hat)
+    fitted = scored.factor * scored.kde.evaluate(t, scored.psi) / scored.i_hat
     dev = float(np.max(np.abs(fitted - t)))
     if dev >= 0.15:
         failures.append(f"score map max deviation {dev:.3f} >= 0.15 "

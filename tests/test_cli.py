@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adadenoise import (GaussianMixture, baseline_estimate, denoise,
-                        default_params, KdeSettings, overlap_limit,
+                        default_params, overlap_limit,
                         read_matrix_csv, write_matrix_csv)
 
 from conftest import package_env
@@ -51,11 +51,12 @@ class TestSimulate:
 
     def test_unknown_key_named(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\noutput = o.csv\n"
-                       "frobnicate = yes\n")
-        res = run_cli("simulate", str(bad), cwd=tmp_path)
-        assert res.returncode == 2
-        assert "frobnicate" in res.stderr
+        for line in ("frobnicate = yes", "kde_mode = binned"):
+            bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
+                           f"output = o.csv\n{line}\n")
+            res = run_cli("simulate", str(bad), cwd=tmp_path)
+            assert res.returncode == 2
+            assert line.split()[0] in res.stderr
 
     def test_rerun_byte_identical(self, tmp_path):
         run_cli("simulate", str(SMOKE_CFG), cwd=tmp_path)

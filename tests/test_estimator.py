@@ -3,19 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, KdeSettings,
-                        SignalSpec, baseline_estimate, debiased_sv,
-                        default_params, denoise, denoise_entrywise,
-                        gaussian_kernel_deriv, make_signal, oracle_denoise,
+from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, SignalSpec,
+                        baseline_estimate, debiased_sv, default_params,
+                        denoise, denoise_entrywise, gaussian_kernel_deriv,
+                        kde_binned, kde_exact, make_signal, oracle_denoise,
                         shrink_known_sd, subspace_overlap, svd)
 from adadenoise import estimator
 from adadenoise.estimator import _scored_matrix
-
-EXACT = KdeSettings(h=1.0, mode="exact")
-
-
-def exact_params(m, n, eps=1e-3):
-    return default_params(m, n, eps=eps, kde=EXACT)
 
 
 class TestDefaults:
@@ -25,6 +19,9 @@ class TestDefaults:
         assert params.h == pytest.approx(1.2 * mn ** -0.2, rel=1e-14)
         assert params.h_prime == pytest.approx(mn ** (-1 / 7), rel=1e-14)
         assert params.eps == 1e-3 and params.delta == 0.01
+        assert params.bins == 4096
+        given = default_params(400, 400, h=0.3, h_prime=0.4, bins=512)
+        assert (given.h, given.h_prime, given.bins) == (0.3, 0.4, 512)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -32,12 +29,15 @@ class TestDefaults:
         with pytest.raises(ValueError):
             DenoiserParams(h=0.1, h_prime=0.1, eps=0.0)
         with pytest.raises(ValueError):
+            default_params(400, 400, bins=100)
+        with pytest.raises(ValueError):
             denoise(np.array([[1.0, 2.0, 3.0]]))  # 1 x n rejected
 
 
 class TestDenoiseEntrywise:
     def test_constant_matrix_degenerate_path(self):
-        """All-equal input exercises the exact-mode fallback."""
+        """All-equal input: the grid's bandwidth margin keeps it
+        non-degenerate."""
         y = np.full((8, 6), 4.2)
         params = default_params(8, 6, eps=1e-3)
         x0, i_hat, y_bar = denoise_entrywise(y, params)
@@ -69,37 +69,66 @@ class TestDenoiseEntrywise:
         params = default_params(60, 50, eps=1e-2)
         x0, i_hat, _ = denoise_entrywise(y, params)
         grid = np.linspace(-9, 9, 4001)
-        pd_max = np.max(np.abs(_scored_matrix(y, params)[4].evaluate(grid)))
+        est = _scored_matrix(y, params).kde
+        pd_max = np.max(np.abs(est.evaluate(grid, est.deriv)))
         assert np.max(np.abs(x0)) <= pd_max / params.eps + 1e-12
 
     def test_shift_leaves_estimated_functions_unchanged(self):
         """Adding a constant shifts the grand mean and nothing else: the
-        estimated density and derivative functions, and the information
-        estimate, are invariant (exact KDE mode)."""
+        estimated density and derivative functions, the information
+        estimate and the scored matrix are invariant."""
         rng = np.random.default_rng(40)
         y = rng.standard_normal((12, 10))
-        params = exact_params(12, 10)
+        params = default_params(12, 10)
         c = 3.7
         a = _scored_matrix(y, params)
         b = _scored_matrix(y + c, params)
         assert b.y_bar == pytest.approx(a.y_bar + c, abs=1e-12)
         assert b.i_hat == pytest.approx(a.i_hat, abs=1e-10)
         grid = np.linspace(-4, 4, 101)
-        np.testing.assert_allclose(b.dens.evaluate(grid), a.dens.evaluate(grid),
-                                   atol=1e-12)
-        np.testing.assert_allclose(b.derv.evaluate(grid), a.derv.evaluate(grid),
-                                   atol=1e-12)
-        # scored entries of the shifted input are the unchanged estimated
-        # score map, with its gain calibration, evaluated at the shifted
-        # query points
-        expected = a.factor * (-a.derv.evaluate((y + c).ravel())
-                               / (a.dens.evaluate((y + c).ravel()) + params.eps))
-        np.testing.assert_allclose(b.x0.ravel(), expected, atol=1e-8)
+        for table in ("density", "deriv"):
+            np.testing.assert_allclose(
+                b.kde.evaluate(grid, getattr(b.kde, table)),
+                a.kde.evaluate(grid, getattr(a.kde, table)), atol=1e-12)
+        # the score map is applied to the centered entries, which the
+        # shift leaves alone
+        np.testing.assert_allclose(b.x0, a.x0, atol=1e-8)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_offset_leaves_estimate_unchanged(self, c):
+        """A constant offset of Y changes neither the scored matrix nor
+        the information estimate nor the selected rank."""
+        spec = SignalSpec(m=200, n=200, r=1, sigmas=(3.0,))
+        x, _, _ = make_signal(spec, seed=44)
+        y = x + GaussianMixture(2.0).sample(200, 200, seed=45)
+        params = default_params(200, 200)
+        res = denoise(y, params)
+        res_c = denoise(y + c, params)
+        np.testing.assert_allclose(res_c.x0, res.x0, rtol=0, atol=1e-8)
+        assert res_c.i_hat == pytest.approx(res.i_hat, abs=1e-10)
+        assert res_c.k_hat == res.k_hat == 1
+
+    def test_one_grid_and_no_binary_search(self, monkeypatch):
+        """Scoring builds one grid and never calls np.interp."""
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return kde_binned(*args, **kwargs)
+
+        def no_interp(*args, **kwargs):
+            raise AssertionError("np.interp called")
+
+        monkeypatch.setattr(estimator, "kde_binned", counting_build)
+        monkeypatch.setattr(np, "interp", no_interp)
+        y = GaussianMixture(2.0).sample(30, 20, seed=6)
+        denoise_entrywise(y, default_params(30, 20))
+        assert len(builds) == 1
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(41)
         y = rng.standard_normal((14, 9))
-        params = exact_params(14, 9)
+        params = default_params(14, 9)
         rows = rng.permutation(14)
         cols = rng.permutation(9)
         res = denoise(y, params)
@@ -111,22 +140,32 @@ class TestDenoiseEntrywise:
     def test_binned_gain_is_mean_interpolated_slope(self):
         """The O(bins) gain equals the mean over the centered entries of
         the interpolated slope of the tabulated score map, less the
-        self-influence K(0) / (N h'^3 (p + eps)), and exact mode agrees
-        with it."""
+        self-influence K(0) / (N h'^3 (p + eps)), and agrees with the same
+        mean taken from exact kernel sums by central differences."""
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
         params = default_params(60, 50)
+        eps = params.eps
         scored = _scored_matrix(y, params)
-        grid = scored.dens.grid
-        p = scored.dens.evaluate(grid)
-        psi = -scored.derv.evaluate(grid) / (p + params.eps)
+        grid = scored.kde.grid
+        p = scored.kde.density
+        psi = -scored.kde.deriv / (p + eps)
         self_slope = 1.0 / (math.sqrt(2.0 * math.pi) * y.size
                             * params.h_prime ** 3)
-        slope = np.gradient(psi, grid) - self_slope / (p + params.eps)
+        slope = np.gradient(psi, grid) - self_slope / (p + eps)
         centered = (y - scored.y_bar).ravel()
         direct = np.mean(np.interp(centered, grid, slope))
         assert scored.gain == pytest.approx(direct, rel=1e-12)
-        exact = _scored_matrix(y, default_params(60, 50, kde=EXACT))
-        assert exact.gain == pytest.approx(scored.gain, rel=1e-4)
+
+        def exact_psi(x):
+            return (-kde_exact(centered, x, params.h_prime, deriv=True)
+                    / (kde_exact(centered, x, params.h) + eps))
+
+        step = 1e-4 * min(params.h, params.h_prime)
+        exact_slope = ((exact_psi(centered + step) - exact_psi(centered - step))
+                       / (2.0 * step)
+                       - self_slope / (kde_exact(centered, centered, params.h)
+                                       + eps))
+        assert np.mean(exact_slope) == pytest.approx(scored.gain, rel=1e-4)
         assert scored.i_hat == pytest.approx(
             scored.gain ** 2 / scored.variance, rel=1e-15)
 
@@ -157,8 +196,7 @@ class TestDenoiseEntrywise:
         params = default_params(400, 400)
         scored = _scored_matrix(y, params)
         t = np.linspace(-2.0, 2.0, 161)
-        fitted = (scored.factor * -scored.derv.evaluate(t)
-                  / (scored.dens.evaluate(t) + params.eps) / scored.i_hat)
+        fitted = scored.factor * scored.kde.evaluate(t, scored.psi) / scored.i_hat
         dev = np.abs(fitted - t)
         assert dev.mean() < 0.10
         assert dev.max() < 0.40

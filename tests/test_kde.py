@@ -4,10 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from adadenoise import (DensityEstimate, ExactDensity, GaussianMixture,
-                        KdeSettings, adaptive_simpson, gaussian_kernel,
-                        gaussian_kernel_deriv, kde_binned, kde_exact,
-                        mean_entry)
+from adadenoise import (DensityEstimate, GaussianMixture, adaptive_simpson,
+                        gaussian_kernel, gaussian_kernel_deriv, kde_binned,
+                        kde_exact, mean_entry)
 
 PHI0 = 0.3989422804014327
 
@@ -101,88 +100,100 @@ def mixture_samples():
 
 class TestKdeBinned:
     def test_matches_exact_at_grid_nodes(self, mixture_samples):
-        """Binned path against the exact sum at every grid node."""
-        for deriv, h in ((False, 1.2 * 1e4 ** -0.2), (True, 1e4 ** (-1 / 7))):
-            est = kde_binned(mixture_samples, KdeSettings(h=h), deriv=deriv)
-            exact = kde_exact(mixture_samples, est.grid, h, deriv=deriv)
+        """Both tables of one build against the exact sum at every grid
+        node."""
+        h, h_prime = 1.2 * 1e4 ** -0.2, 1e4 ** (-1 / 7)
+        est = kde_binned(mixture_samples, h, h_prime)
+        grid = est.grid
+        for values, deriv, bw in ((est.density, False, h),
+                                  (est.deriv, True, h_prime)):
+            exact = kde_exact(mixture_samples, grid, bw, deriv=deriv)
             tol = max(1e-3, 1e-2 * np.max(np.abs(exact)))
-            assert np.max(np.abs(est.values - exact)) < tol
+            assert np.max(np.abs(values - exact)) < tol
 
     def test_constant_shift_equivariance(self, mixture_samples):
         h = 0.25
         x = np.array([-2.5, -0.1, 0.9, 3.3])
-        base = kde_binned(mixture_samples, KdeSettings(h=h)).evaluate(x)
+        base = kde_binned(mixture_samples, h, h)
         c = 7.25
-        shifted = kde_binned(mixture_samples + c,
-                             KdeSettings(h=h)).evaluate(x + c)
-        np.testing.assert_allclose(shifted, base, atol=1e-10)
+        shifted = kde_binned(mixture_samples + c, h, h)
+        for table in ("density", "deriv"):
+            np.testing.assert_allclose(
+                shifted.evaluate(x + c, getattr(shifted, table)),
+                base.evaluate(x, getattr(base, table)), atol=1e-10)
 
     def test_density_integrates_to_one(self, mixture_samples):
-        est = kde_binned(mixture_samples, KdeSettings(h=0.2))
-        mass = np.trapezoid(est.values, est.grid)
+        est = kde_binned(mixture_samples, 0.2, 0.2)
+        mass = np.trapezoid(est.density, est.grid)
         assert mass == pytest.approx(1.0, abs=2e-2)
 
     def test_bin_refinement_converges(self, mixture_samples):
         h = 0.2
         x = np.linspace(-5.5, 5.5, 301)
-        coarse = kde_binned(mixture_samples, KdeSettings(h=h, bins=4096))
-        fine = kde_binned(mixture_samples, KdeSettings(h=h, bins=8192))
-        peak = np.max(coarse.values)
-        assert np.max(np.abs(coarse.evaluate(x) - fine.evaluate(x))) < 1e-3 * peak
+        coarse = kde_binned(mixture_samples, h, h, bins=4096)
+        fine = kde_binned(mixture_samples, h, h, bins=8192)
+        peak = np.max(coarse.density)
+        gap = (coarse.evaluate(x, coarse.density)
+               - fine.evaluate(x, fine.density))
+        assert np.max(np.abs(gap)) < 1e-3 * peak
 
     def test_deriv_integrates_to_zero(self, mixture_samples):
-        est = kde_binned(mixture_samples, KdeSettings(h=0.2), deriv=True)
-        assert abs(np.trapezoid(est.values, est.grid)) < 1e-2
+        est = kde_binned(mixture_samples, 0.2, 0.2)
+        assert abs(np.trapezoid(est.deriv, est.grid)) < 1e-2
 
     def test_clamps_outside_grid(self, mixture_samples):
-        est = kde_binned(mixture_samples, KdeSettings(h=0.2))
-        assert est.evaluate(est.grid[-1] + 50.0) == est.values[-1]
-        assert est.evaluate(est.grid[0] - 50.0) == est.values[0]
+        est = kde_binned(mixture_samples, 0.2, 0.2)
+        grid = est.grid
+        assert est.evaluate(grid[-1] + 50.0, est.density) == est.density[-1]
+        assert est.evaluate(grid[0] - 50.0, est.density) == est.density[0]
 
-    def test_degenerate_range_falls_back_to_exact(self):
-        est = kde_binned(np.full(64, 3.0), KdeSettings(h=0.5))
-        assert isinstance(est, ExactDensity)
-        assert est.evaluate(3.0) == pytest.approx(gaussian_kernel(0.0) / 0.5,
-                                                  rel=1e-14)
-        assert np.isfinite(est.evaluate(100.0))
-
-    def test_exact_mode_requested(self, mixture_samples):
-        est = kde_binned(mixture_samples[:500], KdeSettings(h=0.3, mode="exact"))
-        assert isinstance(est, ExactDensity)
-        assert est.evaluate(0.5) == pytest.approx(
-            kde_exact(mixture_samples[:500], 0.5, 0.3), rel=1e-14)
+    def test_lookup_matches_np_interp(self, mixture_samples):
+        """The O(1) uniform-grid lookup is np.interp on the same table,
+        clamping included, at points inside and beyond both grid ends."""
+        est = kde_binned(mixture_samples, 0.2, 0.3)
+        grid = est.grid
+        rng = np.random.default_rng(28)
+        x = np.concatenate([
+            rng.uniform(grid[0] - 3.0, grid[-1] + 3.0, 5000),
+            grid[::97], [grid[0], grid[-1], grid[0] - 1e-9, grid[-1] + 1e-9,
+                         -1e6, 1e6]])
+        table = -est.deriv / (est.density + 1e-3)
+        np.testing.assert_allclose(est.evaluate(x, table),
+                                   np.interp(x, grid, table), rtol=0,
+                                   atol=1e-12)
 
     def test_grid_is_uniform_and_increasing(self, mixture_samples):
-        est = kde_binned(mixture_samples, KdeSettings(h=0.3))
+        est = kde_binned(mixture_samples, 0.3, 0.3)
         assert isinstance(est, DensityEstimate)
         steps = np.diff(est.grid)
         assert np.all(steps > 0)
         np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
         assert est.grid.size == 4096
-        assert np.all(np.isfinite(est.values))
-        assert np.all(est.values >= 0)
+        assert np.all(np.isfinite(est.density))
+        assert np.all(np.isfinite(est.deriv))
+        assert np.all(est.density >= 0)
 
-    def test_settings_validation(self):
+    def test_settings_validation(self, mixture_samples):
         with pytest.raises(ValueError):
-            KdeSettings(h=-1.0)
+            kde_binned(mixture_samples, -1.0, 0.5)
         with pytest.raises(ValueError):
-            KdeSettings(h=0.5, bins=100)
+            kde_binned(mixture_samples, 0.5, 0.0)
         with pytest.raises(ValueError):
-            KdeSettings(h=0.5, truncation_radius=2.0)
+            kde_binned(mixture_samples, 0.5, 0.5, bins=100)
         with pytest.raises(ValueError):
-            KdeSettings(h=0.5, mode="fft")
+            kde_binned([], 0.5, 0.5)
+        with pytest.raises(ValueError):
+            kde_binned([0.0, math.nan], 0.5, 0.5)
 
 
 class TestComplexityContract:
     def test_800x800_under_two_seconds(self):
-        """Build both estimates and evaluate them at all entries."""
+        """Build both tables and look the score map up at all entries."""
         y = GaussianMixture(2.0).sample(800, 800, seed=27)
         flat = y.ravel()
         mn = flat.size
         t0 = time.perf_counter()
-        dens = kde_binned(flat, KdeSettings(h=1.2 * mn ** -0.2))
-        derv = kde_binned(flat, KdeSettings(h=mn ** (-1 / 7)), deriv=True)
-        dens.evaluate(flat)
-        derv.evaluate(flat)
+        est = kde_binned(flat, 1.2 * mn ** -0.2, mn ** (-1 / 7))
+        est.evaluate(flat, -est.deriv / (est.density + 1e-3))
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0, f"KDE pass took {elapsed:.2f}s"
