@@ -12,39 +12,34 @@ harness round out the package.
 """
 
 from .estimator import (DenoiseResult, DenoiserParams, baseline_estimate,
-                        default_params, denoise, denoise_entrywise,
-                        oracle_denoise)
+                        default_params, denoise, denoise_entrywise)
 from .kde import (DensityEstimate, gaussian_kernel, gaussian_kernel_deriv,
                   kde_binned, kde_exact, mean_entry)
-from .linalg import (Svd, op_norm, read_matrix_csv, subspace_overlap, svd,
+from .linalg import (op_norm, read_matrix_csv, subspace_overlap,
                      write_matrix_csv)
-from .noise import (Gaussian, GaussianMixture, NoiseModel, TabulatedDensity,
-                    adaptive_simpson)
+from .noise import Gaussian, GaussianMixture, NoiseModel, adaptive_simpson
 from .shrinkage import (PerturbationCheck, bulk_edge,
                         check_spectral_map_perturbation, debiased_sv,
-                        inflated_sv, shrink_adaptive, shrink_known_sd)
+                        inflated_sv, shrink_known_sd)
 from .sim import (ExperimentConfig, SignalSpec, TrialRecord, haar_orthonormal,
                   load_config, make_signal, run_grid, run_trial)
 from .theory import (Prediction, error_limit, factor_overlap_limits,
-                     minimax_limits, overlap_limit, predict,
-                     singular_value_limit)
+                     minimax_limits, overlap_limit, predict)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DenoiseResult", "DenoiserParams", "baseline_estimate", "default_params",
-    "denoise", "denoise_entrywise", "oracle_denoise",
+    "denoise", "denoise_entrywise",
     "DensityEstimate", "gaussian_kernel", "gaussian_kernel_deriv",
     "kde_binned", "kde_exact", "mean_entry",
-    "Svd", "op_norm", "read_matrix_csv", "subspace_overlap", "svd",
-    "write_matrix_csv",
-    "Gaussian", "GaussianMixture", "NoiseModel", "TabulatedDensity",
-    "adaptive_simpson",
+    "op_norm", "read_matrix_csv", "subspace_overlap", "write_matrix_csv",
+    "Gaussian", "GaussianMixture", "NoiseModel", "adaptive_simpson",
     "PerturbationCheck", "bulk_edge", "check_spectral_map_perturbation",
-    "debiased_sv", "inflated_sv", "shrink_adaptive", "shrink_known_sd",
+    "debiased_sv", "inflated_sv", "shrink_known_sd",
     "ExperimentConfig", "SignalSpec", "TrialRecord", "haar_orthonormal",
     "load_config", "make_signal", "run_grid", "run_trial",
     "Prediction", "error_limit", "factor_overlap_limits", "minimax_limits",
-    "overlap_limit", "predict", "singular_value_limit",
+    "overlap_limit", "predict",
     "__version__",
 ]

@@ -97,6 +97,11 @@ def cmd_denoise(args) -> int:
         params = default_params(m, n, eps=args.eps, delta=args.delta,
                                 h=args.h, h_prime=args.h_prime,
                                 bins=args.kde_bins)
+    except ValueError as exc:
+        _err(f"invalid denoiser settings: {exc}")
+        return USAGE_ERROR
+
+    try:
         gamma = args.gamma if args.gamma is not None else m / n
         prefix = args.output_prefix
         if args.mode == "adaptive":

@@ -14,8 +14,10 @@ Given a single noisy matrix Y the pipeline
    score, its gain equals its variance, and both equal the
    Fisher-information estimate i_hat = a^2/b,
 4. takes the SVD of the scored matrix in (m n)^{1/4}-scaled units, and
-5. threshold-shrinks the singular values to produce the final low-rank
-   estimate.
+5. divides its singular values by i_hat, which gives the spectrum of
+   X* = x0 / i_hat, and threshold-shrinks them at noise level
+   i_hat^{-1/2} with the same rule the PCA baseline applies to Y at its
+   known noise level, to produce the final low-rank estimate.
 
 The score map is looked up once, at one point set (the centered
 entries), with an O(1) uniform-grid index; the gain comes from the map
@@ -25,6 +27,7 @@ one SVD.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,8 +37,7 @@ import numpy as np
 from .kde import (MIN_BINS, DensityEstimate, gaussian_kernel, kde_binned,
                   mean_entry)
 from .linalg import as_matrix
-from .noise import NoiseModel
-from .shrinkage import shrink_adaptive, shrink_known_sd
+from .shrinkage import shrink_known_sd
 
 __all__ = [
     "DenoiserParams",
@@ -44,7 +46,6 @@ __all__ = [
     "denoise_entrywise",
     "denoise",
     "baseline_estimate",
-    "oracle_denoise",
 ]
 
 
@@ -101,21 +102,23 @@ class DenoiseResult:
     docstring); `x_star` = x0 / i_hat = psi(Y - y_bar) / a is the
     rank-free estimate, `x_hat` the rank-`k_hat` shrunk estimate.
     `sigma0` holds the singular values of x0 divided by (m n)^{1/4},
-    descending; `sigma_shrunk` the thresholded-and-debiased values on the
-    same scale.  For the PCA baseline (which never scores the entries)
-    `x_star`, `i_hat` and `y_bar` are None and `x0` is the input itself.
+    descending; `sigma_shrunk` the thresholded-and-debiased singular
+    values of x_hat on the same scale, shrunk from sigma0 / i_hat, the
+    spectrum of x_star.  For the PCA baseline (which never scores the
+    entries) `x_star`, `i_hat` and `y_bar` are None, `x0` is the input
+    itself and `sigma_shrunk` is shrunk from sigma0.
     """
 
     x0: np.ndarray
-    x_star: np.ndarray | None
     x_hat: np.ndarray
     u_hat: np.ndarray
     v_hat: np.ndarray
     sigma0: np.ndarray
     sigma_shrunk: np.ndarray
-    i_hat: float | None
     k_hat: int
-    y_bar: float | None
+    x_star: np.ndarray | None = None
+    i_hat: float | None = None
+    y_bar: float | None = None
 
 
 class _Scored(NamedTuple):
@@ -197,6 +200,29 @@ def denoise_entrywise(y, params: DenoiserParams):
     return scored.x0, scored.i_hat, scored.y_bar
 
 
+def _spectral_estimate(a: np.ndarray, unit: float, noise_sd: float,
+                       delta: float, gamma: float | None) -> DenoiseResult:
+    """The spectral step both estimators share.
+
+    Takes the SVD of `a` in (m n)^{1/4}-scaled units, shrinks its
+    spectrum divided by `unit` at noise level `noise_sd`, and rebuilds
+    the rank-k_hat estimate from the shrunk values.  `gamma` defaults to
+    the aspect ratio m/n of `a`.
+    """
+    m, n = a.shape
+    if gamma is None:
+        gamma = m / n
+    scale = (m * n) ** 0.25
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    sigma0 = s / scale
+    sigma_shrunk, k_hat = shrink_known_sd(sigma0 / unit, noise_sd, delta,
+                                          gamma)
+    x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ vt[:k_hat]
+    return DenoiseResult(x0=a, x_hat=x_hat, u_hat=u, v_hat=vt.T,
+                         sigma0=sigma0, sigma_shrunk=sigma_shrunk,
+                         k_hat=k_hat)
+
+
 def denoise(y, params: DenoiserParams | None = None,
             gamma: float | None = None) -> DenoiseResult:
     """Run the full adaptive pipeline on Y.
@@ -208,42 +234,19 @@ def denoise(y, params: DenoiserParams | None = None,
     y = as_matrix(y, "y")
     if min(y.shape) < 2:
         raise ValueError("denoising needs min(m, n) >= 2")
-    m, n = y.shape
     if params is None:
-        params = default_params(m, n)
-    if gamma is None:
-        gamma = m / n
+        params = default_params(*y.shape)
 
     x0, i_hat, y_bar = _scored_matrix(y, params)[:3]
-    scale = (m * n) ** 0.25
-    u, s, vt = np.linalg.svd(x0, full_matrices=False)
-    sigma0 = s / scale
-    sigma_shrunk, k_hat = shrink_adaptive(sigma0, i_hat, params.delta, gamma)
-    x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ vt[:k_hat]
-    return DenoiseResult(x0=x0, x_star=x0 / i_hat, x_hat=x_hat,
-                         u_hat=u, v_hat=vt.T, sigma0=sigma0,
-                         sigma_shrunk=sigma_shrunk, i_hat=i_hat,
-                         k_hat=k_hat, y_bar=y_bar)
+    # X* = x0 / i_hat is a spiked matrix with noise sd i_hat^-1/2.  The SVD
+    # is taken of x0 and only its spectrum is divided by i_hat, so x_star
+    # is formed after the SVD and never held through its workspace.
+    res = _spectral_estimate(x0, i_hat, i_hat ** -0.5, params.delta, gamma)
+    return dataclasses.replace(res, x_star=x0 / i_hat, i_hat=i_hat,
+                               y_bar=y_bar)
 
 
 def baseline_estimate(y, noise_sd: float, delta: float = 0.01,
                       gamma: float | None = None) -> DenoiseResult:
     """Known-variance PCA baseline: shrink the SVD of Y itself."""
-    y = as_matrix(y, "y")
-    m, n = y.shape
-    if gamma is None:
-        gamma = m / n
-    scale = (m * n) ** 0.25
-    u, s, vt = np.linalg.svd(y, full_matrices=False)
-    sigma0 = s / scale
-    sigma_shrunk, k_hat = shrink_known_sd(sigma0, noise_sd, delta, gamma)
-    x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ vt[:k_hat]
-    return DenoiseResult(x0=y, x_star=None, x_hat=x_hat, u_hat=u, v_hat=vt.T,
-                         sigma0=sigma0, sigma_shrunk=sigma_shrunk, i_hat=None,
-                         k_hat=k_hat, y_bar=None)
-
-
-def oracle_denoise(y, model: NoiseModel, eps: float = 0.0) -> np.ndarray:
-    """Entrywise score map using the true noise density."""
-    y = as_matrix(y, "y")
-    return model.score(y, eps)
+    return _spectral_estimate(as_matrix(y, "y"), 1.0, noise_sd, delta, gamma)

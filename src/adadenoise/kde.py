@@ -89,9 +89,7 @@ def kde_exact(samples, x, h: float, deriv: bool = False):
     (1/(N h^2)) sum K'((x - s)/h), the plug-in estimate of p'.
 
     Samples are summed in sorted order, so the result depends only on
-    their multiset.  A point mass (all samples equal) collapses to a
-    single kernel evaluation, so it stays cheap for arbitrarily many
-    samples.
+    their multiset.
     """
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size == 0:
@@ -100,11 +98,6 @@ def kde_exact(samples, x, h: float, deriv: bool = False):
         raise ValueError("bandwidth h must be positive")
     samples = np.sort(samples)
     x_arr = np.asarray(x, dtype=np.float64)
-    if samples[0] == samples[-1]:
-        z = (x_arr - samples[0]) / h
-        out = (gaussian_kernel_deriv(z) / (h * h) if deriv
-               else gaussian_kernel(z) / h)
-        return float(out) if x_arr.ndim == 0 else out
     out = _exact_sum(samples, np.atleast_1d(x_arr), h, deriv)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 

@@ -7,13 +7,9 @@ pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Svd",
-    "svd",
     "op_norm",
     "subspace_overlap",
     "read_matrix_csv",
@@ -33,44 +29,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Svd:
-    """Thin SVD: ``u @ diag(singular_values) @ v.T`` reconstructs the input.
-
-    `u` is m x p, `v` is n x p with p = min(m, n); columns orthonormal,
-    singular values sorted descending.  Column signs are whatever the
-    underlying LAPACK routine returns: every metric built on top of this
-    (operator norms, smallest singular values of products) is invariant
-    to per-column sign flips, so no canonicalization is done.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.v.T
-
-
-def svd(a) -> Svd:
-    """Full thin SVD with descending singular values.
-
-    Raises ``numpy.linalg.LinAlgError`` if the underlying iteration does
-    not converge (never returns silently wrong factors).
-    """
-    a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if np.any(np.diff(s) > 0):  # defensive: LAPACK already returns descending
-        order = np.argsort(-s, kind="stable")  # stable: ties keep routine order
-        u, s, vt = u[:, order], s[order], vt[order]
-    return Svd(u=u, singular_values=s, v=vt.T)
-
-
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value."""
     a = as_matrix(a)
-    if not a.any():
-        return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 

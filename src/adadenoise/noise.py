@@ -19,12 +19,8 @@ __all__ = [
     "NoiseModel",
     "Gaussian",
     "GaussianMixture",
-    "TabulatedDensity",
     "adaptive_simpson",
 ]
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
 
 def _phi(x, var=1.0):
     return np.exp(-np.square(x) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
@@ -198,53 +194,3 @@ class GaussianMixture(NoiseModel):
 
     def integration_window(self):
         return (-(self.mu + 12.0), self.mu + 12.0)
-
-
-class TabulatedDensity(NoiseModel):
-    """Density given by linear interpolation of values on a grid.
-
-    The table is normalized to integrate to one on construction.  No
-    sampler is available for this kind.
-    """
-
-    _FD_STEP = 1e-5
-
-    def __init__(self, grid, values):
-        grid = np.asarray(grid, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be 1-D with at least two points")
-        if values.shape != grid.shape:
-            raise ValueError("grid and values must have the same shape")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite and >= 0")
-        mass = np.trapezoid(values, grid)
-        if mass <= 0:
-            raise ValueError("density table has zero mass")
-        self.grid = grid
-        self.values = values / mass
-
-    def density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.interp(x, self.grid, self.values, left=0.0, right=0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def density_deriv(self, x):
-        h = self._FD_STEP
-        out = (self.density(np.asarray(x) + h) - self.density(np.asarray(x) - h)) / (2.0 * h)
-        return out
-
-    def sample(self, m: int, n: int, seed: int) -> np.ndarray:
-        raise NotImplementedError("tabulated densities do not support sampling")
-
-    def variance(self) -> float:
-        mean = adaptive_simpson(lambda x: x * self.density(x),
-                                self.grid[0], self.grid[-1], tol=1e-9)
-        second = adaptive_simpson(lambda x: x * x * self.density(x),
-                                  self.grid[0], self.grid[-1], tol=1e-9)
-        return second - mean * mean
-
-    def integration_window(self):
-        return (float(self.grid[0]), float(self.grid[-1]))

@@ -7,10 +7,11 @@ value ``sigma >= 1`` is observed inflated to
 
 where ``g`` is the row/column aspect ratio; below 1 the spike is lost in
 the bulk whose edge sits at ``bulk_edge(g) = g^1/4 + g^-1/4``.  The
-closed-form inverse undoes the inflation.  The shrink rules rescale by
-the effective noise level first, so one pair of maps serves both the
-adaptive pipeline (noise level estimated via Fisher information) and the
-known-variance baseline.
+closed-form inverse undoes the inflation.  ``shrink_known_sd`` rescales
+by the noise level first, so one rule serves both estimators: the
+known-variance baseline at its noise sd, and the adaptive pipeline on
+the rescaled score matrix X* at the noise sd i_hat^-1/2 implied by the
+estimated Fisher information.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "bulk_edge",
     "inflated_sv",
     "debiased_sv",
-    "shrink_adaptive",
     "shrink_known_sd",
     "PerturbationCheck",
     "check_spectral_map_perturbation",
@@ -90,8 +90,23 @@ def debiased_sv(y, gamma: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def _shrink(sigma0, noise_scale: float, signal_scale: float, delta: float,
-            gamma: float) -> tuple[np.ndarray, int]:
+def shrink_known_sd(sigma0, noise_sd: float, delta: float = 0.01,
+                    gamma: float = 1.0) -> tuple[np.ndarray, int]:
+    """Threshold-and-debias rule for a spectrum at noise level `noise_sd`.
+
+    `sigma0` holds descending scaled singular values.  Values below
+    ``(1 + delta) * bulk_edge * noise_sd`` map to exactly zero; survivors
+    map to ``noise_sd * debiased_sv(value / noise_sd)``.  Returns the
+    shrunk values (descending, zeros trailing) and the count of
+    survivors.
+
+    This is the one rule for both estimators: the PCA baseline passes
+    the spectrum of Y with its known noise sd, the adaptive pipeline the
+    spectrum of X* = X0 / i_hat with noise sd ``i_hat^-1/2``.
+    """
+    if not (noise_sd > 0):
+        raise ValueError("noise_sd must be positive")
+    gamma = _check_gamma(gamma)
     sigma0 = np.asarray(sigma0, dtype=np.float64)
     if sigma0.ndim != 1:
         raise ValueError("sigma0 must be a 1-D array of singular values")
@@ -99,41 +114,12 @@ def _shrink(sigma0, noise_scale: float, signal_scale: float, delta: float,
         raise ValueError("sigma0 must be non-negative and descending")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    threshold = (1.0 + delta) * bulk_edge(gamma) * noise_scale
+    threshold = (1.0 + delta) * bulk_edge(gamma) * noise_sd
     keep = sigma0 >= threshold
     shrunk = np.zeros_like(sigma0)
     if keep.any():
-        shrunk[keep] = signal_scale * debiased_sv(sigma0[keep] / noise_scale, gamma)
+        shrunk[keep] = noise_sd * debiased_sv(sigma0[keep] / noise_sd, gamma)
     return shrunk, int(keep.sum())
-
-
-def shrink_adaptive(sigma0, fisher_hat: float, delta: float = 0.01,
-                    gamma: float = 1.0) -> tuple[np.ndarray, int]:
-    """Threshold-and-debias rule driven by estimated Fisher information.
-
-    Values below ``(1 + delta) * bulk_edge * sqrt(fisher_hat)`` map to
-    exactly zero; survivors map to
-    ``fisher_hat^-1/2 * debiased_sv(fisher_hat^-1/2 * value)``.
-    Returns the shrunk values (descending, zeros trailing) and the count
-    of survivors.
-    """
-    if not (fisher_hat > 0):
-        raise ValueError("fisher_hat must be positive")
-    root = math.sqrt(fisher_hat)
-    return _shrink(sigma0, noise_scale=root, signal_scale=1.0 / root,
-                   delta=delta, gamma=_check_gamma(gamma))
-
-
-def shrink_known_sd(sigma0, noise_sd: float, delta: float = 0.01,
-                    gamma: float = 1.0) -> tuple[np.ndarray, int]:
-    """Same rule with a known noise standard deviation in place of the
-    estimated Fisher information: threshold at
-    ``(1 + delta) * bulk_edge * noise_sd``, survivors map to
-    ``noise_sd * debiased_sv(value / noise_sd)``."""
-    if not (noise_sd > 0):
-        raise ValueError("noise_sd must be positive")
-    return _shrink(sigma0, noise_scale=noise_sd, signal_scale=noise_sd,
-                   delta=delta, gamma=_check_gamma(gamma))
 
 
 @dataclass(frozen=True)

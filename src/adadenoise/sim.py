@@ -15,6 +15,7 @@ import dataclasses
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,6 +224,13 @@ class ExperimentConfig:
             raise ConfigError("gamma must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # signal shapes and denoiser settings are checked where they are
+        # built, so a bad grid fails here rather than inside run_grid
+        try:
+            for m, n in {(spec.m, spec.n) for spec in self.cells()}:
+                self.params_for(m, n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def params_for(self, m: int, n: int) -> DenoiserParams:
         return default_params(m, n, eps=self.eps, delta=self.delta, h=self.h,
@@ -371,19 +379,16 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
             tasks.append((spec, config.noise, params, config.gamma, seed))
             order.append(trial)
 
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = []
-            for i, rec in enumerate(pool.map(_trial_task, tasks, chunksize=4)):
-                results.append(rec)
-                if progress is not None:
-                    progress(i + 1, len(tasks))
-    else:
+    parallel = config.workers > 1
+    with (ProcessPoolExecutor(max_workers=config.workers) if parallel
+          else nullcontext()) as pool:
+        mapped = (pool.map(_trial_task, tasks, chunksize=4) if parallel
+                  else map(_trial_task, tasks))
         results = []
-        for i, task in enumerate(tasks):
-            results.append(_trial_task(task))
+        for i, rec in enumerate(mapped, 1):
+            results.append(rec)
             if progress is not None:
-                progress(i + 1, len(tasks))
+                progress(i, len(tasks))
 
     records = [dataclasses.replace(rec, trial=trial)
                for rec, trial in zip(results, order)]

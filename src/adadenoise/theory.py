@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .shrinkage import bulk_edge, inflated_sv
+from .shrinkage import bulk_edge
 
 __all__ = [
     "overlap_limit",
     "factor_overlap_limits",
-    "singular_value_limit",
     "error_limit",
     "minimax_limits",
     "Prediction",
@@ -64,11 +63,6 @@ def factor_overlap_limits(sigma: float, gamma: float = 1.0) -> tuple[float, floa
     g1 = math.sqrt(num / (1.0 + math.sqrt(gamma) * sigma ** -2))
     g2 = math.sqrt(num / (1.0 + sigma ** -2 / math.sqrt(gamma)))
     return (g1, g2)
-
-
-def singular_value_limit(sigma: float, gamma: float = 1.0) -> float:
-    """Almost-sure limit of the observed scaled singular value."""
-    return inflated_sv(sigma, gamma)
 
 
 def error_limit(sigma1: float, t: float) -> float:

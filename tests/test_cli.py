@@ -58,6 +58,20 @@ class TestSimulate:
             assert res.returncode == 2
             assert line.split()[0] in res.stderr
 
+    @pytest.mark.parametrize("line, word", [
+        ("kde_bins = 100", "bins"), ("eps = 0", "eps"),
+        ("h = -1", "bandwidths"), ("h_prime = 0", "bandwidths"),
+        ("delta = -0.5", "delta")])
+    def test_invalid_denoiser_setting_is_usage_error(self, tmp_path, line,
+                                                     word):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
+                       f"output = o.csv\n{line}\n")
+        res = run_cli("simulate", str(bad), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert word in res.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         run_cli("simulate", str(SMOKE_CFG), cwd=tmp_path)
         first = (tmp_path / "smoke_results.csv").read_bytes()
@@ -114,6 +128,18 @@ class TestDenoise:
                       "--mode", "baseline")
         assert res.returncode == 2
         assert "--noise-sd" in res.stderr
+
+    @pytest.mark.parametrize("flag, word", [
+        ("--kde-bins=100", "bins"), ("--eps=0", "eps"),
+        ("--h=-1", "bandwidths"), ("--delta=-1", "delta")])
+    def test_invalid_setting_is_usage_error(self, tmp_path, noisy_matrix,
+                                            flag, word):
+        path, _ = noisy_matrix
+        prefix = tmp_path / "x"
+        res = run_cli("denoise", str(path), "-o", str(prefix), flag)
+        assert res.returncode == 2, res.stderr
+        assert word in res.stderr
+        assert not Path(f"{prefix}_meta.txt").exists()
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -6,8 +6,8 @@ import pytest
 from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, SignalSpec,
                         baseline_estimate, debiased_sv, default_params,
                         denoise, denoise_entrywise, gaussian_kernel_deriv,
-                        kde_binned, kde_exact, make_signal, oracle_denoise,
-                        shrink_known_sd, subspace_overlap, svd)
+                        kde_binned, kde_exact, make_signal, shrink_known_sd,
+                        subspace_overlap)
 from adadenoise import estimator
 from adadenoise.estimator import _scored_matrix
 
@@ -220,7 +220,7 @@ class TestDenoiseFull:
         y = scale * 6.0 * (u @ v.T) + Gaussian(1.0).sample(80, 60, seed=5)
         res = denoise(y)
         assert res.i_hat >= 1e-3
-        s_direct = svd(res.x0).singular_values / scale
+        s_direct = np.linalg.svd(res.x0, compute_uv=False) / scale
         np.testing.assert_allclose(res.sigma0, s_direct, atol=1e-12)
         assert np.all(np.diff(res.sigma0) <= 0)
         recon = scale * (res.u_hat[:, :res.k_hat]
@@ -267,30 +267,23 @@ class TestBaseline:
         y = GaussianMixture(2.0).sample(30, 30, seed=6)
         res = baseline_estimate(y, noise_sd=math.sqrt(5.0), delta=0.01)
         scale = (30 * 30) ** 0.25
-        sig0 = svd(y).singular_values / scale
+        sig0 = np.linalg.svd(y, compute_uv=False) / scale
         shrunk, k = shrink_known_sd(sig0, math.sqrt(5.0), 0.01, 1.0)
         assert k == res.k_hat
         np.testing.assert_allclose(res.sigma_shrunk, shrunk, atol=1e-12)
 
-
-class TestOracleDenoise:
-    def test_gaussian_is_identity(self):
-        y = Gaussian(1.0).sample(20, 25, seed=8)
-        np.testing.assert_allclose(oracle_denoise(y, Gaussian(1.0), eps=0.0),
-                                   y, atol=1e-12)
-
-    def test_large_eps_flattens(self):
-        model = GaussianMixture(2.0)
-        y = model.sample(20, 20, seed=9)
-        grid = np.linspace(-20, 20, 4001)
-        pd_max = np.max(np.abs(model.density_deriv(grid)))
-        for eps in (10.0, 1e3):
-            assert np.max(np.abs(oracle_denoise(y, model, eps))) <= pd_max / eps
-
-    def test_matches_pointwise_score(self):
-        model = GaussianMixture(2.0)
-        y = model.sample(15, 10, seed=10)
-        out = oracle_denoise(y, model, eps=1e-3)
-        for idx in ((0, 0), (7, 3), (14, 9)):
-            assert out[idx] == pytest.approx(model.score(y[idx], 1e-3),
-                                             rel=1e-14)
+        # the adaptive pipeline applies the same rule to the spectrum of
+        # X* = x0 / i_hat, at noise sd i_hat^-1/2
+        spec = SignalSpec(m=30, n=30, r=1, sigmas=(4.0,))
+        y = make_signal(spec, seed=6)[0] + y
+        res = denoise(y)
+        assert res.k_hat == 1
+        u, s, vt = np.linalg.svd(res.x0, full_matrices=False)
+        sig0 = s / scale
+        shrunk, k = shrink_known_sd(sig0 / res.i_hat, res.i_hat ** -0.5,
+                                    0.01, 1.0)
+        assert k == res.k_hat
+        np.testing.assert_allclose(res.sigma0, sig0, atol=1e-12)
+        np.testing.assert_allclose(res.sigma_shrunk, shrunk, atol=1e-12)
+        x_hat = scale * (u[:, :k] * shrunk[:k]) @ vt[:k]
+        np.testing.assert_allclose(res.x_hat, x_hat, atol=1e-12)

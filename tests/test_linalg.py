@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adadenoise import (op_norm, read_matrix_csv, subspace_overlap, svd,
+from adadenoise import (op_norm, read_matrix_csv, subspace_overlap,
                         write_matrix_csv)
 
 
@@ -12,67 +12,13 @@ def random_orthogonal(rng, dim):
     return q * np.sign(np.diag(r))
 
 
-class TestSvd:
-    def test_identity(self):
-        res = svd(np.eye(3))
-        np.testing.assert_allclose(res.singular_values, np.ones(3), atol=1e-14)
-        np.testing.assert_allclose(res.u, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(res.v, np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        res = svd(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(res.singular_values, [3.0, 2.0, 1.0],
-                                   atol=1e-14)
-
-    def test_reconstruction_oracle(self):
-        """u diag(s) v^T reproduces a random 5x4 input entrywise."""
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((5, 4))
-        res = svd(a)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-12)
-
-    def test_factor_invariants(self):
-        rng = np.random.default_rng(6)
-        for m, n in [(7, 4), (4, 7), (6, 6), (2, 9)]:
-            a = rng.standard_normal((m, n))
-            res = svd(a)
-            p = min(m, n)
-            s = res.singular_values
-            assert np.all(s >= 0)
-            assert np.all(np.diff(s) <= 0), "descending order"
-            assert np.linalg.norm(res.u.T @ res.u - np.eye(p), 2) <= 1e-10
-            assert np.linalg.norm(res.v.T @ res.v - np.eye(p), 2) <= 1e-10
-            rel = (np.linalg.norm(res.reconstruct() - a)
-                   / np.linalg.norm(a))
-            assert rel <= 1e-8
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_orthogonal_invariance_of_spectrum(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((6, 5))
-        p = random_orthogonal(rng, 6)
-        q = random_orthogonal(rng, 5)
-        s1 = svd(a).singular_values
-        s2 = svd(p @ a @ q).singular_values
-        np.testing.assert_allclose(s1, s2, atol=1e-8)
-
-    def test_weyl_inequality(self):
-        """|s_i(A+E) - s_i(A)| <= ||E||_op on random pairs."""
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            a = rng.standard_normal((6, 5))
-            e = 0.3 * rng.standard_normal((6, 5))
-            sa = svd(a).singular_values
-            sae = svd(a + e).singular_values
-            assert np.max(np.abs(sae - sa)) <= op_norm(e) + 1e-10
-
-
 class TestOpNorm:
     def test_zero_matrix(self):
         assert op_norm(np.zeros((4, 3))) == 0.0
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            op_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_rank_one(self):
         rng = np.random.default_rng(9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adadenoise import (bulk_edge, check_spectral_map_perturbation, debiased_sv,
-                        inflated_sv, op_norm, shrink_adaptive, shrink_known_sd)
+                        inflated_sv, op_norm, shrink_known_sd)
 
 GAMMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -121,15 +121,22 @@ class TestInverseMap:
             assert np.all(debiased_sv(y, gamma) >= 1.0)
 
 
+def adaptive(sigma0, fisher, delta=0.01, gamma=1.0):
+    """The rule as the adaptive pipeline applies it: to the spectrum of
+    X* = X0 / I, at noise sd I^-1/2."""
+    return shrink_known_sd(np.asarray(sigma0) / fisher, fisher ** -0.5,
+                           delta, gamma)
+
+
 class TestShrinkAdaptive:
     def test_all_below_threshold(self):
-        shrunk, k = shrink_adaptive(np.array([1.9, 1.2, 0.3]), fisher_hat=1.0,
-                                    delta=0.01, gamma=1.0)
+        shrunk, k = adaptive(np.array([1.9, 1.2, 0.3]), fisher=1.0,
+                             delta=0.01, gamma=1.0)
         assert k == 0
         assert np.array_equal(shrunk, np.zeros(3))
 
     def test_reduces_to_plain_debias(self):
-        shrunk, k = shrink_adaptive(np.array([2.5]), fisher_hat=1.0, delta=0.0)
+        shrunk, k = adaptive(np.array([2.5]), fisher=1.0, delta=0.0)
         assert k == 1
         assert shrunk[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -137,19 +144,19 @@ class TestShrinkAdaptive:
         fisher = 0.7256
         root = math.sqrt(fisher)
         expected = bisect_inverse(3.0 / root, 1.0) / root
-        shrunk, k = shrink_adaptive(np.array([3.0]), fisher, delta=0.01)
+        shrunk, k = adaptive(np.array([3.0]), fisher, delta=0.01)
         assert k == 1
         assert shrunk[0] == pytest.approx(expected, abs=1e-8)
 
     def test_shape_and_order(self):
         sigma0 = np.array([4.0, 3.0, 2.5, 0.4, 0.1])
-        shrunk, k = shrink_adaptive(sigma0, fisher_hat=1.0, delta=0.01)
+        shrunk, k = adaptive(sigma0, fisher=1.0, delta=0.01)
         assert k == 3
         assert np.all(shrunk[k:] == 0)
         assert np.all(np.diff(shrunk[:k]) <= 0)
         # monotone in each coordinate above the threshold
-        bumped, _ = shrink_adaptive(sigma0 + np.array([0.3, 0, 0, 0, 0]),
-                                    fisher_hat=1.0, delta=0.01)
+        bumped, _ = adaptive(sigma0 + np.array([0.3, 0, 0, 0, 0]),
+                             fisher=1.0, delta=0.01)
         assert bumped[0] > shrunk[0]
 
     def test_contractive_bound(self):
@@ -158,26 +165,19 @@ class TestShrinkAdaptive:
         rng = np.random.default_rng(32)
         for fisher in (0.3, 0.7256, 1.0, 2.0):
             sigma0 = np.sort(rng.uniform(0.1, 9.0, size=12))[::-1]
-            shrunk, _ = shrink_adaptive(sigma0, fisher, delta=0.01)
+            shrunk, _ = adaptive(sigma0, fisher, delta=0.01)
             assert np.all(shrunk <= sigma0 / fisher + 1e-12)
             if fisher >= 1.0:
                 assert np.all(shrunk <= sigma0 + 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            shrink_adaptive(np.array([1.0, 2.0]), fisher_hat=1.0)
+            shrink_known_sd(np.array([1.0, 2.0]), noise_sd=1.0)
         with pytest.raises(ValueError):
-            shrink_adaptive(np.array([2.0, 1.0]), fisher_hat=0.0)
+            shrink_known_sd(np.array([2.0, 1.0]), noise_sd=0.0)
 
 
 class TestShrinkKnownSd:
-    def test_unit_sd_matches_adaptive_unit_fisher(self):
-        sigma0 = np.array([5.0, 2.6, 2.1, 0.7])
-        a, ka = shrink_adaptive(sigma0, fisher_hat=1.0, delta=0.01)
-        b, kb = shrink_known_sd(sigma0, noise_sd=1.0, delta=0.01)
-        assert ka == kb
-        assert np.array_equal(a, b)
-
     def test_threshold_boundary(self):
         sd, delta = 1.3, 0.01
         edge_value = (1 + delta) * bulk_edge(1.0) * sd

@@ -6,7 +6,7 @@ import pytest
 
 from adadenoise import (ExperimentConfig, GaussianMixture, SignalSpec,
                         haar_orthonormal, load_config, make_signal, op_norm,
-                        run_grid, run_trial, svd)
+                        run_grid, run_trial)
 from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
                             mix64, parse_grid, write_records_csv)
 
@@ -76,7 +76,7 @@ class TestMakeSignal:
         spec = SignalSpec(m=30, n=20, r=3, sigmas=(3.0, 2.0, 0.5))
         x, u, v = make_signal(spec, seed=12)
         scale = (30 * 20) ** 0.25
-        s = svd(x).singular_values[:3] / scale
+        s = np.linalg.svd(x, compute_uv=False)[:3] / scale
         np.testing.assert_allclose(s, [3.0, 2.0, 0.5], atol=1e-10)
 
     def test_determinism_and_factor_independence(self):
@@ -181,6 +181,16 @@ class TestConfig:
         bad.write_text("n = 60\nn = 80\nsigma1 = 1\ntrials = 1\noutput = o.csv\n")
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(bad)
+
+    @pytest.mark.parametrize("over", [
+        dict(kde_bins=100), dict(eps=0.0), dict(h=-1.0), dict(h_prime=0.0),
+        dict(delta=-0.5), dict(gamma=0.01)])
+    def test_invalid_cell_settings_rejected(self, over):
+        """Denoiser settings and cell shapes are checked when the config
+        is built, not when the grid runs."""
+        with pytest.raises(ConfigError):
+            ExperimentConfig(ns=(60,), ranks=(1,), sigma1_grid=(1.0,),
+                             trials=1, **over)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

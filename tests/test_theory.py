@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adadenoise import (error_limit, factor_overlap_limits, inflated_sv,
-                        minimax_limits, overlap_limit, predict,
-                        singular_value_limit)
+from adadenoise import (error_limit, factor_overlap_limits, minimax_limits,
+                        overlap_limit, predict)
 
 
 class TestOverlapLimit:
@@ -80,14 +79,6 @@ class TestFactorOverlapLimits:
                     assert g1 >= g2
                 else:
                     assert g1 <= g2
-
-
-class TestSingularValueLimit:
-    def test_delegates_to_forward_map(self):
-        for gamma in (0.5, 1.0, 3.0):
-            for sigma in np.linspace(0.0, 6.0, 25):
-                assert singular_value_limit(sigma, gamma) == inflated_sv(
-                    sigma, gamma)
 
 
 class TestErrorLimit:
