@@ -287,3 +287,28 @@ class TestBaseline:
         np.testing.assert_allclose(res.sigma_shrunk, shrunk, atol=1e-12)
         x_hat = scale * (u[:, :k] * shrunk[:k]) @ vt[:k]
         np.testing.assert_allclose(res.x_hat, x_hat, atol=1e-12)
+
+
+class TestOracleDenoise:
+    """The oracle denoiser is the true density's score applied to Y entrywise."""
+
+    def test_gaussian_is_identity(self):
+        y = Gaussian(1.0).sample(20, 25, seed=8)
+        np.testing.assert_allclose(Gaussian(1.0).score(y, eps=0.0), y,
+                                   atol=1e-12)
+
+    def test_large_eps_flattens(self):
+        model = GaussianMixture(2.0)
+        y = model.sample(20, 20, seed=9)
+        grid = np.linspace(-20, 20, 4001)
+        pd_max = np.max(np.abs(model.density_deriv(grid)))
+        for eps in (10.0, 1e3):
+            assert np.max(np.abs(model.score(y, eps))) <= pd_max / eps
+
+    def test_matches_pointwise_score(self):
+        model = GaussianMixture(2.0)
+        y = model.sample(15, 10, seed=10)
+        out = model.score(y, eps=1e-3)
+        for idx in ((0, 0), (7, 3), (14, 9)):
+            assert out[idx] == pytest.approx(model.score(y[idx], 1e-3),
+                                             rel=1e-14)
