@@ -14,6 +14,7 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -100,6 +101,10 @@ def cmd_denoise(args) -> int:
     except ValueError as exc:
         _err(f"invalid denoiser settings: {exc}")
         return USAGE_ERROR
+    for flag, value in (("--gamma", args.gamma), ("--noise-sd", args.noise_sd)):
+        if value is not None and not (0 < value < math.inf):
+            _err(f"{flag} must be positive and finite")
+            return USAGE_ERROR
 
     try:
         gamma = args.gamma if args.gamma is not None else m / n
@@ -113,8 +118,8 @@ def cmd_denoise(args) -> int:
                 ("y_bar", res.y_bar), ("sigma0", res.sigma0),
                 ("sigma_shrunk", res.sigma_shrunk)])
         elif args.mode == "star":
-            x0, i_hat, y_bar = denoise_entrywise(y, params)
-            write_matrix_csv(x0 / i_hat, f"{prefix}_xstar.csv")
+            x_star, i_hat, y_bar = denoise_entrywise(y, params)
+            write_matrix_csv(x_star, f"{prefix}_xstar.csv")
             _write_meta(f"{prefix}_meta.txt",
                         [("i_hat", i_hat), ("y_bar", y_bar)])
         else:  # baseline

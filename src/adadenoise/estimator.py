@@ -10,27 +10,25 @@ Given a single noisy matrix Y the pipeline
 3. looks psi up at the centered entries and measures two moments of it:
    the signal gain a = mean psi'(c), less the slope each entry's own
    kernel adds, and the noise variance b = mean psi(c)^2 + eps.
-   The scored matrix is psi(c) rescaled by a/b, so that, as for the true
-   score, its gain equals its variance, and both equal the
-   Fisher-information estimate i_hat = a^2/b,
-4. takes the SVD of the scored matrix in (m n)^{1/4}-scaled units, and
-5. divides its singular values by i_hat, which gives the spectrum of
-   X* = x0 / i_hat, and threshold-shrinks them at noise level
-   i_hat^{-1/2} with the same rule the PCA baseline applies to Y at its
-   known noise level, to produce the final low-rank estimate.
+   The Fisher-information estimate is i_hat = a^2/b (floored at eps),
+   and the looked-up array is scaled in place to the rescaled score
+   matrix X* = (a/b) psi(c) / i_hat, which is psi(c) / a unless the
+   floor binds; X* is a spiked matrix with noise level i_hat^{-1/2},
+4. takes the SVD of X* in (m n)^{1/4}-scaled units and threshold-shrinks
+   its spectrum at noise level i_hat^{-1/2} with the same rule the PCA
+   baseline applies to Y at its known noise level, to produce the final
+   low-rank estimate.
 
 The score map is looked up once, at one point set (the centered
 entries), with an O(1) uniform-grid index; the gain comes from the map
 tabulated on the grid (O(bins)), so the whole thing stays O(m n) plus
-one SVD.
+one SVD, with one m x n scored array.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,12 +64,12 @@ class DenoiserParams:
     bins: int = 4096
 
     def __post_init__(self):
-        if not (self.h > 0 and self.h_prime > 0):
-            raise ValueError("bandwidths must be positive")
-        if not (self.eps > 0):
-            raise ValueError("eps must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not (0 < self.h < math.inf and 0 < self.h_prime < math.inf):
+            raise ValueError("bandwidths must be positive and finite")
+        if not (0 < self.eps < math.inf):
+            raise ValueError("eps must be positive and finite")
+        if not (0 <= self.delta < math.inf):
+            raise ValueError("delta must be >= 0 and finite")
         if self.bins < MIN_BINS:
             raise ValueError(f"bins must be >= {MIN_BINS}")
 
@@ -97,19 +95,17 @@ def default_params(m: int, n: int, *, eps: float = 1e-3, delta: float = 0.01,
 class DenoiseResult:
     """Everything the pipeline produces.
 
-    `x0` is the scored matrix, rescaled by a/b so that its signal gain
-    and noise variance both equal `i_hat` = a^2/b (see the module
-    docstring); `x_star` = x0 / i_hat = psi(Y - y_bar) / a is the
-    rank-free estimate, `x_hat` the rank-`k_hat` shrunk estimate.
-    `sigma0` holds the singular values of x0 divided by (m n)^{1/4},
-    descending; `sigma_shrunk` the thresholded-and-debiased singular
-    values of x_hat on the same scale, shrunk from sigma0 / i_hat, the
-    spectrum of x_star.  For the PCA baseline (which never scores the
-    entries) `x_star`, `i_hat` and `y_bar` are None, `x0` is the input
-    itself and `sigma_shrunk` is shrunk from sigma0.
+    `x_star` is the rescaled score matrix (a/b) psi(Y - y_bar) / i_hat,
+    the rank-free estimate (see the module docstring), `x_hat` the
+    rank-`k_hat` shrunk estimate.  `sigma0` holds the singular values of
+    the matrix that was decomposed, divided by (m n)^{1/4}, descending:
+    the spectrum the shrink rule saw, x_star's for the adaptive pipeline
+    and the input's for the PCA baseline.  `sigma_shrunk` holds the
+    thresholded-and-debiased singular values of x_hat on the same scale.
+    The baseline never scores the entries, so its `x_star`, `i_hat` and
+    `y_bar` are None.
     """
 
-    x0: np.ndarray
     x_hat: np.ndarray
     u_hat: np.ndarray
     v_hat: np.ndarray
@@ -119,26 +115,6 @@ class DenoiseResult:
     x_star: np.ndarray | None = None
     i_hat: float | None = None
     y_bar: float | None = None
-
-
-class _Scored(NamedTuple):
-    """What `_scored_matrix` computed: the calibrated scored matrix, the
-    information estimate, the centering mean, the density estimate, the
-    score map psi = -p'/(p + eps) tabulated on its grid, and the two
-    moments of psi."""
-
-    x0: np.ndarray
-    i_hat: float
-    y_bar: float
-    kde: DensityEstimate
-    psi: np.ndarray
-    gain: float
-    variance: float
-
-    @property
-    def factor(self) -> float:
-        """The gain-to-variance ratio a/b by which psi(c) was rescaled."""
-        return self.gain / self.variance
 
 
 def _score_gain(est: DensityEstimate, psi: np.ndarray, eps: float,
@@ -159,55 +135,54 @@ def _score_gain(est: DensityEstimate, psi: np.ndarray, eps: float,
     return float(est.counts @ slope) / n
 
 
-def _scored_matrix(y: np.ndarray, params: DenoiserParams) -> _Scored:
+def denoise_entrywise(y, params: DenoiserParams):
+    """Score the entries of Y and estimate the noise Fisher information.
+
+    Returns ``(x_star, i_hat, y_bar)``: the rescaled score matrix
+    (a/b) psi(Y - y_bar) / i_hat, the estimated Fisher information
+    i_hat = a^2/b floored at eps, and the grand mean used to center the
+    surrogate noise samples.  Here a is the mean slope (less each
+    entry's self-influence) and b the mean square (plus eps) of the
+    score map psi over the centered entries, so x_star = psi(c) / a
+    unless the floor binds.  Raises ValueError when a is not positive
+    and finite, rather than flip or zero the scored matrix.
+    """
+    y = as_matrix(y, "y")
+    if min(y.shape) < 2:
+        raise ValueError("denoising needs min(m, n) >= 2")
     y_bar = mean_entry(y)
     centered = y - y_bar
     est = kde_binned(centered, params.h, params.h_prime, params.bins)
 
     eps = params.eps
     psi = -est.deriv / (est.density + eps)
-    x0 = est.evaluate(centered, psi)
+    scored = est.evaluate(centered, psi)
     del centered  # not held through the sort's temporaries
     # summed in sorted order: the estimate depends only on the multiset of
     # entries, never on their layout
-    variance = float(np.sort(np.square(x0), axis=None).sum() / x0.size) + eps
-    gain = _score_gain(est, psi, eps, x0.size)
+    variance = (float(np.sort(np.square(scored), axis=None).sum()
+                      / scored.size) + eps)
+    gain = _score_gain(est, psi, eps, scored.size)
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"score map gain {gain!r} is not positive and "
                          f"finite; the noise density estimate is unusable")
     # rescaled by a/b, the map's gain equals its variance, as the true
-    # score's does, and both equal a^2/b
-    x0 *= gain / variance
+    # score's does, and both equal a^2/b; dividing by i_hat then makes the
+    # scored array X* in place, so no second m x n matrix is formed
     i_hat = max(gain * gain / variance, eps)
-    return _Scored(x0, i_hat, y_bar, est, psi, gain, variance)
+    scored *= gain / variance / i_hat
+    return scored, i_hat, y_bar
 
 
-def denoise_entrywise(y, params: DenoiserParams):
-    """Score the entries of Y and estimate the noise Fisher information.
-
-    Returns ``(x0, i_hat, y_bar)``: the scored matrix (a/b) psi(Y - y_bar),
-    the estimated Fisher information a^2/b, floored at eps, and the grand
-    mean used to center the surrogate noise samples.  Here a is the
-    mean slope (less each entry's self-influence) and b the mean square
-    (plus eps) of the score map psi over the centered entries.  Raises
-    ValueError when a is not positive and finite, rather than flip or
-    zero the scored matrix.
-    """
-    y = as_matrix(y, "y")
-    if min(y.shape) < 2:
-        raise ValueError("denoising needs min(m, n) >= 2")
-    scored = _scored_matrix(y, params)
-    return scored.x0, scored.i_hat, scored.y_bar
-
-
-def _spectral_estimate(a: np.ndarray, unit: float, noise_sd: float,
-                       delta: float, gamma: float | None) -> DenoiseResult:
+def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
+                       gamma: float | None):
     """The spectral step both estimators share.
 
-    Takes the SVD of `a` in (m n)^{1/4}-scaled units, shrinks its
-    spectrum divided by `unit` at noise level `noise_sd`, and rebuilds
-    the rank-k_hat estimate from the shrunk values.  `gamma` defaults to
-    the aspect ratio m/n of `a`.
+    Takes the SVD of `a` in (m n)^{1/4}-scaled units, shrinks that
+    spectrum at noise level `noise_sd`, and rebuilds the rank-k_hat
+    estimate from the shrunk values.  `gamma` defaults to the aspect
+    ratio m/n of `a`.  Returns the leading fields of `DenoiseResult`,
+    in order.
     """
     m, n = a.shape
     if gamma is None:
@@ -215,12 +190,9 @@ def _spectral_estimate(a: np.ndarray, unit: float, noise_sd: float,
     scale = (m * n) ** 0.25
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     sigma0 = s / scale
-    sigma_shrunk, k_hat = shrink_known_sd(sigma0 / unit, noise_sd, delta,
-                                          gamma)
+    sigma_shrunk, k_hat = shrink_known_sd(sigma0, noise_sd, delta, gamma)
     x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ vt[:k_hat]
-    return DenoiseResult(x0=a, x_hat=x_hat, u_hat=u, v_hat=vt.T,
-                         sigma0=sigma0, sigma_shrunk=sigma_shrunk,
-                         k_hat=k_hat)
+    return x_hat, u, vt.T, sigma0, sigma_shrunk, k_hat
 
 
 def denoise(y, params: DenoiserParams | None = None,
@@ -232,21 +204,17 @@ def denoise(y, params: DenoiserParams | None = None,
     regularizers are used.
     """
     y = as_matrix(y, "y")
-    if min(y.shape) < 2:
-        raise ValueError("denoising needs min(m, n) >= 2")
     if params is None:
         params = default_params(*y.shape)
-
-    x0, i_hat, y_bar = _scored_matrix(y, params)[:3]
-    # X* = x0 / i_hat is a spiked matrix with noise sd i_hat^-1/2.  The SVD
-    # is taken of x0 and only its spectrum is divided by i_hat, so x_star
-    # is formed after the SVD and never held through its workspace.
-    res = _spectral_estimate(x0, i_hat, i_hat ** -0.5, params.delta, gamma)
-    return dataclasses.replace(res, x_star=x0 / i_hat, i_hat=i_hat,
-                               y_bar=y_bar)
+    x_star, i_hat, y_bar = denoise_entrywise(y, params)
+    # X* is a spiked matrix with noise sd i_hat^-1/2
+    return DenoiseResult(*_spectral_estimate(x_star, i_hat ** -0.5,
+                                             params.delta, gamma),
+                         x_star=x_star, i_hat=i_hat, y_bar=y_bar)
 
 
 def baseline_estimate(y, noise_sd: float, delta: float = 0.01,
                       gamma: float | None = None) -> DenoiseResult:
     """Known-variance PCA baseline: shrink the SVD of Y itself."""
-    return _spectral_estimate(as_matrix(y, "y"), 1.0, noise_sd, delta, gamma)
+    return DenoiseResult(*_spectral_estimate(as_matrix(y, "y"), noise_sd,
+                                             delta, gamma))

@@ -131,8 +131,8 @@ class Gaussian(NoiseModel):
     """Centered normal distribution with the given variance."""
 
     def __init__(self, variance: float = 1.0):
-        if variance <= 0:
-            raise ValueError("variance must be positive")
+        if not (0 < variance < math.inf):
+            raise ValueError("variance must be positive and finite")
         self.var = float(variance)
         self.sd = math.sqrt(self.var)
 
@@ -163,8 +163,8 @@ class GaussianMixture(NoiseModel):
     """Even two-component mixture of N(-mu, 1) and N(+mu, 1)."""
 
     def __init__(self, mu: float):
-        if mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not (0 <= mu < math.inf):
+            raise ValueError("mu must be >= 0 and finite")
         self.mu = float(mu)
 
     def __repr__(self):

@@ -102,18 +102,19 @@ def shrink_known_sd(sigma0, noise_sd: float, delta: float = 0.01,
 
     This is the one rule for both estimators: the PCA baseline passes
     the spectrum of Y with its known noise sd, the adaptive pipeline the
-    spectrum of X* = X0 / i_hat with noise sd ``i_hat^-1/2``.
+    spectrum of the rescaled score matrix X* with noise sd
+    ``i_hat^-1/2``.  `delta` must be finite and non-negative.
     """
-    if not (noise_sd > 0):
-        raise ValueError("noise_sd must be positive")
+    if not (0 < noise_sd < math.inf):
+        raise ValueError("noise_sd must be positive and finite")
     gamma = _check_gamma(gamma)
     sigma0 = np.asarray(sigma0, dtype=np.float64)
     if sigma0.ndim != 1:
         raise ValueError("sigma0 must be a 1-D array of singular values")
     if np.any(sigma0 < 0) or np.any(np.diff(sigma0) > 0):
         raise ValueError("sigma0 must be non-negative and descending")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not (0 <= delta < math.inf):
+        raise ValueError("delta must be >= 0 and finite")
     threshold = (1.0 + delta) * bulk_edge(gamma) * noise_sd
     keep = sigma0 >= threshold
     shrunk = np.zeros_like(sigma0)

@@ -12,6 +12,7 @@ byte for byte; the wall_ms column is therefore pinned to 0 in the file
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -206,8 +207,9 @@ class ExperimentConfig:
             raise ConfigError("n must list integers >= 2")
         if not self.ranks or any(r < 1 for r in self.ranks):
             raise ConfigError("rank must list integers >= 1")
-        if not self.sigma1_grid or any(s <= 0 for s in self.sigma1_grid):
-            raise ConfigError("sigma1 grid must be positive")
+        if not self.sigma1_grid or not all(0 < s < math.inf
+                                           for s in self.sigma1_grid):
+            raise ConfigError("sigma1 grid must be positive and finite")
         if any(b <= a for a, b in zip(self.sigma1_grid, self.sigma1_grid[1:])):
             raise ConfigError("sigma1 grid must be strictly increasing")
         if len(self.sigma_ratios) < max(self.ranks):
@@ -216,12 +218,12 @@ class ExperimentConfig:
             raise ConfigError("sigma_ratios must start at 1.0")
         if any(b > a for a, b in zip(self.sigma_ratios, self.sigma_ratios[1:])):
             raise ConfigError("sigma_ratios must be non-increasing")
-        if any(r <= 0 for r in self.sigma_ratios):
-            raise ConfigError("sigma_ratios must be positive")
+        if not all(0 < r < math.inf for r in self.sigma_ratios):
+            raise ConfigError("sigma_ratios must be positive and finite")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not (self.gamma > 0):
-            raise ConfigError("gamma must be positive")
+        if not (0 < self.gamma < math.inf):
+            raise ConfigError("gamma must be positive and finite")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         # signal shapes and denoiser settings are checked where they are
@@ -263,7 +265,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"bad grid spec {text!r}") from None
-        if step <= 0 or stop < start:
+        if not (math.isfinite(start) and math.isfinite(stop)
+                and 0 < step < math.inf and start <= stop):
             raise ConfigError(f"bad grid spec {text!r}")
         count = int(round((stop - start) / step)) + 1
         return tuple(round(start + i * step, 12) for i in range(count)
@@ -273,6 +276,12 @@ def parse_grid(text: str) -> tuple[float, ...]:
     except ValueError:
         raise ConfigError(f"bad grid spec {text!r}") from None
 
+
+# noise kind -> (model, its parameter's config key, the key's default)
+_NOISE_KINDS = {
+    "mixture": (GaussianMixture, "noise_mu", 2.0),
+    "gaussian": (Gaussian, "noise_variance", 1.0),
+}
 
 _CONFIG_KEYS = {
     "n", "rank", "sigma1", "sigma_ratios", "noise", "noise_mu",
@@ -324,16 +333,17 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: 'n' and 'rank' must be integer lists") from None
 
     kind = raw.get("noise", "mixture")
-    if kind == "mixture":
-        noise: NoiseModel = GaussianMixture(getf("noise_mu", 2.0))
-        if "noise_variance" in raw:
-            raise ConfigError(f"{path}: 'noise_variance' only applies to gaussian noise")
-    elif kind == "gaussian":
-        noise = Gaussian(getf("noise_variance", 1.0))
-        if "noise_mu" in raw:
-            raise ConfigError(f"{path}: 'noise_mu' only applies to mixture noise")
-    else:
+    if kind not in _NOISE_KINDS:
         raise ConfigError(f"{path}: unknown noise kind {kind!r}")
+    for other, (_, key, _) in _NOISE_KINDS.items():
+        if other != kind and key in raw:
+            raise ConfigError(f"{path}: {key!r} only applies to {other} noise")
+    make_noise, key, default = _NOISE_KINDS[kind]
+    value = getf(key, default)
+    try:
+        noise = make_noise(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: key {key!r}: {exc}") from None
 
     ratios_text = raw.get("sigma_ratios", "1.0,0.8,0.6")
     try:

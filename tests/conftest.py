@@ -8,12 +8,15 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import adadenoise
 from adadenoise import ExperimentConfig, GaussianMixture, SignalSpec, run_trial
+from adadenoise import estimator
+from adadenoise.kde import DensityEstimate, kde_binned, mean_entry
 
 GRID_SIGMAS = (0.2, 0.4, 2.0, 3.0, 4.0)
 GRID_TRIALS = 50
@@ -67,3 +70,37 @@ def package_env():
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ,
             "PYTHONPATH": root + (os.pathsep + inherited if inherited else "")}
+
+
+class ScoreParts(NamedTuple):
+    """The pieces `denoise_entrywise` computes and does not return: the
+    centering mean, the density estimate, the score map psi tabulated on
+    its grid, psi at the centered entries, and the map's signal gain a
+    and noise variance b."""
+
+    y_bar: float
+    kde: DensityEstimate
+    psi: np.ndarray
+    raw: np.ndarray
+    gain: float
+    variance: float
+
+    @property
+    def factor(self) -> float:
+        """The gain-to-variance ratio a/b."""
+        return self.gain / self.variance
+
+
+def score_parts(y, params) -> ScoreParts:
+    """Rebuild the scoring step from the package's building blocks:
+    `mean_entry`, `kde_binned` and the estimator's `_score_gain`."""
+    y = np.asarray(y, dtype=np.float64)
+    y_bar = mean_entry(y)
+    centered = y - y_bar
+    est = kde_binned(centered, params.h, params.h_prime, params.bins)
+    psi = -est.deriv / (est.density + params.eps)
+    raw = est.evaluate(centered, psi)
+    variance = (float(np.sort(np.square(raw), axis=None).sum() / raw.size)
+                + params.eps)
+    gain = estimator._score_gain(est, psi, params.eps, raw.size)
+    return ScoreParts(y_bar, est, psi, raw, gain, variance)

@@ -18,10 +18,9 @@ from adadenoise import (Gaussian, GaussianMixture, bulk_edge,
                         default_params, denoise_entrywise, inflated_sv,
                         kde_binned, kde_exact, make_signal,
                         op_norm, overlap_limit, shrink_known_sd, SignalSpec)
-from adadenoise.estimator import _scored_matrix
 from adadenoise.sim import ROLE_W, derive_seed
 
-from conftest import cell_mean, package_env
+from conftest import cell_mean, package_env, score_parts
 
 REPO = Path(__file__).resolve().parents[1]
 MIXTURE_INFO = 0.7256
@@ -230,9 +229,10 @@ def _check_binned_vs_exact(failures):
 def _check_gaussian_score_identity(failures):
     y = Gaussian(1.0).sample(400, 400, seed=0)
     params = default_params(400, 400)
-    scored = _scored_matrix(y, params)
+    scored = score_parts(y, params)
+    i_hat = denoise_entrywise(y, params)[1]
     t = np.linspace(-3.0, 3.0, 241)
-    fitted = scored.factor * scored.kde.evaluate(t, scored.psi) / scored.i_hat
+    fitted = scored.factor * scored.kde.evaluate(t, scored.psi) / i_hat
     dev = float(np.max(np.abs(fitted - t)))
     if dev >= 0.15:
         failures.append(f"score map max deviation {dev:.3f} >= 0.15 "

@@ -35,6 +35,19 @@ def noisy_matrix(tmp_path):
     return path, y
 
 
+def assert_simulate_usage_error(tmp_path, lines, word):
+    """`simulate` on the base config plus `lines` exits 2 before any
+    trial runs, with `word` in its message."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
+                   f"output = o.csv\n{lines}\n")
+    res = run_cli("simulate", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert word in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 class TestSimulate:
     def test_smoke_run(self, tmp_path):
         res = run_cli("simulate", str(SMOKE_CFG), cwd=tmp_path)
@@ -61,16 +74,19 @@ class TestSimulate:
     @pytest.mark.parametrize("line, word", [
         ("kde_bins = 100", "bins"), ("eps = 0", "eps"),
         ("h = -1", "bandwidths"), ("h_prime = 0", "bandwidths"),
-        ("delta = -0.5", "delta")])
+        ("delta = -0.5", "delta"), ("delta = nan", "delta"),
+        ("delta = inf", "delta"), ("h = inf", "bandwidths"),
+        ("h_prime = inf", "bandwidths")])
     def test_invalid_denoiser_setting_is_usage_error(self, tmp_path, line,
                                                      word):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
-                       f"output = o.csv\n{line}\n")
-        res = run_cli("simulate", str(bad), cwd=tmp_path)
-        assert res.returncode == 2, res.stderr
-        assert word in res.stderr
-        assert not (tmp_path / "o.csv").exists()
+        assert_simulate_usage_error(tmp_path, line, word)
+
+    @pytest.mark.parametrize("lines, key", [
+        ("noise_mu = -1", "noise_mu"), ("noise_mu = nan", "noise_mu"),
+        ("noise = gaussian\nnoise_variance = -1", "noise_variance"),
+        ("gamma = inf", "gamma")])
+    def test_invalid_config_value_is_usage_error(self, tmp_path, lines, key):
+        assert_simulate_usage_error(tmp_path, lines, key)
 
     def test_rerun_byte_identical(self, tmp_path):
         run_cli("simulate", str(SMOKE_CFG), cwd=tmp_path)
@@ -131,12 +147,17 @@ class TestDenoise:
 
     @pytest.mark.parametrize("flag, word", [
         ("--kde-bins=100", "bins"), ("--eps=0", "eps"),
-        ("--h=-1", "bandwidths"), ("--delta=-1", "delta")])
+        ("--h=-1", "bandwidths"), ("--delta=-1", "delta"),
+        ("--delta=nan", "delta"), ("--delta=inf", "delta"),
+        ("--h=inf", "bandwidths"), ("--gamma=-1", "gamma"),
+        ("--gamma=nan", "gamma"), ("--gamma=inf", "gamma"),
+        ("--mode=baseline --noise-sd=-1", "noise-sd"),
+        ("--mode=baseline --noise-sd=inf", "noise-sd")])
     def test_invalid_setting_is_usage_error(self, tmp_path, noisy_matrix,
                                             flag, word):
         path, _ = noisy_matrix
         prefix = tmp_path / "x"
-        res = run_cli("denoise", str(path), "-o", str(prefix), flag)
+        res = run_cli("denoise", str(path), "-o", str(prefix), *flag.split())
         assert res.returncode == 2, res.stderr
         assert word in res.stderr
         assert not Path(f"{prefix}_meta.txt").exists()

@@ -9,7 +9,8 @@ from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, SignalSpec,
                         kde_binned, kde_exact, make_signal, shrink_known_sd,
                         subspace_overlap)
 from adadenoise import estimator
-from adadenoise.estimator import _scored_matrix
+
+from conftest import score_parts
 
 
 class TestDefaults:
@@ -28,6 +29,11 @@ class TestDefaults:
             DenoiserParams(h=0.0, h_prime=0.1)
         with pytest.raises(ValueError):
             DenoiserParams(h=0.1, h_prime=0.1, eps=0.0)
+        for bad in (dict(h=math.inf), dict(h_prime=math.inf),
+                    dict(eps=math.inf), dict(delta=math.nan),
+                    dict(delta=math.inf)):
+            with pytest.raises(ValueError):
+                DenoiserParams(**{"h": 0.1, "h_prime": 0.1, **bad})
         with pytest.raises(ValueError):
             default_params(400, 400, bins=100)
         with pytest.raises(ValueError):
@@ -40,12 +46,14 @@ class TestDenoiseEntrywise:
         non-degenerate."""
         y = np.full((8, 6), 4.2)
         params = default_params(8, 6, eps=1e-3)
-        x0, i_hat, y_bar = denoise_entrywise(y, params)
+        x_star, i_hat, y_bar = denoise_entrywise(y, params)
         assert y_bar == 4.2
-        assert np.all(np.isfinite(x0))
+        assert np.all(np.isfinite(x_star))
         bound = np.max(np.abs(gaussian_kernel_deriv(
             np.linspace(-5, 5, 2001)))) / params.h_prime ** 2 / params.eps
-        assert np.max(np.abs(x0)) <= bound
+        # x_star * i_hat = (a/b) psi(c), the scored matrix before the
+        # division by i_hat
+        assert np.max(np.abs(x_star * i_hat)) <= bound
         assert i_hat >= params.eps
 
     def test_gaussian_noise_information_near_one(self):
@@ -67,11 +75,11 @@ class TestDenoiseEntrywise:
     def test_score_bound(self):
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
         params = default_params(60, 50, eps=1e-2)
-        x0, i_hat, _ = denoise_entrywise(y, params)
+        x_star, i_hat, _ = denoise_entrywise(y, params)
         grid = np.linspace(-9, 9, 4001)
-        est = _scored_matrix(y, params).kde
+        est = score_parts(y, params).kde
         pd_max = np.max(np.abs(est.evaluate(grid, est.deriv)))
-        assert np.max(np.abs(x0)) <= pd_max / params.eps + 1e-12
+        assert np.max(np.abs(x_star * i_hat)) <= pd_max / params.eps + 1e-12
 
     def test_shift_leaves_estimated_functions_unchanged(self):
         """Adding a constant shifts the grand mean and nothing else: the
@@ -81,18 +89,20 @@ class TestDenoiseEntrywise:
         y = rng.standard_normal((12, 10))
         params = default_params(12, 10)
         c = 3.7
-        a = _scored_matrix(y, params)
-        b = _scored_matrix(y + c, params)
-        assert b.y_bar == pytest.approx(a.y_bar + c, abs=1e-12)
-        assert b.i_hat == pytest.approx(a.i_hat, abs=1e-10)
+        x_a, i_a, y_bar_a = denoise_entrywise(y, params)
+        x_b, i_b, y_bar_b = denoise_entrywise(y + c, params)
+        assert y_bar_b == pytest.approx(y_bar_a + c, abs=1e-12)
+        assert i_b == pytest.approx(i_a, abs=1e-10)
+        a = score_parts(y, params).kde
+        b = score_parts(y + c, params).kde
         grid = np.linspace(-4, 4, 101)
         for table in ("density", "deriv"):
             np.testing.assert_allclose(
-                b.kde.evaluate(grid, getattr(b.kde, table)),
-                a.kde.evaluate(grid, getattr(a.kde, table)), atol=1e-12)
+                b.evaluate(grid, getattr(b, table)),
+                a.evaluate(grid, getattr(a, table)), atol=1e-12)
         # the score map is applied to the centered entries, which the
         # shift leaves alone
-        np.testing.assert_allclose(b.x0, a.x0, atol=1e-8)
+        np.testing.assert_allclose(x_b, x_a, atol=1e-8)
 
     @pytest.mark.parametrize("c", [0.5, 2.0])
     def test_offset_leaves_estimate_unchanged(self, c):
@@ -104,7 +114,8 @@ class TestDenoiseEntrywise:
         params = default_params(200, 200)
         res = denoise(y, params)
         res_c = denoise(y + c, params)
-        np.testing.assert_allclose(res_c.x0, res.x0, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(res_c.x_star, res.x_star, rtol=0,
+                                   atol=1e-8)
         assert res_c.i_hat == pytest.approx(res.i_hat, abs=1e-10)
         assert res_c.k_hat == res.k_hat == 1
 
@@ -133,7 +144,6 @@ class TestDenoiseEntrywise:
         cols = rng.permutation(9)
         res = denoise(y, params)
         res_p = denoise(y[rows][:, cols], params)
-        assert np.array_equal(res_p.x0, res.x0[rows][:, cols])
         assert res_p.i_hat == res.i_hat
         assert np.array_equal(res_p.x_star, res.x_star[rows][:, cols])
 
@@ -145,7 +155,7 @@ class TestDenoiseEntrywise:
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
         params = default_params(60, 50)
         eps = params.eps
-        scored = _scored_matrix(y, params)
+        scored = score_parts(y, params)
         grid = scored.kde.grid
         p = scored.kde.density
         psi = -scored.kde.deriv / (p + eps)
@@ -166,8 +176,9 @@ class TestDenoiseEntrywise:
                        - self_slope / (kde_exact(centered, centered, params.h)
                                        + eps))
         assert np.mean(exact_slope) == pytest.approx(scored.gain, rel=1e-4)
-        assert scored.i_hat == pytest.approx(
-            scored.gain ** 2 / scored.variance, rel=1e-15)
+        i_hat = denoise_entrywise(y, params)[1]
+        assert i_hat == pytest.approx(scored.gain ** 2 / scored.variance,
+                                      rel=1e-15)
 
     def test_gain_matches_signal_regression(self):
         """The estimated gain is the slope of the raw scored matrix on the
@@ -177,9 +188,8 @@ class TestDenoiseEntrywise:
         spec = SignalSpec(m=200, n=200, r=1, sigmas=(15.0,))
         x, _, _ = make_signal(spec, seed=500)
         y = x + Gaussian(25.0).sample(200, 200, seed=501)
-        scored = _scored_matrix(y, default_params(200, 200))
-        raw = scored.x0 / scored.factor
-        regression = float(np.sum(raw * x) / np.sum(x * x))
+        scored = score_parts(y, default_params(200, 200))
+        regression = float(np.sum(scored.raw * x) / np.sum(x * x))
         assert scored.gain == pytest.approx(regression, rel=0.20)
 
     @pytest.mark.parametrize("gain", [0.0, -0.5, math.nan, math.inf])
@@ -194,9 +204,10 @@ class TestDenoiseEntrywise:
         the identity on the bulk of the data."""
         y = Gaussian(1.0).sample(400, 400, seed=2)
         params = default_params(400, 400)
-        scored = _scored_matrix(y, params)
+        scored = score_parts(y, params)
+        i_hat = denoise_entrywise(y, params)[1]
         t = np.linspace(-2.0, 2.0, 161)
-        fitted = scored.factor * scored.kde.evaluate(t, scored.psi) / scored.i_hat
+        fitted = scored.factor * scored.kde.evaluate(t, scored.psi) / i_hat
         dev = np.abs(fitted - t)
         assert dev.mean() < 0.10
         assert dev.max() < 0.40
@@ -207,8 +218,30 @@ class TestDenoiseEntrywise:
 class TestDenoiseFull:
     def test_star_is_rescaled_score_matrix(self):
         y = GaussianMixture(2.0).sample(40, 30, seed=4)
+        params = default_params(40, 30)
         res = denoise(y)
-        assert np.array_equal(res.x_star, res.x0 / res.i_hat)
+        x_star, i_hat, y_bar = denoise_entrywise(y, params)
+        assert np.array_equal(res.x_star, x_star)
+        assert (res.i_hat, res.y_bar) == (i_hat, y_bar)
+        parts = score_parts(y, params)
+        np.testing.assert_allclose(res.x_star,
+                                   parts.factor * parts.raw / res.i_hat,
+                                   rtol=1e-14)
+
+    def test_floored_information_keeps_the_scaling(self):
+        """Where a^2/b falls below eps, i_hat is floored at eps and X* is
+        (a/b) psi(c) / eps, not psi(c) / a."""
+        y = Gaussian(1000.0).sample(200, 200, seed=1)
+        params = default_params(200, 200)
+        parts = score_parts(y, params)
+        assert parts.gain ** 2 / parts.variance < params.eps
+        res = denoise(y, params)
+        assert res.i_hat == params.eps
+        np.testing.assert_allclose(
+            res.x_star, parts.factor * parts.raw / params.eps, rtol=1e-14)
+        unfloored = parts.raw / parts.gain
+        assert np.max(np.abs(res.x_star - unfloored)) > 0.5 * np.max(
+            np.abs(unfloored))
 
     def test_result_invariants(self):
         rng = np.random.default_rng(42)
@@ -220,7 +253,7 @@ class TestDenoiseFull:
         y = scale * 6.0 * (u @ v.T) + Gaussian(1.0).sample(80, 60, seed=5)
         res = denoise(y)
         assert res.i_hat >= 1e-3
-        s_direct = np.linalg.svd(res.x0, compute_uv=False) / scale
+        s_direct = np.linalg.svd(res.x_star, compute_uv=False) / scale
         np.testing.assert_allclose(res.sigma0, s_direct, atol=1e-12)
         assert np.all(np.diff(res.sigma0) <= 0)
         recon = scale * (res.u_hat[:, :res.k_hat]
@@ -273,15 +306,14 @@ class TestBaseline:
         np.testing.assert_allclose(res.sigma_shrunk, shrunk, atol=1e-12)
 
         # the adaptive pipeline applies the same rule to the spectrum of
-        # X* = x0 / i_hat, at noise sd i_hat^-1/2
+        # X*, at noise sd i_hat^-1/2
         spec = SignalSpec(m=30, n=30, r=1, sigmas=(4.0,))
         y = make_signal(spec, seed=6)[0] + y
         res = denoise(y)
         assert res.k_hat == 1
-        u, s, vt = np.linalg.svd(res.x0, full_matrices=False)
+        u, s, vt = np.linalg.svd(res.x_star, full_matrices=False)
         sig0 = s / scale
-        shrunk, k = shrink_known_sd(sig0 / res.i_hat, res.i_hat ** -0.5,
-                                    0.01, 1.0)
+        shrunk, k = shrink_known_sd(sig0, res.i_hat ** -0.5, 0.01, 1.0)
         assert k == res.k_hat
         np.testing.assert_allclose(res.sigma0, sig0, atol=1e-12)
         np.testing.assert_allclose(res.sigma_shrunk, shrunk, atol=1e-12)

@@ -91,6 +91,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             Gaussian(1.0).sample(0, 5, seed=1)
 
+    @pytest.mark.parametrize("make, value", [
+        (Gaussian, 0.0), (Gaussian, math.inf), (Gaussian, math.nan),
+        (GaussianMixture, -1.0), (GaussianMixture, math.inf),
+        (GaussianMixture, math.nan)])
+    def test_invalid_parameter_rejected(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
+
 
 class TestFisherInfo:
     def test_unit_gaussian(self):

@@ -175,6 +175,12 @@ class TestShrinkAdaptive:
             shrink_known_sd(np.array([1.0, 2.0]), noise_sd=1.0)
         with pytest.raises(ValueError):
             shrink_known_sd(np.array([2.0, 1.0]), noise_sd=0.0)
+        for bad in (dict(noise_sd=math.inf), dict(noise_sd=math.nan),
+                    dict(delta=math.nan), dict(delta=math.inf),
+                    dict(delta=-0.5)):
+            with pytest.raises(ValueError):
+                shrink_known_sd(np.array([2.0, 1.0]),
+                                **{"noise_sd": 1.0, **bad})
 
 
 class TestShrinkKnownSd:

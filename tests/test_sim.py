@@ -147,8 +147,9 @@ class TestConfig:
         grid = parse_grid("0.2:4.0:0.2")
         assert len(grid) == 20
         assert grid[0] == 0.2 and grid[-1] == 4.0
-        with pytest.raises(ConfigError):
-            parse_grid("1:2")
+        for bad in ("1:2", "1:inf:1", "1:nan:1", "nan:2:1", "1:2:inf"):
+            with pytest.raises(ConfigError):
+                parse_grid(bad)
 
     def test_paper_grid_enumerates_6000_trials(self):
         config = load_config(CONFIG_DIR / "paper_sec5.cfg")
@@ -184,13 +185,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("over", [
         dict(kde_bins=100), dict(eps=0.0), dict(h=-1.0), dict(h_prime=0.0),
-        dict(delta=-0.5), dict(gamma=0.01)])
+        dict(delta=-0.5), dict(gamma=0.01), dict(delta=math.nan),
+        dict(delta=math.inf), dict(h=math.inf), dict(h_prime=math.inf),
+        dict(gamma=math.inf), dict(gamma=math.nan),
+        dict(sigma1_grid=(math.inf,)), dict(sigma1_grid=(math.nan,)),
+        dict(sigma_ratios=(1.0, math.nan))])
     def test_invalid_cell_settings_rejected(self, over):
         """Denoiser settings and cell shapes are checked when the config
         is built, not when the grid runs."""
         with pytest.raises(ConfigError):
-            ExperimentConfig(ns=(60,), ranks=(1,), sigma1_grid=(1.0,),
-                             trials=1, **over)
+            ExperimentConfig(**{**dict(ns=(60,), ranks=(1,),
+                                       sigma1_grid=(1.0,), trials=1),
+                                **over})
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
