@@ -20,11 +20,11 @@ import time
 
 import numpy as np
 
-from .estimator import (baseline_estimate, default_params, denoise,
-                        denoise_entrywise)
+from .estimator import (SettingError, baseline_estimate, default_params,
+                        denoise, denoise_entrywise)
 from .linalg import read_matrix_csv, write_matrix_csv
 from .shrinkage import debiased_sv, inflated_sv
-from .sim import ConfigError, load_config, parse_grid, run_grid
+from .sim import ConfigError, config_key, load_config, parse_grid, run_grid
 from .theory import error_limit, overlap_limit
 
 USAGE_ERROR = 2
@@ -98,8 +98,9 @@ def cmd_denoise(args) -> int:
         params = default_params(m, n, eps=args.eps, delta=args.delta,
                                 h=args.h, h_prime=args.h_prime,
                                 bins=args.kde_bins)
-    except ValueError as exc:
-        _err(f"invalid denoiser settings: {exc}")
+    except SettingError as exc:
+        flag = "--" + config_key(exc.name).replace("_", "-")
+        _err(f"invalid denoiser setting {flag}: {exc}")
         return USAGE_ERROR
     for flag, value in (("--gamma", args.gamma), ("--noise-sd", args.noise_sd)):
         if value is not None and not (0 < value < math.inf):
@@ -129,11 +130,12 @@ def cmd_denoise(args) -> int:
             _write_meta(f"{prefix}_meta.txt", [
                 ("noise_sd", args.noise_sd), ("k_hat", res.k_hat),
                 ("sigma0", res.sigma0), ("sigma_shrunk", res.sigma_shrunk)])
+    # LinAlgError is a ValueError, so it is caught first
+    except np.linalg.LinAlgError as exc:
+        _err(f"spectral decomposition failed: {exc}")
+        return RUNTIME_ERROR
     except ValueError as exc:
         _err(f"denoising failed: {exc}")
-        return RUNTIME_ERROR
-    except np.linalg.LinAlgError as exc:
-        _err(f"SVD failed: {exc}")
         return RUNTIME_ERROR
     return 0
 

@@ -14,15 +14,26 @@ Given a single noisy matrix Y the pipeline
    and the looked-up array is scaled in place to the rescaled score
    matrix X* = (a/b) psi(c) / i_hat, which is psi(c) / a unless the
    floor binds; X* is a spiked matrix with noise level i_hat^{-1/2},
-4. takes the SVD of X* in (m n)^{1/4}-scaled units and threshold-shrinks
-   its spectrum at noise level i_hat^{-1/2} with the same rule the PCA
+4. decomposes X* in (m n)^{1/4}-scaled units through the eigenvalues of
+   its Gram matrix on the short side, and threshold-shrinks that
+   spectrum at noise level i_hat^{-1/2} with the same rule the PCA
    baseline applies to Y at its known noise level, to produce the final
    low-rank estimate.
 
 The score map is looked up once, at one point set (the centered
 entries), with an O(1) uniform-grid index; the gain comes from the map
 tabulated on the grid (O(bins)), so the whole thing stays O(m n) plus
-one SVD, with one m x n scored array.
+one min(m, n)-sized Gram eigendecomposition, with one m x n scored
+array.
+
+The Gram step squares the spectrum.  Each eigenvalue carries an
+absolute error of about eps * s_1^2, so a singular value s_j agrees
+with the SVD's to about eps * s_1^2 / s_j absolute: to the last digits
+near the threshold, less closely far below it.  Values whose squares
+fall below the numerical-rank cut-off s_1^2 * max(m, n) * eps read 0.
+The long-side factor is the matrix applied to the short-side
+eigenvectors, divided by s_j; its column j is orthonormal to the others
+to about eps * (s_1 / s_j)^2.
 """
 
 from __future__ import annotations
@@ -39,12 +50,21 @@ from .shrinkage import shrink_known_sd
 
 __all__ = [
     "DenoiserParams",
+    "SettingError",
     "DenoiseResult",
     "default_params",
     "denoise_entrywise",
     "denoise",
     "baseline_estimate",
 ]
+
+
+class SettingError(ValueError):
+    """An out-of-range `DenoiserParams` field; `name` is the field."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -64,14 +84,17 @@ class DenoiserParams:
     bins: int = 4096
 
     def __post_init__(self):
-        if not (0 < self.h < math.inf and 0 < self.h_prime < math.inf):
-            raise ValueError("bandwidths must be positive and finite")
+        for name in ("h", "h_prime"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise SettingError(name, f"bandwidths must be positive and "
+                                         f"finite, got {name} = {value!r}")
         if not (0 < self.eps < math.inf):
-            raise ValueError("eps must be positive and finite")
+            raise SettingError("eps", "eps must be positive and finite")
         if not (0 <= self.delta < math.inf):
-            raise ValueError("delta must be >= 0 and finite")
+            raise SettingError("delta", "delta must be >= 0 and finite")
         if self.bins < MIN_BINS:
-            raise ValueError(f"bins must be >= {MIN_BINS}")
+            raise SettingError("bins", f"bins must be >= {MIN_BINS}")
 
 
 def default_params(m: int, n: int, *, eps: float = 1e-3, delta: float = 0.01,
@@ -97,13 +120,19 @@ class DenoiseResult:
 
     `x_star` is the rescaled score matrix (a/b) psi(Y - y_bar) / i_hat,
     the rank-free estimate (see the module docstring), `x_hat` the
-    rank-`k_hat` shrunk estimate.  `sigma0` holds the singular values of
-    the matrix that was decomposed, divided by (m n)^{1/4}, descending:
-    the spectrum the shrink rule saw, x_star's for the adaptive pipeline
-    and the input's for the PCA baseline.  `sigma_shrunk` holds the
-    thresholded-and-debiased singular values of x_hat on the same scale.
-    The baseline never scores the entries, so its `x_star`, `i_hat` and
-    `y_bar` are None.
+    rank-`k_hat` shrunk estimate.  `sigma0` holds the min(m, n) singular
+    values of the matrix that was decomposed, divided by (m n)^{1/4},
+    descending: the spectrum the shrink rule saw, x_star's for the
+    adaptive pipeline and the input's for the PCA baseline.  It agrees
+    with the SVD's values to about eps * s_1^2 / s_j absolute (module
+    docstring), and values past the numerical rank rho read 0.
+    `sigma_shrunk` holds the thresholded-and-debiased singular values of
+    x_hat on the same scale.  `u_hat` (m x rho) and `v_hat` (n x rho)
+    hold the leading rho singular vectors, not only the k_hat kept ones;
+    rho = min(m, n) on noisy input, and 0 on an all-zero one.  The
+    short-side factor is orthonormal to rounding; the long-side one to
+    about eps * (s_1 / s_j)^2 in column j.  The baseline never scores
+    the entries, so its `x_star`, `i_hat` and `y_bar` are None.
     """
 
     x_hat: np.ndarray
@@ -147,7 +176,11 @@ def denoise_entrywise(y, params: DenoiserParams):
     unless the floor binds.  Raises ValueError when a is not positive
     and finite, rather than flip or zero the scored matrix.
     """
-    y = as_matrix(y, "y")
+    return _score_entries(as_matrix(y, "y"), params)
+
+
+def _score_entries(y: np.ndarray, params: DenoiserParams):
+    """`denoise_entrywise` on a `y` that `as_matrix` already checked."""
     if min(y.shape) < 2:
         raise ValueError("denoising needs min(m, n) >= 2")
     y_bar = mean_entry(y)
@@ -178,21 +211,34 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
                        gamma: float | None):
     """The spectral step both estimators share.
 
-    Takes the SVD of `a` in (m n)^{1/4}-scaled units, shrinks that
-    spectrum at noise level `noise_sd`, and rebuilds the rank-k_hat
-    estimate from the shrunk values.  `gamma` defaults to the aspect
-    ratio m/n of `a`.  Returns the leading fields of `DenoiseResult`,
-    in order.
+    Decomposes `a` through the eigenvalues of its Gram matrix on the
+    short side, shrinks the spectrum in (m n)^{1/4}-scaled units at noise
+    level `noise_sd`, and rebuilds the rank-k_hat estimate from the
+    shrunk values.  Only the numerical-rank columns rho get factors;
+    the values past rho are 0, so k_hat <= rho.  `gamma` defaults to
+    the aspect ratio m/n of `a`.  Returns the leading fields of
+    `DenoiseResult`, in order.
     """
     m, n = a.shape
     if gamma is None:
         gamma = m / n
     scale = (m * n) ** 0.25
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    short = a if m <= n else a.T
+    lam, w = np.linalg.eigh(short @ short.T)
+    lam, w = lam[::-1], w[:, ::-1]
+    # 0 when lam[0] <= 0: an all-zero input has no factors
+    rank = int(np.count_nonzero(
+        lam > max(lam[0], 0.0) * max(m, n) * np.finfo(np.float64).eps))
+    s = np.zeros_like(lam)
+    s[:rank] = np.sqrt(lam[:rank])
+    w = w[:, :rank]
+    long = short.T @ w
+    long /= s[:rank]
+    u, v = (w, long) if m <= n else (long, w)
     sigma0 = s / scale
     sigma_shrunk, k_hat = shrink_known_sd(sigma0, noise_sd, delta, gamma)
-    x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ vt[:k_hat]
-    return x_hat, u, vt.T, sigma0, sigma_shrunk, k_hat
+    x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ v[:, :k_hat].T
+    return x_hat, u, v, sigma0, sigma_shrunk, k_hat
 
 
 def denoise(y, params: DenoiserParams | None = None,
@@ -206,7 +252,7 @@ def denoise(y, params: DenoiserParams | None = None,
     y = as_matrix(y, "y")
     if params is None:
         params = default_params(*y.shape)
-    x_star, i_hat, y_bar = denoise_entrywise(y, params)
+    x_star, i_hat, y_bar = _score_entries(y, params)
     # X* is a spiked matrix with noise sd i_hat^-1/2
     return DenoiseResult(*_spectral_estimate(x_star, i_hat ** -0.5,
                                              params.delta, gamma),
@@ -215,6 +261,6 @@ def denoise(y, params: DenoiserParams | None = None,
 
 def baseline_estimate(y, noise_sd: float, delta: float = 0.01,
                       gamma: float | None = None) -> DenoiseResult:
-    """Known-variance PCA baseline: shrink the SVD of Y itself."""
+    """Known-variance PCA baseline: shrink the spectrum of Y itself."""
     return DenoiseResult(*_spectral_estimate(as_matrix(y, "y"), noise_sd,
                                              delta, gamma))

@@ -171,8 +171,10 @@ def kde_binned(samples, h: float, h_prime: float,
     # sorted: -inf comes first, +inf and nan last
     if not (np.isfinite(samples[0]) and np.isfinite(samples[-1])):
         raise ValueError("samples contain non-finite values")
-    if not (0 < h < math.inf and 0 < h_prime < math.inf):
-        raise ValueError("bandwidths must be positive and finite")
+    for name, value in (("h", h), ("h_prime", h_prime)):
+        if not (0 < value < math.inf):
+            raise ValueError(f"bandwidths must be positive and finite, "
+                             f"got {name} = {value!r}")
     if bins < MIN_BINS:
         raise ValueError(f"bins must be >= {MIN_BINS}")
 

@@ -7,6 +7,8 @@ pipeline.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -30,9 +32,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator (spectral) norm: the largest singular value."""
+    """Operator (spectral) norm: the largest singular value, taken as the
+    root of the top eigenvalue of the Gram matrix on the short side."""
     a = as_matrix(a)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    short = a if a.shape[0] <= a.shape[1] else a.T
+    return math.sqrt(max(float(np.linalg.eigvalsh(short @ short.T)[-1]), 0.0))
 
 
 def subspace_overlap(a, b) -> float:

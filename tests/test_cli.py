@@ -9,6 +9,8 @@ from adadenoise import (GaussianMixture, baseline_estimate, denoise,
                         default_params, overlap_limit,
                         read_matrix_csv, write_matrix_csv)
 
+from adadenoise.cli import main
+
 from conftest import package_env
 
 REPO = Path(__file__).resolve().parents[1]
@@ -35,15 +37,16 @@ def noisy_matrix(tmp_path):
     return path, y
 
 
-def assert_simulate_usage_error(tmp_path, lines, word):
+def assert_simulate_usage_error(tmp_path, lines, *words):
     """`simulate` on the base config plus `lines` exits 2 before any
-    trial runs, with `word` in its message."""
+    trial runs, with each of `words` in its message."""
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
                    f"output = o.csv\n{lines}\n")
     res = run_cli("simulate", str(bad), cwd=tmp_path)
     assert res.returncode == 2, res.stderr
-    assert word in res.stderr
+    for word in words:
+        assert word in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "o.csv").exists()
 
@@ -79,7 +82,9 @@ class TestSimulate:
         ("h_prime = inf", "bandwidths")])
     def test_invalid_denoiser_setting_is_usage_error(self, tmp_path, line,
                                                      word):
-        assert_simulate_usage_error(tmp_path, line, word)
+        # the message names the config key, not only the field's rule
+        key = line.split("=")[0].strip()
+        assert_simulate_usage_error(tmp_path, line, word, f"key {key!r}")
 
     @pytest.mark.parametrize("lines, key", [
         ("noise_mu = -1", "noise_mu"), ("noise_mu = nan", "noise_mu"),
@@ -160,7 +165,23 @@ class TestDenoise:
         res = run_cli("denoise", str(path), "-o", str(prefix), *flag.split())
         assert res.returncode == 2, res.stderr
         assert word in res.stderr
+        # the message names the flag that was given
+        assert flag.split()[-1].split("=")[0] in res.stderr
         assert not Path(f"{prefix}_meta.txt").exists()
+
+    def test_decomposition_failure_is_runtime_error(self, tmp_path,
+                                                    noisy_matrix,
+                                                    monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        path, _ = noisy_matrix
+        code = main(["denoise", str(path), "-o", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "spectral decomposition failed" in err
+        assert "Eigenvalues did not converge" in err
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -273,6 +273,85 @@ class TestDenoiseFull:
         assert detected >= 48, f"rank-1 detected in only {detected}/50 trials"
 
 
+def _spectral_inputs():
+    """Inputs for the spectral step: noisy planted signals of each
+    aspect ratio, a noiseless rank-1 matrix and an all-zero one."""
+    def planted(m, n, sigmas, seed):
+        spec = SignalSpec(m=m, n=n, r=len(sigmas), sigmas=sigmas)
+        return (make_signal(spec, seed)[0]
+                + Gaussian(1.0).sample(m, n, seed=seed + 1))
+
+    rng = np.random.default_rng(47)
+    return {
+        "square": planted(80, 80, (4.0, 3.0), 60),
+        "wide": planted(60, 900, (4.0, 3.0), 62),
+        "tall": planted(900, 60, (4.0, 3.0), 64),
+        "two_rows": planted(2, 400, (6.0,), 66),
+        "rank_one": (40 * 50) ** 0.25 * 3.0 * np.outer(
+            rng.standard_normal(50), rng.standard_normal(40)) / 50.0,
+        "zero": np.zeros((7, 5)),
+    }
+
+
+SPECTRAL_INPUTS = _spectral_inputs()
+
+
+class TestSpectralStep:
+    """The short-side Gram eigendecomposition against a dense SVD."""
+
+    @staticmethod
+    def decomposed(kind, y):
+        """(result, the matrix its spectral step decomposed, noise sd)."""
+        if kind == "baseline":
+            return baseline_estimate(y, noise_sd=1.0), y, 1.0
+        res = denoise(y)
+        return res, res.x_star, res.i_hat ** -0.5
+
+    # the adaptive pipeline decomposes X*; the score map of a noiseless
+    # rank-1 matrix has values down to 1e-7 s_1, below the Gram step's
+    # absolute accuracy eps * s_1^2 / s_j at 1e-12, so it gets only the
+    # baseline, which decomposes the rank-1 input itself
+    @pytest.mark.parametrize("name, kind", [
+        (name, kind) for name in SPECTRAL_INPUTS
+        for kind in ("baseline", "adaptive")
+        if (name, kind) != ("rank_one", "adaptive")])
+    def test_matches_dense_svd(self, name, kind):
+        y = SPECTRAL_INPUTS[name]
+        m, n = y.shape
+        res, a, sd = self.decomposed(kind, y)
+        scale = (m * n) ** 0.25
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        np.testing.assert_allclose(res.sigma0, s / scale, rtol=0, atol=1e-12)
+        shrunk, k = shrink_known_sd(s / scale, sd, 0.01, m / n)
+        assert res.k_hat == k
+        x_hat = scale * (u[:, :k] * shrunk[:k]) @ vt[:k]
+        np.testing.assert_allclose(res.x_hat, x_hat, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(x_hat).max()))
+
+        rho = res.u_hat.shape[1]
+        assert res.v_hat.shape == (n, rho) and res.u_hat.shape == (m, rho)
+        assert res.k_hat <= rho <= min(m, n)
+        assert np.all(res.sigma0[rho:] == 0)
+        lead = min(rho, max(res.k_hat, 3))
+        for factor in (res.u_hat, res.v_hat):
+            assert np.all(np.isfinite(factor))
+            q = factor[:, :lead]
+            assert np.linalg.norm(q.T @ q - np.eye(lead), 2) <= 1e-12
+        assert np.all(np.isfinite(res.x_hat))
+
+    @pytest.mark.parametrize("name, rho", [
+        ("square", 80), ("wide", 60), ("tall", 60), ("two_rows", 2),
+        ("rank_one", 1), ("zero", 0)])
+    def test_numerical_rank(self, name, rho):
+        """Noisy input keeps every column; a rank-deficient one keeps its
+        rank and an all-zero one none, with k_hat = 0 and no NaN."""
+        res = baseline_estimate(SPECTRAL_INPUTS[name], noise_sd=1.0)
+        assert res.u_hat.shape[1] == res.v_hat.shape[1] == rho
+        if rho == 0:
+            assert res.k_hat == 0
+            assert not np.any(res.sigma0) and not np.any(res.x_hat)
+
+
 class TestBaseline:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(43)

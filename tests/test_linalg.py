@@ -29,6 +29,12 @@ class TestOpNorm:
         np.testing.assert_allclose(op_norm(-2.5 * np.outer(u, v)), 2.5,
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(40, 40), (5, 300), (300, 5),
+                                       (2, 50)])
+    def test_matches_dense_norm(self, shape):
+        a = np.random.default_rng(15).standard_normal(shape)
+        assert op_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
     def test_randomized_lower_bound_oracle(self):
         """sup over unit vectors: random probes never exceed the norm and
         come close to attaining it."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adadenoise import (ExperimentConfig, GaussianMixture, SignalSpec,
+                        baseline_estimate, default_params, denoise,
                         haar_orthonormal, load_config, make_signal, op_norm,
                         run_grid, run_trial)
 from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
@@ -124,6 +125,44 @@ class TestRunTrial:
         rec = run_trial(spec, self.MODEL, None, 1.0, seed=7)
         assert len(rec.overlaps_adaptive) == 3
         assert len(rec.overlaps_baseline) == 3
+
+    @pytest.mark.parametrize("spec, gamma, seed, k_hat", [
+        (SignalSpec(m=60, n=60, r=1, sigmas=(3.0,)), 1.0, 5, 1),
+        (SignalSpec(m=90, n=150, r=3, sigmas=(4.0, 3.2, 2.4)), 0.6, 7, 3),
+        (SignalSpec(m=60, n=60, r=1, sigmas=(1e-8,)), 1.0, 6, 0)])
+    def test_errors_match_dense_norms(self, spec, gamma, seed, k_hat):
+        """The low-rank err_adaptive and err_baseline and the Gram-based
+        err_star equal dense operator norms of the same differences."""
+        rec = run_trial(spec, self.MODEL, None, gamma, seed)
+        assert rec.k_hat == k_hat
+        x, _, _ = make_signal(spec, seed)
+        y = x + self.MODEL.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
+        params = default_params(spec.m, spec.n)
+        res = denoise(y, params, gamma)
+        base = baseline_estimate(y, math.sqrt(self.MODEL.variance()),
+                                 params.delta, gamma)
+        scale = (spec.m * spec.n) ** 0.25
+        for got, est in ((rec.err_adaptive, res.x_hat),
+                         (rec.err_baseline, base.x_hat),
+                         (rec.err_star, res.x_star)):
+            dense = np.linalg.norm(est - x, 2) / scale
+            assert got == pytest.approx(dense, rel=1e-12)
+
+    def test_no_full_size_svd(self, monkeypatch):
+        """The only SVDs a trial takes are of its small cores: at most
+        k_hat + r on a side."""
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        spec = SignalSpec(m=80, n=80, r=3, sigmas=(4.0, 3.2, 2.4))
+        rec = run_trial(spec, self.MODEL, None, 1.0, seed=7)
+        assert shapes
+        assert max(max(shape) for shape in shapes) <= rec.k_hat + spec.r
 
 
 class TestMarchenkoPasturEdge:
