@@ -282,13 +282,14 @@ def _spectral_inputs():
                 + Gaussian(1.0).sample(m, n, seed=seed + 1))
 
     rng = np.random.default_rng(47)
+    u, v = rng.standard_normal(50), rng.standard_normal(40)
     return {
         "square": planted(80, 80, (4.0, 3.0), 60),
         "wide": planted(60, 900, (4.0, 3.0), 62),
         "tall": planted(900, 60, (4.0, 3.0), 64),
         "two_rows": planted(2, 400, (6.0,), 66),
-        "rank_one": (40 * 50) ** 0.25 * 3.0 * np.outer(
-            rng.standard_normal(50), rng.standard_normal(40)) / 50.0,
+        "rank_one": (50 * 40) ** 0.25 * 3.0 * np.outer(
+            u / np.linalg.norm(u), v / np.linalg.norm(v)),
         "zero": np.zeros((7, 5)),
     }
 
