@@ -24,7 +24,7 @@ from .estimator import (SettingError, baseline_estimate, default_params,
                         denoise, denoise_entrywise)
 from .linalg import read_matrix_csv, write_matrix_csv
 from .shrinkage import debiased_sv, inflated_sv
-from .sim import ConfigError, config_key, load_config, parse_grid, run_grid
+from .sim import ConfigError, load_config, parse_grid, run_grid
 from .theory import error_limit, overlap_limit
 
 USAGE_ERROR = 2
@@ -40,6 +40,9 @@ def cmd_simulate(args) -> int:
         config = load_config(args.config)
     except FileNotFoundError:
         _err(f"config file not found: {args.config}")
+        return USAGE_ERROR
+    except OSError as exc:
+        _err(f"cannot read config file {args.config}: {exc.strerror}")
         return USAGE_ERROR
     except ConfigError as exc:
         _err(str(exc))
@@ -85,6 +88,9 @@ def cmd_denoise(args) -> int:
     except FileNotFoundError:
         _err(f"input file not found: {args.input}")
         return USAGE_ERROR
+    except OSError as exc:
+        _err(f"cannot read input file {args.input}: {exc.strerror}")
+        return USAGE_ERROR
     except ValueError as exc:
         _err(f"malformed input: {exc}")
         return USAGE_ERROR
@@ -96,22 +102,19 @@ def cmd_denoise(args) -> int:
 
     try:
         params = default_params(m, n, eps=args.eps, delta=args.delta,
-                                h=args.h, h_prime=args.h_prime,
-                                bins=args.kde_bins)
+                                h=args.h, h_prime=args.h_prime)
     except SettingError as exc:
-        flag = "--" + config_key(exc.name).replace("_", "-")
+        flag = "--" + exc.name.replace("_", "-")
         _err(f"invalid denoiser setting {flag}: {exc}")
         return USAGE_ERROR
-    for flag, value in (("--gamma", args.gamma), ("--noise-sd", args.noise_sd)):
-        if value is not None and not (0 < value < math.inf):
-            _err(f"{flag} must be positive and finite")
-            return USAGE_ERROR
+    if args.noise_sd is not None and not (0 < args.noise_sd < math.inf):
+        _err("--noise-sd must be positive and finite")
+        return USAGE_ERROR
 
     try:
-        gamma = args.gamma if args.gamma is not None else m / n
         prefix = args.output_prefix
         if args.mode == "adaptive":
-            res = denoise(y, params, gamma)
+            res = denoise(y, params)
             write_matrix_csv(res.x_hat, f"{prefix}_xhat.csv")
             write_matrix_csv(res.x_star, f"{prefix}_xstar.csv")
             _write_meta(f"{prefix}_meta.txt", [
@@ -125,11 +128,14 @@ def cmd_denoise(args) -> int:
                         [("i_hat", i_hat), ("y_bar", y_bar)])
         else:  # baseline
             res = baseline_estimate(y, noise_sd=args.noise_sd,
-                                    delta=args.delta, gamma=gamma)
+                                    delta=args.delta)
             write_matrix_csv(res.x_hat, f"{prefix}_xhat.csv")
             _write_meta(f"{prefix}_meta.txt", [
                 ("noise_sd", args.noise_sd), ("k_hat", res.k_hat),
                 ("sigma0", res.sigma0), ("sigma_shrunk", res.sigma_shrunk)])
+    except OSError as exc:
+        _err(f"cannot write outputs: {exc}")
+        return RUNTIME_ERROR
     # LinAlgError is a ValueError, so it is caught first
     except np.linalg.LinAlgError as exc:
         _err(f"spectral decomposition failed: {exc}")
@@ -194,12 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="density bandwidth (default 1.2 (mn)^-1/5)")
     p_den.add_argument("--h-prime", type=float, default=None,
                        help="derivative bandwidth (default (mn)^-1/7)")
-    p_den.add_argument("--gamma", type=float, default=None,
-                       help="aspect ratio (default m/n of the input)")
     p_den.add_argument("--noise-sd", type=float, default=None,
                        help="noise standard deviation (baseline mode)")
-    p_den.add_argument("--kde-bins", type=int, default=4096,
-                       help="nodes of the KDE grid (>= 256)")
     p_den.set_defaults(func=cmd_denoise)
 
     p_th = sub.add_parser("theory", help="tabulate closed-form limit curves as CSV")

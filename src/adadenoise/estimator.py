@@ -22,8 +22,8 @@ Given a single noisy matrix Y the pipeline
 
 The score map is looked up once, at one point set (the centered
 entries), with an O(1) uniform-grid index; the gain comes from the map
-tabulated on the grid (O(bins)), so the whole thing stays O(m n) plus
-one min(m, n)-sized Gram eigendecomposition, with one m x n scored
+tabulated on the grid (O(GRID_NODES)), so the whole thing stays O(m n)
+plus one min(m, n)-sized Gram eigendecomposition, with one m x n scored
 array.
 
 The Gram step squares the spectrum.  Each eigenvalue carries an
@@ -43,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kde import (MIN_BINS, DensityEstimate, gaussian_kernel, kde_binned,
-                  mean_entry)
+from .kde import DensityEstimate, gaussian_kernel, kde_binned, mean_entry
 from .linalg import as_matrix
 from .shrinkage import shrink_known_sd
 
@@ -60,7 +59,8 @@ __all__ = [
 
 
 class SettingError(ValueError):
-    """An out-of-range `DenoiserParams` field; `name` is the field."""
+    """An out-of-range `DenoiserParams` field; `name` is the field, which
+    is also its config key."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)
@@ -73,15 +73,14 @@ class DenoiserParams:
 
     `h` is the density bandwidth, `h_prime` the derivative bandwidth,
     `eps` the score regularizer (also a floor for the estimated Fisher
-    information), `delta` the relative threshold margin of the shrink
-    step, and `bins` the number of nodes of the KDE grid.
+    information) and `delta` the relative threshold margin of the shrink
+    step.
     """
 
     h: float
     h_prime: float
     eps: float = 1e-3
     delta: float = 0.01
-    bins: int = 4096
 
     def __post_init__(self):
         for name in ("h", "h_prime"):
@@ -93,13 +92,11 @@ class DenoiserParams:
             raise SettingError("eps", "eps must be positive and finite")
         if not (0 <= self.delta < math.inf):
             raise SettingError("delta", "delta must be >= 0 and finite")
-        if self.bins < MIN_BINS:
-            raise SettingError("bins", f"bins must be >= {MIN_BINS}")
 
 
 def default_params(m: int, n: int, *, eps: float = 1e-3, delta: float = 0.01,
-                   h: float | None = None, h_prime: float | None = None,
-                   bins: int = 4096) -> DenoiserParams:
+                   h: float | None = None,
+                   h_prime: float | None = None) -> DenoiserParams:
     """Parameters for an m x n input.
 
     Omitted bandwidths follow the rule of thumb h = 1.2 (mn)^{-1/5},
@@ -111,7 +108,7 @@ def default_params(m: int, n: int, *, eps: float = 1e-3, delta: float = 0.01,
     return DenoiserParams(h=1.2 * mn ** -0.2 if h is None else h,
                           h_prime=mn ** (-1.0 / 7.0) if h_prime is None
                           else h_prime,
-                          eps=eps, delta=delta, bins=bins)
+                          eps=eps, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def _score_gain(est: DensityEstimate, psi: np.ndarray, eps: float,
     entry but no gain on the signal; that share is taken out.  The slope
     is tabulated on the grid and weighted by the linear-binning counts,
     which equals the mean of the interpolated slope at the samples at
-    O(bins) cost.
+    O(GRID_NODES) cost.
     """
     self_slope = float(gaussian_kernel(0.0)) / (n * est.h_prime ** 3)
     slope = (np.gradient(psi, est.spacing)
@@ -185,7 +182,7 @@ def _score_entries(y: np.ndarray, params: DenoiserParams):
         raise ValueError("denoising needs min(m, n) >= 2")
     y_bar = mean_entry(y)
     centered = y - y_bar
-    est = kde_binned(centered, params.h, params.h_prime, params.bins)
+    est = kde_binned(centered, params.h, params.h_prime)
 
     eps = params.eps
     psi = -est.deriv / (est.density + eps)
@@ -207,21 +204,17 @@ def _score_entries(y: np.ndarray, params: DenoiserParams):
     return scored, i_hat, y_bar
 
 
-def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
-                       gamma: float | None):
+def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float):
     """The spectral step both estimators share.
 
     Decomposes `a` through the eigenvalues of its Gram matrix on the
     short side, shrinks the spectrum in (m n)^{1/4}-scaled units at noise
-    level `noise_sd`, and rebuilds the rank-k_hat estimate from the
-    shrunk values.  Only the numerical-rank columns rho get factors;
-    the values past rho are 0, so k_hat <= rho.  `gamma` defaults to
-    the aspect ratio m/n of `a`.  Returns the leading fields of
-    `DenoiseResult`, in order.
+    level `noise_sd` and aspect ratio m/n, and rebuilds the rank-k_hat
+    estimate from the shrunk values.  Only the numerical-rank columns
+    rho get factors; the values past rho are 0, so k_hat <= rho.
+    Returns the leading fields of `DenoiseResult`, in order.
     """
     m, n = a.shape
-    if gamma is None:
-        gamma = m / n
     scale = (m * n) ** 0.25
     short = a if m <= n else a.T
     lam, w = np.linalg.eigh(short @ short.T)
@@ -236,17 +229,15 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     long /= s[:rank]
     u, v = (w, long) if m <= n else (long, w)
     sigma0 = s / scale
-    sigma_shrunk, k_hat = shrink_known_sd(sigma0, noise_sd, delta, gamma)
+    sigma_shrunk, k_hat = shrink_known_sd(sigma0, noise_sd, delta, m / n)
     x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ v[:, :k_hat].T
     return x_hat, u, v, sigma0, sigma_shrunk, k_hat
 
 
-def denoise(y, params: DenoiserParams | None = None,
-            gamma: float | None = None) -> DenoiseResult:
+def denoise(y, params: DenoiserParams | None = None) -> DenoiseResult:
     """Run the full adaptive pipeline on Y.
 
-    `gamma` defaults to the finite-sample aspect ratio m/n.  With
-    ``params=None`` the bandwidth rule of thumb and the default
+    With ``params=None`` the bandwidth rule of thumb and the default
     regularizers are used.
     """
     y = as_matrix(y, "y")
@@ -255,12 +246,12 @@ def denoise(y, params: DenoiserParams | None = None,
     x_star, i_hat, y_bar = _score_entries(y, params)
     # X* is a spiked matrix with noise sd i_hat^-1/2
     return DenoiseResult(*_spectral_estimate(x_star, i_hat ** -0.5,
-                                             params.delta, gamma),
+                                             params.delta),
                          x_star=x_star, i_hat=i_hat, y_bar=y_bar)
 
 
-def baseline_estimate(y, noise_sd: float, delta: float = 0.01,
-                      gamma: float | None = None) -> DenoiseResult:
+def baseline_estimate(y, noise_sd: float,
+                      delta: float = 0.01) -> DenoiseResult:
     """Known-variance PCA baseline: shrink the spectrum of Y itself."""
     return DenoiseResult(*_spectral_estimate(as_matrix(y, "y"), noise_sd,
-                                             delta, gamma))
+                                             delta))

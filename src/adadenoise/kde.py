@@ -4,10 +4,11 @@
   samples once onto a uniform grid and convolves the bin counts with the
   kernel and with its derivative, each sampled at grid offsets, giving
   the density and density-derivative estimates tabulated on that one
-  grid.  ``DensityEstimate.evaluate`` interpolates any table on the grid
-  with an O(1) index per point.  Cost is O(samples + bins * kernel
-  width) instead of O(samples * queries), which is what makes denoising
-  an 800 x 800 matrix (queries at every entry) cheap.
+  grid of ``GRID_NODES`` nodes.  ``DensityEstimate.evaluate``
+  interpolates any table on the grid with an O(1) index per point.  Cost
+  is O(samples + GRID_NODES * kernel width) instead of
+  O(samples * queries), which is what makes denoising an 800 x 800
+  matrix (queries at every entry) cheap.
 * ``kde_exact`` sums the Gaussian kernel over every sample.  It is the
   reference the binned estimates are tested against.
 
@@ -39,7 +40,10 @@ _LOOKUP_BLOCK = 1 << 15  # points per block of a lookup: small temporaries
 # Kernel cut-off and grid margin, in bandwidths: the Gaussian tail beyond
 # it is below double precision noise.
 TRUNCATION = 8.0
-MIN_BINS = 256
+# Nodes of the KDE grid, a constant rather than a setting: spacing it at
+# min(h, h')/8 instead missed the binned gain's tolerance, and at
+# min(h, h')/24 it needed 104k nodes on t3 noise and was slower.
+GRID_NODES = 4096
 
 
 def gaussian_kernel(z):
@@ -117,7 +121,7 @@ class DensityEstimate:
     `counts` holds the linear-binning weights of the samples.  They are
     the interpolation weights at the samples, so for any table f on the
     grid, ``counts @ f`` equals the sum of ``evaluate(samples, f)`` in
-    O(bins).
+    O(GRID_NODES).
     """
 
     lo: float
@@ -155,10 +159,10 @@ class DensityEstimate:
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def kde_binned(samples, h: float, h_prime: float,
-               bins: int = 4096) -> DensityEstimate:
+def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     """Build the density (bandwidth `h`) and derivative (bandwidth
-    `h_prime`) estimates of the samples on one grid of `bins` nodes.
+    `h_prime`) estimates of the samples on one grid of ``GRID_NODES``
+    nodes.
 
     Linear binning splits each sample's unit mass between the two nearest
     grid nodes, which keeps the binning error second order in the cell
@@ -175,18 +179,16 @@ def kde_binned(samples, h: float, h_prime: float,
         if not (0 < value < math.inf):
             raise ValueError(f"bandwidths must be positive and finite, "
                              f"got {name} = {value!r}")
-    if bins < MIN_BINS:
-        raise ValueError(f"bins must be >= {MIN_BINS}")
 
     margin = TRUNCATION * max(h, h_prime)
     lo = float(samples[0]) - margin
-    spacing = (float(samples[-1]) + margin - lo) / (bins - 1)
+    spacing = (float(samples[-1]) + margin - lo) / (GRID_NODES - 1)
 
     pos = (samples - lo) / spacing
-    idx = np.minimum(pos.astype(np.int64), bins - 2)
+    idx = np.minimum(pos.astype(np.int64), GRID_NODES - 2)
     frac = pos - idx
-    counts = np.bincount(idx, weights=1.0 - frac, minlength=bins)
-    counts += np.bincount(idx + 1, weights=frac, minlength=bins)
+    counts = np.bincount(idx, weights=1.0 - frac, minlength=GRID_NODES)
+    counts += np.bincount(idx + 1, weights=frac, minlength=GRID_NODES)
 
     n = samples.size
     density = _smooth(counts, spacing, h, gaussian_kernel, n * h)

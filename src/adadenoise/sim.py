@@ -38,7 +38,6 @@ __all__ = [
     "parse_grid",
     "load_config",
     "ConfigError",
-    "config_key",
     "run_grid",
     "write_records_csv",
 ]
@@ -145,8 +144,7 @@ class TrialRecord:
 
 
 def run_trial(spec: SignalSpec, model: NoiseModel,
-              params: DenoiserParams | None, gamma: float,
-              seed: int) -> TrialRecord:
+              params: DenoiserParams | None, seed: int) -> TrialRecord:
     """One observation Y = X + W, both estimators, all metrics.
 
     The baseline gets the model's true noise standard deviation.
@@ -163,9 +161,9 @@ def run_trial(spec: SignalSpec, model: NoiseModel,
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
     y = x + w
 
-    res = denoise(y, params, gamma)
+    res = denoise(y, params)
     base = baseline_estimate(y, noise_sd=float(np.sqrt(model.variance())),
-                             delta=params.delta, gamma=gamma)
+                             delta=params.delta)
 
     scale = (spec.m * spec.n) ** 0.25
     ov_a = tuple(subspace_overlap(res.u_hat[:, :i], u[:, :i])
@@ -216,7 +214,6 @@ class ExperimentConfig:
     delta: float = 0.01
     h: float | None = None          # None: 1.2 (mn)^{-1/5}
     h_prime: float | None = None    # None: (mn)^{-1/7}
-    kde_bins: int = 4096
     trials: int = 50
     base_seed: int = 0
     gamma: float = 1.0
@@ -253,13 +250,13 @@ class ExperimentConfig:
             for m, n in {(spec.m, spec.n) for spec in self.cells()}:
                 self.params_for(m, n)
         except SettingError as exc:
-            raise ConfigError(f"key {config_key(exc.name)!r}: {exc}") from None
+            raise ConfigError(f"key {exc.name!r}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def params_for(self, m: int, n: int) -> DenoiserParams:
         return default_params(m, n, eps=self.eps, delta=self.delta, h=self.h,
-                              h_prime=self.h_prime, bins=self.kde_bins)
+                              h_prime=self.h_prime)
 
     def cells(self):
         """Deterministic cell enumeration: n outer, rank middle, sigma inner."""
@@ -300,12 +297,6 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad grid spec {text!r}") from None
 
 
-def config_key(setting: str) -> str:
-    """The config key of a `DenoiserParams` field; the CLI flag is the
-    key with dashes."""
-    return "kde_bins" if setting == "bins" else setting
-
-
 # noise kind -> (model, its parameter's config key, the key's default)
 _NOISE_KINDS = {
     "mixture": (GaussianMixture, "noise_mu", 2.0),
@@ -314,8 +305,8 @@ _NOISE_KINDS = {
 
 _CONFIG_KEYS = {
     "n", "rank", "sigma1", "sigma_ratios", "noise", "noise_mu",
-    "noise_variance", "eps", "delta", "h", "h_prime", "kde_bins", "trials",
-    "base_seed", "gamma", "output", "workers",
+    "noise_variance", "eps", "delta", "h", "h_prime", "trials", "base_seed",
+    "gamma", "output", "workers",
 }
 
 
@@ -324,20 +315,24 @@ def load_config(path) -> ExperimentConfig:
 
     Blank lines and '#' comments are ignored; unknown keys are errors.
     """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from None
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
 
     for required in ("n", "sigma1", "trials", "output"):
         if required not in raw:
@@ -380,26 +375,23 @@ def load_config(path) -> ExperimentConfig:
     except ValueError:
         raise ConfigError(f"{path}: 'sigma_ratios' must be a float list") from None
 
+    settings = dict(
+        ns=ns, ranks=ranks, sigma_ratios=ratios, noise=noise,
+        eps=getf("eps", 1e-3), delta=getf("delta", 0.01),
+        h=getf("h"), h_prime=getf("h_prime"),
+        trials=geti("trials"), base_seed=geti("base_seed", 0),
+        gamma=getf("gamma", 1.0), output=raw["output"],
+        workers=geti("workers", 1),
+    )
     try:
-        return ExperimentConfig(
-            ns=ns, ranks=ranks, sigma1_grid=parse_grid(raw["sigma1"]),
-            sigma_ratios=ratios, noise=noise,
-            eps=getf("eps", 1e-3), delta=getf("delta", 0.01),
-            h=getf("h"), h_prime=getf("h_prime"),
-            kde_bins=geti("kde_bins", 4096),
-            trials=geti("trials"), base_seed=geti("base_seed", 0),
-            gamma=getf("gamma", 1.0), output=raw["output"],
-            workers=geti("workers", 1),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
+        return ExperimentConfig(sigma1_grid=parse_grid(raw["sigma1"]),
+                                **settings)
+    except ValueError as exc:  # ConfigError included: name the file
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def _trial_task(args):
-    spec, model, params, gamma, seed = args
-    return run_trial(spec, model, params, gamma, seed)
+    return run_trial(*args)
 
 
 def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
@@ -415,7 +407,7 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
         params = config.params_for(spec.m, spec.n)
         for trial in range(config.trials):
             seed = config.trial_seed(spec, trial)
-            tasks.append((spec, config.noise, params, config.gamma, seed))
+            tasks.append((spec, config.noise, params, seed))
             order.append(trial)
 
     parallel = config.workers > 1

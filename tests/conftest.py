@@ -44,8 +44,7 @@ def mc_grid():
     cells = {}
     for spec in config.cells():
         params = config.params_for(spec.m, spec.n)
-        records = [run_trial(spec, model, params, config.gamma,
-                             config.trial_seed(spec, t))
+        records = [run_trial(spec, model, params, config.trial_seed(spec, t))
                    for t in range(config.trials)]
         cells[spec.sigmas[0]] = records
     return McGrid(cells=cells, build_seconds=time.perf_counter() - t0)
@@ -97,7 +96,7 @@ def score_parts(y, params) -> ScoreParts:
     y = np.asarray(y, dtype=np.float64)
     y_bar = mean_entry(y)
     centered = y - y_bar
-    est = kde_binned(centered, params.h, params.h_prime, params.bins)
+    est = kde_binned(centered, params.h, params.h_prime)
     psi = -est.deriv / (est.density + params.eps)
     raw = est.evaluate(centered, psi)
     variance = (float(np.sort(np.square(raw), axis=None).sum() / raw.size)

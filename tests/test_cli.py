@@ -39,13 +39,13 @@ def noisy_matrix(tmp_path):
 
 def assert_simulate_usage_error(tmp_path, lines, *words):
     """`simulate` on the base config plus `lines` exits 2 before any
-    trial runs, with each of `words` in its message."""
+    trial runs, with the config path and each of `words` in its message."""
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
                    f"output = o.csv\n{lines}\n")
     res = run_cli("simulate", str(bad), cwd=tmp_path)
     assert res.returncode == 2, res.stderr
-    for word in words:
+    for word in ("bad.cfg", *words):
         assert word in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "o.csv").exists()
@@ -67,7 +67,8 @@ class TestSimulate:
 
     def test_unknown_key_named(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        for line in ("frobnicate = yes", "kde_mode = binned"):
+        for line in ("frobnicate = yes", "kde_mode = binned",
+                     "kde_bins = 4096"):
             bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
                            f"output = o.csv\n{line}\n")
             res = run_cli("simulate", str(bad), cwd=tmp_path)
@@ -75,7 +76,7 @@ class TestSimulate:
             assert line.split()[0] in res.stderr
 
     @pytest.mark.parametrize("line, word", [
-        ("kde_bins = 100", "bins"), ("eps = 0", "eps"),
+        ("eps = 0", "eps"),
         ("h = -1", "bandwidths"), ("h_prime = 0", "bandwidths"),
         ("delta = -0.5", "delta"), ("delta = nan", "delta"),
         ("delta = inf", "delta"), ("h = inf", "bandwidths"),
@@ -92,6 +93,17 @@ class TestSimulate:
         ("gamma = inf", "gamma")])
     def test_invalid_config_value_is_usage_error(self, tmp_path, lines, key):
         assert_simulate_usage_error(tmp_path, lines, key)
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, kind):
+        path = tmp_path
+        if kind == "binary":
+            path = tmp_path / "bin.cfg"
+            path.write_bytes(b"\xff\xfe\x00n = 24\n")
+        res = run_cli("simulate", str(path), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert str(path) in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_rerun_byte_identical(self, tmp_path):
         run_cli("simulate", str(SMOKE_CFG), cwd=tmp_path)
@@ -118,7 +130,7 @@ class TestDenoise:
         path, y = noisy_matrix
         prefix = tmp_path / "cli"
         run_cli("denoise", str(path), "-o", str(prefix))
-        res = denoise(y, default_params(*y.shape), gamma=y.shape[0] / y.shape[1])
+        res = denoise(y, default_params(*y.shape))
         direct = tmp_path / "direct.csv"
         write_matrix_csv(res.x_hat, direct)
         assert direct.read_bytes() == Path(f"{prefix}_xhat.csv").read_bytes()
@@ -151,11 +163,10 @@ class TestDenoise:
         assert "--noise-sd" in res.stderr
 
     @pytest.mark.parametrize("flag, word", [
-        ("--kde-bins=100", "bins"), ("--eps=0", "eps"),
+        ("--eps=0", "eps"),
         ("--h=-1", "bandwidths"), ("--delta=-1", "delta"),
         ("--delta=nan", "delta"), ("--delta=inf", "delta"),
-        ("--h=inf", "bandwidths"), ("--gamma=-1", "gamma"),
-        ("--gamma=nan", "gamma"), ("--gamma=inf", "gamma"),
+        ("--h=inf", "bandwidths"),
         ("--mode=baseline --noise-sd=-1", "noise-sd"),
         ("--mode=baseline --noise-sd=inf", "noise-sd")])
     def test_invalid_setting_is_usage_error(self, tmp_path, noisy_matrix,
@@ -168,6 +179,38 @@ class TestDenoise:
         # the message names the flag that was given
         assert flag.split()[-1].split("=")[0] in res.stderr
         assert not Path(f"{prefix}_meta.txt").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--kde-bins", "4096"),
+                                             ("--gamma", "1")])
+    def test_deleted_option_is_usage_error(self, tmp_path, noisy_matrix,
+                                           flag, value):
+        """The grid size is fixed and the aspect ratio is the input's
+        m/n: neither is an option."""
+        path, _ = noisy_matrix
+        prefix = tmp_path / "x"
+        res = run_cli("denoise", str(path), "-o", str(prefix), flag, value)
+        assert res.returncode == 2, res.stderr
+        assert flag in res.stderr
+        assert not Path(f"{prefix}_meta.txt").exists()
+
+    def test_unreadable_input_is_usage_error(self, tmp_path):
+        res = run_cli("denoise", str(tmp_path), "-o", str(tmp_path / "x"))
+        assert res.returncode == 2, res.stderr
+        assert str(tmp_path) in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("mode", [
+        [], ["--mode", "star"], ["--mode", "baseline", "--noise-sd", "1"]],
+        ids=["adaptive", "star", "baseline"])
+    def test_unwritable_output_is_runtime_error(self, tmp_path, noisy_matrix,
+                                                mode):
+        path, _ = noisy_matrix
+        prefix = tmp_path / "missing_dir" / "p"
+        res = run_cli("denoise", str(path), "-o", str(prefix), *mode)
+        assert res.returncode == 1, res.stderr
+        assert "cannot write outputs" in res.stderr
+        assert str(prefix) in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_decomposition_failure_is_runtime_error(self, tmp_path,
                                                     noisy_matrix,

@@ -20,9 +20,8 @@ class TestDefaults:
         assert params.h == pytest.approx(1.2 * mn ** -0.2, rel=1e-14)
         assert params.h_prime == pytest.approx(mn ** (-1 / 7), rel=1e-14)
         assert params.eps == 1e-3 and params.delta == 0.01
-        assert params.bins == 4096
-        given = default_params(400, 400, h=0.3, h_prime=0.4, bins=512)
-        assert (given.h, given.h_prime, given.bins) == (0.3, 0.4, 512)
+        given = default_params(400, 400, h=0.3, h_prime=0.4)
+        assert (given.h, given.h_prime) == (0.3, 0.4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -34,8 +33,6 @@ class TestDefaults:
                     dict(delta=math.inf)):
             with pytest.raises(ValueError):
                 DenoiserParams(**{"h": 0.1, "h_prime": 0.1, **bad})
-        with pytest.raises(ValueError):
-            default_params(400, 400, bins=100)
         with pytest.raises(ValueError):
             denoise(np.array([[1.0, 2.0, 3.0]]))  # 1 x n rejected
 

@@ -7,6 +7,7 @@ import pytest
 from adadenoise import (DensityEstimate, GaussianMixture, adaptive_simpson,
                         gaussian_kernel, gaussian_kernel_deriv, kde_binned,
                         kde_exact, mean_entry)
+from adadenoise.kde import GRID_NODES
 
 PHI0 = 0.3989422804014327
 
@@ -128,13 +129,13 @@ class TestKdeBinned:
         assert mass == pytest.approx(1.0, abs=2e-2)
 
     def test_bin_refinement_converges(self, mixture_samples):
+        """Between the nodes, the interpolated density matches the exact
+        kernel sum."""
         h = 0.2
         x = np.linspace(-5.5, 5.5, 301)
-        coarse = kde_binned(mixture_samples, h, h, bins=4096)
-        fine = kde_binned(mixture_samples, h, h, bins=8192)
-        peak = np.max(coarse.density)
-        gap = (coarse.evaluate(x, coarse.density)
-               - fine.evaluate(x, fine.density))
+        est = kde_binned(mixture_samples, h, h)
+        peak = np.max(est.density)
+        gap = est.evaluate(x, est.density) - kde_exact(mixture_samples, x, h)
         assert np.max(np.abs(gap)) < 1e-3 * peak
 
     def test_deriv_integrates_to_zero(self, mixture_samples):
@@ -168,7 +169,7 @@ class TestKdeBinned:
         steps = np.diff(est.grid)
         assert np.all(steps > 0)
         np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
-        assert est.grid.size == 4096
+        assert est.grid.size == GRID_NODES == 4096
         assert np.all(np.isfinite(est.density))
         assert np.all(np.isfinite(est.deriv))
         assert np.all(est.density >= 0)
@@ -178,8 +179,6 @@ class TestKdeBinned:
             kde_binned(mixture_samples, -1.0, 0.5)
         with pytest.raises(ValueError):
             kde_binned(mixture_samples, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            kde_binned(mixture_samples, 0.5, 0.5, bins=100)
         with pytest.raises(ValueError):
             kde_binned([], 0.5, 0.5)
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
+import argparse
 import importlib
+import re
+from pathlib import Path
 
 import adadenoise
+from adadenoise import cli, sim
 
 MODULES = ("estimator", "kde", "linalg", "noise", "shrinkage", "sim",
            "theory")
@@ -16,3 +20,31 @@ def test_public_names_resolve_to_their_modules():
         owners = [mod for mod in modules if name in mod.__all__]
         assert len(owners) == 1, f"{name} is listed in {owners}"
         assert getattr(adadenoise, name) is getattr(owners[0], name)
+
+
+def _readme_section(title: str) -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index(title)
+    end = text.find("\n#", start + len(title))
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_readme_config_table_lists_the_config_keys():
+    section = _readme_section("| key | meaning | default |")
+    keys = set()
+    for line in section.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert keys == sim._CONFIG_KEYS
+
+
+def test_readme_denoise_options_exist():
+    section = _readme_section("### `adadenoise denoise")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    flags = {flag for action in subparsers.choices["denoise"]._actions
+             for flag in action.option_strings}
+    assert named and named <= flags, named - flags

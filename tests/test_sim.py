@@ -99,14 +99,14 @@ class TestRunTrial:
     MODEL = GaussianMixture(2.0)
 
     def test_determinism(self):
-        a = run_trial(self.SPEC, self.MODEL, None, 1.0, seed=99)
-        b = run_trial(self.SPEC, self.MODEL, None, 1.0, seed=99)
+        a = run_trial(self.SPEC, self.MODEL, None, seed=99)
+        b = run_trial(self.SPEC, self.MODEL, None, seed=99)
         assert a == b  # wall_ms excluded from comparison
         assert a.overlaps_adaptive == b.overlaps_adaptive
         assert a.err_adaptive == b.err_adaptive
 
     def test_record_ranges(self):
-        rec = run_trial(self.SPEC, self.MODEL, None, 1.0, seed=5)
+        rec = run_trial(self.SPEC, self.MODEL, None, seed=5)
         assert 0.0 <= rec.overlaps_adaptive[0] <= 1.0 + 1e-10
         assert 0.0 <= rec.overlaps_baseline[0] <= 1.0 + 1e-10
         assert rec.err_adaptive >= 0 and rec.err_baseline >= 0
@@ -116,31 +116,31 @@ class TestRunTrial:
 
     def test_vanishing_signal_below_threshold(self):
         spec = SignalSpec(m=60, n=60, r=1, sigmas=(1e-8,))
-        rec = run_trial(spec, self.MODEL, None, 1.0, seed=6)
+        rec = run_trial(spec, self.MODEL, None, seed=6)
         assert rec.k_hat == 0
         assert rec.err_adaptive == pytest.approx(1e-8, rel=1e-6)
 
     def test_rank_three_overlap_blocks(self):
         spec = SignalSpec(m=80, n=80, r=3, sigmas=(4.0, 3.2, 2.4))
-        rec = run_trial(spec, self.MODEL, None, 1.0, seed=7)
+        rec = run_trial(spec, self.MODEL, None, seed=7)
         assert len(rec.overlaps_adaptive) == 3
         assert len(rec.overlaps_baseline) == 3
 
-    @pytest.mark.parametrize("spec, gamma, seed, k_hat", [
-        (SignalSpec(m=60, n=60, r=1, sigmas=(3.0,)), 1.0, 5, 1),
-        (SignalSpec(m=90, n=150, r=3, sigmas=(4.0, 3.2, 2.4)), 0.6, 7, 3),
-        (SignalSpec(m=60, n=60, r=1, sigmas=(1e-8,)), 1.0, 6, 0)])
-    def test_errors_match_dense_norms(self, spec, gamma, seed, k_hat):
+    @pytest.mark.parametrize("spec, seed, k_hat", [
+        (SignalSpec(m=60, n=60, r=1, sigmas=(3.0,)), 5, 1),
+        (SignalSpec(m=90, n=150, r=3, sigmas=(4.0, 3.2, 2.4)), 7, 3),
+        (SignalSpec(m=60, n=60, r=1, sigmas=(1e-8,)), 6, 0)])
+    def test_errors_match_dense_norms(self, spec, seed, k_hat):
         """The low-rank err_adaptive and err_baseline and the Gram-based
         err_star equal dense operator norms of the same differences."""
-        rec = run_trial(spec, self.MODEL, None, gamma, seed)
+        rec = run_trial(spec, self.MODEL, None, seed)
         assert rec.k_hat == k_hat
         x, _, _ = make_signal(spec, seed)
         y = x + self.MODEL.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
         params = default_params(spec.m, spec.n)
-        res = denoise(y, params, gamma)
+        res = denoise(y, params)
         base = baseline_estimate(y, math.sqrt(self.MODEL.variance()),
-                                 params.delta, gamma)
+                                 params.delta)
         scale = (spec.m * spec.n) ** 0.25
         for got, est in ((rec.err_adaptive, res.x_hat),
                          (rec.err_baseline, base.x_hat),
@@ -160,7 +160,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         spec = SignalSpec(m=80, n=80, r=3, sigmas=(4.0, 3.2, 2.4))
-        rec = run_trial(spec, self.MODEL, None, 1.0, seed=7)
+        rec = run_trial(spec, self.MODEL, None, seed=7)
         assert shapes
         assert max(max(shape) for shape in shapes) <= rec.k_hat + spec.r
 
@@ -210,6 +210,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus_key"):
             load_config(bad)
 
+    @pytest.mark.parametrize("line, word", [
+        ("sigma1 = 3:1:1", "bad grid spec '3:1:1'"),
+        ("sigma1 = 1\nh_prime = 0", "key 'h_prime'"),
+        ("sigma1 = 1\ngamma = inf", "gamma must be positive")],
+        ids=["grid", "setting", "gamma"])
+    def test_value_errors_name_the_file(self, tmp_path, line, word):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"n = 60\ntrials = 1\noutput = o.csv\n{line}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+        assert word in str(info.value)
+
     def test_missing_required_key(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = 60\ntrials = 1\noutput = o.csv\n")
@@ -223,7 +236,7 @@ class TestConfig:
             load_config(bad)
 
     @pytest.mark.parametrize("over", [
-        dict(kde_bins=100), dict(eps=0.0), dict(h=-1.0), dict(h_prime=0.0),
+        dict(eps=math.nan), dict(eps=0.0), dict(h=-1.0), dict(h_prime=0.0),
         dict(delta=-0.5), dict(gamma=0.01), dict(delta=math.nan),
         dict(delta=math.inf), dict(h=math.inf), dict(h_prime=math.inf),
         dict(gamma=math.inf), dict(gamma=math.nan),
