@@ -180,14 +180,17 @@ def _score_entries(y: np.ndarray, params: DenoiserParams):
     """`denoise_entrywise` on a `y` that `as_matrix` already checked."""
     if min(y.shape) < 2:
         raise ValueError("denoising needs min(m, n) >= 2")
-    y_bar = mean_entry(y)
-    centered = y - y_bar
-    est = kde_binned(centered, params.h, params.h_prime)
+    # one sort serves the mean and the KDE: centering keeps the order, so
+    # sort(Y) - y_bar is sort(Y - y_bar) bit for bit
+    samples = np.sort(y, axis=None)
+    y_bar = mean_entry(samples)
+    samples -= y_bar
+    est = kde_binned(samples, params.h, params.h_prime)
+    del samples
 
     eps = params.eps
     psi = -est.deriv / (est.density + eps)
-    scored = est.evaluate(centered, psi)
-    del centered  # not held through the sort's temporaries
+    scored = est.evaluate(y - y_bar, psi)
     # summed in sorted order: the estimate depends only on the multiset of
     # entries, never on their layout
     variance = (float(np.sort(np.square(scored), axis=None).sum()

@@ -63,11 +63,21 @@ def mean_entry(a) -> float:
 
     Entries are summed in sorted order, so the result depends only on the
     multiset of values: permuting the input cannot perturb the last bit.
+    A 1-D input that is already sorted is not sorted again.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         raise ValueError("empty input")
-    return float(np.sort(a, axis=None).sum() / a.size)
+    return float(_sorted(a).sum() / a.size)
+
+
+def _sorted(a: np.ndarray) -> np.ndarray:
+    """`a` flattened in ascending order.  A 1-D array that is already in
+    order is returned as it is, after one O(N) check instead of a sort;
+    NaN fails the check and is sorted to the end."""
+    if a.ndim == 1 and bool(np.all(a[:-1] <= a[1:])):
+        return a
+    return np.sort(a, axis=None)
 
 
 def _exact_sum(samples_sorted: np.ndarray, x: np.ndarray, h: float,
@@ -167,9 +177,10 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     Linear binning splits each sample's unit mass between the two nearest
     grid nodes, which keeps the binning error second order in the cell
     width.  The samples are binned in sorted order, so the tables depend
-    only on their multiset.
+    only on their multiset; samples that come sorted are not sorted
+    again.
     """
-    samples = np.sort(np.asarray(samples, dtype=np.float64), axis=None)
+    samples = _sorted(np.asarray(samples, dtype=np.float64))
     if samples.size == 0:
         raise ValueError("need at least one sample")
     # sorted: -inf comes first, +inf and nan last

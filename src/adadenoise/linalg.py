@@ -68,31 +68,38 @@ def subspace_overlap(a, b) -> float:
 def write_matrix_csv(a, path) -> None:
     """Write a matrix as headerless CSV rows, 17 significant digits."""
     a = as_matrix(a)
+    # one printf-style format per row converts every number at C level;
+    # "%.17g" is the same conversion as format(x, ".17g").  Rows are
+    # converted one at a time, so no second copy of the matrix is held.
+    fmt = ",".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         for row in a:
-            fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
+            fh.write(fmt % tuple(row.tolist()))
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix_csv`."""
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"{path}:{lineno}: ragged row "
-                                 f"({len(row)} fields, expected {width})")
-            rows.append(row)
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = list(map(float, line.split(",")))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed row: "
+                                     f"{exc}") from None
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise ValueError(f"{path}:{lineno}: ragged row "
+                                     f"({len(row)} fields, expected {width})")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text file: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     return as_matrix(np.array(rows, dtype=np.float64), str(path))

@@ -12,7 +12,9 @@ byte for byte; the wall_ms column is therefore pinned to 0 in the file
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
+import os
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -399,8 +401,10 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
 
     Trials are pure functions of (cell, trial seed), so they may run in
     any order or in parallel; records are emitted in deterministic
-    (cell, trial) order either way.
+    (cell, trial) order either way.  An output path that cannot be
+    written raises `OSError` before the first trial.
     """
+    _check_output(config.output)
     tasks = []
     order = []
     for spec in config.cells():
@@ -425,6 +429,22 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
                for rec, trial in zip(results, order)]
     write_records_csv(records, config.output, max_rank=max(config.ranks))
     return records
+
+
+def _check_output(path) -> None:
+    """Raise `OSError` naming `path` when the CSV could not be written
+    there; the file is neither created nor truncated."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else directory,
+                       os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 def _fmt(x: float) -> str:

@@ -105,6 +105,36 @@ class TestSimulate:
         assert str(path) in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("output", ["missing_dir/o.csv", "old.csv/o.csv",
+                                        "."])
+    def test_unusable_output_fails_before_any_trial(self, tmp_path, output):
+        old = tmp_path / "old.csv"
+        old.write_text("old results\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n = 24\nsigma1 = 1.0\ntrials = 1\noutput = {output}\n")
+        res = run_cli("simulate", str(cfg), cwd=tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "cannot write results" in res.stderr
+        assert output in res.stderr
+        assert "trial " not in res.stderr
+        assert "Traceback" not in res.stderr
+        assert old.read_text() == "old results\n"
+
+    def test_failed_grid_leaves_results_file(self, tmp_path, monkeypatch,
+                                             capsys):
+        """The output is not opened before the trials have run."""
+        def fail(*args):
+            raise ValueError("trial failed")
+
+        monkeypatch.setattr("adadenoise.sim.run_trial", fail)
+        out = tmp_path / "o.csv"
+        out.write_text("old results\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n = 24\nsigma1 = 1.0\ntrials = 1\noutput = {out}\n")
+        assert main(["simulate", str(cfg)]) == 1
+        assert "trial failed" in capsys.readouterr().err
+        assert out.read_text() == "old results\n"
+
     def test_rerun_byte_identical(self, tmp_path):
         run_cli("simulate", str(SMOKE_CFG), cwd=tmp_path)
         first = (tmp_path / "smoke_results.csv").read_bytes()
@@ -232,6 +262,14 @@ class TestDenoise:
         res = run_cli("denoise", str(bad), "-o", str(tmp_path / "x"))
         assert res.returncode == 2
         assert "malformed" in res.stderr
+
+    def test_non_utf8_input_is_usage_error(self, tmp_path):
+        bad = tmp_path / "bin.csv"
+        bad.write_bytes(b"\xff\xfe1,2\n")
+        res = run_cli("denoise", str(bad), "-o", str(tmp_path / "x"))
+        assert res.returncode == 2, res.stderr
+        assert f"malformed input: {bad}: " in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_missing_input(self, tmp_path):
         res = run_cli("denoise", str(tmp_path / "none.csv"), "-o",

@@ -133,6 +133,21 @@ class TestDenoiseEntrywise:
         denoise_entrywise(y, default_params(30, 20))
         assert len(builds) == 1
 
+    def test_one_sort_for_mean_and_kde(self, monkeypatch):
+        """A denoise call sorts two m*n-sized arrays: Y, whose sorted
+        entries serve both the mean and the KDE, and the squared scores."""
+        sort = np.sort
+        sizes = []
+
+        def counting_sort(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        y = GaussianMixture(2.0).sample(30, 20, seed=6)
+        denoise(y)
+        assert sizes.count(y.size) == 2
+
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(41)
         y = rng.standard_normal((14, 9))

@@ -46,6 +46,10 @@ class TestMeanEntry:
         exact = math.fsum(a.ravel()) / a.size
         assert mean_entry(a) == pytest.approx(exact, abs=1e-12)
 
+    def test_sorted_input_gives_the_same_bits(self):
+        a = np.random.default_rng(22).standard_normal((40, 37)) * 1e3
+        assert mean_entry(np.sort(a, axis=None)) == mean_entry(a)
+
 
 class TestKdeExact:
     def test_single_sample_peak(self):
@@ -181,8 +185,17 @@ class TestKdeBinned:
             kde_binned(mixture_samples, 0.5, 0.0)
         with pytest.raises(ValueError):
             kde_binned([], 0.5, 0.5)
-        with pytest.raises(ValueError):
-            kde_binned([0.0, math.nan], 0.5, 0.5)
+        for samples in ([0.0, math.nan], [math.nan, 0.0, 1.0],
+                        [0.0, math.nan, 1.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                kde_binned(samples, 0.5, 0.5)
+
+    def test_sorted_input_gives_the_same_tables(self, mixture_samples):
+        est = kde_binned(mixture_samples, 0.3, 0.4)
+        ordered = kde_binned(np.sort(mixture_samples, axis=None), 0.3, 0.4)
+        assert (ordered.lo, ordered.spacing) == (est.lo, est.spacing)
+        for name in ("counts", "density", "deriv"):
+            assert np.array_equal(getattr(ordered, name), getattr(est, name))
 
 
 class TestComplexityContract:

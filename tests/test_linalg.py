@@ -94,6 +94,14 @@ class TestSubspaceOverlap:
             subspace_overlap(a, random_orthogonal(rng, 5)[:, :2])
 
 
+# one value of each kind the 17-digit format writes differently: a signed
+# zero, the smallest subnormal, a large exponent, a decimal that is not a
+# double, an integer and a small negative
+GOLDEN_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1.0, -2.5e-7]
+GOLDEN_TOKENS = ["-0", "4.9406564584124654e-324", "1e+308",
+                 "0.10000000000000001", "1", "-2.4999999999999999e-07"]
+
+
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path):
         """17 significant digits reproduce float64 exactly."""
@@ -105,17 +113,50 @@ class TestMatrixCsv:
         assert a.shape == b.shape
         assert np.array_equal(a, b)
 
+    def test_round_trip_exact_across_exponents(self, tmp_path):
+        rng = np.random.default_rng(16)
+        a = (rng.uniform(1.0, 10.0, (6, 61)) * np.logspace(-300, 300, 61)
+             * rng.choice([-1.0, 1.0], (6, 61)))
+        path = tmp_path / "wide.csv"
+        write_matrix_csv(a, path)
+        assert np.array_equal(read_matrix_csv(path), a)
+
     def test_format_plain_rows(self, tmp_path):
         path = tmp_path / "m.csv"
         write_matrix_csv(np.array([[1.0, 2.0], [3.0, 4.5]]), path)
         text = path.read_text()
         assert text == "1,2\n3,4.5\n"
 
+    @pytest.mark.parametrize("shape", ["row", "column"])
+    def test_golden_bytes(self, tmp_path, shape):
+        values = np.array(GOLDEN_VALUES)
+        path = tmp_path / "g.csv"
+        if shape == "row":
+            write_matrix_csv(values[None, :], path)
+            expected = ",".join(GOLDEN_TOKENS) + "\n"
+        else:
+            write_matrix_csv(values[:, None], path)
+            expected = "".join(tok + "\n" for tok in GOLDEN_TOKENS)
+        assert path.read_bytes() == expected.encode("ascii")
+        back = read_matrix_csv(path).ravel()
+        assert np.array_equal(back, values)
+        assert np.array_equal(np.signbit(back), np.signbit(values))
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="malformed") as info:
             read_matrix_csv(path)
-        path.write_text("1,2\n3\n")
-        with pytest.raises(ValueError, match="ragged"):
+        assert str(info.value).startswith(f"{path}:2: ")
+        path.write_text("1,2\n\n3\n")
+        with pytest.raises(ValueError, match="ragged") as info:
             read_matrix_csv(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+
+    def test_non_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        with pytest.raises(ValueError, match="not a text file") as info:
+            read_matrix_csv(path)
+        assert not isinstance(info.value, UnicodeError)
+        assert str(info.value).startswith(f"{path}: ")
