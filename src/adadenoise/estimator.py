@@ -186,7 +186,7 @@ def _score_entries(y: np.ndarray, params: DenoiserParams):
     y_bar = mean_entry(samples)
     samples -= y_bar
     est = kde_binned(samples, params.h, params.h_prime)
-    del samples
+    del samples  # not held through the lookup's temporaries
 
     eps = params.eps
     psi = -est.deriv / (est.density + eps)

@@ -1,9 +1,11 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adadenoise import sim
 from adadenoise import (ExperimentConfig, GaussianMixture, SignalSpec,
                         baseline_estimate, default_params, denoise,
                         haar_orthonormal, load_config, make_signal, op_norm,
@@ -320,8 +322,20 @@ class TestRunGrid:
         assert float(i_hat_text) == pytest.approx(records[0].i_hat,
                                                   rel=1e-9)
 
-    def test_unwritable_output_raises(self, tmp_path):
-        config = self.small_config(tmp_path,
-                                   output=str(tmp_path / "nodir" / "o.csv"))
-        with pytest.raises(OSError):
-            run_grid(config)
+    def test_unwritable_output_raises(self, tmp_path, monkeypatch):
+        """The output path is checked before the first trial runs, and the
+        file is not created."""
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sim, "run_trial", no_trial)
+        for output, error in (("nodir/o.csv", FileNotFoundError),
+                              (".", IsADirectoryError),
+                              ("o.csv", PermissionError)):
+            if error is PermissionError:  # a read-only directory, even for root
+                monkeypatch.setattr(sim.os, "access", lambda path, mode: False)
+            config = self.small_config(tmp_path,
+                                       output=str(tmp_path / output))
+            with pytest.raises(error, match=re.escape(str(tmp_path / output))):
+                run_grid(config)
+            assert not (tmp_path / "o.csv").exists()
