@@ -48,21 +48,29 @@ def cmd_simulate(args) -> int:
         _err(str(exc))
         return USAGE_ERROR
 
+    shown = False
+
     def progress(done: int, total: int) -> None:
+        nonlocal shown
         print(f"\rtrial {done}/{total}", end="", file=sys.stderr, flush=True)
+        shown = True
+
+    def end_progress() -> None:
+        if shown:  # ends the progress line; no blank line without one
+            print(file=sys.stderr)
 
     t0 = time.perf_counter()
     try:
         records = run_grid(config, progress=progress)
     except OSError as exc:
-        print(file=sys.stderr)
+        end_progress()
         _err(f"cannot write results: {exc}")
         return RUNTIME_ERROR
     except Exception as exc:  # pipeline failure
-        print(file=sys.stderr)
+        end_progress()
         _err(f"simulation failed: {exc}")
         return RUNTIME_ERROR
-    print(file=sys.stderr)
+    end_progress()
     elapsed = time.perf_counter() - t0
     cells = len(records) // config.trials
     print(f"cells={cells} trials={len(records)} wall={elapsed:.2f}s "

@@ -18,13 +18,16 @@ Given a single noisy matrix Y the pipeline
    its Gram matrix on the short side, and threshold-shrinks that
    spectrum at noise level i_hat^{-1/2} with the same rule the PCA
    baseline applies to Y at its known noise level, to produce the final
-   low-rank estimate.
+   low-rank estimate.  Eigenvectors are formed only for the factors
+   anything reads: the k_hat kept ones, and at least `factors` leading
+   ones (`DenoiseResult`).
 
 The score map is looked up once, at one point set (the centered
 entries), with an O(1) uniform-grid index; the gain comes from the map
 tabulated on the grid (O(GRID_NODES)), so the whole thing stays O(m n)
-plus one min(m, n)-sized Gram eigendecomposition, with one m x n scored
-array.
+plus one min(m, n)-sized Gram decomposition (`linalg.gram_eigen`: one
+tridiagonal reduction, all values, a few vectors), with one m x n
+scored array.
 
 The Gram step squares the spectrum.  Each eigenvalue carries an
 absolute error of about eps * s_1^2, so a singular value s_j agrees
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kde import DensityEstimate, gaussian_kernel, kde_binned, mean_entry
-from .linalg import as_matrix
+from .linalg import as_matrix, gram_eigen
 from .shrinkage import shrink_known_sd
 
 __all__ = [
@@ -124,9 +127,12 @@ class DenoiseResult:
     with the SVD's values to about eps * s_1^2 / s_j absolute (module
     docstring), and values past the numerical rank rho read 0.
     `sigma_shrunk` holds the thresholded-and-debiased singular values of
-    x_hat on the same scale.  `u_hat` (m x rho) and `v_hat` (n x rho)
-    hold the leading rho singular vectors, not only the k_hat kept ones;
-    rho = min(m, n) on noisy input, and 0 on an all-zero one.  The
+    x_hat on the same scale.  `u_hat` (m x k) and `v_hat` (n x k) hold
+    the leading k = min(rho, max(k_hat, factors)) singular vectors,
+    where rho is the numerical rank (min(m, n) on noisy input, 0 on an
+    all-zero one) and `factors` the keyword of `denoise` and
+    `baseline_estimate` (default 3): the kept factors, and at least
+    `factors` leading ones even when fewer values survive.  The
     short-side factor is orthonormal to rounding; the long-side one to
     about eps * (s_1 / s_j)^2 in column j.  The baseline never scores
     the entries, so its `x_star`, `i_hat` and `y_bar` are None.
@@ -207,41 +213,48 @@ def _score_entries(y: np.ndarray, params: DenoiserParams):
     return scored, i_hat, y_bar
 
 
-def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float):
+def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
+                       factors: int):
     """The spectral step both estimators share.
 
     Decomposes `a` through the eigenvalues of its Gram matrix on the
     short side, shrinks the spectrum in (m n)^{1/4}-scaled units at noise
     level `noise_sd` and aspect ratio m/n, and rebuilds the rank-k_hat
-    estimate from the shrunk values.  Only the numerical-rank columns
-    rho get factors; the values past rho are 0, so k_hat <= rho.
+    estimate from the shrunk values.  All min(m, n) values are taken;
+    the values past the numerical rank rho are 0, so k_hat <= rho.
+    Factors are formed for min(rho, max(k_hat, factors)) columns only.
     Returns the leading fields of `DenoiseResult`, in order.
     """
+    if not (isinstance(factors, (int, np.integer)) and factors >= 0):
+        raise ValueError(f"factors must be an int >= 0, got {factors!r}")
     m, n = a.shape
     scale = (m * n) ** 0.25
     short = a if m <= n else a.T
-    lam, w = np.linalg.eigh(short @ short.T)
-    lam, w = lam[::-1], w[:, ::-1]
+    eig = gram_eigen(short @ short.T)
+    lam = eig.values
     # 0 when lam[0] <= 0: an all-zero input has no factors
     rank = int(np.count_nonzero(
         lam > max(lam[0], 0.0) * max(m, n) * np.finfo(np.float64).eps))
     s = np.zeros_like(lam)
     s[:rank] = np.sqrt(lam[:rank])
-    w = w[:, :rank]
-    long = short.T @ w
-    long /= s[:rank]
-    u, v = (w, long) if m <= n else (long, w)
     sigma0 = s / scale
     sigma_shrunk, k_hat = shrink_known_sd(sigma0, noise_sd, delta, m / n)
+    k = min(rank, max(k_hat, factors))
+    w = eig.vectors(k)
+    long = short.T @ w
+    long /= s[:k]
+    u, v = (w, long) if m <= n else (long, w)
     x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ v[:, :k_hat].T
     return x_hat, u, v, sigma0, sigma_shrunk, k_hat
 
 
-def denoise(y, params: DenoiserParams | None = None) -> DenoiseResult:
+def denoise(y, params: DenoiserParams | None = None, *,
+            factors: int = 3) -> DenoiseResult:
     """Run the full adaptive pipeline on Y.
 
     With ``params=None`` the bandwidth rule of thumb and the default
-    regularizers are used.
+    regularizers are used.  `factors` is how many leading singular
+    vectors to return at least (`DenoiseResult`).
     """
     y = as_matrix(y, "y")
     if params is None:
@@ -249,12 +262,15 @@ def denoise(y, params: DenoiserParams | None = None) -> DenoiseResult:
     x_star, i_hat, y_bar = _score_entries(y, params)
     # X* is a spiked matrix with noise sd i_hat^-1/2
     return DenoiseResult(*_spectral_estimate(x_star, i_hat ** -0.5,
-                                             params.delta),
+                                             params.delta, factors),
                          x_star=x_star, i_hat=i_hat, y_bar=y_bar)
 
 
-def baseline_estimate(y, noise_sd: float,
-                      delta: float = 0.01) -> DenoiseResult:
-    """Known-variance PCA baseline: shrink the spectrum of Y itself."""
+def baseline_estimate(y, noise_sd: float, delta: float = 0.01, *,
+                      factors: int = 3) -> DenoiseResult:
+    """Known-variance PCA baseline: shrink the spectrum of Y itself.
+
+    `factors` is as for `denoise`.
+    """
     return DenoiseResult(*_spectral_estimate(as_matrix(y, "y"), noise_sd,
-                                             delta))
+                                             delta, factors))

@@ -163,9 +163,9 @@ def run_trial(spec: SignalSpec, model: NoiseModel,
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
     y = x + w
 
-    res = denoise(y, params)
+    res = denoise(y, params, factors=spec.r)
     base = baseline_estimate(y, noise_sd=float(np.sqrt(model.variance())),
-                             delta=params.delta)
+                             delta=params.delta, factors=spec.r)
 
     scale = (spec.m * spec.n) ** 0.25
     ov_a = tuple(subspace_overlap(res.u_hat[:, :i], u[:, :i])

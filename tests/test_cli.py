@@ -135,6 +135,27 @@ class TestSimulate:
         assert "trial failed" in capsys.readouterr().err
         assert out.read_text() == "old results\n"
 
+    def test_error_before_any_trial_has_no_blank_line(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """The newline that ends the progress line is printed only after
+        one; an error before any trial is the first line of stderr."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
+                       "output = missing_dir/o.csv\n")
+        res = run_cli("simulate", str(cfg), cwd=tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("adadenoise: cannot write results")
+
+        def fail(*args):
+            raise ValueError("trial failed")
+
+        monkeypatch.setattr("adadenoise.sim.run_trial", fail)
+        cfg.write_text(f"n = 24\nsigma1 = 1.0\ntrials = 1\n"
+                       f"output = {tmp_path / 'o.csv'}\n")
+        assert main(["simulate", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "adadenoise: simulation failed: trial failed")
+
     def test_rerun_byte_identical(self, tmp_path):
         run_cli("simulate", str(SMOKE_CFG), cwd=tmp_path)
         first = (tmp_path / "smoke_results.csv").read_bytes()
@@ -248,7 +269,7 @@ class TestDenoise:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr("adadenoise.estimator.gram_eigen", fail)
         path, _ = noisy_matrix
         code = main(["denoise", str(path), "-o", str(tmp_path / "x")])
         assert code == 1

@@ -8,7 +8,7 @@ from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, SignalSpec,
                         denoise, denoise_entrywise, gaussian_kernel_deriv,
                         kde_binned, kde_exact, make_signal, shrink_known_sd,
                         subspace_overlap)
-from adadenoise import estimator
+from adadenoise import estimator, linalg
 
 from conftest import score_parts
 
@@ -310,7 +310,10 @@ SPECTRAL_INPUTS = _spectral_inputs()
 
 
 class TestSpectralStep:
-    """The short-side Gram eigendecomposition against a dense SVD."""
+    """The short-side Gram eigendecomposition against a dense SVD, on the
+    backend `gram_eigen` selects (numpy's bundled LAPACK where it
+    resolves; `TestSpectralStepEigh` runs the same tests on the
+    fallback)."""
 
     @staticmethod
     def decomposed(kind, y):
@@ -341,28 +344,68 @@ class TestSpectralStep:
         np.testing.assert_allclose(res.x_hat, x_hat, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(x_hat).max()))
 
-        rho = res.u_hat.shape[1]
-        assert res.v_hat.shape == (n, rho) and res.u_hat.shape == (m, rho)
+        rho = int(np.count_nonzero(res.sigma0))
         assert res.k_hat <= rho <= min(m, n)
-        assert np.all(res.sigma0[rho:] == 0)
+        assert np.all(res.sigma0[:rho] > 0) and np.all(res.sigma0[rho:] == 0)
         lead = min(rho, max(res.k_hat, 3))
+        assert res.u_hat.shape == (m, lead) and res.v_hat.shape == (n, lead)
         for factor in (res.u_hat, res.v_hat):
             assert np.all(np.isfinite(factor))
-            q = factor[:, :lead]
-            assert np.linalg.norm(q.T @ q - np.eye(lead), 2) <= 1e-12
+            assert np.linalg.norm(factor.T @ factor - np.eye(lead), 2) <= 1e-12
         assert np.all(np.isfinite(res.x_hat))
 
     @pytest.mark.parametrize("name, rho", [
         ("square", 80), ("wide", 60), ("tall", 60), ("two_rows", 2),
         ("rank_one", 1), ("zero", 0)])
     def test_numerical_rank(self, name, rho):
-        """Noisy input keeps every column; a rank-deficient one keeps its
-        rank and an all-zero one none, with k_hat = 0 and no NaN."""
-        res = baseline_estimate(SPECTRAL_INPUTS[name], noise_sd=1.0)
-        assert res.u_hat.shape[1] == res.v_hat.shape[1] == rho
-        if rho == 0:
-            assert res.k_hat == 0
-            assert not np.any(res.sigma0) and not np.any(res.x_hat)
+        """Noisy input keeps every value; a rank-deficient one keeps its
+        rank and an all-zero one none, with k_hat = 0 and no NaN.  Factors
+        are formed for min(rho, max(k_hat, factors)) columns."""
+        y = SPECTRAL_INPUTS[name]
+        for factors in (0, 1, 3, min(y.shape)):
+            res = baseline_estimate(y, noise_sd=1.0, factors=factors)
+            assert np.count_nonzero(res.sigma0) == rho
+            cols = min(rho, max(res.k_hat, factors))
+            assert res.u_hat.shape[1] == res.v_hat.shape[1] == cols
+            if rho == 0:
+                assert res.k_hat == 0
+                assert not np.any(res.sigma0) and not np.any(res.x_hat)
+            assert np.all(np.isfinite(res.u_hat))
+            assert np.all(np.isfinite(res.v_hat))
+
+    @pytest.mark.parametrize("shape", [(60, 90), (90, 60)])
+    @pytest.mark.parametrize("factors", [1, 3])
+    def test_pure_noise_factors_match_eigh(self, shape, factors):
+        """With k_hat = 0 the `factors` leading columns are still the top
+        singular vectors: equal to `eigh`'s of the short-side Gram matrix,
+        and their image on the long side, up to sign."""
+        y = Gaussian(1.0).sample(*shape, seed=70)
+        res = baseline_estimate(y, noise_sd=1.0, factors=factors)
+        assert res.k_hat == 0
+        short = y if shape[0] <= shape[1] else y.T
+        lam, w = np.linalg.eigh(short @ short.T)
+        w = w[:, ::-1][:, :factors]
+        long = short.T @ w / np.sqrt(lam[::-1][:factors])
+        got_short, got_long = ((res.u_hat, res.v_hat) if shape[0] <= shape[1]
+                               else (res.v_hat, res.u_hat))
+        signs = np.sign(np.sum(got_short * w, axis=0))
+        np.testing.assert_allclose(got_short * signs, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_long * signs, long, rtol=0, atol=1e-12)
+
+    def test_factors_must_be_a_count(self):
+        y = SPECTRAL_INPUTS["square"]
+        for bad in (-1, 2.5, None):
+            with pytest.raises(ValueError, match="factors"):
+                baseline_estimate(y, noise_sd=1.0, factors=bad)
+
+
+class TestSpectralStepEigh(TestSpectralStep):
+    """`TestSpectralStep` on the `np.linalg.eigh` fallback, forced by
+    hiding the resolved LAPACK routines."""
+
+    @pytest.fixture(autouse=True)
+    def fallback(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
 
 
 class TestBaseline:

@@ -1,10 +1,15 @@
 import math
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adadenoise import (op_norm, read_matrix_csv, subspace_overlap,
+from adadenoise import (linalg, op_norm, read_matrix_csv, subspace_overlap,
                         write_matrix_csv)
+
+from conftest import package_env
 
 
 def random_orthogonal(rng, dim):
@@ -48,6 +53,95 @@ class TestOpNorm:
             best = max(best, float(np.linalg.norm(a @ v)))
         assert best <= norm + 1e-6
         assert norm <= best * 1.25
+
+
+@pytest.fixture(params=["lapack", "eigh"])
+def backend(request, monkeypatch):
+    """Runs a test on each `gram_eigen` backend: numpy's bundled LAPACK,
+    and the `np.linalg.eigh` fallback forced by hiding the former."""
+    if request.param == "eigh":
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    elif linalg._lapack() is None:
+        pytest.skip("numpy's LAPACK does not export the LAPACKE routines")
+    return request.param
+
+
+def wishart(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n + 7))
+    return a @ a.T
+
+
+class TestGramEigen:
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_matches_eigh(self, backend, n):
+        g = wishart(n, 20 + n)
+        lam, w = np.linalg.eigh(g)
+        top = lam[-1]
+        eig = linalg.gram_eigen(g.copy())
+        np.testing.assert_allclose(eig.values, lam[::-1], rtol=0,
+                                   atol=1e-12 * top)
+        for k in sorted({0, 1, min(3, n), n}):
+            v = eig.vectors(k)
+            assert v.shape == (n, k)
+            ref = w[:, ::-1][:, :k]
+            signs = np.sign(np.sum(v * ref, axis=0))
+            np.testing.assert_allclose(v * signs, ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(v.T @ v, np.eye(k), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g @ v, v * eig.values[:k], rtol=0,
+                                       atol=1e-12 * top)
+
+    def test_rejects_what_it_cannot_overwrite(self, backend):
+        g = wishart(4, 30)
+        frozen = g.copy()
+        frozen.flags.writeable = False
+        for bad in (g[:3], np.asfortranarray(g[:, :3] @ g[:3]), g.astype(int),
+                    frozen, np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="gram_eigen"):
+                linalg.gram_eigen(bad)
+        eig = linalg.gram_eigen(g)
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="eigenvectors"):
+                eig.vectors(k)
+
+    @pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstemr",
+                                         "dormtr"])
+    def test_lapack_failure_raises(self, monkeypatch, routine):
+        """A nonzero LAPACK info is a LinAlgError naming the routine."""
+        real = linalg._lapack()
+        if real is None:
+            pytest.skip("numpy's LAPACK does not export the LAPACKE routines")
+        fake = SimpleNamespace(**vars(real))
+        setattr(fake, routine, lambda *args: 1)
+        monkeypatch.setattr(linalg, "_lapack", lambda: fake)
+        with pytest.raises(np.linalg.LinAlgError, match=routine):
+            linalg.gram_eigen(wishart(5, 31)).vectors(2)
+
+    def test_eigh_failure_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            linalg.gram_eigen(wishart(5, 32))
+
+    def test_bundled_lapack_is_selected(self):
+        """Where numpy names the wheels' scipy-openblas as its BLAS, the
+        LAPACK backend must resolve: a broken binding fails here rather
+        than quietly falling back to the full `eigh`."""
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+        if deps.get("blas", {}).get("name") != "scipy-openblas":
+            pytest.skip("numpy is not built on scipy-openblas")
+        assert linalg._lapack() is not None
+        assert isinstance(linalg.gram_eigen(wishart(3, 33)),
+                          linalg._Tridiagonal)
+
+    def test_resolved_on_first_use_not_on_import(self):
+        code = ("import adadenoise, adadenoise.linalg as l; "
+                "print(l._lapack.cache_info().currsize)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=package_env(), check=True)
+        assert res.stdout.strip() == "0"
 
 
 class TestSubspaceOverlap:

@@ -128,6 +128,18 @@ class TestRunTrial:
         assert len(rec.overlaps_adaptive) == 3
         assert len(rec.overlaps_baseline) == 3
 
+    def test_rank_five_below_threshold_factors(self):
+        """Ranks above the default three factors and spikes below the
+        threshold still get every overlap block: the trial asks both
+        estimators for r factors."""
+        spec = SignalSpec(m=80, n=80, r=5, sigmas=(4.0, 3.5, 3.0, 0.5, 0.2))
+        rec = run_trial(spec, self.MODEL, None, seed=8)
+        assert rec.k_hat < spec.r
+        for overlaps in (rec.overlaps_adaptive, rec.overlaps_baseline):
+            assert len(overlaps) == 5
+            assert all(0.0 <= ov <= 1.0 + 1e-10 for ov in overlaps)
+        assert rec.err_adaptive > 0 and rec.err_baseline > 0
+
     @pytest.mark.parametrize("spec, seed, k_hat", [
         (SignalSpec(m=60, n=60, r=1, sigmas=(3.0,)), 5, 1),
         (SignalSpec(m=90, n=150, r=3, sigmas=(4.0, 3.2, 2.4)), 7, 3),
