@@ -4,12 +4,12 @@ Matrices are plain 2-D float64 numpy arrays.  Every public entry point
 rejects NaN/Inf so that garbage never propagates into the spectral
 pipeline.
 
-`gram_eigen` is the one place the package diagonalizes a symmetric
-matrix.  It reaches the LAPACK that numpy's wheels bundle (an ILP64
-OpenBLAS whose LAPACKE symbols carry a ``scipy_`` prefix and a ``64_``
-suffix) through `ctypes`, so it needs no dependency beyond numpy and
-loads no new library.  Where those symbols do not resolve (numpy built
-on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
+`gram_eigen` is the spectral step's partial symmetric eigensolver.  It
+reaches the LAPACK that numpy's wheels bundle (an ILP64 OpenBLAS whose
+LAPACKE symbols carry a ``scipy_`` prefix and a ``64_`` suffix) through
+`ctypes`, so it needs no dependency beyond numpy and loads no new
+library.  Where those symbols do not resolve (numpy built on Accelerate
+or MKL, for example) it falls back to `np.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -160,11 +160,11 @@ def gram_eigen(g: np.ndarray):
     descending order and whose ``vectors(k)`` returns the n x k matrix of
     the top k orthonormal eigenvectors, in the same order.  `g` must be a
     C-contiguous, writable, symmetric n x n float64 array (one triangle
-    is read), and it is overwritten: the caller hands it over.  Uses numpy's bundled
-    LAPACK (one tridiagonal reduction; the values by `dsterf`, only the
-    k asked-for vectors by `dstemr`) when its symbols resolve, and
-    `np.linalg.eigh` otherwise.  Either way a failed decomposition raises
-    `np.linalg.LinAlgError`.
+    is read), and it is overwritten: the caller hands it over.  Uses
+    numpy's bundled LAPACK (one tridiagonal reduction; the values by
+    `dsterf`, only the k asked-for vectors by `dstemr`) when its symbols
+    resolve, and `np.linalg.eigh` otherwise.  Either way a failed
+    decomposition raises `np.linalg.LinAlgError`.
     """
     if not (g.ndim == 2 and g.shape[0] == g.shape[1] and g.size
             and g.dtype == np.float64 and g.flags.c_contiguous

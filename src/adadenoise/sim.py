@@ -152,9 +152,10 @@ def run_trial(spec: SignalSpec, model: NoiseModel,
     The baseline gets the model's true noise standard deviation.
     Overlaps are recorded for every leading block 1..r using the
     singular-vector factors regardless of how many values survived
-    thresholding.  Both estimates and the signal have low rank, so their
-    errors are taken from the factors (`_low_rank_op_norm`); only X* - X
-    is decomposed at full size.
+    thresholding: both estimators are asked for r factors.  Both
+    estimates and the signal have low rank, so their errors are taken
+    from the factors (`_low_rank_op_norm`); only X* - X is decomposed at
+    full size.
     """
     t_start = time.perf_counter()
     if params is None:
