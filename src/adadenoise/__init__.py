@@ -12,15 +12,13 @@ harness round out the package.
 """
 
 from .estimator import (DenoiseResult, DenoiserParams, baseline_estimate,
-                        default_params, denoise, denoise_entrywise)
+                        denoise, denoise_entrywise)
 from .kde import (DensityEstimate, gaussian_kernel, gaussian_kernel_deriv,
-                  kde_binned, kde_exact, mean_entry)
+                  kde_binned, mean_entry)
 from .linalg import (op_norm, read_matrix_csv, subspace_overlap,
                      write_matrix_csv)
 from .noise import Gaussian, GaussianMixture, NoiseModel, adaptive_simpson
-from .shrinkage import (PerturbationCheck, bulk_edge,
-                        check_spectral_map_perturbation, debiased_sv,
-                        inflated_sv, shrink_known_sd)
+from .shrinkage import bulk_edge, debiased_sv, inflated_sv, shrink_known_sd
 from .sim import (ExperimentConfig, SignalSpec, TrialRecord, haar_orthonormal,
                   load_config, make_signal, run_grid, run_trial)
 from .theory import (Prediction, error_limit, factor_overlap_limits,
@@ -29,14 +27,13 @@ from .theory import (Prediction, error_limit, factor_overlap_limits,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DenoiseResult", "DenoiserParams", "baseline_estimate", "default_params",
-    "denoise", "denoise_entrywise",
+    "DenoiseResult", "DenoiserParams", "baseline_estimate", "denoise",
+    "denoise_entrywise",
     "DensityEstimate", "gaussian_kernel", "gaussian_kernel_deriv",
-    "kde_binned", "kde_exact", "mean_entry",
+    "kde_binned", "mean_entry",
     "op_norm", "read_matrix_csv", "subspace_overlap", "write_matrix_csv",
     "Gaussian", "GaussianMixture", "NoiseModel", "adaptive_simpson",
-    "PerturbationCheck", "bulk_edge", "check_spectral_map_perturbation",
-    "debiased_sv", "inflated_sv", "shrink_known_sd",
+    "bulk_edge", "debiased_sv", "inflated_sv", "shrink_known_sd",
     "ExperimentConfig", "SignalSpec", "TrialRecord", "haar_orthonormal",
     "load_config", "make_signal", "run_grid", "run_trial",
     "Prediction", "error_limit", "factor_overlap_limits", "minimax_limits",

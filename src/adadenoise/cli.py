@@ -14,13 +14,14 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
 
 import numpy as np
 
-from .estimator import (SettingError, baseline_estimate, default_params,
+from .estimator import (DenoiserParams, SettingError, baseline_estimate,
                         denoise, denoise_entrywise)
 from .linalg import read_matrix_csv, write_matrix_csv
 from .shrinkage import debiased_sv, inflated_sv
@@ -103,14 +104,16 @@ def cmd_denoise(args) -> int:
         _err(f"malformed input: {exc}")
         return USAGE_ERROR
 
-    m, n = y.shape
     if args.mode == "baseline" and args.noise_sd is None:
         _err("--noise-sd is required with --mode baseline")
         return USAGE_ERROR
 
+    # only the flags given: the others keep the `DenoiserParams` defaults
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(DenoiserParams)}
     try:
-        params = default_params(m, n, eps=args.eps, delta=args.delta,
-                                h=args.h, h_prime=args.h_prime)
+        params = DenoiserParams(**{name: value for name, value in given.items()
+                                   if value is not None})
     except SettingError as exc:
         flag = "--" + exc.name.replace("_", "-")
         _err(f"invalid denoiser setting {flag}: {exc}")
@@ -136,7 +139,7 @@ def cmd_denoise(args) -> int:
                         [("i_hat", i_hat), ("y_bar", y_bar)])
         else:  # baseline
             res = baseline_estimate(y, noise_sd=args.noise_sd,
-                                    delta=args.delta)
+                                    delta=params.delta)
             write_matrix_csv(res.x_hat, f"{prefix}_xhat.csv")
             _write_meta(f"{prefix}_meta.txt", [
                 ("noise_sd", args.noise_sd), ("k_hat", res.k_hat),
@@ -202,11 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prefix for _xhat.csv/_xstar.csv/_meta.txt outputs")
     p_den.add_argument("--mode", choices=["adaptive", "baseline", "star"],
                        default="adaptive")
-    p_den.add_argument("--eps", type=float, default=1e-3)
-    p_den.add_argument("--delta", type=float, default=0.01)
-    p_den.add_argument("--h", type=float, default=None,
+    p_den.add_argument("--eps", type=float, help=(
+        f"score regularizer (default {DenoiserParams.eps:g})"))
+    p_den.add_argument("--delta", type=float, help=(
+        f"shrink threshold margin (default {DenoiserParams.delta:g})"))
+    p_den.add_argument("--h", type=float,
                        help="density bandwidth (default 1.2 (mn)^-1/5)")
-    p_den.add_argument("--h-prime", type=float, default=None,
+    p_den.add_argument("--h-prime", type=float,
                        help="derivative bandwidth (default (mn)^-1/7)")
     p_den.add_argument("--noise-sd", type=float, default=None,
                        help="noise standard deviation (baseline mode)")

@@ -5,8 +5,9 @@ Given a single noisy matrix Y the pipeline
 1. centers the entries by the grand mean, c = Y - mean(Y), and uses them
    as surrogate noise samples,
 2. builds kernel estimates of the noise density and its derivative (two
-   independent bandwidths) on one grid, from one binning pass, and
-   tabulates the regularized score map psi = -p'/(p + eps) on that grid,
+   independent bandwidths, by default h = 1.2 (mn)^{-1/5} and
+   h' = (mn)^{-1/7}) on one grid, from one binning pass, and tabulates
+   the regularized score map psi = -p'/(p + eps) on that grid,
 3. looks psi up at the centered entries and measures two moments of it:
    the signal gain a = mean psi'(c), less the slope each entry's own
    kernel adds, and the noise variance b = mean psi(c)^2 + eps.
@@ -33,7 +34,8 @@ The Gram step squares the spectrum.  Each eigenvalue carries an
 absolute error of about eps * s_1^2, so a singular value s_j agrees
 with the SVD's to about eps * s_1^2 / s_j absolute: to the last digits
 near the threshold, less closely far below it.  Values whose squares
-fall below the numerical-rank cut-off s_1^2 * max(m, n) * eps read 0.
+fall below the numerical-rank cut-off s_1^2 * max(m, n) * eps read 0,
+and entries so large that their squares overflow are an error.
 The long-side factor is the matrix applied to the short-side
 eigenvectors, divided by s_j; its column j is orthonormal to the others
 to about eps * (s_1 / s_j)^2.
@@ -54,7 +56,6 @@ __all__ = [
     "DenoiserParams",
     "SettingError",
     "DenoiseResult",
-    "default_params",
     "denoise_entrywise",
     "denoise",
     "baseline_estimate",
@@ -72,23 +73,24 @@ class SettingError(ValueError):
 
 @dataclass(frozen=True)
 class DenoiserParams:
-    """Pipeline parameters.
+    """Pipeline parameters, one object for inputs of every shape.
 
-    `h` is the density bandwidth, `h_prime` the derivative bandwidth,
-    `eps` the score regularizer (also a floor for the estimated Fisher
-    information) and `delta` the relative threshold margin of the shrink
-    step.
+    `eps` is the score regularizer (also a floor for the estimated Fisher
+    information), `delta` the relative threshold margin of the shrink
+    step, `h` the density bandwidth and `h_prime` the derivative
+    bandwidth; a bandwidth left as None follows the shape of the matrix
+    being denoised (`bandwidths`).
     """
 
-    h: float
-    h_prime: float
     eps: float = 1e-3
     delta: float = 0.01
+    h: float | None = None
+    h_prime: float | None = None
 
     def __post_init__(self):
         for name in ("h", "h_prime"):
             value = getattr(self, name)
-            if not (0 < value < math.inf):
+            if value is not None and not (0 < value < math.inf):
                 raise SettingError(name, f"bandwidths must be positive and "
                                          f"finite, got {name} = {value!r}")
         if not (0 < self.eps < math.inf):
@@ -96,22 +98,13 @@ class DenoiserParams:
         if not (0 <= self.delta < math.inf):
             raise SettingError("delta", "delta must be >= 0 and finite")
 
-
-def default_params(m: int, n: int, *, eps: float = 1e-3, delta: float = 0.01,
-                   h: float | None = None,
-                   h_prime: float | None = None) -> DenoiserParams:
-    """Parameters for an m x n input.
-
-    Omitted bandwidths follow the rule of thumb h = 1.2 (mn)^{-1/5},
-    h' = (mn)^{-1/7}.
-    """
-    mn = m * n
-    if mn < 1:
-        raise ValueError("m and n must be >= 1")
-    return DenoiserParams(h=1.2 * mn ** -0.2 if h is None else h,
-                          h_prime=mn ** (-1.0 / 7.0) if h_prime is None
-                          else h_prime,
-                          eps=eps, delta=delta)
+    def bandwidths(self, m: int, n: int) -> tuple[float, float]:
+        """(h, h_prime) for an m x n input: the given values, or the rule
+        of thumb h = 1.2 (mn)^{-1/5}, h' = (mn)^{-1/7} for those left as
+        None."""
+        mn = m * n
+        return (1.2 * mn ** -0.2 if self.h is None else self.h,
+                mn ** (-1.0 / 7.0) if self.h_prime is None else self.h_prime)
 
 
 @dataclass(frozen=True)
@@ -179,11 +172,7 @@ def denoise_entrywise(y, params: DenoiserParams):
     unless the floor binds.  Raises ValueError when a is not positive
     and finite, rather than flip or zero the scored matrix.
     """
-    return _score_entries(as_matrix(y, "y"), params)
-
-
-def _score_entries(y: np.ndarray, params: DenoiserParams):
-    """`denoise_entrywise` on a `y` that `as_matrix` already checked."""
+    y = as_matrix(y, "y")
     if min(y.shape) < 2:
         raise ValueError("denoising needs min(m, n) >= 2")
     # one sort serves the mean and the KDE: centering keeps the order, so
@@ -191,7 +180,7 @@ def _score_entries(y: np.ndarray, params: DenoiserParams):
     samples = np.sort(y, axis=None)
     y_bar = mean_entry(samples)
     samples -= y_bar
-    est = kde_binned(samples, params.h, params.h_prime)
+    est = kde_binned(samples, *params.bandwidths(*y.shape))
     del samples  # not held through the lookup's temporaries
 
     eps = params.eps
@@ -223,14 +212,21 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     estimate from the shrunk values.  All min(m, n) values are taken;
     the values past the numerical rank rho are 0, so k_hat <= rho.
     Factors are formed for min(rho, max(k_hat, factors)) columns only.
-    Returns the leading fields of `DenoiseResult`, in order.
+    Returns the leading fields of `DenoiseResult`, in order.  Raises
+    ValueError when the Gram matrix overflows.
     """
     if not (isinstance(factors, (int, np.integer)) and factors >= 0):
         raise ValueError(f"factors must be an int >= 0, got {factors!r}")
     m, n = a.shape
     scale = (m * n) ** 0.25
     short = a if m <= n else a.T
-    eig = gram_eigen(short @ short.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        gram = short @ short.T
+    # finite entries can overflow when squared, and no eigensolver says so
+    if not np.isfinite(gram).all():
+        raise ValueError("matrix entries are too large to square: the "
+                         "Gram matrix of the spectral step overflows")
+    eig = gram_eigen(gram)
     lam = eig.values
     # 0 when lam[0] <= 0: an all-zero input has no factors
     rank = int(np.count_nonzero(
@@ -248,25 +244,22 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     return x_hat, u, v, sigma0, sigma_shrunk, k_hat
 
 
-def denoise(y, params: DenoiserParams | None = None, *,
+def denoise(y, params: DenoiserParams = DenoiserParams(), *,
             factors: int = 3) -> DenoiseResult:
     """Run the full adaptive pipeline on Y.
 
-    With ``params=None`` the bandwidth rule of thumb and the default
-    regularizers are used.  `factors` is how many leading singular
-    vectors to return at least (`DenoiseResult`).
+    `factors` is how many leading singular vectors to return at least
+    (`DenoiseResult`).
     """
-    y = as_matrix(y, "y")
-    if params is None:
-        params = default_params(*y.shape)
-    x_star, i_hat, y_bar = _score_entries(y, params)
+    x_star, i_hat, y_bar = denoise_entrywise(y, params)
     # X* is a spiked matrix with noise sd i_hat^-1/2
     return DenoiseResult(*_spectral_estimate(x_star, i_hat ** -0.5,
                                              params.delta, factors),
                          x_star=x_star, i_hat=i_hat, y_bar=y_bar)
 
 
-def baseline_estimate(y, noise_sd: float, delta: float = 0.01, *,
+def baseline_estimate(y, noise_sd: float,
+                      delta: float = DenoiserParams.delta, *,
                       factors: int = 3) -> DenoiseResult:
     """Known-variance PCA baseline: shrink the spectrum of Y itself.
 

@@ -9,13 +9,12 @@
   is O(samples + GRID_NODES * kernel width) instead of
   O(samples * queries), which is what makes denoising an 800 x 800
   matrix (queries at every entry) cheap.
-* ``kde_exact`` sums the Gaussian kernel over every sample.  It is the
-  reference the binned estimates are tested against.
 
-Both sum in a canonical order (the samples sorted), so their results
+It bins in a canonical order (the samples sorted), so its results
 depend only on the multiset of samples, never on their layout.  The
 derivative estimator targets d/dx of the density: its expectation is the
-kernel-smoothed p'.
+kernel-smoothed p'.  The tests check the binned tables against exact
+kernel sums.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ __all__ = [
     "gaussian_kernel",
     "gaussian_kernel_deriv",
     "mean_entry",
-    "kde_exact",
     "kde_binned",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_CHUNK = 512  # query rows per block in the exact path
 _LOOKUP_BLOCK = 1 << 15  # points per block of a lookup: small temporaries
 # Kernel cut-off and grid margin, in bandwidths: the Gaussian tail beyond
 # it is below double precision noise.
@@ -78,42 +75,6 @@ def _sorted(a: np.ndarray) -> np.ndarray:
     if a.ndim == 1 and bool(np.all(a[:-1] <= a[1:])):
         return a
     return np.sort(a, axis=None)
-
-
-def _exact_sum(samples_sorted: np.ndarray, x: np.ndarray, h: float,
-               deriv: bool) -> np.ndarray:
-    n = samples_sorted.size
-    out = np.empty(x.shape, dtype=np.float64)
-    flat = x.ravel()
-    res = out.ravel()
-    scale = 1.0 / (n * h * h) if deriv else 1.0 / (n * h)
-    for start in range(0, flat.size, _CHUNK):
-        q = flat[start:start + _CHUNK]
-        z = (q[:, None] - samples_sorted[None, :]) / h
-        vals = gaussian_kernel_deriv(z) if deriv else gaussian_kernel(z)
-        res[start:start + _CHUNK] = vals.sum(axis=1) * scale
-    return out
-
-
-def kde_exact(samples, x, h: float, deriv: bool = False):
-    """Exact kernel sum at `x` (scalar or array).
-
-    `samples` are the already-shifted data points.  Density mode returns
-    (1/(N h)) sum K((x - s)/h); derivative mode returns
-    (1/(N h^2)) sum K'((x - s)/h), the plug-in estimate of p'.
-
-    Samples are summed in sorted order, so the result depends only on
-    their multiset.
-    """
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
-    if not (h > 0):
-        raise ValueError("bandwidth h must be positive")
-    samples = np.sort(samples)
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = _exact_sum(samples, np.atleast_1d(x_arr), h, deriv)
-    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,14 @@ estimated Fisher information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import as_matrix, op_norm
 
 __all__ = [
     "bulk_edge",
     "inflated_sv",
     "debiased_sv",
     "shrink_known_sd",
-    "PerturbationCheck",
-    "check_spectral_map_perturbation",
 ]
 
 
@@ -90,7 +85,7 @@ def debiased_sv(y, gamma: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def shrink_known_sd(sigma0, noise_sd: float, delta: float = 0.01,
+def shrink_known_sd(sigma0, noise_sd: float, delta: float,
                     gamma: float = 1.0) -> tuple[np.ndarray, int]:
     """Threshold-and-debias rule for a spectrum at noise level `noise_sd`.
 
@@ -121,70 +116,3 @@ def shrink_known_sd(sigma0, noise_sd: float, delta: float = 0.01,
     if keep.any():
         shrunk[keep] = noise_sd * debiased_sv(sigma0[keep] / noise_sd, gamma)
     return shrunk, int(keep.sum())
-
-
-@dataclass(frozen=True)
-class PerturbationCheck:
-    """Outcome of :func:`check_spectral_map_perturbation`.
-
-    `status` is one of "holds", "fails", "hypothesis_not_met"; lhs/rhs are
-    the two sides of the bound (NaN when the hypothesis is not met).
-    """
-
-    status: str
-    lhs: float
-    rhs: float
-
-
-def check_spectral_map_perturbation(a, e, f, k: int, holder, window,
-                                    gap: float) -> PerturbationCheck:
-    """Numerically evaluate the rank-k spectral-map perturbation bound.
-
-    For A and its perturbation A + E, apply the scalar map `f` to the top
-    k singular values of each (keeping the corresponding factors) and
-    compare
-
-        lhs = || f(A_k) - f((A+E)_k) ||_op
-        rhs = 4 k L ||E||^alpha + (2 / gap) f(sigma_k(A)) ||E||
-
-    where `holder` = (L, alpha) are Holder constants of `f` on the
-    `window` = (tau, zeta).  The bound is only claimed when
-
-        zeta > sigma_1(A),
-        sigma_k(A) > max(sigma_{k+1}(A), tau) + gap,
-        gap > 2 ||E||_op;
-
-    if any of these fail the check reports "hypothesis_not_met" instead
-    of a spurious failure.  Diagnostic only: it never raises on a
-    violated bound.
-    """
-    a = as_matrix(a, "a")
-    e = as_matrix(e, "e")
-    if a.shape != e.shape:
-        raise ValueError("a and e must have the same shape")
-    p = min(a.shape)
-    if not (1 <= k <= p):
-        raise ValueError(f"k must be in [1, {p}]")
-    L, alpha = holder
-    tau, zeta = window
-    if L < 0 or not (0 < alpha <= 1):
-        raise ValueError("need L >= 0 and alpha in (0, 1]")
-
-    ua, sa, vta = np.linalg.svd(a, full_matrices=False)
-    e_norm = op_norm(e)
-    sk = sa[k] if k < p else 0.0
-    hypothesis = (zeta > sa[0]
-                  and sa[k - 1] > max(sk, tau) + gap
-                  and gap > 2.0 * e_norm)
-    if not hypothesis:
-        return PerturbationCheck("hypothesis_not_met", math.nan, math.nan)
-
-    ub, sb, vtb = np.linalg.svd(a + e, full_matrices=False)
-    fa = np.array([f(s) for s in sa[:k]], dtype=np.float64)
-    fb = np.array([f(s) for s in sb[:k]], dtype=np.float64)
-    mapped_a = (ua[:, :k] * fa) @ vta[:k]
-    mapped_b = (ub[:, :k] * fb) @ vtb[:k]
-    lhs = op_norm(mapped_a - mapped_b)
-    rhs = 4.0 * k * L * e_norm ** alpha + (2.0 / gap) * f(sa[k - 1]) * e_norm
-    status = "holds" if lhs <= rhs + 1e-9 else "fails"
-    return PerturbationCheck(status, float(lhs), float(rhs))

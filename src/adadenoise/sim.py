@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import (DenoiserParams, SettingError, baseline_estimate,
-                        default_params, denoise)
+                        denoise)
 from .linalg import op_norm, subspace_overlap
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
@@ -145,8 +145,8 @@ class TrialRecord:
     wall_ms: float = field(compare=False, default=0.0)
 
 
-def run_trial(spec: SignalSpec, model: NoiseModel,
-              params: DenoiserParams | None, seed: int) -> TrialRecord:
+def run_trial(spec: SignalSpec, model: NoiseModel, params: DenoiserParams,
+              seed: int) -> TrialRecord:
     """One observation Y = X + W, both estimators, all metrics.
 
     The baseline gets the model's true noise standard deviation.
@@ -158,8 +158,6 @@ def run_trial(spec: SignalSpec, model: NoiseModel,
     full size.
     """
     t_start = time.perf_counter()
-    if params is None:
-        params = default_params(spec.m, spec.n)
     x, u, v = make_signal(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
     y = x + w
@@ -206,17 +204,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid definition for :func:`run_grid`."""
+    """Grid definition for :func:`run_grid`; one `params` serves all cells."""
 
     ns: tuple[int, ...]
     ranks: tuple[int, ...]
     sigma1_grid: tuple[float, ...]
     sigma_ratios: tuple[float, ...] = (1.0, 0.8, 0.6)
     noise: NoiseModel = field(default_factory=lambda: GaussianMixture(2.0))
-    eps: float = 1e-3
-    delta: float = 0.01
-    h: float | None = None          # None: 1.2 (mn)^{-1/5}
-    h_prime: float | None = None    # None: (mn)^{-1/7}
+    params: DenoiserParams = DenoiserParams()
     trials: int = 50
     base_seed: int = 0
     gamma: float = 1.0
@@ -247,19 +242,13 @@ class ExperimentConfig:
             raise ConfigError("gamma must be positive and finite")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        # signal shapes and denoiser settings are checked where they are
-        # built, so a bad grid fails here rather than inside run_grid
+        # `SignalSpec` checks each cell's shape as it is built, so a bad
+        # grid fails here rather than inside run_grid
         try:
-            for m, n in {(spec.m, spec.n) for spec in self.cells()}:
-                self.params_for(m, n)
-        except SettingError as exc:
-            raise ConfigError(f"key {exc.name!r}: {exc}") from None
+            for _ in self.cells():
+                pass
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def params_for(self, m: int, n: int) -> DenoiserParams:
-        return default_params(m, n, eps=self.eps, delta=self.delta, h=self.h,
-                              h_prime=self.h_prime)
 
     def cells(self):
         """Deterministic cell enumeration: n outer, rank middle, sigma inner."""
@@ -306,10 +295,11 @@ _NOISE_KINDS = {
     "gaussian": (Gaussian, "noise_variance", 1.0),
 }
 
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DenoiserParams))
 _CONFIG_KEYS = {
     "n", "rank", "sigma1", "sigma_ratios", "noise", "noise_mu",
-    "noise_variance", "eps", "delta", "h", "h_prime", "trials", "base_seed",
-    "gamma", "output", "workers",
+    "noise_variance", *_PARAM_KEYS, "trials", "base_seed", "gamma",
+    "output", "workers",
 }
 
 
@@ -378,10 +368,15 @@ def load_config(path) -> ExperimentConfig:
     except ValueError:
         raise ConfigError(f"{path}: 'sigma_ratios' must be a float list") from None
 
+    # only the keys present: the others keep the `DenoiserParams` defaults
+    try:
+        params = DenoiserParams(**{key: getf(key) for key in _PARAM_KEYS
+                                   if key in raw})
+    except SettingError as exc:
+        raise ConfigError(f"{path}: key {exc.name!r}: {exc}") from None
+
     settings = dict(
-        ns=ns, ranks=ranks, sigma_ratios=ratios, noise=noise,
-        eps=getf("eps", 1e-3), delta=getf("delta", 0.01),
-        h=getf("h"), h_prime=getf("h_prime"),
+        ns=ns, ranks=ranks, sigma_ratios=ratios, noise=noise, params=params,
         trials=geti("trials"), base_seed=geti("base_seed", 0),
         gamma=getf("gamma", 1.0), output=raw["output"],
         workers=geti("workers", 1),
@@ -409,10 +404,9 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     tasks = []
     order = []
     for spec in config.cells():
-        params = config.params_for(spec.m, spec.n)
         for trial in range(config.trials):
             seed = config.trial_seed(spec, trial)
-            tasks.append((spec, config.noise, params, seed))
+            tasks.append((spec, config.noise, config.params, seed))
             order.append(trial)
 
     parallel = config.workers > 1

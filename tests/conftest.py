@@ -1,9 +1,13 @@
-"""Shared fixtures.
+"""Shared fixtures and test oracles.
 
 The expensive n = 400 Monte-Carlo cells are computed once per session
-and shared between the estimator tests and the acceptance suite.
+and shared between the estimator tests and the acceptance suite.  The
+exact kernel sums (`kde_exact`) and the spectral-map perturbation check
+are references the tests compare the package against; the package
+itself never calls them.
 """
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -16,7 +20,9 @@ import pytest
 import adadenoise
 from adadenoise import ExperimentConfig, GaussianMixture, SignalSpec, run_trial
 from adadenoise import estimator
-from adadenoise.kde import DensityEstimate, kde_binned, mean_entry
+from adadenoise.kde import (DensityEstimate, gaussian_kernel,
+                            gaussian_kernel_deriv, kde_binned, mean_entry)
+from adadenoise.linalg import as_matrix, op_norm
 
 GRID_SIGMAS = (0.2, 0.4, 2.0, 3.0, 4.0)
 GRID_TRIALS = 50
@@ -43,8 +49,8 @@ def mc_grid():
     t0 = time.perf_counter()
     cells = {}
     for spec in config.cells():
-        params = config.params_for(spec.m, spec.n)
-        records = [run_trial(spec, model, params, config.trial_seed(spec, t))
+        records = [run_trial(spec, model, config.params,
+                             config.trial_seed(spec, t))
                    for t in range(config.trials)]
         cells[spec.sigmas[0]] = records
     return McGrid(cells=cells, build_seconds=time.perf_counter() - t0)
@@ -92,14 +98,122 @@ class ScoreParts(NamedTuple):
 
 def score_parts(y, params) -> ScoreParts:
     """Rebuild the scoring step from the package's building blocks:
-    `mean_entry`, `kde_binned` and the estimator's `_score_gain`."""
+    `mean_entry`, `kde_binned` at the bandwidths `params` gives for the
+    shape of `y`, and the estimator's `_score_gain`."""
     y = np.asarray(y, dtype=np.float64)
     y_bar = mean_entry(y)
     centered = y - y_bar
-    est = kde_binned(centered, params.h, params.h_prime)
+    est = kde_binned(centered, *params.bandwidths(*y.shape))
     psi = -est.deriv / (est.density + params.eps)
     raw = est.evaluate(centered, psi)
     variance = (float(np.sort(np.square(raw), axis=None).sum() / raw.size)
                 + params.eps)
     gain = estimator._score_gain(est, psi, params.eps, raw.size)
     return ScoreParts(y_bar, est, psi, raw, gain, variance)
+
+
+_CHUNK = 512  # query rows per block of `kde_exact`
+
+
+def _exact_sum(samples_sorted: np.ndarray, x: np.ndarray, h: float,
+               deriv: bool) -> np.ndarray:
+    n = samples_sorted.size
+    out = np.empty(x.shape, dtype=np.float64)
+    flat = x.ravel()
+    res = out.ravel()
+    scale = 1.0 / (n * h * h) if deriv else 1.0 / (n * h)
+    for start in range(0, flat.size, _CHUNK):
+        q = flat[start:start + _CHUNK]
+        z = (q[:, None] - samples_sorted[None, :]) / h
+        vals = gaussian_kernel_deriv(z) if deriv else gaussian_kernel(z)
+        res[start:start + _CHUNK] = vals.sum(axis=1) * scale
+    return out
+
+
+def kde_exact(samples, x, h: float, deriv: bool = False):
+    """Exact kernel sum at `x` (scalar or array), the reference the
+    binned estimates are tested against.
+
+    `samples` are the already-shifted data points.  Density mode returns
+    (1/(N h)) sum K((x - s)/h); derivative mode returns
+    (1/(N h^2)) sum K'((x - s)/h), the plug-in estimate of p'.
+
+    Samples are summed in sorted order, so the result depends only on
+    their multiset.
+    """
+    samples = np.asarray(samples, dtype=np.float64).ravel()
+    if samples.size == 0:
+        raise ValueError("need at least one sample")
+    if not (h > 0):
+        raise ValueError("bandwidth h must be positive")
+    samples = np.sort(samples)
+    x_arr = np.asarray(x, dtype=np.float64)
+    out = _exact_sum(samples, np.atleast_1d(x_arr), h, deriv)
+    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+
+
+@dataclass(frozen=True)
+class PerturbationCheck:
+    """Outcome of :func:`check_spectral_map_perturbation`.
+
+    `status` is one of "holds", "fails", "hypothesis_not_met"; lhs/rhs are
+    the two sides of the bound (NaN when the hypothesis is not met).
+    """
+
+    status: str
+    lhs: float
+    rhs: float
+
+
+def check_spectral_map_perturbation(a, e, f, k: int, holder, window,
+                                    gap: float) -> PerturbationCheck:
+    """Numerically evaluate the rank-k spectral-map perturbation bound.
+
+    For A and its perturbation A + E, apply the scalar map `f` to the top
+    k singular values of each (keeping the corresponding factors) and
+    compare
+
+        lhs = || f(A_k) - f((A+E)_k) ||_op
+        rhs = 4 k L ||E||^alpha + (2 / gap) f(sigma_k(A)) ||E||
+
+    where `holder` = (L, alpha) are Holder constants of `f` on the
+    `window` = (tau, zeta).  The bound is only claimed when
+
+        zeta > sigma_1(A),
+        sigma_k(A) > max(sigma_{k+1}(A), tau) + gap,
+        gap > 2 ||E||_op;
+
+    if any of these fail the check reports "hypothesis_not_met" instead
+    of a spurious failure.  Diagnostic only: it never raises on a
+    violated bound.
+    """
+    a = as_matrix(a, "a")
+    e = as_matrix(e, "e")
+    if a.shape != e.shape:
+        raise ValueError("a and e must have the same shape")
+    p = min(a.shape)
+    if not (1 <= k <= p):
+        raise ValueError(f"k must be in [1, {p}]")
+    L, alpha = holder
+    tau, zeta = window
+    if L < 0 or not (0 < alpha <= 1):
+        raise ValueError("need L >= 0 and alpha in (0, 1]")
+
+    ua, sa, vta = np.linalg.svd(a, full_matrices=False)
+    e_norm = op_norm(e)
+    sk = sa[k] if k < p else 0.0
+    hypothesis = (zeta > sa[0]
+                  and sa[k - 1] > max(sk, tau) + gap
+                  and gap > 2.0 * e_norm)
+    if not hypothesis:
+        return PerturbationCheck("hypothesis_not_met", math.nan, math.nan)
+
+    ub, sb, vtb = np.linalg.svd(a + e, full_matrices=False)
+    fa = np.array([f(s) for s in sa[:k]], dtype=np.float64)
+    fb = np.array([f(s) for s in sb[:k]], dtype=np.float64)
+    mapped_a = (ua[:, :k] * fa) @ vta[:k]
+    mapped_b = (ub[:, :k] * fb) @ vtb[:k]
+    lhs = op_norm(mapped_a - mapped_b)
+    rhs = 4.0 * k * L * e_norm ** alpha + (2.0 / gap) * f(sa[k - 1]) * e_norm
+    status = "holds" if lhs <= rhs + 1e-9 else "fails"
+    return PerturbationCheck(status, float(lhs), float(rhs))

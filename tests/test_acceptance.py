@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from adadenoise import (Gaussian, GaussianMixture, bulk_edge,
-                        check_spectral_map_perturbation, debiased_sv,
-                        default_params, denoise_entrywise, inflated_sv,
-                        kde_binned, kde_exact, make_signal,
-                        op_norm, overlap_limit, shrink_known_sd, SignalSpec)
+from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, bulk_edge,
+                        debiased_sv, denoise_entrywise, inflated_sv,
+                        kde_binned, make_signal, op_norm, overlap_limit,
+                        shrink_known_sd, SignalSpec)
 from adadenoise.sim import ROLE_W, derive_seed
 
-from conftest import cell_mean, package_env, score_parts
+from conftest import (cell_mean, check_spectral_map_perturbation, kde_exact,
+                      package_env, score_parts)
 
 REPO = Path(__file__).resolve().parents[1]
 MIXTURE_INFO = 0.7256
@@ -61,7 +61,7 @@ def test_criterion_2_mixture_variance():
 def test_criterion_3_information_estimate_adaptivity():
     t0 = time.perf_counter()
     model = GaussianMixture(2.0)
-    params = default_params(400, 400)
+    params = DenoiserParams()
     vals = [denoise_entrywise(model.sample(400, 400, seed=s), params)[1]
             for s in range(20)]
     mean = float(np.mean(vals))
@@ -228,7 +228,7 @@ def _check_binned_vs_exact(failures):
 
 def _check_gaussian_score_identity(failures):
     y = Gaussian(1.0).sample(400, 400, seed=0)
-    params = default_params(400, 400)
+    params = DenoiserParams()
     scored = score_parts(y, params)
     i_hat = denoise_entrywise(y, params)[1]
     t = np.linspace(-3.0, 3.0, 241)

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adadenoise import (GaussianMixture, baseline_estimate, denoise,
-                        default_params, overlap_limit,
-                        read_matrix_csv, write_matrix_csv)
+from adadenoise import (DenoiserParams, GaussianMixture, baseline_estimate,
+                        denoise, overlap_limit, read_matrix_csv,
+                        write_matrix_csv)
 
 from adadenoise.cli import main
 
@@ -181,7 +181,7 @@ class TestDenoise:
         path, y = noisy_matrix
         prefix = tmp_path / "cli"
         run_cli("denoise", str(path), "-o", str(prefix))
-        res = denoise(y, default_params(*y.shape))
+        res = denoise(y, DenoiserParams())
         direct = tmp_path / "direct.csv"
         write_matrix_csv(res.x_hat, direct)
         assert direct.read_bytes() == Path(f"{prefix}_xhat.csv").read_bytes()
@@ -276,6 +276,19 @@ class TestDenoise:
         err = capsys.readouterr().err
         assert "spectral decomposition failed" in err
         assert "Eigenvalues did not converge" in err
+
+    def test_overflowing_input_is_runtime_error(self, tmp_path, capsys):
+        """Entries whose squares overflow fail with the cause named."""
+        path = tmp_path / "big.csv"
+        write_matrix_csv(1e160 * np.random.default_rng(73).standard_normal(
+            (30, 40)), path)
+        prefix = tmp_path / "x"
+        code = main(["denoise", str(path), "-o", str(prefix),
+                     "--mode", "baseline", "--noise-sd", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "denoising failed" in err and "too large to square" in err
+        assert not Path(f"{prefix}_meta.txt").exists()
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.csv"

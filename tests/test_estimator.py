@@ -4,35 +4,42 @@ import numpy as np
 import pytest
 
 from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, SignalSpec,
-                        baseline_estimate, debiased_sv, default_params,
-                        denoise, denoise_entrywise, gaussian_kernel_deriv,
-                        kde_binned, kde_exact, make_signal, shrink_known_sd,
-                        subspace_overlap)
+                        baseline_estimate, debiased_sv, denoise,
+                        denoise_entrywise, gaussian_kernel_deriv, kde_binned,
+                        make_signal, shrink_known_sd, subspace_overlap)
 from adadenoise import estimator, linalg
+from adadenoise.estimator import SettingError
 
-from conftest import score_parts
+from conftest import kde_exact, score_parts
 
 
 class TestDefaults:
     def test_bandwidth_rules(self):
-        params = default_params(400, 400)
-        mn = 400 * 400
-        assert params.h == pytest.approx(1.2 * mn ** -0.2, rel=1e-14)
-        assert params.h_prime == pytest.approx(mn ** (-1 / 7), rel=1e-14)
+        """Omitted bandwidths follow the shape of the matrix scored:
+        h = 1.2 (mn)^(-1/5) and h' = (mn)^(-1/7); given ones pass
+        through unchanged."""
+        params = DenoiserParams()
         assert params.eps == 1e-3 and params.delta == 0.01
-        given = default_params(400, 400, h=0.3, h_prime=0.4)
+        for m, n in ((400, 400), (40, 700)):
+            y = GaussianMixture(2.0).sample(m, n, seed=11)
+            kde = score_parts(y, params).kde
+            mn = m * n
+            assert kde.h == pytest.approx(1.2 * mn ** -0.2, rel=1e-14)
+            assert kde.h_prime == pytest.approx(mn ** (-1 / 7), rel=1e-14)
+        given = score_parts(y, DenoiserParams(h=0.3, h_prime=0.4)).kde
         assert (given.h, given.h_prime) == (0.3, 0.4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DenoiserParams(h=0.0, h_prime=0.1)
+            DenoiserParams(h=0.0)
         with pytest.raises(ValueError):
-            DenoiserParams(h=0.1, h_prime=0.1, eps=0.0)
+            DenoiserParams(eps=0.0)
         for bad in (dict(h=math.inf), dict(h_prime=math.inf),
                     dict(eps=math.inf), dict(delta=math.nan),
                     dict(delta=math.inf)):
-            with pytest.raises(ValueError):
-                DenoiserParams(**{"h": 0.1, "h_prime": 0.1, **bad})
+            with pytest.raises(SettingError) as info:
+                DenoiserParams(**bad)
+            assert info.value.name == next(iter(bad))
         with pytest.raises(ValueError):
             denoise(np.array([[1.0, 2.0, 3.0]]))  # 1 x n rejected
 
@@ -42,12 +49,13 @@ class TestDenoiseEntrywise:
         """All-equal input: the grid's bandwidth margin keeps it
         non-degenerate."""
         y = np.full((8, 6), 4.2)
-        params = default_params(8, 6, eps=1e-3)
+        params = DenoiserParams(eps=1e-3)
         x_star, i_hat, y_bar = denoise_entrywise(y, params)
         assert y_bar == 4.2
         assert np.all(np.isfinite(x_star))
+        h_prime = params.bandwidths(8, 6)[1]
         bound = np.max(np.abs(gaussian_kernel_deriv(
-            np.linspace(-5, 5, 2001)))) / params.h_prime ** 2 / params.eps
+            np.linspace(-5, 5, 2001)))) / h_prime ** 2 / params.eps
         # x_star * i_hat = (a/b) psi(c), the scored matrix before the
         # division by i_hat
         assert np.max(np.abs(x_star * i_hat)) <= bound
@@ -55,7 +63,7 @@ class TestDenoiseEntrywise:
 
     def test_gaussian_noise_information_near_one(self):
         vals = [denoise_entrywise(Gaussian(1.0).sample(200, 200, seed=s),
-                                  default_params(200, 200))[1]
+                                  DenoiserParams())[1]
                 for s in range(5)]
         assert 0.90 <= float(np.mean(vals)) <= 1.10
 
@@ -63,7 +71,7 @@ class TestDenoiseEntrywise:
         """The estimate lands near the mixture's information constant,
         clearly distinguishing it from unit-Gaussian noise."""
         vals = [denoise_entrywise(GaussianMixture(2.0).sample(400, 400, seed=s),
-                                  default_params(400, 400))[1]
+                                  DenoiserParams())[1]
                 for s in range(10)]
         mean = float(np.mean(vals))
         assert abs(mean - 0.7256) < 0.10
@@ -71,7 +79,7 @@ class TestDenoiseEntrywise:
 
     def test_score_bound(self):
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
-        params = default_params(60, 50, eps=1e-2)
+        params = DenoiserParams(eps=1e-2)
         x_star, i_hat, _ = denoise_entrywise(y, params)
         grid = np.linspace(-9, 9, 4001)
         est = score_parts(y, params).kde
@@ -84,7 +92,7 @@ class TestDenoiseEntrywise:
         estimate and the scored matrix are invariant."""
         rng = np.random.default_rng(40)
         y = rng.standard_normal((12, 10))
-        params = default_params(12, 10)
+        params = DenoiserParams()
         c = 3.7
         x_a, i_a, y_bar_a = denoise_entrywise(y, params)
         x_b, i_b, y_bar_b = denoise_entrywise(y + c, params)
@@ -108,7 +116,7 @@ class TestDenoiseEntrywise:
         spec = SignalSpec(m=200, n=200, r=1, sigmas=(3.0,))
         x, _, _ = make_signal(spec, seed=44)
         y = x + GaussianMixture(2.0).sample(200, 200, seed=45)
-        params = default_params(200, 200)
+        params = DenoiserParams()
         res = denoise(y, params)
         res_c = denoise(y + c, params)
         np.testing.assert_allclose(res_c.x_star, res.x_star, rtol=0,
@@ -130,7 +138,7 @@ class TestDenoiseEntrywise:
         monkeypatch.setattr(estimator, "kde_binned", counting_build)
         monkeypatch.setattr(np, "interp", no_interp)
         y = GaussianMixture(2.0).sample(30, 20, seed=6)
-        denoise_entrywise(y, default_params(30, 20))
+        denoise_entrywise(y, DenoiserParams())
         assert len(builds) == 1
 
     def test_one_sort_for_mean_and_kde(self, monkeypatch):
@@ -151,7 +159,7 @@ class TestDenoiseEntrywise:
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(41)
         y = rng.standard_normal((14, 9))
-        params = default_params(14, 9)
+        params = DenoiserParams()
         rows = rng.permutation(14)
         cols = rng.permutation(9)
         res = denoise(y, params)
@@ -165,27 +173,28 @@ class TestDenoiseEntrywise:
         self-influence K(0) / (N h'^3 (p + eps)), and agrees with the same
         mean taken from exact kernel sums by central differences."""
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
-        params = default_params(60, 50)
+        params = DenoiserParams()
         eps = params.eps
+        h, h_prime = params.bandwidths(60, 50)
         scored = score_parts(y, params)
         grid = scored.kde.grid
         p = scored.kde.density
         psi = -scored.kde.deriv / (p + eps)
         self_slope = 1.0 / (math.sqrt(2.0 * math.pi) * y.size
-                            * params.h_prime ** 3)
+                            * h_prime ** 3)
         slope = np.gradient(psi, grid) - self_slope / (p + eps)
         centered = (y - scored.y_bar).ravel()
         direct = np.mean(np.interp(centered, grid, slope))
         assert scored.gain == pytest.approx(direct, rel=1e-12)
 
         def exact_psi(x):
-            return (-kde_exact(centered, x, params.h_prime, deriv=True)
-                    / (kde_exact(centered, x, params.h) + eps))
+            return (-kde_exact(centered, x, h_prime, deriv=True)
+                    / (kde_exact(centered, x, h) + eps))
 
-        step = 1e-4 * min(params.h, params.h_prime)
+        step = 1e-4 * min(h, h_prime)
         exact_slope = ((exact_psi(centered + step) - exact_psi(centered - step))
                        / (2.0 * step)
-                       - self_slope / (kde_exact(centered, centered, params.h)
+                       - self_slope / (kde_exact(centered, centered, h)
                                        + eps))
         assert np.mean(exact_slope) == pytest.approx(scored.gain, rel=1e-4)
         i_hat = denoise_entrywise(y, params)[1]
@@ -200,7 +209,7 @@ class TestDenoiseEntrywise:
         spec = SignalSpec(m=200, n=200, r=1, sigmas=(15.0,))
         x, _, _ = make_signal(spec, seed=500)
         y = x + Gaussian(25.0).sample(200, 200, seed=501)
-        scored = score_parts(y, default_params(200, 200))
+        scored = score_parts(y, DenoiserParams())
         regression = float(np.sum(scored.raw * x) / np.sum(x * x))
         assert scored.gain == pytest.approx(regression, rel=0.20)
 
@@ -209,13 +218,13 @@ class TestDenoiseEntrywise:
         monkeypatch.setattr(estimator, "_score_gain", lambda *args: gain)
         y = GaussianMixture(2.0).sample(20, 20, seed=5)
         with pytest.raises(ValueError, match="gain"):
-            denoise_entrywise(y, default_params(20, 20))
+            denoise_entrywise(y, DenoiserParams())
 
     def test_fitted_score_map_near_identity_for_gaussian(self):
         """For unit-Gaussian noise the normalized fitted map approximates
         the identity on the bulk of the data."""
         y = Gaussian(1.0).sample(400, 400, seed=2)
-        params = default_params(400, 400)
+        params = DenoiserParams()
         scored = score_parts(y, params)
         i_hat = denoise_entrywise(y, params)[1]
         t = np.linspace(-2.0, 2.0, 161)
@@ -230,7 +239,7 @@ class TestDenoiseEntrywise:
 class TestDenoiseFull:
     def test_star_is_rescaled_score_matrix(self):
         y = GaussianMixture(2.0).sample(40, 30, seed=4)
-        params = default_params(40, 30)
+        params = DenoiserParams()
         res = denoise(y)
         x_star, i_hat, y_bar = denoise_entrywise(y, params)
         assert np.array_equal(res.x_star, x_star)
@@ -244,7 +253,7 @@ class TestDenoiseFull:
         """Where a^2/b falls below eps, i_hat is floored at eps and X* is
         (a/b) psi(c) / eps, not psi(c) / a."""
         y = Gaussian(1000.0).sample(200, 200, seed=1)
-        params = default_params(200, 200)
+        params = DenoiserParams()
         parts = score_parts(y, params)
         assert parts.gain ** 2 / parts.variance < params.eps
         res = denoise(y, params)
@@ -397,6 +406,14 @@ class TestSpectralStep:
         for bad in (-1, 2.5, None):
             with pytest.raises(ValueError, match="factors"):
                 baseline_estimate(y, noise_sd=1.0, factors=bad)
+
+    def test_gram_overflow_raises(self):
+        """Finite entries whose squares overflow are an error that says
+        so, not k_hat = 0 from an all-zero spectrum or a bare LAPACK
+        failure."""
+        y = 1e160 * Gaussian(1.0).sample(30, 40, seed=72)
+        with pytest.raises(ValueError, match="too large to square"):
+            baseline_estimate(y, noise_sd=1.0)
 
 
 class TestSpectralStepEigh(TestSpectralStep):

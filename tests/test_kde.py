@@ -6,8 +6,10 @@ import pytest
 
 from adadenoise import (DensityEstimate, GaussianMixture, adaptive_simpson,
                         gaussian_kernel, gaussian_kernel_deriv, kde_binned,
-                        kde_exact, mean_entry)
+                        mean_entry)
 from adadenoise.kde import GRID_NODES
+
+from conftest import kde_exact
 
 PHI0 = 0.3989422804014327
 

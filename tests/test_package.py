@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import adadenoise
-from adadenoise import cli, sim
+from adadenoise import DenoiserParams, cli, sim
 
 MODULES = ("estimator", "kde", "linalg", "noise", "shrinkage", "sim",
            "theory")
@@ -29,14 +29,32 @@ def _readme_section(title: str) -> str:
     return text[start:] if end < 0 else text[start:end]
 
 
-def test_readme_config_table_lists_the_config_keys():
+def _config_table() -> list[tuple[str, str]]:
+    """(key cell, default cell) of each row of the README's config table."""
     section = _readme_section("| key | meaning | default |")
-    keys = set()
+    rows = []
     for line in section.splitlines()[2:]:
         if not line.startswith("|"):
             break
-        keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+        cells = line.split("|")
+        rows.append((cells[1], cells[-2].strip()))
+    return rows
+
+
+def test_readme_config_table_lists_the_config_keys():
+    keys = set()
+    for key_cell, _ in _config_table():
+        keys.update(re.findall(r"`(\w+)`", key_cell))
     assert keys == sim._CONFIG_KEYS
+
+
+def test_readme_config_defaults_match_the_params():
+    """The table's `eps` and `delta` defaults are `DenoiserParams()`'s,
+    the ones the config keys and `denoise` flags fall back to."""
+    defaults = dict(_config_table())
+    for key in ("eps", "delta"):
+        assert (float(defaults[f" `{key}` "].strip("`"))
+                == getattr(DenoiserParams(), key))
 
 
 def test_readme_denoise_options_exist():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from adadenoise import (bulk_edge, check_spectral_map_perturbation, debiased_sv,
-                        inflated_sv, op_norm, shrink_known_sd)
+from adadenoise import (bulk_edge, debiased_sv, inflated_sv, op_norm,
+                        shrink_known_sd)
+
+from conftest import check_spectral_map_perturbation
 
 GAMMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -172,15 +174,15 @@ class TestShrinkAdaptive:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            shrink_known_sd(np.array([1.0, 2.0]), noise_sd=1.0)
+            shrink_known_sd(np.array([1.0, 2.0]), noise_sd=1.0, delta=0.01)
         with pytest.raises(ValueError):
-            shrink_known_sd(np.array([2.0, 1.0]), noise_sd=0.0)
+            shrink_known_sd(np.array([2.0, 1.0]), noise_sd=0.0, delta=0.01)
         for bad in (dict(noise_sd=math.inf), dict(noise_sd=math.nan),
                     dict(delta=math.nan), dict(delta=math.inf),
                     dict(delta=-0.5)):
             with pytest.raises(ValueError):
                 shrink_known_sd(np.array([2.0, 1.0]),
-                                **{"noise_sd": 1.0, **bad})
+                                **{"noise_sd": 1.0, "delta": 0.01, **bad})
 
 
 class TestShrinkKnownSd:

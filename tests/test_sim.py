@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 from adadenoise import sim
-from adadenoise import (ExperimentConfig, GaussianMixture, SignalSpec,
-                        baseline_estimate, default_params, denoise,
+from adadenoise import (DenoiserParams, ExperimentConfig, GaussianMixture,
+                        SignalSpec, baseline_estimate, denoise,
                         haar_orthonormal, load_config, make_signal, op_norm,
                         run_grid, run_trial)
+from adadenoise.estimator import SettingError
 from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
                             mix64, parse_grid, write_records_csv)
 
@@ -99,16 +101,17 @@ class TestMakeSignal:
 class TestRunTrial:
     SPEC = SignalSpec(m=60, n=60, r=1, sigmas=(3.0,))
     MODEL = GaussianMixture(2.0)
+    PARAMS = DenoiserParams()
 
     def test_determinism(self):
-        a = run_trial(self.SPEC, self.MODEL, None, seed=99)
-        b = run_trial(self.SPEC, self.MODEL, None, seed=99)
+        a = run_trial(self.SPEC, self.MODEL, self.PARAMS, seed=99)
+        b = run_trial(self.SPEC, self.MODEL, self.PARAMS, seed=99)
         assert a == b  # wall_ms excluded from comparison
         assert a.overlaps_adaptive == b.overlaps_adaptive
         assert a.err_adaptive == b.err_adaptive
 
     def test_record_ranges(self):
-        rec = run_trial(self.SPEC, self.MODEL, None, seed=5)
+        rec = run_trial(self.SPEC, self.MODEL, self.PARAMS, seed=5)
         assert 0.0 <= rec.overlaps_adaptive[0] <= 1.0 + 1e-10
         assert 0.0 <= rec.overlaps_baseline[0] <= 1.0 + 1e-10
         assert rec.err_adaptive >= 0 and rec.err_baseline >= 0
@@ -118,13 +121,13 @@ class TestRunTrial:
 
     def test_vanishing_signal_below_threshold(self):
         spec = SignalSpec(m=60, n=60, r=1, sigmas=(1e-8,))
-        rec = run_trial(spec, self.MODEL, None, seed=6)
+        rec = run_trial(spec, self.MODEL, self.PARAMS, seed=6)
         assert rec.k_hat == 0
         assert rec.err_adaptive == pytest.approx(1e-8, rel=1e-6)
 
     def test_rank_three_overlap_blocks(self):
         spec = SignalSpec(m=80, n=80, r=3, sigmas=(4.0, 3.2, 2.4))
-        rec = run_trial(spec, self.MODEL, None, seed=7)
+        rec = run_trial(spec, self.MODEL, self.PARAMS, seed=7)
         assert len(rec.overlaps_adaptive) == 3
         assert len(rec.overlaps_baseline) == 3
 
@@ -133,7 +136,7 @@ class TestRunTrial:
         threshold still get every overlap block: the trial asks both
         estimators for r factors."""
         spec = SignalSpec(m=80, n=80, r=5, sigmas=(4.0, 3.5, 3.0, 0.5, 0.2))
-        rec = run_trial(spec, self.MODEL, None, seed=8)
+        rec = run_trial(spec, self.MODEL, self.PARAMS, seed=8)
         assert rec.k_hat < spec.r
         for overlaps in (rec.overlaps_adaptive, rec.overlaps_baseline):
             assert len(overlaps) == 5
@@ -147,11 +150,11 @@ class TestRunTrial:
     def test_errors_match_dense_norms(self, spec, seed, k_hat):
         """The low-rank err_adaptive and err_baseline and the Gram-based
         err_star equal dense operator norms of the same differences."""
-        rec = run_trial(spec, self.MODEL, None, seed)
+        rec = run_trial(spec, self.MODEL, self.PARAMS, seed)
         assert rec.k_hat == k_hat
         x, _, _ = make_signal(spec, seed)
         y = x + self.MODEL.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
-        params = default_params(spec.m, spec.n)
+        params = self.PARAMS
         res = denoise(y, params)
         base = baseline_estimate(y, math.sqrt(self.MODEL.variance()),
                                  params.delta)
@@ -174,7 +177,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         spec = SignalSpec(m=80, n=80, r=3, sigmas=(4.0, 3.2, 2.4))
-        rec = run_trial(spec, self.MODEL, None, seed=7)
+        rec = run_trial(spec, self.MODEL, self.PARAMS, seed=7)
         assert shapes
         assert max(max(shape) for shape in shapes) <= rec.k_hat + spec.r
 
@@ -257,8 +260,15 @@ class TestConfig:
         dict(sigma1_grid=(math.inf,)), dict(sigma1_grid=(math.nan,)),
         dict(sigma_ratios=(1.0, math.nan))])
     def test_invalid_cell_settings_rejected(self, over):
-        """Denoiser settings and cell shapes are checked when the config
-        is built, not when the grid runs."""
+        """Denoiser settings are checked when their `DenoiserParams` is
+        built, naming the setting, and cell shapes when the config is
+        built: neither waits for the grid to run."""
+        (key, _), = over.items()
+        if key in sim._PARAM_KEYS:
+            with pytest.raises(SettingError) as info:
+                DenoiserParams(**over)
+            assert info.value.name == key
+            return
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**dict(ns=(60,), ranks=(1,),
                                        sigma1_grid=(1.0,), trials=1),
@@ -298,6 +308,22 @@ class TestRunGrid:
         first = Path(config.output).read_bytes()
         run_grid(config)
         assert Path(config.output).read_bytes() == first
+
+    def test_one_params_serves_every_shape(self, tmp_path):
+        """One `DenoiserParams` serves cells of different shapes: each
+        record equals a trial run at that shape's explicit bandwidths."""
+        params = DenoiserParams(eps=2e-3)
+        config = self.small_config(tmp_path, ns=(60, 80), trials=2,
+                                   params=params)
+        records = run_grid(config)
+        specs = [spec for spec in config.cells() for _ in range(2)]
+        assert [rec.n for rec in records] == [60, 60, 80, 80]
+        for spec, rec in zip(specs, records):
+            mn = spec.m * spec.n
+            explicit = dataclasses.replace(params, h=1.2 * mn ** -0.2,
+                                           h_prime=mn ** (-1 / 7))
+            trial = run_trial(spec, config.noise, explicit, rec.seed)
+            assert dataclasses.replace(trial, trial=rec.trial) == rec
 
     def test_trial_order_and_indices(self, tmp_path):
         config = self.small_config(tmp_path, sigma1_grid=(1.0, 2.0), trials=2)
