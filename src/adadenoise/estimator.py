@@ -8,7 +8,8 @@ Given a single noisy matrix Y the pipeline
    independent bandwidths, by default h = 1.2 (mn)^{-1/5} and
    h' = (mn)^{-1/7}) on one grid, from one binning pass, and tabulates
    the regularized score map psi = -p'/(p + eps) on that grid,
-3. looks psi up at the centered entries and measures two moments of it:
+3. looks psi up at the centered entries and measures two moments of it
+   on the grid, in O(GRID_NODES) each, from the binning of step 2:
    the signal gain a = mean psi'(c), less the slope each entry's own
    kernel adds, and the noise variance b = mean psi(c)^2 + eps.
    The Fisher-information estimate is i_hat = a^2/b (floored at eps),
@@ -24,18 +25,24 @@ Given a single noisy matrix Y the pipeline
    ones (`DenoiseResult`).
 
 The score map is looked up once, at one point set (the centered
-entries), with an O(1) uniform-grid index; the gain comes from the map
-tabulated on the grid (O(GRID_NODES)), so the whole thing stays O(m n)
-plus one min(m, n)-sized Gram decomposition (`linalg.gram_eigen`: one
-tridiagonal reduction, all values, a few vectors), with one m x n
-scored array.
+entries), with an O(1) uniform-grid index; the gain and the variance
+come from the map tabulated on the grid (O(GRID_NODES)), so the whole
+thing stays O(m n), with one sort of the m n entries (Y's) and one
+m x n scored array, plus one min(m, n)-sized Gram decomposition
+(`linalg.gram_eigen`: one tridiagonal reduction, all values, a few
+vectors).
 
 The Gram step squares the spectrum.  Each eigenvalue carries an
 absolute error of about eps * s_1^2, so a singular value s_j agrees
 with the SVD's to about eps * s_1^2 / s_j absolute: to the last digits
 near the threshold, less closely far below it.  Values whose squares
-fall below the numerical-rank cut-off s_1^2 * max(m, n) * eps read 0,
-and entries so large that their squares overflow are an error.
+fall below the numerical-rank cut-off s_1^2 * max(m, n) * eps read 0.
+Entries so large that their squares overflow are an error, and so are
+nonzero entries so small that they underflow: the rule is that the
+Gram matrix's largest diagonal entry (the largest sum of squares along
+the long side) is below max(m, n) times the smallest normal double,
+which holds whenever every square is subnormal or zero.  An all-zero
+matrix is not an error.
 The long-side factor is the matrix applied to the short-side
 eigenvectors, divided by s_j; its column j is orthonormal to the others
 to about eps * (s_1 / s_j)^2.
@@ -168,15 +175,16 @@ def denoise_entrywise(y, params: DenoiserParams):
     i_hat = a^2/b floored at eps, and the grand mean used to center the
     surrogate noise samples.  Here a is the mean slope (less each
     entry's self-influence) and b the mean square (plus eps) of the
-    score map psi over the centered entries, so x_star = psi(c) / a
-    unless the floor binds.  Raises ValueError when a is not positive
+    score map psi over the centered entries, both taken on the KDE grid,
+    so x_star = psi(c) / a unless the floor binds.  Raises ValueError when a is not positive
     and finite, rather than flip or zero the scored matrix.
     """
     y = as_matrix(y, "y")
     if min(y.shape) < 2:
         raise ValueError("denoising needs min(m, n) >= 2")
-    # one sort serves the mean and the KDE: centering keeps the order, so
-    # sort(Y) - y_bar is sort(Y - y_bar) bit for bit
+    # one sort serves the mean, the KDE and both moments of the score map:
+    # centering keeps the order, so sort(Y) - y_bar is sort(Y - y_bar) bit
+    # for bit
     samples = np.sort(y, axis=None)
     y_bar = mean_entry(samples)
     samples -= y_bar
@@ -186,10 +194,10 @@ def denoise_entrywise(y, params: DenoiserParams):
     eps = params.eps
     psi = -est.deriv / (est.density + eps)
     scored = est.evaluate(y - y_bar, psi)
-    # summed in sorted order: the estimate depends only on the multiset of
-    # entries, never on their layout
-    variance = (float(np.sort(np.square(scored), axis=None).sum()
-                      / scored.size) + eps)
+    # both moments come from the grid, where the entries were binned in
+    # sorted order: they depend only on the multiset of entries, never on
+    # their layout
+    variance = est.square_sum(psi) / scored.size + eps
     gain = _score_gain(est, psi, eps, scored.size)
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"score map gain {gain!r} is not positive and "
@@ -213,7 +221,7 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     the values past the numerical rank rho are 0, so k_hat <= rho.
     Factors are formed for min(rho, max(k_hat, factors)) columns only.
     Returns the leading fields of `DenoiseResult`, in order.  Raises
-    ValueError when the Gram matrix overflows.
+    ValueError when the Gram matrix overflows or underflows.
     """
     if not (isinstance(factors, (int, np.integer)) and factors >= 0):
         raise ValueError(f"factors must be an int >= 0, got {factors!r}")
@@ -222,10 +230,15 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     short = a if m <= n else a.T
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         gram = short @ short.T
-    # finite entries can overflow when squared, and no eigensolver says so
+    # finite entries can overflow or underflow when squared, and no
+    # eigensolver says so
     if not np.isfinite(gram).all():
         raise ValueError("matrix entries are too large to square: the "
                          "Gram matrix of the spectral step overflows")
+    if (gram.diagonal().max() < max(m, n) * np.finfo(np.float64).tiny
+            and np.any(short)):
+        raise ValueError("matrix entries are too small to square: the "
+                         "Gram matrix of the spectral step underflows")
     eig = gram_eigen(gram)
     lam = eig.values
     # 0 when lam[0] <= 0: an all-zero input has no factors

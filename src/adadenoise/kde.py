@@ -11,10 +11,15 @@
   matrix (queries at every entry) cheap.
 
 It bins in a canonical order (the samples sorted), so its results
-depend only on the multiset of samples, never on their layout.  The
-derivative estimator targets d/dx of the density: its expectation is the
-kernel-smoothed p'.  The tests check the binned tables against exact
-kernel sums.
+depend only on the multiset of samples, never on their layout.  Sorted,
+the samples of each grid cell form one contiguous run, found by one
+binary search per cell and summed with ``np.add.reduceat``.  The same
+pass keeps each cell's second moments of the binning fractions, so the
+sum over the samples of an interpolated table (``counts @ f``) and of
+its square (``DensityEstimate.square_sum``) cost O(GRID_NODES), not a
+pass over the samples.  The derivative estimator targets d/dx of the
+density: its expectation is the kernel-smoothed p'.  The tests check
+the binned tables against exact kernel sums.
 """
 
 from __future__ import annotations
@@ -92,12 +97,17 @@ class DensityEstimate:
     `counts` holds the linear-binning weights of the samples.  They are
     the interpolation weights at the samples, so for any table f on the
     grid, ``counts @ f`` equals the sum of ``evaluate(samples, f)`` in
-    O(GRID_NODES).
+    O(GRID_NODES).  `moments` holds, for each of the GRID_NODES - 1
+    cells, the sums of (1 - t)^2, t (1 - t) and t^2 over the samples in
+    it, where t is a sample's fraction of the way across its cell; they
+    give the sum of ``evaluate(samples, f)**2`` the same way
+    (`square_sum`).
     """
 
     lo: float
     spacing: float
     counts: np.ndarray
+    moments: np.ndarray
     density: np.ndarray
     deriv: np.ndarray
     h: float
@@ -129,6 +139,16 @@ class DensityEstimate:
                                                 + frac * table[idx + 1])
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
+    def square_sum(self, table) -> float:
+        """Sum of ``evaluate(samples, table)**2`` over the binned samples,
+        in O(GRID_NODES): a sample at fraction t of cell i interpolates
+        (1 - t) f[i] + t f[i+1], whose square is a quadratic form in the
+        table with the cell's moments as coefficients."""
+        left, right = table[:-1], table[1:]
+        uu, tu, tt = self.moments
+        return float(uu @ np.square(left) + 2.0 * (tu @ (left * right))
+                     + tt @ np.square(right))
+
 
 def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     """Build the density (bandwidth `h`) and derivative (bandwidth
@@ -137,9 +157,11 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
 
     Linear binning splits each sample's unit mass between the two nearest
     grid nodes, which keeps the binning error second order in the cell
-    width.  The samples are binned in sorted order, so the tables depend
-    only on their multiset; samples that come sorted are not sorted
-    again.
+    width.  The samples are binned in sorted order, each cell's run summed
+    pairwise, so the tables depend only on their multiset; samples that
+    come sorted are not sorted again.  Besides the one fraction array, the
+    build holds one m x n temporary (the cell indices) and only until the
+    runs are found.
     """
     samples = _sorted(np.asarray(samples, dtype=np.float64))
     if samples.size == 0:
@@ -156,19 +178,40 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     lo = float(samples[0]) - margin
     spacing = (float(samples[-1]) + margin - lo) / (GRID_NODES - 1)
 
-    pos = (samples - lo) / spacing
-    idx = np.minimum(pos.astype(np.int64), GRID_NODES - 2)
-    frac = pos - idx
-    counts = np.bincount(idx, weights=1.0 - frac, minlength=GRID_NODES)
-    counts += np.bincount(idx + 1, weights=frac, minlength=GRID_NODES)
+    # sorted samples fill each cell in one contiguous run; t, the binning
+    # fraction, is formed in place and the cell indices live only until
+    # the run boundaries are known
+    t = samples - lo
+    t /= spacing
+    cell = np.floor(t)
+    np.minimum(cell, GRID_NODES - 2, out=cell)
+    t -= cell
+    starts = np.searchsorted(cell, np.arange(GRID_NODES - 1))
+    del cell
+    occupied = np.flatnonzero(np.diff(starts, append=samples.size))
+    starts = starts[occupied]
+    sum_t = np.add.reduceat(t, starts)
+    u = np.subtract(1.0, t, out=t)
+    sum_u = np.add.reduceat(u, starts)
+    u *= u
+    sum_uu = np.add.reduceat(u, starts)
+    del t, u
+    counts = np.zeros(GRID_NODES)
+    counts[occupied] = sum_u
+    counts[occupied + 1] += sum_t
+    # t (1 - t) = u - u^2 and t^2 = t - t (1 - t), per sample and so per run
+    moments = np.zeros((3, GRID_NODES - 1))
+    moments[0, occupied] = sum_uu
+    moments[1, occupied] = sum_u - sum_uu
+    moments[2, occupied] = sum_t - moments[1, occupied]
 
     n = samples.size
     density = _smooth(counts, spacing, h, gaussian_kernel, n * h)
     deriv = _smooth(counts, spacing, h_prime, gaussian_kernel_deriv,
                     n * h_prime * h_prime)
     return DensityEstimate(lo=lo, spacing=spacing, counts=counts,
-                           density=density, deriv=deriv, h=h,
-                           h_prime=h_prime)
+                           moments=moments, density=density, deriv=deriv,
+                           h=h, h_prime=h_prime)
 
 
 def _smooth(counts: np.ndarray, spacing: float, bandwidth: float, kernel,

@@ -162,7 +162,7 @@ class Gaussian(NoiseModel):
 class GaussianMixture(NoiseModel):
     """Even two-component mixture of N(-mu, 1) and N(+mu, 1)."""
 
-    def __init__(self, mu: float):
+    def __init__(self, mu: float = 2.0):
         if not (0 <= mu < math.inf):
             raise ValueError("mu must be >= 0 and finite")
         self.mu = float(mu)

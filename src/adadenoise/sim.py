@@ -210,7 +210,7 @@ class ExperimentConfig:
     ranks: tuple[int, ...]
     sigma1_grid: tuple[float, ...]
     sigma_ratios: tuple[float, ...] = (1.0, 0.8, 0.6)
-    noise: NoiseModel = field(default_factory=lambda: GaussianMixture(2.0))
+    noise: NoiseModel = field(default_factory=GaussianMixture)
     params: DenoiserParams = DenoiserParams()
     trials: int = 50
     base_seed: int = 0
@@ -289,10 +289,11 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad grid spec {text!r}") from None
 
 
-# noise kind -> (model, its parameter's config key, the key's default)
+# noise kind -> (model, the config key of its one parameter); a key left
+# out keeps the model's default
 _NOISE_KINDS = {
-    "mixture": (GaussianMixture, "noise_mu", 2.0),
-    "gaussian": (Gaussian, "noise_variance", 1.0),
+    "mixture": (GaussianMixture, "noise_mu"),
+    "gaussian": (Gaussian, "noise_variance"),
 }
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DenoiserParams))
@@ -331,15 +332,15 @@ def load_config(path) -> ExperimentConfig:
         if required not in raw:
             raise ConfigError(f"{path}: missing required key {required!r}")
 
-    def geti(key, default=None):
+    def geti(key):
         try:
-            return int(raw[key]) if key in raw else default
+            return int(raw[key])
         except ValueError:
             raise ConfigError(f"{path}: key {key!r} must be an integer") from None
 
-    def getf(key, default=None):
+    def getf(key):
         try:
-            return float(raw[key]) if key in raw else default
+            return float(raw[key])
         except ValueError:
             raise ConfigError(f"{path}: key {key!r} must be a number") from None
 
@@ -349,38 +350,41 @@ def load_config(path) -> ExperimentConfig:
     except ValueError:
         raise ConfigError(f"{path}: 'n' and 'rank' must be integer lists") from None
 
+    # only the keys present: the others keep the defaults of
+    # `ExperimentConfig`, of the noise models and of `DenoiserParams`
+    settings = dict(ns=ns, ranks=ranks, trials=geti("trials"),
+                    output=raw["output"])
+    settings.update({key: get(key) for key, get in (
+        ("base_seed", geti), ("gamma", getf), ("workers", geti))
+        if key in raw})
+
     kind = raw.get("noise", "mixture")
     if kind not in _NOISE_KINDS:
         raise ConfigError(f"{path}: unknown noise kind {kind!r}")
-    for other, (_, key, _) in _NOISE_KINDS.items():
+    for other, (_, key) in _NOISE_KINDS.items():
         if other != kind and key in raw:
             raise ConfigError(f"{path}: {key!r} only applies to {other} noise")
-    make_noise, key, default = _NOISE_KINDS[kind]
-    value = getf(key, default)
+    make_noise, key = _NOISE_KINDS[kind]
     try:
-        noise = make_noise(value)
+        settings["noise"] = (make_noise(getf(key)) if key in raw
+                             else make_noise())
     except ValueError as exc:
         raise ConfigError(f"{path}: key {key!r}: {exc}") from None
 
-    ratios_text = raw.get("sigma_ratios", "1.0,0.8,0.6")
-    try:
-        ratios = tuple(float(tok) for tok in ratios_text.split(","))
-    except ValueError:
-        raise ConfigError(f"{path}: 'sigma_ratios' must be a float list") from None
+    if "sigma_ratios" in raw:
+        try:
+            settings["sigma_ratios"] = tuple(
+                float(tok) for tok in raw["sigma_ratios"].split(","))
+        except ValueError:
+            raise ConfigError(f"{path}: 'sigma_ratios' must be a float "
+                              f"list") from None
 
-    # only the keys present: the others keep the `DenoiserParams` defaults
     try:
-        params = DenoiserParams(**{key: getf(key) for key in _PARAM_KEYS
-                                   if key in raw})
+        settings["params"] = DenoiserParams(**{
+            key: getf(key) for key in _PARAM_KEYS if key in raw})
     except SettingError as exc:
         raise ConfigError(f"{path}: key {exc.name!r}: {exc}") from None
 
-    settings = dict(
-        ns=ns, ranks=ranks, sigma_ratios=ratios, noise=noise, params=params,
-        trials=geti("trials"), base_seed=geti("base_seed", 0),
-        gamma=getf("gamma", 1.0), output=raw["output"],
-        workers=geti("workers", 1),
-    )
     try:
         return ExperimentConfig(sigma1_grid=parse_grid(raw["sigma1"]),
                                 **settings)

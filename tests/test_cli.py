@@ -290,6 +290,20 @@ class TestDenoise:
         assert "denoising failed" in err and "too large to square" in err
         assert not Path(f"{prefix}_meta.txt").exists()
 
+    def test_underflowing_input_is_runtime_error(self, tmp_path, capsys):
+        """Nonzero entries whose squares underflow fail with the cause
+        named."""
+        path = tmp_path / "small.csv"
+        write_matrix_csv(1e-170 * np.random.default_rng(76).standard_normal(
+            (30, 40)), path)
+        prefix = tmp_path / "x"
+        code = main(["denoise", str(path), "-o", str(prefix),
+                     "--mode", "baseline", "--noise-sd", "1e-170"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "denoising failed" in err and "too small to square" in err
+        assert not Path(f"{prefix}_meta.txt").exists()
+
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,four\n")

@@ -142,8 +142,9 @@ class TestDenoiseEntrywise:
         assert len(builds) == 1
 
     def test_one_sort_for_mean_and_kde(self, monkeypatch):
-        """A denoise call sorts two m*n-sized arrays: Y, whose sorted
-        entries serve both the mean and the KDE, and the squared scores."""
+        """A denoise call sorts one m*n-sized array: Y, whose sorted
+        entries serve the mean, the KDE and, through the binning moments,
+        the variance of the scores."""
         sort = np.sort
         sizes = []
 
@@ -154,7 +155,7 @@ class TestDenoiseEntrywise:
         monkeypatch.setattr(np, "sort", counting_sort)
         y = GaussianMixture(2.0).sample(30, 20, seed=6)
         denoise(y)
-        assert sizes.count(y.size) == 2
+        assert sizes.count(y.size) == 1
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(41)
@@ -414,6 +415,36 @@ class TestSpectralStep:
         y = 1e160 * Gaussian(1.0).sample(30, 40, seed=72)
         with pytest.raises(ValueError, match="too large to square"):
             baseline_estimate(y, noise_sd=1.0)
+
+    @staticmethod
+    def rank_one_plus_noise():
+        """60 x 80, rank 1 at sigma1 = 5, unit Gaussian noise."""
+        spec = SignalSpec(m=60, n=80, r=1, sigmas=(5.0,))
+        x, _, _ = make_signal(spec, seed=74)
+        return x + Gaussian(1.0).sample(60, 80, seed=75)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_gram_underflow_raises(self, scale):
+        """Nonzero entries whose squares underflow are an error that says
+        so, not k_hat = 0 from an all-zero spectrum or a spectrum that
+        subnormal squares have already skewed."""
+        y = scale * self.rank_one_plus_noise()
+        with pytest.raises(ValueError, match="too small to square"):
+            baseline_estimate(y, noise_sd=scale)
+        lone = np.zeros((30, 40))
+        lone[3, 5] = scale
+        with pytest.raises(ValueError, match="too small to square"):
+            baseline_estimate(lone, noise_sd=1.0)
+
+    def test_squares_above_the_underflow_check_are_exact(self):
+        """At scale 1e-150 the squares are normal numbers: the same k_hat
+        and the same spectrum, to rounding, as at scale 1."""
+        y = self.rank_one_plus_noise()
+        res = baseline_estimate(y, noise_sd=1.0)
+        small = baseline_estimate(1e-150 * y, noise_sd=1e-150)
+        assert small.k_hat == res.k_hat == 1
+        np.testing.assert_allclose(small.sigma0 / 1e-150, res.sigma0,
+                                   rtol=1e-13)
 
 
 class TestSpectralStepEigh(TestSpectralStep):

@@ -200,6 +200,89 @@ class TestKdeBinned:
             assert np.array_equal(getattr(ordered, name), getattr(est, name))
 
 
+def binning_reference(samples, est):
+    """Linear-binning counts of `samples` on the grid of `est`, from two
+    weighted `np.bincount`s over the sorted samples."""
+    pos = (np.sort(samples) - est.lo) / est.spacing
+    idx = np.minimum(pos.astype(np.int64), GRID_NODES - 2)
+    frac = pos - idx
+    return (np.bincount(idx, weights=1.0 - frac, minlength=GRID_NODES)
+            + np.bincount(idx + 1, weights=frac, minlength=GRID_NODES))
+
+
+class TestRunSumBinning:
+    """Each occupied cell is summed as one run of the sorted samples."""
+
+    CASES = {
+        "mixture": (GaussianMixture(2.0).sample(100, 100, seed=26).ravel(),
+                    0.2, 0.3),
+        "wide_bandwidth": (GaussianMixture(2.0).sample(200, 100,
+                                                       seed=29).ravel(),
+                           2.0, 3.0),
+        "all_equal": (np.full(50, 1.75), 0.2, 0.3),
+        "two_samples": (np.array([0.5, -1.0]), 0.2, 0.3),
+        # two tight clusters leave most cells between them empty
+        "gaps": (np.concatenate([
+            np.random.default_rng(30).normal(-40.0, 0.01, 300),
+            np.random.default_rng(31).normal(40.0, 0.01, 300)]), 0.05, 0.05),
+        # the margin is lost to rounding, so the largest sample sits on the
+        # last node: the end of the last cell
+        "last_cell": (np.array([-1e20, 0.0, 3.0, 1e20]), 1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_counts_match_bincount(self, case):
+        samples, h, h_prime = self.CASES[case]
+        est = kde_binned(samples, h, h_prime)
+        np.testing.assert_allclose(est.counts,
+                                   binning_reference(samples, est),
+                                   rtol=1e-13, atol=0)
+        assert est.counts.sum() == pytest.approx(samples.size, rel=1e-13)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_moments_give_the_sum_of_squares(self, case):
+        samples, h, h_prime = self.CASES[case]
+        est = kde_binned(samples, h, h_prime)
+        assert est.moments.shape == (3, GRID_NODES - 1)
+        rng = np.random.default_rng(32)
+        tables = [rng.standard_normal(GRID_NODES),
+                  rng.uniform(0.5, 2.0, GRID_NODES),
+                  -est.deriv / (est.density + 1e-3)]
+        for table in tables:
+            direct = math.fsum(np.square(est.evaluate(samples, table)))
+            assert est.square_sum(table) == pytest.approx(direct, rel=1e-12)
+        # the three moments of a cell add up to its sample count
+        cell = np.floor((np.sort(samples) - est.lo) / est.spacing)
+        runs = np.bincount(np.minimum(cell, GRID_NODES - 2).astype(np.intp),
+                           minlength=GRID_NODES - 1)
+        np.testing.assert_allclose(
+            est.moments[0] + 2.0 * est.moments[1] + est.moments[2], runs,
+            rtol=1e-13, atol=0)
+
+    def test_edge_cases_occupy_the_expected_cells(self):
+        occupied = {case: np.flatnonzero(
+                        kde_binned(*self.CASES[case]).moments.any(axis=0))
+                    for case in ("all_equal", "two_samples", "gaps",
+                                 "last_cell")}
+        assert occupied["all_equal"].size == 1
+        assert occupied["two_samples"].size == 2
+        gaps = occupied["gaps"]
+        assert gaps.size < 20 and np.max(np.diff(gaps)) > GRID_NODES // 2
+        assert occupied["last_cell"][-1] == GRID_NODES - 2
+        est = kde_binned(*self.CASES["last_cell"])
+        # t = 1: the sample's whole mass goes to the last node
+        assert est.counts[-1] == 1.0 and est.moments[2, -1] == 1.0
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_permuted_input_gives_the_same_bits(self, case):
+        samples, h, h_prime = self.CASES[case]
+        est = kde_binned(samples, h, h_prime)
+        perm = kde_binned(np.random.default_rng(33).permutation(samples), h,
+                          h_prime)
+        assert np.array_equal(perm.counts, est.counts)
+        assert np.array_equal(perm.moments, est.moments)
+
+
 class TestComplexityContract:
     def test_800x800_under_two_seconds(self):
         """Build both tables and look the score map up at all entries."""

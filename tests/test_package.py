@@ -57,6 +57,44 @@ def test_readme_config_defaults_match_the_params():
                 == getattr(DenoiserParams(), key))
 
 
+def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
+    """Every default in the table is what `load_config` gives for a key
+    left out, which is the default of `ExperimentConfig`, of the noise
+    model or of `DenoiserParams`."""
+    required = {"n": "40", "sigma1": "2.0", "trials": "1",
+                "output": "out.csv"}
+    defaults = {re.findall(r"`(\w+)`", key_cell)[0]: value
+                for key_cell, value in _config_table()
+                if value not in ("required", "auto")}
+    assert set(defaults) == sim._CONFIG_KEYS - set(required) - {"h",
+                                                                 "h_prime"}
+
+    def load(**keys):
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(f"{key} = {value}\n"
+                                for key, value in {**required,
+                                                   **keys}.items()))
+        return sim.load_config(path)
+
+    config = load()
+    gaussian = load(noise="gaussian").noise
+    loaded = {
+        "rank": config.ranks, "sigma_ratios": config.sigma_ratios,
+        "noise": next(kind for kind, (model, _) in sim._NOISE_KINDS.items()
+                      if type(config.noise) is model),
+        "noise_mu": config.noise.mu, "noise_variance": gaussian.var,
+        "eps": config.params.eps, "delta": config.params.delta,
+        "base_seed": config.base_seed, "gamma": config.gamma,
+        "workers": config.workers,
+    }
+    parsers = {"rank": lambda text: tuple(map(int, text.split(","))),
+               "sigma_ratios": lambda text: tuple(map(float,
+                                                      text.split(","))),
+               "noise": str, "base_seed": int, "workers": int}
+    for key, cell in defaults.items():
+        assert parsers.get(key, float)(cell.strip("`")) == loaded[key], key
+
+
 def test_readme_denoise_options_exist():
     section = _readme_section("### `adadenoise denoise")
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
