@@ -176,8 +176,9 @@ def denoise_entrywise(y, params: DenoiserParams):
     surrogate noise samples.  Here a is the mean slope (less each
     entry's self-influence) and b the mean square (plus eps) of the
     score map psi over the centered entries, both taken on the KDE grid,
-    so x_star = psi(c) / a unless the floor binds.  Raises ValueError when a is not positive
-    and finite, rather than flip or zero the scored matrix.
+    so x_star = psi(c) / a unless the floor binds.  Raises ValueError
+    when a is not positive and finite, rather than flip or zero the
+    scored matrix.
     """
     y = as_matrix(y, "y")
     if min(y.shape) < 2:

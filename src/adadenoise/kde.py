@@ -159,9 +159,10 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     grid nodes, which keeps the binning error second order in the cell
     width.  The samples are binned in sorted order, each cell's run summed
     pairwise, so the tables depend only on their multiset; samples that
-    come sorted are not sorted again.  Besides the one fraction array, the
-    build holds one m x n temporary (the cell indices) and only until the
-    runs are found.
+    come sorted are not sorted again.  The build holds at most two
+    sample-sized arrays: the binning fractions, and the cell indices
+    until the runs are found.  Samples so large that the grid margin is
+    lost to rounding are an error.
     """
     samples = _sorted(np.asarray(samples, dtype=np.float64))
     if samples.size == 0:
@@ -177,6 +178,9 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     margin = TRUNCATION * max(h, h_prime)
     lo = float(samples[0]) - margin
     spacing = (float(samples[-1]) + margin - lo) / (GRID_NODES - 1)
+    if not spacing > 0:
+        raise ValueError("samples are too large for the bandwidths: the "
+                         "grid margin is lost to rounding")
 
     # sorted samples fill each cell in one contiguous run; t, the binning
     # fraction, is formed in place and the cell indices live only until

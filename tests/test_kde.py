@@ -191,6 +191,8 @@ class TestKdeBinned:
                         [0.0, math.nan, 1.0]):
             with pytest.raises(ValueError, match="non-finite"):
                 kde_binned(samples, 0.5, 0.5)
+        with pytest.raises(ValueError, match="too large for the bandwidths"):
+            kde_binned(np.full(10, 1e20), 0.2, 0.2)
 
     def test_sorted_input_gives_the_same_tables(self, mixture_samples):
         est = kde_binned(mixture_samples, 0.3, 0.4)
