@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .estimator import (DenoiserParams, SettingError, baseline_estimate,
-                        denoise, denoise_entrywise)
+                        denoise)
 from .linalg import read_matrix_csv, write_matrix_csv
 from .shrinkage import debiased_sv, inflated_sv
 from .sim import ConfigError, load_config, parse_grid, run_grid
@@ -132,11 +132,6 @@ def cmd_denoise(args) -> int:
                 ("i_hat", res.i_hat), ("k_hat", res.k_hat),
                 ("y_bar", res.y_bar), ("sigma0", res.sigma0),
                 ("sigma_shrunk", res.sigma_shrunk)])
-        elif args.mode == "star":
-            x_star, i_hat, y_bar = denoise_entrywise(y, params)
-            write_matrix_csv(x_star, f"{prefix}_xstar.csv")
-            _write_meta(f"{prefix}_meta.txt",
-                        [("i_hat", i_hat), ("y_bar", y_bar)])
         else:  # baseline
             res = baseline_estimate(y, noise_sd=args.noise_sd,
                                     delta=params.delta)
@@ -203,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("input", help="input matrix (headerless CSV)")
     p_den.add_argument("-o", "--output-prefix", required=True,
                        help="prefix for _xhat.csv/_xstar.csv/_meta.txt outputs")
-    p_den.add_argument("--mode", choices=["adaptive", "baseline", "star"],
+    p_den.add_argument("--mode", choices=["adaptive", "baseline"],
                        default="adaptive")
     p_den.add_argument("--eps", type=float, help=(
         f"score regularizer (default {DenoiserParams.eps:g})"))

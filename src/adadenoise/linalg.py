@@ -45,20 +45,50 @@ _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 
 @functools.cache
-def _lapack() -> SimpleNamespace | None:
-    """The LAPACKE routines `gram_eigen` calls, or None where numpy's
-    LAPACK does not export them.
-
-    Resolved once, on first use, through the handle of numpy's own linalg
-    extension, whose symbol lookup also searches the libraries it links.
-    """
+def _numpy_linalg() -> ctypes.CDLL | None:
+    """The handle of numpy's own linalg extension, whose symbol lookup
+    also searches the libraries it links (the bundled OpenBLAS), or None
+    where it cannot be opened.  Opened once, on first use."""
     try:
         from numpy.linalg import _umath_linalg
-        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+
+
+def set_blas_threads(count: int | None) -> int | None:
+    """Set the thread count of the OpenBLAS that numpy's wheels bundle, for
+    this process only, and return the count it had.
+
+    Threaded BLAS sums in an order that depends on the thread count, so
+    results differ in the last bits between counts.  None for `count`
+    changes nothing; the return is None, and nothing is changed, where
+    numpy's BLAS does not export the OpenBLAS thread controls.
+    """
+    lib = _numpy_linalg()
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:  # lib is None, or not this OpenBLAS
+        return None
+    get.restype = ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    old = get()
+    if count is not None:
+        put(count)
+    return old
+
+
+@functools.cache
+def _lapack() -> SimpleNamespace | None:
+    """The LAPACKE routines `gram_eigen` calls, or None where numpy's
+    LAPACK does not export them.  Resolved once, on first use."""
+    lib = _numpy_linalg()
+    try:
         fns = SimpleNamespace(**{
             name: getattr(lib, f"scipy_LAPACKE_{name}64_")
             for name in ("dsytrd", "dsterf", "dstemr", "dormtr")})
-    except (ImportError, OSError, AttributeError):
+    except AttributeError:  # lib is None, or not this LAPACK
         return None
     i64, char, layout = ctypes.c_int64, ctypes.c_char, ctypes.c_int
     i64_ptr = ctypes.POINTER(i64)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimator import (DenoiserParams, SettingError, baseline_estimate,
                         denoise)
-from .linalg import op_norm, subspace_overlap
+from .linalg import op_norm, set_blas_threads, subspace_overlap
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
 __all__ = [
@@ -202,20 +202,24 @@ class ConfigError(ValueError):
     """Raised for malformed experiment config files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Grid definition for :func:`run_grid`; one `params` serves all cells."""
+    """Grid definition for :func:`run_grid`; one `params` serves all cells.
+
+    The defaults here are the config file's: `load_config` passes only
+    the keys a file sets, and a field without a default is a required key.
+    """
 
     ns: tuple[int, ...]
-    ranks: tuple[int, ...]
+    ranks: tuple[int, ...] = (1,)
     sigma1_grid: tuple[float, ...]
     sigma_ratios: tuple[float, ...] = (1.0, 0.8, 0.6)
     noise: NoiseModel = field(default_factory=GaussianMixture)
     params: DenoiserParams = DenoiserParams()
-    trials: int = 50
+    trials: int
     base_seed: int = 0
     gamma: float = 1.0
-    output: str = "results.csv"
+    output: str
     workers: int = 1
 
     def __post_init__(self):
@@ -242,6 +246,8 @@ class ExperimentConfig:
             raise ConfigError("gamma must be positive and finite")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not self.output:
+            raise ConfigError("output must name a file")
         # `SignalSpec` checks each cell's shape as it is built, so a bad
         # grid fails here rather than inside run_grid
         try:
@@ -289,32 +295,54 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad grid spec {text!r}") from None
 
 
-# noise kind -> (model, the config key of its one parameter); a key left
-# out keeps the model's default
-_NOISE_KINDS = {
-    "mixture": (GaussianMixture, "noise_mu"),
-    "gaussian": (Gaussian, "noise_variance"),
-}
+def _list(parse):
+    """Parser of a comma list of what `parse` reads."""
+    return lambda text: tuple(parse(tok) for tok in text.split(","))
 
-_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DenoiserParams))
-_CONFIG_KEYS = {
-    "n", "rank", "sigma1", "sigma_ratios", "noise", "noise_mu",
-    "noise_variance", *_PARAM_KEYS, "trials", "base_seed", "gamma",
-    "output", "workers",
+
+_NOISE_KINDS = {"mixture": GaussianMixture, "gaussian": Gaussian}
+
+
+def _noise_kind(text: str) -> type[NoiseModel]:
+    if text not in _NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {text!r}")
+    return _NOISE_KINDS[text]
+
+
+# config key -> (the object its value builds, that object's field, parser);
+# `noise` picks the model that its kind's one parameter key builds
+_SCHEMA = {
+    "n": (ExperimentConfig, "ns", _list(int)),
+    "rank": (ExperimentConfig, "ranks", _list(int)),
+    "sigma1": (ExperimentConfig, "sigma1_grid", parse_grid),
+    "sigma_ratios": (ExperimentConfig, "sigma_ratios", _list(float)),
+    "noise": (ExperimentConfig, "noise", _noise_kind),
+    "noise_mu": (GaussianMixture, "mu", float),
+    "noise_variance": (Gaussian, "variance", float),
+    **{f.name: (DenoiserParams, f.name, float)
+       for f in dataclasses.fields(DenoiserParams)},
+    "trials": (ExperimentConfig, "trials", int),
+    "base_seed": (ExperimentConfig, "base_seed", int),
+    "gamma": (ExperimentConfig, "gamma", float),
+    "output": (ExperimentConfig, "output", str),
+    "workers": (ExperimentConfig, "workers", int),
 }
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
 def load_config(path) -> ExperimentConfig:
     """Read a flat `key = value` config file.
 
     Blank lines and '#' comments are ignored; unknown keys are errors.
+    Only the keys present are passed on: a key left out keeps its field's
+    default, and `ExperimentConfig`'s fields without one are required.
     """
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file: {exc}") from None
-    raw: dict[str, str] = {}
+    parsed = {}
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -322,72 +350,42 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in raw:
+        if key in parsed:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
-
-    for required in ("n", "sigma1", "trials", "output"):
-        if required not in raw:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-
-    def geti(key):
         try:
-            return int(raw[key])
-        except ValueError:
-            raise ConfigError(f"{path}: key {key!r} must be an integer") from None
+            parsed[key] = _SCHEMA[key][2](value)
+        except ValueError as exc:  # ConfigError included
+            raise ConfigError(f"{path}: key {key!r}: {exc}") from None
 
-    def getf(key):
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise ConfigError(f"{path}: key {key!r} must be a number") from None
+    for key, (owner, name, _) in _SCHEMA.items():
+        if (owner is ExperimentConfig and key not in parsed
+                and _FIELDS[name].default is dataclasses.MISSING
+                and _FIELDS[name].default_factory is dataclasses.MISSING):
+            raise ConfigError(f"{path}: missing required key {key!r}")
 
-    try:
-        ns = tuple(int(tok) for tok in raw["n"].split(","))
-        ranks = tuple(int(tok) for tok in raw.get("rank", "1").split(","))
-    except ValueError:
-        raise ConfigError(f"{path}: 'n' and 'rank' must be integer lists") from None
+    def given(owner):
+        return {_SCHEMA[key][1]: value for key, value in parsed.items()
+                if _SCHEMA[key][0] is owner}
 
-    # only the keys present: the others keep the defaults of
-    # `ExperimentConfig`, of the noise models and of `DenoiserParams`
-    settings = dict(ns=ns, ranks=ranks, trials=geti("trials"),
-                    output=raw["output"])
-    settings.update({key: get(key) for key, get in (
-        ("base_seed", geti), ("gamma", getf), ("workers", geti))
-        if key in raw})
-
-    kind = raw.get("noise", "mixture")
-    if kind not in _NOISE_KINDS:
-        raise ConfigError(f"{path}: unknown noise kind {kind!r}")
-    for other, (_, key) in _NOISE_KINDS.items():
-        if other != kind and key in raw:
+    settings = given(ExperimentConfig)
+    kind = settings.pop("noise", _FIELDS["noise"].default_factory)
+    for key in parsed:
+        owner = _SCHEMA[key][0]
+        if owner in _NOISE_KINDS.values() and owner is not kind:
+            other = {m: name for name, m in _NOISE_KINDS.items()}[owner]
             raise ConfigError(f"{path}: {key!r} only applies to {other} noise")
-    make_noise, key = _NOISE_KINDS[kind]
     try:
-        settings["noise"] = (make_noise(getf(key)) if key in raw
-                             else make_noise())
-    except ValueError as exc:
+        noise = kind(**given(kind))
+    except ValueError as exc:  # a noise kind has one parameter key
+        key = next(key for key in parsed if _SCHEMA[key][0] is kind)
         raise ConfigError(f"{path}: key {key!r}: {exc}") from None
-
-    if "sigma_ratios" in raw:
-        try:
-            settings["sigma_ratios"] = tuple(
-                float(tok) for tok in raw["sigma_ratios"].split(","))
-        except ValueError:
-            raise ConfigError(f"{path}: 'sigma_ratios' must be a float "
-                              f"list") from None
-
     try:
-        settings["params"] = DenoiserParams(**{
-            key: getf(key) for key in _PARAM_KEYS if key in raw})
+        return ExperimentConfig(**settings, noise=noise,
+                                params=DenoiserParams(**given(DenoiserParams)))
     except SettingError as exc:
         raise ConfigError(f"{path}: key {exc.name!r}: {exc}") from None
-
-    try:
-        return ExperimentConfig(sigma1_grid=parse_grid(raw["sigma1"]),
-                                **settings)
     except ValueError as exc:  # ConfigError included: name the file
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -403,6 +401,11 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     any order or in parallel; records are emitted in deterministic
     (cell, trial) order either way.  An output path that cannot be
     written raises `OSError` before the first trial.
+
+    BLAS runs one thread per process while the trials run, in this
+    process and in each pool worker, so that a record does not depend on
+    the thread count of the calling shell or on `workers`; this
+    process's count is restored afterwards.
     """
     _check_output(config.output)
     tasks = []
@@ -414,15 +417,21 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
             order.append(trial)
 
     parallel = config.workers > 1
-    with (ProcessPoolExecutor(max_workers=config.workers) if parallel
-          else nullcontext()) as pool:
-        mapped = (pool.map(_trial_task, tasks, chunksize=4) if parallel
-                  else map(_trial_task, tasks))
-        results = []
-        for i, rec in enumerate(mapped, 1):
-            results.append(rec)
-            if progress is not None:
-                progress(i, len(tasks))
+    threads = set_blas_threads(1)
+    try:
+        with (ProcessPoolExecutor(max_workers=config.workers,
+                                  initializer=set_blas_threads,
+                                  initargs=(1,)) if parallel
+              else nullcontext()) as pool:
+            mapped = (pool.map(_trial_task, tasks, chunksize=4) if parallel
+                      else map(_trial_task, tasks))
+            results = []
+            for i, rec in enumerate(mapped, 1):
+                results.append(rec)
+                if progress is not None:
+                    progress(i, len(tasks))
+    finally:
+        set_blas_threads(threads)
 
     records = [dataclasses.replace(rec, trial=trial)
                for rec, trial in zip(results, order)]
@@ -433,8 +442,9 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
 def _check_output(path) -> None:
     """Raise `OSError` naming `path` when the CSV could not be written
     there; the file is neither created nor truncated."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
+    # as given: `abspath` would turn 'new/.' into 'new', in directory '.'
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path) or not os.path.basename(path):
         code = errno.EISDIR
     elif not os.path.isdir(directory):
         code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT

@@ -106,7 +106,7 @@ class TestSimulate:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("output", ["missing_dir/o.csv", "old.csv/o.csv",
-                                        "."])
+                                        ".", "new_dir/"])
     def test_unusable_output_fails_before_any_trial(self, tmp_path, output):
         old = tmp_path / "old.csv"
         old.write_text("old results\n")
@@ -119,6 +119,14 @@ class TestSimulate:
         assert "trial " not in res.stderr
         assert "Traceback" not in res.stderr
         assert old.read_text() == "old results\n"
+
+    def test_empty_output_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\noutput =\n")
+        res = run_cli("simulate", str(cfg), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert f"{cfg}: output must name a file" in res.stderr
+        assert "trial " not in res.stderr
 
     def test_failed_grid_leaves_results_file(self, tmp_path, monkeypatch,
                                              capsys):
@@ -186,16 +194,6 @@ class TestDenoise:
         write_matrix_csv(res.x_hat, direct)
         assert direct.read_bytes() == Path(f"{prefix}_xhat.csv").read_bytes()
 
-    def test_star_mode_writes_only_xstar(self, tmp_path, noisy_matrix):
-        path, _ = noisy_matrix
-        prefix = tmp_path / "st"
-        res = run_cli("denoise", str(path), "-o", str(prefix), "--mode", "star")
-        assert res.returncode == 0
-        assert Path(f"{prefix}_xstar.csv").exists()
-        assert not Path(f"{prefix}_xhat.csv").exists()
-        meta = Path(f"{prefix}_meta.txt").read_text()
-        assert "i_hat" in meta and "sigma_shrunk" not in meta
-
     def test_baseline_mode(self, tmp_path, noisy_matrix):
         path, y = noisy_matrix
         prefix = tmp_path / "bl"
@@ -232,11 +230,12 @@ class TestDenoise:
         assert not Path(f"{prefix}_meta.txt").exists()
 
     @pytest.mark.parametrize("flag, value", [("--kde-bins", "4096"),
-                                             ("--gamma", "1")])
+                                             ("--gamma", "1"),
+                                             ("--mode", "star")])
     def test_deleted_option_is_usage_error(self, tmp_path, noisy_matrix,
                                            flag, value):
-        """The grid size is fixed and the aspect ratio is the input's
-        m/n: neither is an option."""
+        """The grid size is fixed, the aspect ratio is the input's m/n,
+        and the adaptive mode writes X*: none is an option."""
         path, _ = noisy_matrix
         prefix = tmp_path / "x"
         res = run_cli("denoise", str(path), "-o", str(prefix), flag, value)
@@ -251,8 +250,8 @@ class TestDenoise:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("mode", [
-        [], ["--mode", "star"], ["--mode", "baseline", "--noise-sd", "1"]],
-        ids=["adaptive", "star", "baseline"])
+        [], ["--mode", "baseline", "--noise-sd", "1"]],
+        ids=["adaptive", "baseline"])
     def test_unwritable_output_is_runtime_error(self, tmp_path, noisy_matrix,
                                                 mode):
         path, _ = noisy_matrix

@@ -45,7 +45,7 @@ def test_readme_config_table_lists_the_config_keys():
     keys = set()
     for key_cell, _ in _config_table():
         keys.update(re.findall(r"`(\w+)`", key_cell))
-    assert keys == sim._CONFIG_KEYS
+    assert keys == set(sim._SCHEMA)
 
 
 def test_readme_config_defaults_match_the_params():
@@ -66,8 +66,8 @@ def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
     defaults = {re.findall(r"`(\w+)`", key_cell)[0]: value
                 for key_cell, value in _config_table()
                 if value not in ("required", "auto")}
-    assert set(defaults) == sim._CONFIG_KEYS - set(required) - {"h",
-                                                                 "h_prime"}
+    assert set(defaults) == set(sim._SCHEMA) - set(required) - {"h",
+                                                                "h_prime"}
 
     def load(**keys):
         path = tmp_path / "defaults.cfg"
@@ -80,19 +80,15 @@ def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
     gaussian = load(noise="gaussian").noise
     loaded = {
         "rank": config.ranks, "sigma_ratios": config.sigma_ratios,
-        "noise": next(kind for kind, (model, _) in sim._NOISE_KINDS.items()
-                      if type(config.noise) is model),
+        "noise": type(config.noise),
         "noise_mu": config.noise.mu, "noise_variance": gaussian.var,
         "eps": config.params.eps, "delta": config.params.delta,
         "base_seed": config.base_seed, "gamma": config.gamma,
         "workers": config.workers,
     }
-    parsers = {"rank": lambda text: tuple(map(int, text.split(","))),
-               "sigma_ratios": lambda text: tuple(map(float,
-                                                      text.split(","))),
-               "noise": str, "base_seed": int, "workers": int}
     for key, cell in defaults.items():
-        assert parsers.get(key, float)(cell.strip("`")) == loaded[key], key
+        parse = sim._SCHEMA[key][2]
+        assert parse(cell.strip("`")) == loaded[key], key
 
 
 def test_readme_denoise_options_exist():

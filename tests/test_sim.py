@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adadenoise import sim
+from adadenoise import linalg, sim
 from adadenoise import (DenoiserParams, ExperimentConfig, GaussianMixture,
                         SignalSpec, baseline_estimate, denoise,
                         haar_orthonormal, load_config, make_signal, op_norm,
@@ -14,6 +16,8 @@ from adadenoise import (DenoiserParams, ExperimentConfig, GaussianMixture,
 from adadenoise.estimator import SettingError
 from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
                             mix64, parse_grid, write_records_csv)
+
+from conftest import package_env
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -230,8 +234,10 @@ class TestConfig:
     @pytest.mark.parametrize("line, word", [
         ("sigma1 = 3:1:1", "bad grid spec '3:1:1'"),
         ("sigma1 = 1\nh_prime = 0", "key 'h_prime'"),
-        ("sigma1 = 1\ngamma = inf", "gamma must be positive")],
-        ids=["grid", "setting", "gamma"])
+        ("sigma1 = 1\ngamma = inf", "gamma must be positive"),
+        ("sigma1 = 1\nnoise = gaussian\nnoise_mu = 1",
+         "'noise_mu' only applies to mixture noise")],
+        ids=["grid", "setting", "gamma", "other_kind"])
     def test_value_errors_name_the_file(self, tmp_path, line, word):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"n = 60\ntrials = 1\noutput = o.csv\n{line}\n")
@@ -239,6 +245,21 @@ class TestConfig:
             load_config(bad)
         assert str(info.value).startswith(f"{bad}: ")
         assert word in str(info.value)
+
+    @pytest.mark.parametrize("key", sim._SCHEMA)
+    def test_malformed_value_names_the_file_and_key(self, tmp_path, key):
+        """Each config key rejects a malformed value (an empty `output`,
+        'x' for every other key) with a message that starts with the
+        file and names the key."""
+        keys = {"n": "60", "sigma1": "1", "trials": "1", "output": "o.csv",
+                key: "" if key == "output" else "x"}
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        with pytest.raises(ConfigError) as info:
+            load_config(bad)
+        message = str(info.value)
+        assert message.startswith(f"{bad}: ")
+        assert re.search(rf"\b{key}\b", message.removeprefix(f"{bad}: "))
 
     def test_missing_required_key(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -264,14 +285,15 @@ class TestConfig:
         built, naming the setting, and cell shapes when the config is
         built: neither waits for the grid to run."""
         (key, _), = over.items()
-        if key in sim._PARAM_KEYS:
+        if key in {f.name for f in dataclasses.fields(DenoiserParams)}:
             with pytest.raises(SettingError) as info:
                 DenoiserParams(**over)
             assert info.value.name == key
             return
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**dict(ns=(60,), ranks=(1,),
-                                       sigma1_grid=(1.0,), trials=1),
+                                       sigma1_grid=(1.0,), trials=1,
+                                       output="o.csv"),
                                 **over})
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -339,6 +361,44 @@ class TestRunGrid:
         run_grid(parallel)
         assert (Path(serial.output).read_bytes()
                 == Path(parallel.output).read_bytes())
+
+    def test_records_do_not_depend_on_blas_threads(self, tmp_path):
+        """Records (all bits) and the CSV are the same for one and two
+        OpenBLAS threads in the calling environment and for one and two
+        workers.  At n = 400 threaded BLAS splits its sums, so without
+        the hold the records differ in the last bits."""
+        code = ("import dataclasses, sys\n"
+                "from adadenoise import ExperimentConfig, run_grid\n"
+                "config = ExperimentConfig(ns=(400,), ranks=(1,), "
+                "sigma1_grid=(3.0,), trials=2, base_seed=5, "
+                "output=sys.argv[1], workers=int(sys.argv[2]))\n"
+                "for rec in run_grid(config):\n"
+                "    print(repr(dataclasses.replace(rec, wall_ms=0.0)))\n")
+        runs = set()
+        for threads in ("1", "2"):
+            for workers in ("1", "2"):
+                out = tmp_path / f"{threads}_{workers}.csv"
+                res = subprocess.run(
+                    [sys.executable, "-c", code, str(out), workers],
+                    capture_output=True, text=True, check=True, timeout=300,
+                    env={**package_env(), "OPENBLAS_NUM_THREADS": threads})
+                runs.add((res.stdout, out.read_bytes()))
+        assert len(runs) == 1
+
+    def test_blas_held_at_one_thread_and_restored(self, tmp_path):
+        outer = linalg.set_blas_threads(2)
+        if outer is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread controls")
+        try:
+            before = linalg.set_blas_threads(None)
+            during = []
+            run_grid(self.small_config(tmp_path, trials=2),
+                     progress=lambda done, total: during.append(
+                         linalg.set_blas_threads(None)))
+            assert during == [1, 1]
+            assert linalg.set_blas_threads(None) == before
+        finally:
+            linalg.set_blas_threads(outer)
 
     def test_mixed_ranks_pad_overlap_columns(self, tmp_path):
         config = self.small_config(tmp_path, ns=(20,), ranks=(1, 2),
