@@ -21,8 +21,8 @@ from .noise import Gaussian, GaussianMixture, NoiseModel, adaptive_simpson
 from .shrinkage import bulk_edge, debiased_sv, inflated_sv, shrink_known_sd
 from .sim import (ExperimentConfig, SignalSpec, TrialRecord, haar_orthonormal,
                   load_config, make_signal, run_grid, run_trial)
-from .theory import (Prediction, error_limit, factor_overlap_limits,
-                     minimax_limits, overlap_limit, predict)
+from .theory import (Prediction, error_limit, minimax_limits, overlap_limit,
+                     predict)
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "bulk_edge", "debiased_sv", "inflated_sv", "shrink_known_sd",
     "ExperimentConfig", "SignalSpec", "TrialRecord", "haar_orthonormal",
     "load_config", "make_signal", "run_grid", "run_trial",
-    "Prediction", "error_limit", "factor_overlap_limits", "minimax_limits",
-    "overlap_limit", "predict",
+    "Prediction", "error_limit", "minimax_limits", "overlap_limit", "predict",
     "__version__",
 ]

@@ -29,23 +29,8 @@ entries), with an O(1) uniform-grid index; the gain and the variance
 come from the map tabulated on the grid (O(GRID_NODES)), so the whole
 thing stays O(m n), with one sort of the m n entries (Y's) and one
 m x n scored array, plus one min(m, n)-sized Gram decomposition
-(`linalg.gram_eigen`: one tridiagonal reduction, all values, a few
-vectors).
-
-The Gram step squares the spectrum.  Each eigenvalue carries an
-absolute error of about eps * s_1^2, so a singular value s_j agrees
-with the SVD's to about eps * s_1^2 / s_j absolute: to the last digits
-near the threshold, less closely far below it.  Values whose squares
-fall below the numerical-rank cut-off s_1^2 * max(m, n) * eps read 0.
-Entries so large that their squares overflow are an error, and so are
-nonzero entries so small that they underflow: the rule is that the
-Gram matrix's largest diagonal entry (the largest sum of squares along
-the long side) is below max(m, n) times the smallest normal double,
-which holds whenever every square is subnormal or zero.  An all-zero
-matrix is not an error.
-The long-side factor is the matrix applied to the short-side
-eigenvectors, divided by s_j; its column j is orthonormal to the others
-to about eps * (s_1 / s_j)^2.
+(`linalg.gram_svd`: one tridiagonal reduction, all values, a few
+vectors; its docstring gives the accuracy of the squared spectrum).
 """
 
 from __future__ import annotations
@@ -56,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kde import DensityEstimate, gaussian_kernel, kde_binned, mean_entry
-from .linalg import as_matrix, gram_eigen
+from .linalg import as_matrix, gram_svd
 from .shrinkage import shrink_known_sd
 
 __all__ = [
@@ -124,8 +109,8 @@ class DenoiseResult:
     values of the matrix that was decomposed, divided by (m n)^{1/4},
     descending: the spectrum the shrink rule saw, x_star's for the
     adaptive pipeline and the input's for the PCA baseline.  It agrees
-    with the SVD's values to about eps * s_1^2 / s_j absolute (module
-    docstring), and values past the numerical rank rho read 0.
+    with the SVD's values to about eps * s_1^2 / s_j absolute
+    (`linalg.gram_svd`), and values past the numerical rank rho read 0.
     `sigma_shrunk` holds the thresholded-and-debiased singular values of
     x_hat on the same scale.  `u_hat` (m x k) and `v_hat` (n x k) hold
     the leading k = min(rho, max(k_hat, factors)) singular vectors,
@@ -215,45 +200,25 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
                        factors: int):
     """The spectral step both estimators share.
 
-    Decomposes `a` through the eigenvalues of its Gram matrix on the
-    short side, shrinks the spectrum in (m n)^{1/4}-scaled units at noise
-    level `noise_sd` and aspect ratio m/n, and rebuilds the rank-k_hat
-    estimate from the shrunk values.  All min(m, n) values are taken;
-    the values past the numerical rank rho are 0, so k_hat <= rho.
+    Decomposes `a` through its Gram matrix on the short side
+    (`linalg.gram_svd`), shrinks the spectrum in (m n)^{1/4}-scaled
+    units at noise level `noise_sd` and aspect ratio m/n, and rebuilds
+    the rank-k_hat estimate from the shrunk values.  All min(m, n)
+    values are taken; the values past the numerical rank rho are 0, so
+    k_hat <= rho.
     Factors are formed for min(rho, max(k_hat, factors)) columns only.
     Returns the leading fields of `DenoiseResult`, in order.  Raises
     ValueError when the Gram matrix overflows or underflows.
     """
-    if not (isinstance(factors, (int, np.integer)) and factors >= 0):
+    if (isinstance(factors, bool)
+            or not (isinstance(factors, (int, np.integer)) and factors >= 0)):
         raise ValueError(f"factors must be an int >= 0, got {factors!r}")
     m, n = a.shape
     scale = (m * n) ** 0.25
-    short = a if m <= n else a.T
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        gram = short @ short.T
-    # finite entries can overflow or underflow when squared, and no
-    # eigensolver says so
-    if not np.isfinite(gram).all():
-        raise ValueError("matrix entries are too large to square: the "
-                         "Gram matrix of the spectral step overflows")
-    if (gram.diagonal().max() < max(m, n) * np.finfo(np.float64).tiny
-            and np.any(short)):
-        raise ValueError("matrix entries are too small to square: the "
-                         "Gram matrix of the spectral step underflows")
-    eig = gram_eigen(gram)
-    lam = eig.values
-    # 0 when lam[0] <= 0: an all-zero input has no factors
-    rank = int(np.count_nonzero(
-        lam > max(lam[0], 0.0) * max(m, n) * np.finfo(np.float64).eps))
-    s = np.zeros_like(lam)
-    s[:rank] = np.sqrt(lam[:rank])
+    s, rank, vectors = gram_svd(a)
     sigma0 = s / scale
     sigma_shrunk, k_hat = shrink_known_sd(sigma0, noise_sd, delta, m / n)
-    k = min(rank, max(k_hat, factors))
-    w = eig.vectors(k)
-    long = short.T @ w
-    long /= s[:k]
-    u, v = (w, long) if m <= n else (long, w)
+    u, v = vectors(min(rank, max(k_hat, factors)))
     x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ v[:, :k_hat].T
     return x_hat, u, v, sigma0, sigma_shrunk, k_hat
 

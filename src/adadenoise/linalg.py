@@ -4,7 +4,9 @@ Matrices are plain 2-D float64 numpy arrays.  Every public entry point
 rejects NaN/Inf so that garbage never propagates into the spectral
 pipeline.
 
-`gram_eigen` is the spectral step's partial symmetric eigensolver.  It
+`gram_svd` takes the singular values of a matrix, and its singular
+vectors on request, from the Gram matrix on the short side; the spectral
+step and `op_norm` both call it.  Its partial symmetric eigensolver
 reaches the LAPACK that numpy's wheels bundle (an ILP64 OpenBLAS whose
 LAPACKE symbols carry a ``scipy_`` prefix and a ``64_`` suffix) through
 `ctypes`, so it needs no dependency beyond numpy and loads no new
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,7 +82,7 @@ def set_blas_threads(count: int | None) -> int | None:
 
 @functools.cache
 def _lapack() -> SimpleNamespace | None:
-    """The LAPACKE routines `gram_eigen` calls, or None where numpy's
+    """The LAPACKE routines `gram_svd` calls, or None where numpy's
     LAPACK does not export them.  Resolved once, on first use."""
     lib = _numpy_linalg()
     try:
@@ -116,101 +117,118 @@ def _check(info: int, routine: str) -> None:
                                     f"(info = {info})")
 
 
-class _GramEigen:
-    """What `gram_eigen` returns: `values` and ``vectors(k)``."""
+def _tridiagonal_eigen(lapack: SimpleNamespace, g: np.ndarray):
+    """Eigendecomposition of `g` through LAPACK, values first, vectors on
+    request: `dsytrd` reduces `g` to tridiagonal form in place, `dsterf`
+    takes all its eigenvalues, and ``top(k)`` has `dstemr` (MRRR) take
+    the top k eigenvectors of the tridiagonal matrix and `dormtr` map
+    them back.  Returns the descending values and `top`."""
+    n = g.shape[0]
+    a = g.T  # g is symmetric: its transpose is the column-major view
+    d = np.empty(n)
+    e = np.zeros(n)  # n - 1 off-diagonals; dstemr's workspace last
+    tau = np.empty(max(n - 1, 1))
+    _check(lapack.dsytrd(_COL_MAJOR, b"L", n, a, n, d, e, tau), "dsytrd")
+    lam = d.copy()
+    _check(lapack.dsterf(n, lam, e.copy()), "dsterf")
 
-    values: np.ndarray
-
-    def vectors(self, k: int) -> np.ndarray:
-        n = self.values.size
-        if not 0 <= k <= n:
-            raise ValueError(f"asked for {k} of {n} eigenvectors")
-        return self._top(k)
-
-    def _top(self, k: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _Tridiagonal(_GramEigen):
-    """`gram_eigen` through LAPACK.  `dsytrd` reduces the matrix to
-    tridiagonal form in place, `dsterf` takes all its eigenvalues, and on
-    request `dstemr` (MRRR) takes the top k eigenvectors of the
-    tridiagonal matrix and `dormtr` maps them back."""
-
-    def __init__(self, lapack: SimpleNamespace, g: np.ndarray):
-        n = g.shape[0]
-        self._lapack = lapack
-        self._a = g.T  # g is symmetric: its transpose is the column-major view
-        self._d = np.empty(n)
-        self._e = np.zeros(n)  # n - 1 off-diagonals; dstemr's workspace last
-        self._tau = np.empty(max(n - 1, 1))
-        _check(lapack.dsytrd(_COL_MAJOR, b"L", n, self._a, n, self._d,
-                             self._e, self._tau), "dsytrd")
-        lam = self._d.copy()
-        _check(lapack.dsterf(n, lam, self._e.copy()), "dsterf")
-        self.values = lam[::-1]
-
-    def _top(self, k: int) -> np.ndarray:
-        n = self._d.size
+    def top(k: int) -> np.ndarray:
         z = np.empty((n, k), order="F")
         if k == 0:
             return z
         found, tryrac = ctypes.c_int64(0), ctypes.c_int64(0)
         # dstemr overwrites d and e; range "I" takes eigenvalues n-k+1..n
         # of the ascending order
-        _check(self._lapack.dstemr(
-            _COL_MAJOR, b"V", b"I", n, self._d.copy(), self._e.copy(), 0.0,
-            0.0, n - k + 1, n, ctypes.byref(found), np.empty(n), z, n, k,
+        _check(lapack.dstemr(
+            _COL_MAJOR, b"V", b"I", n, d.copy(), e.copy(), 0.0, 0.0,
+            n - k + 1, n, ctypes.byref(found), np.empty(n), z, n, k,
             np.empty(2 * k, dtype=np.int64), ctypes.byref(tryrac)), "dstemr")
         if found.value != k:
             raise np.linalg.LinAlgError(f"LAPACK dstemr found {found.value} "
                                         f"of {k} eigenvectors")
-        _check(self._lapack.dormtr(_COL_MAJOR, b"L", b"L", b"N", n, k,
-                                   self._a, n, self._tau, z, n), "dormtr")
+        _check(lapack.dormtr(_COL_MAJOR, b"L", b"L", b"N", n, k, a, n, tau,
+                             z, n), "dormtr")
         return z[:, ::-1]
 
-
-class _Dense(_GramEigen):
-    """`gram_eigen` through `np.linalg.eigh`: every vector is formed and
-    `vectors` slices."""
-
-    def __init__(self, g: np.ndarray):
-        lam, self._w = np.linalg.eigh(g)
-        self.values = lam[::-1]
-
-    def _top(self, k: int) -> np.ndarray:
-        return self._w[:, ::-1][:, :k]
+    return lam[::-1], top
 
 
-def gram_eigen(g: np.ndarray):
-    """Eigendecomposition of a symmetric matrix, values first, vectors on
-    request.
+def _dense_eigen(g: np.ndarray):
+    """Eigendecomposition of `g` through `np.linalg.eigh`: every vector is
+    formed and ``top(k)`` slices.  Returns the descending values and
+    `top`."""
+    lam, w = np.linalg.eigh(g)
+    return lam[::-1], lambda k: w[:, ::-1][:, :k]
 
-    Returns an object whose `values` holds all n eigenvalues in
-    descending order and whose ``vectors(k)`` returns the n x k matrix of
-    the top k orthonormal eigenvectors, in the same order.  `g` must be a
-    C-contiguous, writable, symmetric n x n float64 array (one triangle
-    is read), and it is overwritten: the caller hands it over.  Uses
-    numpy's bundled LAPACK (one tridiagonal reduction; the values by
-    `dsterf`, only the k asked-for vectors by `dstemr`) when its symbols
-    resolve, and `np.linalg.eigh` otherwise.  Either way a failed
-    decomposition raises `np.linalg.LinAlgError`.
+
+def gram_svd(a: np.ndarray):
+    """Singular values of a validated matrix through its Gram matrix on
+    the short side, singular vectors on request.
+
+    Returns ``(s, rank, factors)``: `s` holds all min(m, n) singular
+    values in descending order, `rank` is the numerical rank rho, and
+    ``factors(k)``, for 0 <= k <= rho, returns the leading m x k and
+    n x k singular vectors.  The short-side factor is the top k
+    eigenvectors of the Gram matrix; the long-side one is the matrix
+    applied to them, divided by s_j.  Uses numpy's bundled LAPACK (one
+    tridiagonal reduction, all values, only the k asked-for vectors)
+    when its symbols resolve, and `np.linalg.eigh` otherwise.  Either
+    way a failed decomposition raises `np.linalg.LinAlgError`.
+
+    Squaring the matrix squares its spectrum.  Each eigenvalue carries
+    an absolute error of about eps * s_1^2, so s_j agrees with the SVD's
+    to about eps * s_1^2 / s_j absolute: to the last digits near the top,
+    less closely far below it.  Values whose squares fall below the
+    numerical-rank cut-off s_1^2 * max(m, n) * eps read 0.  Entries so
+    large that their squares overflow are a ValueError, and so are
+    nonzero entries so small that they underflow: the rule is that the
+    Gram matrix's largest diagonal entry (the largest sum of squares
+    along the long side) is below max(m, n) times the smallest normal
+    double, which holds whenever every square is subnormal or zero.  An
+    all-zero matrix is not an error; its rank is 0.  Column j of the
+    long-side factor is orthonormal to the others to about
+    eps * (s_1 / s_j)^2.
     """
-    if not (g.ndim == 2 and g.shape[0] == g.shape[1] and g.size
-            and g.dtype == np.float64 and g.flags.c_contiguous
-            and g.flags.writeable):
-        raise ValueError("gram_eigen needs a writable, C-contiguous, "
-                         "non-empty square float64 matrix")
+    m, n = a.shape
+    short = a if m <= n else a.T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        gram = short @ short.T
+    # finite entries can overflow or underflow when squared, and no
+    # eigensolver says so
+    if not np.isfinite(gram).all():
+        raise ValueError("matrix entries are too large to square: the "
+                         "Gram matrix overflows")
+    if (gram.diagonal().max() < max(m, n) * np.finfo(np.float64).tiny
+            and np.any(short)):
+        raise ValueError("matrix entries are too small to square: the "
+                         "Gram matrix underflows")
     lapack = _lapack()
-    return _Dense(g) if lapack is None else _Tridiagonal(lapack, g)
+    lam, top = (_dense_eigen(gram) if lapack is None
+                else _tridiagonal_eigen(lapack, gram))
+    # 0 when lam[0] <= 0: an all-zero input has no factors
+    rank = int(np.count_nonzero(
+        lam > max(lam[0], 0.0) * max(m, n) * np.finfo(np.float64).eps))
+    s = np.zeros_like(lam)
+    s[:rank] = np.sqrt(lam[:rank])
+
+    def factors(k: int) -> tuple[np.ndarray, np.ndarray]:
+        if not 0 <= k <= rank:
+            raise ValueError(f"asked for {k} singular vectors of a "
+                             f"rank-{rank} matrix")
+        w = top(k)
+        long = short.T @ w
+        long /= s[:k]
+        return (w, long) if m <= n else (long, w)
+
+    return s, rank, factors
 
 
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value, taken as the
-    root of the top eigenvalue of the Gram matrix on the short side."""
-    a = as_matrix(a)
-    short = a if a.shape[0] <= a.shape[1] else a.T
-    return math.sqrt(max(float(np.linalg.eigvalsh(short @ short.T)[-1]), 0.0))
+    root of the top eigenvalue of the Gram matrix on the short side
+    (`gram_svd`, whose over- and underflow errors it raises)."""
+    s, _, _ = gram_svd(as_matrix(a))
+    return float(s[0])
 
 
 def subspace_overlap(a, b) -> float:

@@ -17,7 +17,6 @@ from .shrinkage import bulk_edge
 
 __all__ = [
     "overlap_limit",
-    "factor_overlap_limits",
     "error_limit",
     "minimax_limits",
     "Prediction",
@@ -44,25 +43,6 @@ def overlap_limit(sigma: float, t: float, gamma: float = 1.0) -> float:
     # and 1/gamma give bit-identical results
     den = 1.0 + 1.0 / (math.sqrt(max(gamma, 1.0 / gamma)) * snr)
     return math.sqrt(num / den)
-
-
-def factor_overlap_limits(sigma: float, gamma: float = 1.0) -> tuple[float, float]:
-    """Pair of per-factor overlap limits at unit noise variance.
-
-    Returns (0, 0) for sigma <= 1; above threshold the two components
-    differ only in which square root of the aspect ratio enters the
-    denominator, so g1 >= g2 iff gamma <= 1 (the factor living in the
-    larger dimension is harder to estimate).  Their product is the limit
-    of the product of the two top singular-vector inner products; the
-    larger of the two is the row-factor overlap limit and the smaller
-    the column-factor one.
-    """
-    if sigma <= 1.0:
-        return (0.0, 0.0)
-    num = 1.0 - sigma ** -4
-    g1 = math.sqrt(num / (1.0 + math.sqrt(gamma) * sigma ** -2))
-    g2 = math.sqrt(num / (1.0 + sigma ** -2 / math.sqrt(gamma)))
-    return (g1, g2)
 
 
 def error_limit(sigma1: float, t: float) -> float:

@@ -268,7 +268,7 @@ class TestDenoise:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr("adadenoise.estimator.gram_eigen", fail)
+        monkeypatch.setattr("adadenoise.estimator.gram_svd", fail)
         path, _ = noisy_matrix
         code = main(["denoise", str(path), "-o", str(tmp_path / "x")])
         assert code == 1

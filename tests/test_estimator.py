@@ -321,7 +321,7 @@ SPECTRAL_INPUTS = _spectral_inputs()
 
 class TestSpectralStep:
     """The short-side Gram eigendecomposition against a dense SVD, on the
-    backend `gram_eigen` selects (numpy's bundled LAPACK where it
+    backend `gram_svd` selects (numpy's bundled LAPACK where it
     resolves; `TestSpectralStepEigh` runs the same tests on the
     fallback)."""
 
@@ -404,7 +404,7 @@ class TestSpectralStep:
 
     def test_factors_must_be_a_count(self):
         y = SPECTRAL_INPUTS["square"]
-        for bad in (-1, 2.5, None):
+        for bad in (-1, 2.5, None, True):
             with pytest.raises(ValueError, match="factors"):
                 baseline_estimate(y, noise_sd=1.0, factors=bad)
 

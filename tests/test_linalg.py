@@ -57,7 +57,7 @@ class TestOpNorm:
 
 @pytest.fixture(params=["lapack", "eigh"])
 def backend(request, monkeypatch):
-    """Runs a test on each `gram_eigen` backend: numpy's bundled LAPACK,
+    """Runs a test on each `gram_svd` backend: numpy's bundled LAPACK,
     and the `np.linalg.eigh` fallback forced by hiding the former."""
     if request.param == "eigh":
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
@@ -66,42 +66,77 @@ def backend(request, monkeypatch):
     return request.param
 
 
-def wishart(n, seed):
-    a = np.random.default_rng(seed).standard_normal((n, n + 7))
-    return a @ a.T
+class TestOpNormEigh(TestOpNorm):
+    """`TestOpNorm` on the `np.linalg.eigh` fallback, forced by hiding
+    the resolved LAPACK routines."""
+
+    @pytest.fixture(autouse=True)
+    def fallback(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+
+
+@pytest.mark.parametrize("entry", [1e-170, 3e-160])
+def test_op_norm_underflow_raises(backend, entry):
+    """A nonzero matrix whose squares underflow is an error, not a norm
+    of 0 or one that subnormal squares have skewed."""
+    a = np.zeros((5, 4))
+    a[2, 1] = entry
+    with pytest.raises(ValueError, match="too small to square"):
+        op_norm(a)
+
+
+def test_op_norm_overflow_raises(backend):
+    with pytest.raises(ValueError, match="too large to square"):
+        op_norm(np.full((3, 3), 1e160))
+
+
+def gaussian(n, seed):
+    """An n x (n + 7) standard Gaussian matrix: full rank n."""
+    return np.random.default_rng(seed).standard_normal((n, n + 7))
 
 
 class TestGramEigen:
+    """The Gram eigendecomposition behind `linalg.gram_svd`, on each
+    backend, against `np.linalg.eigh` of the short-side Gram matrix."""
+
     @pytest.mark.parametrize("n", [1, 2, 50])
     def test_matches_eigh(self, backend, n):
-        g = wishart(n, 20 + n)
+        short = gaussian(n, 20 + n)
+        g = short @ short.T
         lam, w = np.linalg.eigh(g)
         top = lam[-1]
-        eig = linalg.gram_eigen(g.copy())
-        np.testing.assert_allclose(eig.values, lam[::-1], rtol=0,
-                                   atol=1e-12 * top)
-        for k in sorted({0, 1, min(3, n), n}):
-            v = eig.vectors(k)
-            assert v.shape == (n, k)
-            ref = w[:, ::-1][:, :k]
-            signs = np.sign(np.sum(v * ref, axis=0))
-            np.testing.assert_allclose(v * signs, ref, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(v.T @ v, np.eye(k), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(g @ v, v * eig.values[:k], rtol=0,
+        for a in (short, short.T):  # the short side is a's rows, then columns
+            s, rank, factors = linalg.gram_svd(a)
+            assert rank == n
+            np.testing.assert_allclose(s ** 2, lam[::-1], rtol=0,
                                        atol=1e-12 * top)
+            for k in sorted({0, 1, min(3, n), n}):
+                u, v = factors(k)
+                assert u.shape == (a.shape[0], k)
+                assert v.shape == (a.shape[1], k)
+                z, long = (u, v) if a is short else (v, u)
+                ref = w[:, ::-1][:, :k]
+                signs = np.sign(np.sum(z * ref, axis=0))
+                np.testing.assert_allclose(z * signs, ref, rtol=0, atol=1e-10)
+                for f in (z, long):
+                    np.testing.assert_allclose(f.T @ f, np.eye(k), rtol=0,
+                                               atol=1e-12)
+                np.testing.assert_allclose(g @ z, z * s[:k] ** 2, rtol=0,
+                                           atol=1e-12 * top)
+                np.testing.assert_allclose(short.T @ z, long * s[:k],
+                                           rtol=0, atol=1e-12)
 
-    def test_rejects_what_it_cannot_overwrite(self, backend):
-        g = wishart(4, 30)
-        frozen = g.copy()
-        frozen.flags.writeable = False
-        for bad in (g[:3], np.asfortranarray(g[:, :3] @ g[:3]), g.astype(int),
-                    frozen, np.zeros((0, 0))):
-            with pytest.raises(ValueError, match="gram_eigen"):
-                linalg.gram_eigen(bad)
-        eig = linalg.gram_eigen(g)
-        for k in (-1, 5):
-            with pytest.raises(ValueError, match="eigenvectors"):
-                eig.vectors(k)
+    def test_rejects_k_outside_the_rank(self, backend):
+        """Factors exist for the numerical rank only: a rank-2 matrix has
+        2, and the values past it read 0."""
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 8))
+        s, rank, factors = linalg.gram_svd(a)
+        assert rank == 2 and np.all(s[:2] > 0) and not np.any(s[2:])
+        assert factors(2)[0].shape == (5, 2)
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="singular vectors"):
+                factors(k)
 
     @pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstemr",
                                          "dormtr"])
@@ -114,7 +149,8 @@ class TestGramEigen:
         setattr(fake, routine, lambda *args: 1)
         monkeypatch.setattr(linalg, "_lapack", lambda: fake)
         with pytest.raises(np.linalg.LinAlgError, match=routine):
-            linalg.gram_eigen(wishart(5, 31)).vectors(2)
+            _, _, factors = linalg.gram_svd(gaussian(5, 31))
+            factors(2)
 
     def test_eigh_failure_raises(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -123,18 +159,23 @@ class TestGramEigen:
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            linalg.gram_eigen(wishart(5, 32))
+            linalg.gram_svd(gaussian(5, 32))
 
-    def test_bundled_lapack_is_selected(self):
+    def test_bundled_lapack_is_selected(self, monkeypatch):
         """Where numpy names the wheels' scipy-openblas as its BLAS, the
-        LAPACK backend must resolve: a broken binding fails here rather
-        than quietly falling back to the full `eigh`."""
+        LAPACK backend must resolve and be used: a broken binding fails
+        here rather than quietly falling back to the full `eigh`."""
         deps = np.show_config(mode="dicts").get("Build Dependencies", {})
         if deps.get("blas", {}).get("name") != "scipy-openblas":
             pytest.skip("numpy is not built on scipy-openblas")
         assert linalg._lapack() is not None
-        assert isinstance(linalg.gram_eigen(wishart(3, 33)),
-                          linalg._Tridiagonal)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the eigh fallback was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        s, rank, factors = linalg.gram_svd(gaussian(3, 33))
+        assert rank == 3 and factors(3)[0].shape == (3, 3)
 
     def test_resolved_on_first_use_not_on_import(self):
         code = ("import adadenoise, adadenoise.linalg as l; "

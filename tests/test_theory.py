@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adadenoise import (error_limit, factor_overlap_limits, minimax_limits,
-                        overlap_limit, predict)
+from adadenoise import error_limit, minimax_limits, overlap_limit, predict
 
 
 class TestOverlapLimit:
@@ -45,40 +44,6 @@ class TestOverlapLimit:
             overlap_limit(0.0, 1.0)
         with pytest.raises(ValueError):
             overlap_limit(1.0, 0.0)
-
-
-class TestFactorOverlapLimits:
-    def test_square_case_collapses(self):
-        for sigma in (1.3, 2.0, 5.0):
-            g1, g2 = factor_overlap_limits(sigma, 1.0)
-            assert g1 == pytest.approx(g2, rel=1e-14)
-            assert g1 == pytest.approx(overlap_limit(sigma, 1.0, 1.0),
-                                       rel=1e-14)
-
-    def test_threshold(self):
-        assert factor_overlap_limits(1.0, 2.0) == (0.0, 0.0)
-        g1, g2 = factor_overlap_limits(1.0 + 1e-12, 2.0)
-        assert g1 < 1e-5 and g2 < 1e-5
-
-    def test_rectangular_direct(self):
-        sigma, gamma = 2.0, 4.0
-        num = 1 - sigma ** -4
-        g1_expected = math.sqrt(num / (1 + 2.0 / 4.0))
-        g2_expected = math.sqrt(num / (1 + 0.5 / 4.0))
-        g1, g2 = factor_overlap_limits(sigma, gamma)
-        assert g1 == pytest.approx(g1_expected, rel=1e-14)
-        assert g2 == pytest.approx(g2_expected, rel=1e-14)
-
-    def test_ordering_matches_aspect(self):
-        """The factor in the larger dimension is harder to estimate."""
-        for sigma in (1.5, 2.5, 6.0):
-            for gamma in (0.2, 0.7, 1.0, 1.8, 9.0):
-                g1, g2 = factor_overlap_limits(sigma, gamma)
-                assert 0.0 < g1 < 1.0 and 0.0 < g2 < 1.0
-                if gamma <= 1.0:
-                    assert g1 >= g2
-                else:
-                    assert g1 <= g2
 
 
 class TestErrorLimit:
