@@ -20,29 +20,34 @@ Given a single noisy matrix Y the pipeline
    its Gram matrix on the short side, and threshold-shrinks that
    spectrum at noise level i_hat^{-1/2} with the same rule the PCA
    baseline applies to Y at its known noise level, to produce the final
-   low-rank estimate.  Eigenvectors are formed only for the factors
-   anything reads: the k_hat kept ones, and at least `factors` leading
-   ones (`DenoiseResult`).
+   low-rank estimate.  Only what the rule reads is computed: k_hat is a
+   Sturm count of the values at or above the threshold, and values and
+   vectors are formed only for the factors anything reads: the k_hat
+   kept ones, and at least `factors` leading ones (`DenoiseResult`).
+   The full spectrum `sigma0` is taken on its first read.
 
 The score map is looked up once, at one point set (the centered
 entries), with an O(1) uniform-grid index; the gain and the variance
 come from the map tabulated on the grid (O(GRID_NODES)), so the whole
 thing stays O(m n), with one sort of the m n entries (Y's) and one
 m x n scored array, plus one min(m, n)-sized Gram decomposition
-(`linalg.gram_svd`: one tridiagonal reduction, all values, a few
-vectors; its docstring gives the accuracy of the squared spectrum).
+(`linalg.gram_svd`: one tridiagonal reduction, a count, the top few
+values and vectors; its docstring gives the accuracy of the squared
+spectrum).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .kde import DensityEstimate, gaussian_kernel, kde_binned, mean_entry
 from .linalg import as_matrix, gram_svd
-from .shrinkage import shrink_known_sd
+from .shrinkage import shrink_known_sd, shrink_threshold
 
 __all__ = [
     "DenoiserParams",
@@ -107,31 +112,40 @@ class DenoiseResult:
     the rank-free estimate (see the module docstring), `x_hat` the
     rank-`k_hat` shrunk estimate.  `sigma0` holds the min(m, n) singular
     values of the matrix that was decomposed, divided by (m n)^{1/4},
-    descending: the spectrum the shrink rule saw, x_star's for the
-    adaptive pipeline and the input's for the PCA baseline.  It agrees
+    descending: the spectrum the shrink rule thresholds, x_star's for
+    the adaptive pipeline and the input's for the PCA baseline.  It is
+    formed on its first read, from the diagonal and off-diagonal the
+    result keeps of the decomposition, with the same values as if
+    formed at once; nothing else in the pipeline reads it.  It agrees
     with the SVD's values to about eps * s_1^2 / s_j absolute
     (`linalg.gram_svd`), and values past the numerical rank rho read 0.
     `sigma_shrunk` holds the thresholded-and-debiased singular values of
-    x_hat on the same scale.  `u_hat` (m x k) and `v_hat` (n x k) hold
-    the leading k = min(rho, max(k_hat, factors)) singular vectors,
-    where rho is the numerical rank (min(m, n) on noisy input, 0 on an
-    all-zero one) and `factors` the keyword of `denoise` and
-    `baseline_estimate` (default 3): the kept factors, and at least
-    `factors` leading ones even when fewer values survive.  The
-    short-side factor is orthonormal to rounding; the long-side one to
-    about eps * (s_1 / s_j)^2 in column j.  The baseline never scores
+    x_hat on the same scale, min(m, n) of them, zero past k_hat.
+    `u_hat` (m x k) and `v_hat` (n x k) hold the leading
+    k = min(rho, max(k_hat, factors)) singular vectors, where rho is the
+    numerical rank (min(m, n) on noisy input, 0 on an all-zero one) and
+    `factors` the keyword of `denoise` and `baseline_estimate` (default
+    3): the kept factors, and at least `factors` leading ones even when
+    fewer values survive.  The short-side factor is orthonormal to
+    rounding; the long-side one to about eps * (s_1 / s_j)^2 in column
+    j.  The baseline never scores
     the entries, so its `x_star`, `i_hat` and `y_bar` are None.
     """
 
     x_hat: np.ndarray
     u_hat: np.ndarray
     v_hat: np.ndarray
-    sigma0: np.ndarray
+    _spectrum: Callable[[], np.ndarray] = field(repr=False, compare=False)
     sigma_shrunk: np.ndarray
     k_hat: int
     x_star: np.ndarray | None = None
     i_hat: float | None = None
     y_bar: float | None = None
+
+    @cached_property
+    def sigma0(self) -> np.ndarray:
+        """All min(m, n) scaled singular values, taken on first read."""
+        return self._spectrum()
 
 
 def _score_gain(est: DensityEstimate, psi: np.ndarray, eps: float,
@@ -203,10 +217,16 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     Decomposes `a` through its Gram matrix on the short side
     (`linalg.gram_svd`), shrinks the spectrum in (m n)^{1/4}-scaled
     units at noise level `noise_sd` and aspect ratio m/n, and rebuilds
-    the rank-k_hat estimate from the shrunk values.  All min(m, n)
-    values are taken; the values past the numerical rank rho are 0, so
-    k_hat <= rho.
-    Factors are formed for min(rho, max(k_hat, factors)) columns only.
+    the rank-k_hat estimate from the shrunk values.  Only the values
+    the rule reads are taken: k_hat is the Sturm count of values at or
+    above the threshold tau, and the top K = max(k_hat, factors) values
+    come from the solve that forms their vectors.  A value at tau
+    itself survives, as in `shrink_known_sd`; a value within rounding of
+    tau survives only where both the count and the rule, on its
+    computed value, put it at or above tau.  Values past the numerical
+    rank rho are 0, so k_hat <= rho, and factors are formed for
+    min(rho, K) columns only.  The full spectrum is left to the
+    returned function, which holds O(min(m, n)) numbers.
     Returns the leading fields of `DenoiseResult`, in order.  Raises
     ValueError when the Gram matrix overflows or underflows.
     """
@@ -215,12 +235,17 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
         raise ValueError(f"factors must be an int >= 0, got {factors!r}")
     m, n = a.shape
     scale = (m * n) ** 0.25
-    s, rank, vectors = gram_svd(a)
-    sigma0 = s / scale
-    sigma_shrunk, k_hat = shrink_known_sd(sigma0, noise_sd, delta, m / n)
-    u, v = vectors(min(rank, max(k_hat, factors)))
+    tau = shrink_threshold(noise_sd, delta, m / n)
+    count, top, values = gram_svd(a)
+    above = count(tau * scale)
+    s, vectors = top(min(m, n, max(above, factors)))
+    shrunk, kept = shrink_known_sd(s / scale, noise_sd, delta, m / n)
+    k_hat = min(above, kept)
+    sigma_shrunk = np.zeros(min(m, n))
+    sigma_shrunk[:k_hat] = shrunk[:k_hat]
+    u, v = vectors(np.count_nonzero(s))
     x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ v[:, :k_hat].T
-    return x_hat, u, v, sigma0, sigma_shrunk, k_hat
+    return x_hat, u, v, lambda: values() / scale, sigma_shrunk, k_hat
 
 
 def denoise(y, params: DenoiserParams = DenoiserParams(), *,

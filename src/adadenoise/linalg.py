@@ -4,14 +4,15 @@ Matrices are plain 2-D float64 numpy arrays.  Every public entry point
 rejects NaN/Inf so that garbage never propagates into the spectral
 pipeline.
 
-`gram_svd` takes the singular values of a matrix, and its singular
-vectors on request, from the Gram matrix on the short side; the spectral
-step and `op_norm` both call it.  Its partial symmetric eigensolver
-reaches the LAPACK that numpy's wheels bundle (an ILP64 OpenBLAS whose
-LAPACKE symbols carry a ``scipy_`` prefix and a ``64_`` suffix) through
-`ctypes`, so it needs no dependency beyond numpy and loads no new
-library.  Where those symbols do not resolve (numpy built on Accelerate
-or MKL, for example) it falls back to `np.linalg.eigh`.
+`gram_svd` takes the singular values of a matrix from the Gram matrix
+on the short side, each part on request: a count of the values above a
+bound, the top few values with their singular vectors, or all values;
+the spectral step and `op_norm` both call it.  Its partial symmetric
+eigensolver reaches the LAPACK that numpy's wheels bundle (an ILP64
+OpenBLAS whose LAPACKE symbols carry a ``scipy_`` prefix and a ``64_``
+suffix) through `ctypes`, so it needs no dependency beyond numpy and
+loads no new library.  Where those symbols do not resolve (numpy built
+on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -88,10 +89,11 @@ def _lapack() -> SimpleNamespace | None:
     try:
         fns = SimpleNamespace(**{
             name: getattr(lib, f"scipy_LAPACKE_{name}64_")
-            for name in ("dsytrd", "dsterf", "dstemr", "dormtr")})
+            for name in ("dsytrd", "dstebz", "dsterf", "dstemr", "dormtr")})
     except AttributeError:  # lib is None, or not this LAPACK
         return None
     i64, char, layout = ctypes.c_int64, ctypes.c_char, ctypes.c_int
+    real = ctypes.c_double
     i64_ptr = ctypes.POINTER(i64)
     vec = np.ctypeslib.ndpointer(np.float64, ndim=1,
                                  flags="C_CONTIGUOUS,WRITEABLE")
@@ -100,10 +102,11 @@ def _lapack() -> SimpleNamespace | None:
     ivec = np.ctypeslib.ndpointer(np.int64, ndim=1,
                                   flags="C_CONTIGUOUS,WRITEABLE")
     fns.dsytrd.argtypes = [layout, char, i64, mat, i64, vec, vec, vec]
+    fns.dstebz.argtypes = [char, char, i64, real, real, i64, i64, real, vec,
+                           vec, i64_ptr, i64_ptr, vec, ivec, ivec]
     fns.dsterf.argtypes = [i64, vec, vec]
-    fns.dstemr.argtypes = [layout, char, char, i64, vec, vec, ctypes.c_double,
-                           ctypes.c_double, i64, i64, i64_ptr, vec, mat, i64,
-                           i64, ivec, i64_ptr]
+    fns.dstemr.argtypes = [layout, char, char, i64, vec, vec, real, real, i64,
+                           i64, i64_ptr, vec, mat, i64, i64, ivec, i64_ptr]
     fns.dormtr.argtypes = [layout, char, char, char, i64, i64, mat, i64, vec,
                            mat, i64]
     for fn in vars(fns).values():
@@ -118,76 +121,117 @@ def _check(info: int, routine: str) -> None:
 
 
 def _tridiagonal_eigen(lapack: SimpleNamespace, g: np.ndarray):
-    """Eigendecomposition of `g` through LAPACK, values first, vectors on
-    request: `dsytrd` reduces `g` to tridiagonal form in place, `dsterf`
-    takes all its eigenvalues, and ``top(k)`` has `dstemr` (MRRR) take
-    the top k eigenvectors of the tridiagonal matrix and `dormtr` map
-    them back.  Returns the descending values and `top`."""
+    """Eigendecomposition of `g` through LAPACK, each part on request.
+    `dsytrd` reduces `g` to tridiagonal form T in place, once; then
+    ``count(t)`` is a Sturm count of T's eigenvalues >= t (`dstebz`),
+    ``top(k)`` has `dstemr` (MRRR) take T's top k eigenvalues and
+    eigenvectors, with ``vectors(j)`` mapping the leading j of them back
+    through `dormtr`, and ``values()`` takes all eigenvalues (`dsterf`).
+    `values` holds only T's diagonal and off-diagonal, never `g`.
+    Returns ``(count, top, values)``; values come in descending order."""
     n = g.shape[0]
     a = g.T  # g is symmetric: its transpose is the column-major view
     d = np.empty(n)
     e = np.zeros(n)  # n - 1 off-diagonals; dstemr's workspace last
     tau = np.empty(max(n - 1, 1))
     _check(lapack.dsytrd(_COL_MAJOR, b"L", n, a, n, d, e, tau), "dsytrd")
-    lam = d.copy()
-    _check(lapack.dsterf(n, lam, e.copy()), "dsterf")
 
-    def top(k: int) -> np.ndarray:
+    def count(t: float) -> int:
+        found, blocks = ctypes.c_int64(0), ctypes.c_int64(0)
+        # range "V" counts the half-open (vl, vu]: vl one step below t
+        # keeps t itself.  An infinite tolerance stops the bisection at
+        # the first Sturm counts, which is all that is read.
+        _check(lapack.dstebz(
+            b"V", b"B", n, np.nextafter(t, -np.inf), np.inf, 0, 0, np.inf,
+            d, e, ctypes.byref(found), ctypes.byref(blocks), np.empty(n),
+            np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)),
+            "dstebz")
+        return found.value
+
+    def top(k: int):
         z = np.empty((n, k), order="F")
-        if k == 0:
-            return z
-        found, tryrac = ctypes.c_int64(0), ctypes.c_int64(0)
-        # dstemr overwrites d and e; range "I" takes eigenvalues n-k+1..n
-        # of the ascending order
-        _check(lapack.dstemr(
-            _COL_MAJOR, b"V", b"I", n, d.copy(), e.copy(), 0.0, 0.0,
-            n - k + 1, n, ctypes.byref(found), np.empty(n), z, n, k,
-            np.empty(2 * k, dtype=np.int64), ctypes.byref(tryrac)), "dstemr")
-        if found.value != k:
-            raise np.linalg.LinAlgError(f"LAPACK dstemr found {found.value} "
-                                        f"of {k} eigenvectors")
-        _check(lapack.dormtr(_COL_MAJOR, b"L", b"L", b"N", n, k, a, n, tau,
-                             z, n), "dormtr")
-        return z[:, ::-1]
+        lam = np.empty(n)
+        if k > 0:
+            found, tryrac = ctypes.c_int64(0), ctypes.c_int64(0)
+            # dstemr overwrites d and e; range "I" takes eigenvalues
+            # n-k+1..n of the ascending order
+            _check(lapack.dstemr(
+                _COL_MAJOR, b"V", b"I", n, d.copy(), e.copy(), 0.0, 0.0,
+                n - k + 1, n, ctypes.byref(found), lam, z, n, k,
+                np.empty(2 * k, dtype=np.int64), ctypes.byref(tryrac)),
+                "dstemr")
+            if found.value != k:
+                raise np.linalg.LinAlgError(f"LAPACK dstemr found "
+                                            f"{found.value} of {k} "
+                                            f"eigenvectors")
 
-    return lam[::-1], top
+        def vectors(j: int) -> np.ndarray:
+            w = z[:, k - j:].copy(order="F")  # the top j, still ascending
+            if j > 0:
+                _check(lapack.dormtr(_COL_MAJOR, b"L", b"L", b"N", n, j, a,
+                                     n, tau, w, n), "dormtr")
+            return w[:, ::-1]
+
+        return lam[:k][::-1], vectors
+
+    def values() -> np.ndarray:
+        lam = d.copy()
+        _check(lapack.dsterf(n, lam, e.copy()), "dsterf")
+        return lam[::-1]
+
+    return count, top, values
 
 
 def _dense_eigen(g: np.ndarray):
-    """Eigendecomposition of `g` through `np.linalg.eigh`: every vector is
-    formed and ``top(k)`` slices.  Returns the descending values and
-    `top`."""
+    """Eigendecomposition of `g` through `np.linalg.eigh`, all of it at
+    once: the same ``(count, top, values)`` as `_tridiagonal_eigen`, each
+    reading or slicing the one result."""
     lam, w = np.linalg.eigh(g)
-    return lam[::-1], lambda k: w[:, ::-1][:, :k]
+    lam, w = lam[::-1], w[:, ::-1]
+    return (lambda t: int(np.count_nonzero(lam >= t)),
+            lambda k: (lam[:k], lambda j: w[:, :j]),
+            lambda: lam)
 
 
 def gram_svd(a: np.ndarray):
     """Singular values of a validated matrix through its Gram matrix on
-    the short side, singular vectors on request.
+    the short side, each part taken only when asked for.
 
-    Returns ``(s, rank, factors)``: `s` holds all min(m, n) singular
-    values in descending order, `rank` is the numerical rank rho, and
-    ``factors(k)``, for 0 <= k <= rho, returns the leading m x k and
-    n x k singular vectors.  The short-side factor is the top k
-    eigenvectors of the Gram matrix; the long-side one is the matrix
-    applied to them, divided by s_j.  Uses numpy's bundled LAPACK (one
-    tridiagonal reduction, all values, only the k asked-for vectors)
-    when its symbols resolve, and `np.linalg.eigh` otherwise.  Either
-    way a failed decomposition raises `np.linalg.LinAlgError`.
+    Returns ``(count, top, values)``:
+
+    - ``count(t)`` is the number of singular values >= t, by a Sturm
+      count on the Gram matrix's tridiagonal form against t^2, with no
+      values computed.  A value within rounding of t may fall on either
+      side, as it may when a computed value is compared with t;
+    - ``top(k)``, for 0 <= k <= min(m, n), returns ``(s, factors)``: the
+      k leading singular values, descending, and ``factors(j)``, which
+      for 0 <= j <= count_nonzero(s) returns the leading m x j and n x j
+      singular vectors.  One partial solve gives the values and the
+      vectors; only the j asked-for ones are mapped back;
+    - ``values()`` returns all min(m, n) values, descending.  It holds
+      only the tridiagonal form's diagonal and off-diagonal, not the
+      matrix, so it can be kept and called later.
+
+    Values whose squares fall below the numerical-rank cut-off
+    s_1^2 * max(m, n) * eps read 0, in `top` with s_1 from its own
+    values.  The short-side factor is the top j eigenvectors of the Gram
+    matrix; the long-side one is the matrix applied to them, divided by
+    s_j.  Uses numpy's bundled LAPACK (one tridiagonal reduction) when
+    its symbols resolve, and `np.linalg.eigh`, which forms everything
+    at once, otherwise.  Either way a failed decomposition raises
+    `np.linalg.LinAlgError`, from the call that needed it.
 
     Squaring the matrix squares its spectrum.  Each eigenvalue carries
     an absolute error of about eps * s_1^2, so s_j agrees with the SVD's
     to about eps * s_1^2 / s_j absolute: to the last digits near the top,
-    less closely far below it.  Values whose squares fall below the
-    numerical-rank cut-off s_1^2 * max(m, n) * eps read 0.  Entries so
-    large that their squares overflow are a ValueError, and so are
-    nonzero entries so small that they underflow: the rule is that the
-    Gram matrix's largest diagonal entry (the largest sum of squares
-    along the long side) is below max(m, n) times the smallest normal
-    double, which holds whenever every square is subnormal or zero.  An
-    all-zero matrix is not an error; its rank is 0.  Column j of the
-    long-side factor is orthonormal to the others to about
-    eps * (s_1 / s_j)^2.
+    less closely far below it.  Entries so large that their squares
+    overflow are a ValueError, and so are nonzero entries so small that
+    they underflow: the rule is that the Gram matrix's largest diagonal
+    entry (the largest sum of squares along the long side) is below
+    max(m, n) times the smallest normal double, which holds whenever
+    every square is subnormal or zero.  An all-zero matrix is not an
+    error; its rank is 0.  Column j of the long-side factor is
+    orthonormal to the others to about eps * (s_1 / s_j)^2.
     """
     m, n = a.shape
     short = a if m <= n else a.T
@@ -203,31 +247,53 @@ def gram_svd(a: np.ndarray):
         raise ValueError("matrix entries are too small to square: the "
                          "Gram matrix underflows")
     lapack = _lapack()
-    lam, top = (_dense_eigen(gram) if lapack is None
-                else _tridiagonal_eigen(lapack, gram))
-    # 0 when lam[0] <= 0: an all-zero input has no factors
-    rank = int(np.count_nonzero(
-        lam > max(lam[0], 0.0) * max(m, n) * np.finfo(np.float64).eps))
-    s = np.zeros_like(lam)
-    s[:rank] = np.sqrt(lam[:rank])
+    count_eig, top_eig, values_eig = (
+        _dense_eigen(gram) if lapack is None
+        else _tridiagonal_eigen(lapack, gram))
 
-    def factors(k: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= k <= rank:
-            raise ValueError(f"asked for {k} singular vectors of a "
-                             f"rank-{rank} matrix")
-        w = top(k)
-        long = short.T @ w
-        long /= s[:k]
-        return (w, long) if m <= n else (long, w)
+    def roots(lam: np.ndarray) -> np.ndarray:
+        s = np.zeros_like(lam)
+        if lam.size:
+            # 0 when lam[0] <= 0: an all-zero input has no factors
+            tol = max(lam[0], 0.0) * max(m, n) * np.finfo(np.float64).eps
+            rank = int(np.count_nonzero(lam > tol))
+            s[:rank] = np.sqrt(lam[:rank])
+        return s
 
-    return s, rank, factors
+    def count(t: float) -> int:
+        return count_eig(t * t)
+
+    def top(k: int):
+        if not 0 <= k <= min(m, n):
+            raise ValueError(f"asked for the top {k} of {min(m, n)} "
+                             f"singular values")
+        lam, vectors = top_eig(k)
+        s = roots(lam)
+        rank = int(np.count_nonzero(s))
+
+        def factors(j: int) -> tuple[np.ndarray, np.ndarray]:
+            if not 0 <= j <= rank:
+                raise ValueError(f"asked for {j} singular vectors of a "
+                                 f"rank-{rank} matrix")
+            w = vectors(j)
+            long = short.T @ w
+            long /= s[:j]
+            return (w, long) if m <= n else (long, w)
+
+        return s, factors
+
+    def values() -> np.ndarray:
+        return roots(values_eig())
+
+    return count, top, values
 
 
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value, taken as the
     root of the top eigenvalue of the Gram matrix on the short side
     (`gram_svd`, whose over- and underflow errors it raises)."""
-    s, _, _ = gram_svd(as_matrix(a))
+    _, top, _ = gram_svd(as_matrix(a))
+    s, _ = top(1)
     return float(s[0])
 
 

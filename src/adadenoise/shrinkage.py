@@ -85,32 +85,41 @@ def debiased_sv(y, gamma: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
+def shrink_threshold(noise_sd: float, delta: float,
+                     gamma: float = 1.0) -> float:
+    """The threshold of :func:`shrink_known_sd`,
+    ``(1 + delta) * bulk_edge(gamma) * noise_sd``: a scaled singular
+    value at or above it survives.  `noise_sd` must be positive and
+    finite, `delta` finite and non-negative."""
+    if not (0 < noise_sd < math.inf):
+        raise ValueError("noise_sd must be positive and finite")
+    gamma = _check_gamma(gamma)
+    if not (0 <= delta < math.inf):
+        raise ValueError("delta must be >= 0 and finite")
+    return (1.0 + delta) * bulk_edge(gamma) * noise_sd
+
+
 def shrink_known_sd(sigma0, noise_sd: float, delta: float,
                     gamma: float = 1.0) -> tuple[np.ndarray, int]:
     """Threshold-and-debias rule for a spectrum at noise level `noise_sd`.
 
-    `sigma0` holds descending scaled singular values.  Values below
-    ``(1 + delta) * bulk_edge * noise_sd`` map to exactly zero; survivors
-    map to ``noise_sd * debiased_sv(value / noise_sd)``.  Returns the
-    shrunk values (descending, zeros trailing) and the count of
-    survivors.
+    `sigma0` holds descending scaled singular values.  Values below the
+    threshold ``(1 + delta) * bulk_edge * noise_sd`` (`shrink_threshold`)
+    map to exactly zero; survivors map to
+    ``noise_sd * debiased_sv(value / noise_sd)``.  Returns the shrunk
+    values (descending, zeros trailing) and the count of survivors.
 
     This is the one rule for both estimators: the PCA baseline passes
     the spectrum of Y with its known noise sd, the adaptive pipeline the
     spectrum of the rescaled score matrix X* with noise sd
     ``i_hat^-1/2``.  `delta` must be finite and non-negative.
     """
-    if not (0 < noise_sd < math.inf):
-        raise ValueError("noise_sd must be positive and finite")
-    gamma = _check_gamma(gamma)
+    threshold = shrink_threshold(noise_sd, delta, gamma)
     sigma0 = np.asarray(sigma0, dtype=np.float64)
     if sigma0.ndim != 1:
         raise ValueError("sigma0 must be a 1-D array of singular values")
     if np.any(sigma0 < 0) or np.any(np.diff(sigma0) > 0):
         raise ValueError("sigma0 must be non-negative and descending")
-    if not (0 <= delta < math.inf):
-        raise ValueError("delta must be >= 0 and finite")
-    threshold = (1.0 + delta) * bulk_edge(gamma) * noise_sd
     keep = sigma0 >= threshold
     shrunk = np.zeros_like(sigma0)
     if keep.any():

@@ -12,6 +12,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 import adadenoise
 from adadenoise import ExperimentConfig, GaussianMixture, SignalSpec, run_trial
-from adadenoise import estimator
+from adadenoise import estimator, linalg
 from adadenoise.kde import (DensityEstimate, gaussian_kernel,
                             gaussian_kernel_deriv, kde_binned, mean_entry)
 from adadenoise.linalg import as_matrix, op_norm
@@ -61,6 +62,18 @@ def cell_mean(records, attr, index=None):
     if index is not None:
         vals = [v[index] for v in vals]
     return float(np.mean(vals))
+
+
+def fail_lapack(monkeypatch, routine):
+    """Make the bundled LAPACK routine `routine` report a failure (info
+    1) and leave the others as they are; skips where numpy's LAPACK does
+    not export the routines `linalg.gram_svd` calls."""
+    real = linalg._lapack()
+    if real is None:
+        pytest.skip("numpy's LAPACK does not export the LAPACKE routines")
+    fake = SimpleNamespace(**vars(real))
+    setattr(fake, routine, lambda *args: 1)
+    monkeypatch.setattr(linalg, "_lapack", lambda: fake)
 
 
 def package_env():

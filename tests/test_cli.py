@@ -11,7 +11,7 @@ from adadenoise import (DenoiserParams, GaussianMixture, baseline_estimate,
 
 from adadenoise.cli import main
 
-from conftest import package_env
+from conftest import fail_lapack, package_env
 
 REPO = Path(__file__).resolve().parents[1]
 SMOKE_CFG = REPO / "configs" / "smoke.cfg"
@@ -275,6 +275,24 @@ class TestDenoise:
         err = capsys.readouterr().err
         assert "spectral decomposition failed" in err
         assert "Eigenvalues did not converge" in err
+
+    @pytest.mark.parametrize("mode", [
+        [], ["--mode", "baseline", "--noise-sd", "1"]],
+        ids=["adaptive", "baseline"])
+    def test_spectrum_failure_leaves_no_output(self, tmp_path, noisy_matrix,
+                                               monkeypatch, capsys, mode):
+        """The full spectrum (`sigma0`, for the meta file) is taken after
+        the estimate; its failure still comes before any file is
+        written."""
+        fail_lapack(monkeypatch, "dsterf")
+        path, _ = noisy_matrix
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["denoise", str(path), "-o", str(out / "x"), *mode])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "spectral decomposition failed" in err and "dsterf" in err
+        assert not any(out.iterdir())
 
     def test_overflowing_input_is_runtime_error(self, tmp_path, capsys):
         """Entries whose squares overflow fail with the cause named."""

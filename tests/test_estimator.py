@@ -6,11 +6,12 @@ import pytest
 from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, SignalSpec,
                         baseline_estimate, debiased_sv, denoise,
                         denoise_entrywise, gaussian_kernel_deriv, kde_binned,
-                        make_signal, shrink_known_sd, subspace_overlap)
+                        make_signal, op_norm, run_trial, shrink_known_sd,
+                        subspace_overlap)
 from adadenoise import estimator, linalg
 from adadenoise.estimator import SettingError
 
-from conftest import kde_exact, score_parts
+from conftest import fail_lapack, kde_exact, score_parts
 
 
 class TestDefaults:
@@ -454,6 +455,33 @@ class TestSpectralStepEigh(TestSpectralStep):
     @pytest.fixture(autouse=True)
     def fallback(self, monkeypatch):
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
+
+
+class TestLazySpectrum:
+    """Only the values something reads are taken: with `dsterf`, which
+    takes the full spectrum, made to fail, both estimators, `op_norm`
+    and a whole trial still run, and only reading `sigma0` raises."""
+
+    def test_full_spectrum_is_taken_on_first_read(self, monkeypatch):
+        spec = SignalSpec(m=60, n=80, r=1, sigmas=(5.0,))
+        x, _, _ = make_signal(spec, seed=74)
+        y = x + GaussianMixture(2.0).sample(60, 80, seed=75)
+        want = baseline_estimate(y, noise_sd=math.sqrt(5.0)).sigma0
+        fail_lapack(monkeypatch, "dsterf")
+        res = denoise(y)
+        base = baseline_estimate(y, noise_sd=math.sqrt(5.0))
+        assert res.k_hat == base.k_hat == 1
+        assert op_norm(y - x) > 0
+        record = run_trial(spec, GaussianMixture(2.0), DenoiserParams(),
+                           seed=76)
+        assert record.k_hat == 1
+        for est in (res, base):
+            with pytest.raises(np.linalg.LinAlgError, match="dsterf"):
+                est.sigma0
+        monkeypatch.undo()
+        again = baseline_estimate(y, noise_sd=math.sqrt(5.0))
+        assert again.sigma0 is again.sigma0  # taken once, then kept
+        np.testing.assert_array_equal(again.sigma0, want)
 
 
 class TestBaseline:

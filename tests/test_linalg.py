@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from adadenoise import (linalg, op_norm, read_matrix_csv, subspace_overlap,
                         write_matrix_csv)
 
-from conftest import package_env
+from conftest import fail_lapack, package_env
 
 
 def random_orthogonal(rng, dim):
@@ -104,13 +103,22 @@ class TestGramEigen:
         short = gaussian(n, 20 + n)
         g = short @ short.T
         lam, w = np.linalg.eigh(g)
-        top = lam[-1]
+        top_value = lam[-1]
         for a in (short, short.T):  # the short side is a's rows, then columns
-            s, rank, factors = linalg.gram_svd(a)
-            assert rank == n
+            count, top, values = linalg.gram_svd(a)
+            s = values()
+            assert np.count_nonzero(s) == n
             np.testing.assert_allclose(s ** 2, lam[::-1], rtol=0,
-                                       atol=1e-12 * top)
+                                       atol=1e-12 * top_value)
+            # the count of values at or above a bound between two of them
+            for j in range(n):
+                bound = math.sqrt(0.5 * (lam[j] + lam[j - 1])) if j else 0.0
+                assert count(bound) == n - j
+            assert count(2.0 * s[0]) == 0
             for k in sorted({0, 1, min(3, n), n}):
+                s_top, factors = top(k)
+                np.testing.assert_allclose(s_top ** 2, lam[::-1][:k], rtol=0,
+                                           atol=1e-12 * top_value)
                 u, v = factors(k)
                 assert u.shape == (a.shape[0], k)
                 assert v.shape == (a.shape[1], k)
@@ -122,35 +130,42 @@ class TestGramEigen:
                     np.testing.assert_allclose(f.T @ f, np.eye(k), rtol=0,
                                                atol=1e-12)
                 np.testing.assert_allclose(g @ z, z * s[:k] ** 2, rtol=0,
-                                           atol=1e-12 * top)
+                                           atol=1e-12 * top_value)
                 np.testing.assert_allclose(short.T @ z, long * s[:k],
                                            rtol=0, atol=1e-12)
+                # asking again gives the same vectors
+                np.testing.assert_array_equal(factors(k)[0], u)
 
     def test_rejects_k_outside_the_rank(self, backend):
         """Factors exist for the numerical rank only: a rank-2 matrix has
         2, and the values past it read 0."""
         rng = np.random.default_rng(30)
         a = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 8))
-        s, rank, factors = linalg.gram_svd(a)
-        assert rank == 2 and np.all(s[:2] > 0) and not np.any(s[2:])
+        _, top, values = linalg.gram_svd(a)
+        s = values()
+        assert np.all(s[:2] > 0) and not np.any(s[2:])
+        s_top, factors = top(5)
+        np.testing.assert_array_equal(s_top == 0, s == 0)
         assert factors(2)[0].shape == (5, 2)
         for k in (-1, 3):
             with pytest.raises(ValueError, match="singular vectors"):
                 factors(k)
+        for k in (-1, 6):
+            with pytest.raises(ValueError, match="singular values"):
+                top(k)
 
-    @pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstemr",
-                                         "dormtr"])
+    @pytest.mark.parametrize("routine", ["dsytrd", "dstebz", "dsterf",
+                                         "dstemr", "dormtr"])
     def test_lapack_failure_raises(self, monkeypatch, routine):
-        """A nonzero LAPACK info is a LinAlgError naming the routine."""
-        real = linalg._lapack()
-        if real is None:
-            pytest.skip("numpy's LAPACK does not export the LAPACKE routines")
-        fake = SimpleNamespace(**vars(real))
-        setattr(fake, routine, lambda *args: 1)
-        monkeypatch.setattr(linalg, "_lapack", lambda: fake)
+        """A nonzero LAPACK info is a LinAlgError naming the routine, from
+        the call that needs it."""
+        fail_lapack(monkeypatch, routine)
         with pytest.raises(np.linalg.LinAlgError, match=routine):
-            _, _, factors = linalg.gram_svd(gaussian(5, 31))
+            count, top, values = linalg.gram_svd(gaussian(5, 31))
+            count(1.0)
+            _, factors = top(2)
             factors(2)
+            values()
 
     def test_eigh_failure_raises(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -174,8 +189,24 @@ class TestGramEigen:
             raise AssertionError("the eigh fallback was called")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        s, rank, factors = linalg.gram_svd(gaussian(3, 33))
-        assert rank == 3 and factors(3)[0].shape == (3, 3)
+        count, top, _ = linalg.gram_svd(gaussian(3, 33))
+        s, factors = top(3)
+        assert count(0.0) == 3 and np.all(s > 0)
+        assert factors(3)[0].shape == (3, 3)
+
+    def test_values_hold_no_matrix(self, backend):
+        """What `values` keeps alive is O(min(m, n)): no n x n array."""
+        _, _, values = linalg.gram_svd(gaussian(40, 34))
+        held, stack = [], [values]
+        while stack:
+            fn = stack.pop()
+            for cell in fn.__closure__ or ():
+                item = cell.cell_contents
+                if callable(item) and getattr(item, "__closure__", None):
+                    stack.append(item)
+                elif isinstance(item, np.ndarray):
+                    held.append(item.base if item.base is not None else item)
+        assert held and all(arr.size <= 40 for arr in held)
 
     def test_resolved_on_first_use_not_on_import(self):
         code = ("import adadenoise, adadenoise.linalg as l; "
