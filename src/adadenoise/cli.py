@@ -123,26 +123,22 @@ def cmd_denoise(args) -> int:
         return USAGE_ERROR
 
     try:
-        prefix = args.output_prefix
-        # the full spectrum is taken on first read of sigma0; read it
-        # before any file is written, so a failure leaves no output behind
         if args.mode == "adaptive":
             res = denoise(y, params)
-            sigma0 = res.sigma0
-            write_matrix_csv(res.x_hat, f"{prefix}_xhat.csv")
-            write_matrix_csv(res.x_star, f"{prefix}_xstar.csv")
-            _write_meta(f"{prefix}_meta.txt", [
-                ("i_hat", res.i_hat), ("k_hat", res.k_hat),
-                ("y_bar", res.y_bar), ("sigma0", sigma0),
-                ("sigma_shrunk", res.sigma_shrunk)])
+            meta = [("i_hat", res.i_hat), ("k_hat", res.k_hat),
+                    ("y_bar", res.y_bar)]
         else:  # baseline
             res = baseline_estimate(y, noise_sd=args.noise_sd,
                                     delta=params.delta)
-            sigma0 = res.sigma0
-            write_matrix_csv(res.x_hat, f"{prefix}_xhat.csv")
-            _write_meta(f"{prefix}_meta.txt", [
-                ("noise_sd", args.noise_sd), ("k_hat", res.k_hat),
-                ("sigma0", sigma0), ("sigma_shrunk", res.sigma_shrunk)])
+            meta = [("noise_sd", args.noise_sd), ("k_hat", res.k_hat)]
+        # the full spectrum is taken on first read of sigma0; read it
+        # before any file is written, so a failure leaves no output behind
+        meta += [("sigma0", res.sigma0), ("sigma_shrunk", res.sigma_shrunk)]
+        prefix = args.output_prefix
+        write_matrix_csv(res.x_hat, f"{prefix}_xhat.csv")
+        if res.x_star is not None:
+            write_matrix_csv(res.x_star, f"{prefix}_xstar.csv")
+        _write_meta(f"{prefix}_meta.txt", meta)
     except OSError as exc:
         _err(f"cannot write outputs: {exc}")
         return RUNTIME_ERROR

@@ -20,11 +20,12 @@ Given a single noisy matrix Y the pipeline
    its Gram matrix on the short side, and threshold-shrinks that
    spectrum at noise level i_hat^{-1/2} with the same rule the PCA
    baseline applies to Y at its known noise level, to produce the final
-   low-rank estimate.  Only what the rule reads is computed: k_hat is a
-   Sturm count of the values at or above the threshold, and values and
-   vectors are formed only for the factors anything reads: the k_hat
-   kept ones, and at least `factors` leading ones (`DenoiseResult`).
-   The full spectrum `sigma0` is taken on its first read.
+   low-rank estimate.  One call (`linalg.gram_svd`) computes only what
+   the rule reads: k_hat is a Sturm count of the values at or above the
+   threshold, and values and vectors are formed only for the factors
+   anything reads: the k_hat kept ones, and at least `factors` leading
+   ones (`DenoiseResult`).  The full spectrum `sigma0` is taken on its
+   first read.
 
 The score map is looked up once, at one point set (the centered
 entries), with an O(1) uniform-grid index; the gain and the variance
@@ -211,7 +212,7 @@ def denoise_entrywise(y, params: DenoiserParams):
 
 
 def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
-                       factors: int):
+                       factors: int, **scored) -> DenoiseResult:
     """The spectral step both estimators share.
 
     Decomposes `a` through its Gram matrix on the short side
@@ -226,9 +227,10 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     computed value, put it at or above tau.  Values past the numerical
     rank rho are 0, so k_hat <= rho, and factors are formed for
     min(rho, K) columns only.  The full spectrum is left to the
-    returned function, which holds O(min(m, n)) numbers.
-    Returns the leading fields of `DenoiseResult`, in order.  Raises
-    ValueError when the Gram matrix overflows or underflows.
+    result's `sigma0`, whose function holds O(min(m, n)) numbers.
+    `scored` holds the result's `x_star`, `i_hat` and `y_bar`, passed
+    through.  Raises ValueError when the Gram matrix overflows or
+    underflows.
     """
     if (isinstance(factors, bool)
             or not (isinstance(factors, (int, np.integer)) and factors >= 0)):
@@ -236,16 +238,15 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     m, n = a.shape
     scale = (m * n) ** 0.25
     tau = shrink_threshold(noise_sd, delta, m / n)
-    count, top, values = gram_svd(a)
-    above = count(tau * scale)
-    s, vectors = top(min(m, n, max(above, factors)))
+    above, s, u, v, values = gram_svd(a, tau * scale, factors)
     shrunk, kept = shrink_known_sd(s / scale, noise_sd, delta, m / n)
     k_hat = min(above, kept)
     sigma_shrunk = np.zeros(min(m, n))
     sigma_shrunk[:k_hat] = shrunk[:k_hat]
-    u, v = vectors(np.count_nonzero(s))
     x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ v[:, :k_hat].T
-    return x_hat, u, v, lambda: values() / scale, sigma_shrunk, k_hat
+    return DenoiseResult(x_hat=x_hat, u_hat=u, v_hat=v,
+                         _spectrum=lambda: values() / scale,
+                         sigma_shrunk=sigma_shrunk, k_hat=k_hat, **scored)
 
 
 def denoise(y, params: DenoiserParams = DenoiserParams(), *,
@@ -257,9 +258,8 @@ def denoise(y, params: DenoiserParams = DenoiserParams(), *,
     """
     x_star, i_hat, y_bar = denoise_entrywise(y, params)
     # X* is a spiked matrix with noise sd i_hat^-1/2
-    return DenoiseResult(*_spectral_estimate(x_star, i_hat ** -0.5,
-                                             params.delta, factors),
-                         x_star=x_star, i_hat=i_hat, y_bar=y_bar)
+    return _spectral_estimate(x_star, i_hat ** -0.5, params.delta, factors,
+                              x_star=x_star, i_hat=i_hat, y_bar=y_bar)
 
 
 def baseline_estimate(y, noise_sd: float,
@@ -269,5 +269,4 @@ def baseline_estimate(y, noise_sd: float,
 
     `factors` is as for `denoise`.
     """
-    return DenoiseResult(*_spectral_estimate(as_matrix(y, "y"), noise_sd,
-                                             delta, factors))
+    return _spectral_estimate(as_matrix(y, "y"), noise_sd, delta, factors)

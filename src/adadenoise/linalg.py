@@ -5,13 +5,14 @@ rejects NaN/Inf so that garbage never propagates into the spectral
 pipeline.
 
 `gram_svd` takes the singular values of a matrix from the Gram matrix
-on the short side, each part on request: a count of the values above a
-bound, the top few values with their singular vectors, or all values;
-the spectral step and `op_norm` both call it.  Its partial symmetric
-eigensolver reaches the LAPACK that numpy's wheels bundle (an ILP64
-OpenBLAS whose LAPACKE symbols carry a ``scipy_`` prefix and a ``64_``
-suffix) through `ctypes`, so it needs no dependency beyond numpy and
-loads no new library.  Where those symbols do not resolve (numpy built
+on the short side, in one call: a count of the values above a bound,
+the top few values with the singular vectors of the nonzero ones, and
+a function that takes all values later; the spectral step and
+`op_norm` both call it.  Its partial symmetric eigensolver reaches the
+LAPACK that numpy's wheels bundle (an ILP64 OpenBLAS whose LAPACKE
+symbols carry a ``scipy_`` prefix and a ``64_`` suffix) through
+`ctypes`, so it needs no dependency beyond numpy and loads no new
+library.  Where those symbols do not resolve (numpy built
 on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,106 +122,96 @@ def _check(info: int, routine: str) -> None:
                                     f"(info = {info})")
 
 
-def _tridiagonal_eigen(lapack: SimpleNamespace, g: np.ndarray):
-    """Eigendecomposition of `g` through LAPACK, each part on request.
-    `dsytrd` reduces `g` to tridiagonal form T in place, once; then
-    ``count(t)`` is a Sturm count of T's eigenvalues >= t (`dstebz`),
-    ``top(k)`` has `dstemr` (MRRR) take T's top k eigenvalues and
-    eigenvectors, with ``vectors(j)`` mapping the leading j of them back
-    through `dormtr`, and ``values()`` takes all eigenvalues (`dsterf`).
-    `values` holds only T's diagonal and off-diagonal, never `g`.
-    Returns ``(count, top, values)``; values come in descending order."""
+def _tridiagonal_eigen(lapack: SimpleNamespace, g: np.ndarray, t: float,
+                       k: int):
+    """Partial eigendecomposition of `g` through LAPACK.  `dsytrd`
+    reduces `g` to tridiagonal form T in place; `dstebz` counts T's
+    eigenvalues >= t (a Sturm count, no values formed); `dstemr` (MRRR)
+    takes the top K = min(n, max(count, k)) eigenvalues and eigenvectors
+    of T, and `dormtr` maps the vectors back.  Returns
+    ``(count, lam, w, values)``: the K values descending, their vectors
+    in that order, and ``values()``, which takes all eigenvalues
+    (`dsterf`), descending, from T's diagonal and off-diagonal only,
+    never `g`."""
     n = g.shape[0]
     a = g.T  # g is symmetric: its transpose is the column-major view
     d = np.empty(n)
     e = np.zeros(n)  # n - 1 off-diagonals; dstemr's workspace last
     tau = np.empty(max(n - 1, 1))
     _check(lapack.dsytrd(_COL_MAJOR, b"L", n, a, n, d, e, tau), "dsytrd")
-
-    def count(t: float) -> int:
-        found, blocks = ctypes.c_int64(0), ctypes.c_int64(0)
-        # range "V" counts the half-open (vl, vu]: vl one step below t
-        # keeps t itself.  An infinite tolerance stops the bisection at
-        # the first Sturm counts, which is all that is read.
-        _check(lapack.dstebz(
-            b"V", b"B", n, np.nextafter(t, -np.inf), np.inf, 0, 0, np.inf,
-            d, e, ctypes.byref(found), ctypes.byref(blocks), np.empty(n),
-            np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)),
-            "dstebz")
-        return found.value
-
-    def top(k: int):
-        z = np.empty((n, k), order="F")
-        lam = np.empty(n)
-        if k > 0:
-            found, tryrac = ctypes.c_int64(0), ctypes.c_int64(0)
-            # dstemr overwrites d and e; range "I" takes eigenvalues
-            # n-k+1..n of the ascending order
-            _check(lapack.dstemr(
-                _COL_MAJOR, b"V", b"I", n, d.copy(), e.copy(), 0.0, 0.0,
-                n - k + 1, n, ctypes.byref(found), lam, z, n, k,
-                np.empty(2 * k, dtype=np.int64), ctypes.byref(tryrac)),
-                "dstemr")
-            if found.value != k:
-                raise np.linalg.LinAlgError(f"LAPACK dstemr found "
-                                            f"{found.value} of {k} "
-                                            f"eigenvectors")
-
-        def vectors(j: int) -> np.ndarray:
-            w = z[:, k - j:].copy(order="F")  # the top j, still ascending
-            if j > 0:
-                _check(lapack.dormtr(_COL_MAJOR, b"L", b"L", b"N", n, j, a,
-                                     n, tau, w, n), "dormtr")
-            return w[:, ::-1]
-
-        return lam[:k][::-1], vectors
+    found, blocks = ctypes.c_int64(0), ctypes.c_int64(0)
+    # range "V" counts the half-open (vl, vu]: vl one step below t keeps t
+    # itself.  An infinite tolerance stops the bisection at the first
+    # Sturm counts, which is all that is read.
+    _check(lapack.dstebz(
+        b"V", b"B", n, np.nextafter(t, -np.inf), np.inf, 0, 0, np.inf, d, e,
+        ctypes.byref(found), ctypes.byref(blocks), np.empty(n),
+        np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)), "dstebz")
+    count = found.value
+    k = min(n, max(count, k))
+    z = np.empty((n, k), order="F")
+    lam = np.empty(n)
+    if k > 0:
+        found, tryrac = ctypes.c_int64(0), ctypes.c_int64(0)
+        # dstemr overwrites d and e; range "I" takes eigenvalues n-k+1..n
+        # of the ascending order
+        _check(lapack.dstemr(
+            _COL_MAJOR, b"V", b"I", n, d.copy(), e.copy(), 0.0, 0.0,
+            n - k + 1, n, ctypes.byref(found), lam, z, n, k,
+            np.empty(2 * k, dtype=np.int64), ctypes.byref(tryrac)), "dstemr")
+        if found.value != k:
+            raise np.linalg.LinAlgError(f"LAPACK dstemr found {found.value} "
+                                        f"of {k} eigenvectors")
+        _check(lapack.dormtr(_COL_MAJOR, b"L", b"L", b"N", n, k, a, n, tau,
+                             z, n), "dormtr")
 
     def values() -> np.ndarray:
         lam = d.copy()
         _check(lapack.dsterf(n, lam, e.copy()), "dsterf")
         return lam[::-1]
 
-    return count, top, values
+    return count, lam[:k][::-1], z[:, ::-1], values
 
 
-def _dense_eigen(g: np.ndarray):
-    """Eigendecomposition of `g` through `np.linalg.eigh`, all of it at
-    once: the same ``(count, top, values)`` as `_tridiagonal_eigen`, each
-    reading or slicing the one result."""
+def _dense_eigen(g: np.ndarray, t: float, k: int):
+    """The same ``(count, lam, w, values)`` as `_tridiagonal_eigen`, all
+    read off one `np.linalg.eigh`."""
     lam, w = np.linalg.eigh(g)
     lam, w = lam[::-1], w[:, ::-1]
-    return (lambda t: int(np.count_nonzero(lam >= t)),
-            lambda k: (lam[:k], lambda j: w[:, :j]),
-            lambda: lam)
+    count = int(np.count_nonzero(lam >= t))
+    k = min(lam.size, max(count, k))
+    return count, lam[:k], w[:, :k], lambda: lam
 
 
-def gram_svd(a: np.ndarray):
-    """Singular values of a validated matrix through its Gram matrix on
-    the short side, each part taken only when asked for.
+def gram_svd(a: np.ndarray, t: float, k: int):
+    """Singular values and vectors of a validated matrix through its
+    Gram matrix on the short side, only as many as asked for.
 
-    Returns ``(count, top, values)``:
+    Returns ``(count, s, u, v, values)``:
 
-    - ``count(t)`` is the number of singular values >= t, by a Sturm
-      count on the Gram matrix's tridiagonal form against t^2, with no
-      values computed.  A value within rounding of t may fall on either
-      side, as it may when a computed value is compared with t;
-    - ``top(k)``, for 0 <= k <= min(m, n), returns ``(s, factors)``: the
-      k leading singular values, descending, and ``factors(j)``, which
-      for 0 <= j <= count_nonzero(s) returns the leading m x j and n x j
-      singular vectors.  One partial solve gives the values and the
-      vectors; only the j asked-for ones are mapped back;
+    - ``count`` is the number of singular values >= t, by a Sturm count
+      on the Gram matrix's tridiagonal form against t^2, with no values
+      computed.  A value within rounding of t may fall on either side,
+      as it may when a computed value is compared with t; t = inf counts
+      0;
+    - ``s`` holds the K = min(m, n, max(count, k)) leading singular
+      values, descending, from the one partial solve that forms their
+      vectors;
+    - ``u`` (m x j) and ``v`` (n x j) are the leading singular vectors of
+      the j = count_nonzero(s) nonzero values;
     - ``values()`` returns all min(m, n) values, descending.  It holds
       only the tridiagonal form's diagonal and off-diagonal, not the
       matrix, so it can be kept and called later.
 
     Values whose squares fall below the numerical-rank cut-off
-    s_1^2 * max(m, n) * eps read 0, in `top` with s_1 from its own
-    values.  The short-side factor is the top j eigenvectors of the Gram
-    matrix; the long-side one is the matrix applied to them, divided by
-    s_j.  Uses numpy's bundled LAPACK (one tridiagonal reduction) when
-    its symbols resolve, and `np.linalg.eigh`, which forms everything
-    at once, otherwise.  Either way a failed decomposition raises
-    `np.linalg.LinAlgError`, from the call that needed it.
+    s_1^2 * max(m, n) * eps read 0, in `s` with s_1 from its own values.
+    The short-side factor is the top j eigenvectors of the Gram matrix;
+    the long-side one is the matrix applied to them, divided by s_j.
+    Uses numpy's bundled LAPACK (one tridiagonal reduction) when its
+    symbols resolve, and `np.linalg.eigh`, which forms everything at
+    once, otherwise.  Either way a failed decomposition raises
+    `np.linalg.LinAlgError`: from this call, or for the full spectrum
+    from ``values()``.
 
     Squaring the matrix squares its spectrum.  Each eigenvalue carries
     an absolute error of about eps * s_1^2, so s_j agrees with the SVD's
@@ -247,9 +239,9 @@ def gram_svd(a: np.ndarray):
         raise ValueError("matrix entries are too small to square: the "
                          "Gram matrix underflows")
     lapack = _lapack()
-    count_eig, top_eig, values_eig = (
-        _dense_eigen(gram) if lapack is None
-        else _tridiagonal_eigen(lapack, gram))
+    count, lam, w, values = (
+        _dense_eigen(gram, t * t, k) if lapack is None
+        else _tridiagonal_eigen(lapack, gram, t * t, k))
 
     def roots(lam: np.ndarray) -> np.ndarray:
         s = np.zeros_like(lam)
@@ -260,41 +252,19 @@ def gram_svd(a: np.ndarray):
             s[:rank] = np.sqrt(lam[:rank])
         return s
 
-    def count(t: float) -> int:
-        return count_eig(t * t)
-
-    def top(k: int):
-        if not 0 <= k <= min(m, n):
-            raise ValueError(f"asked for the top {k} of {min(m, n)} "
-                             f"singular values")
-        lam, vectors = top_eig(k)
-        s = roots(lam)
-        rank = int(np.count_nonzero(s))
-
-        def factors(j: int) -> tuple[np.ndarray, np.ndarray]:
-            if not 0 <= j <= rank:
-                raise ValueError(f"asked for {j} singular vectors of a "
-                                 f"rank-{rank} matrix")
-            w = vectors(j)
-            long = short.T @ w
-            long /= s[:j]
-            return (w, long) if m <= n else (long, w)
-
-        return s, factors
-
-    def values() -> np.ndarray:
-        return roots(values_eig())
-
-    return count, top, values
+    s = roots(lam)
+    w = w[:, :np.count_nonzero(s)]
+    long = short.T @ w
+    long /= s[:w.shape[1]]
+    u, v = (w, long) if m <= n else (long, w)
+    return count, s, u, v, lambda: roots(values())
 
 
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value, taken as the
     root of the top eigenvalue of the Gram matrix on the short side
     (`gram_svd`, whose over- and underflow errors it raises)."""
-    _, top, _ = gram_svd(as_matrix(a))
-    s, _ = top(1)
-    return float(s[0])
+    return float(gram_svd(as_matrix(a), math.inf, 1)[1][0])
 
 
 def subspace_overlap(a, b) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .shrinkage import bulk_edge
+from .shrinkage import _check_gamma, _root_gamma, bulk_edge
 
 __all__ = [
     "overlap_limit",
@@ -35,19 +35,18 @@ def overlap_limit(sigma: float, t: float, gamma: float = 1.0) -> float:
     """
     if not (sigma > 0 and t > 0):
         raise ValueError("sigma and t must be positive")
+    root_gamma = _root_gamma(_check_gamma(gamma))
     snr = sigma * sigma * t
     if snr <= 1.0:
         return 0.0
     num = 1.0 - 1.0 / (snr * snr)
-    # min(g^1/2, g^-1/2) via the canonical representative so that gamma
-    # and 1/gamma give bit-identical results
-    den = 1.0 + 1.0 / (math.sqrt(max(gamma, 1.0 / gamma)) * snr)
+    den = 1.0 + 1.0 / (root_gamma * snr)
     return math.sqrt(num / den)
 
 
 def error_limit(sigma1: float, t: float) -> float:
     """Scaled operator-norm error limit: min(sigma1, t^-1/2)."""
-    if sigma1 < 0 or not (t > 0):
+    if not (sigma1 >= 0 and t > 0):
         raise ValueError("need sigma1 >= 0 and t > 0")
     return min(sigma1, 1.0 / math.sqrt(t))
 
@@ -59,6 +58,7 @@ def minimax_limits(gamma: float, fisher_info: float) -> tuple[float, float]:
     rank-constrained class and (g^1/4 + g^-1/4) / sqrt(I) without the
     rank constraint.
     """
+    gamma = _check_gamma(gamma)
     if not (fisher_info > 0):
         raise ValueError("fisher_info must be positive")
     root = math.sqrt(fisher_info)

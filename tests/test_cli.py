@@ -381,3 +381,20 @@ class TestTheory:
     def test_inverse_below_edge_is_usage_error(self):
         res = run_cli("theory", "--what", "Hinv", "--sigma", "1.5")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--what", "overlap", "--t", "1", "--sigma", "2", "--gamma", "0"],
+         "aspect ratio must be positive and finite"),
+        (["--what", "overlap", "--t", "1", "--sigma", "2", "--gamma", "-1"],
+         "aspect ratio must be positive and finite"),
+        (["--what", "overlap", "--t", "1", "--sigma", "2", "--gamma", "nan"],
+         "aspect ratio must be positive and finite"),
+        (["--what", "error", "--t", "1", "--sigma", "nan"],
+         "need sigma1 >= 0 and t > 0"),
+    ], ids=["gamma-zero", "gamma-negative", "gamma-nan", "sigma-nan"])
+    def test_out_of_domain_input_is_usage_error(self, args, message):
+        res = run_cli("theory", *args)
+        assert res.returncode == 2, res.stdout
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""

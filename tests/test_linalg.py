@@ -105,21 +105,23 @@ class TestGramEigen:
         lam, w = np.linalg.eigh(g)
         top_value = lam[-1]
         for a in (short, short.T):  # the short side is a's rows, then columns
-            count, top, values = linalg.gram_svd(a)
-            s = values()
+            s = linalg.gram_svd(a, math.inf, 0)[4]()
             assert np.count_nonzero(s) == n
             np.testing.assert_allclose(s ** 2, lam[::-1], rtol=0,
                                        atol=1e-12 * top_value)
-            # the count of values at or above a bound between two of them
+            # the count of values at or above a bound between two of them,
+            # and as many leading values
             for j in range(n):
                 bound = math.sqrt(0.5 * (lam[j] + lam[j - 1])) if j else 0.0
-                assert count(bound) == n - j
-            assert count(2.0 * s[0]) == 0
+                count, s_top, u, _, _ = linalg.gram_svd(a, bound, 0)
+                assert count == n - j
+                assert s_top.shape == (n - j,) and u.shape[1] == n - j
+            assert linalg.gram_svd(a, 2.0 * s[0], 0)[0] == 0
             for k in sorted({0, 1, min(3, n), n}):
-                s_top, factors = top(k)
+                count, s_top, u, v, _ = linalg.gram_svd(a, math.inf, k)
+                assert count == 0
                 np.testing.assert_allclose(s_top ** 2, lam[::-1][:k], rtol=0,
                                            atol=1e-12 * top_value)
-                u, v = factors(k)
                 assert u.shape == (a.shape[0], k)
                 assert v.shape == (a.shape[1], k)
                 z, long = (u, v) if a is short else (v, u)
@@ -133,39 +135,33 @@ class TestGramEigen:
                                            atol=1e-12 * top_value)
                 np.testing.assert_allclose(short.T @ z, long * s[:k],
                                            rtol=0, atol=1e-12)
-                # asking again gives the same vectors
-                np.testing.assert_array_equal(factors(k)[0], u)
 
-    def test_rejects_k_outside_the_rank(self, backend):
+    def test_factors_stop_at_the_rank(self, backend):
         """Factors exist for the numerical rank only: a rank-2 matrix has
         2, and the values past it read 0."""
         rng = np.random.default_rng(30)
         a = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 8))
-        _, top, values = linalg.gram_svd(a)
+        _, s_top, u, v, values = linalg.gram_svd(a, math.inf, 5)
         s = values()
         assert np.all(s[:2] > 0) and not np.any(s[2:])
-        s_top, factors = top(5)
         np.testing.assert_array_equal(s_top == 0, s == 0)
-        assert factors(2)[0].shape == (5, 2)
-        for k in (-1, 3):
-            with pytest.raises(ValueError, match="singular vectors"):
-                factors(k)
-        for k in (-1, 6):
-            with pytest.raises(ValueError, match="singular values"):
-                top(k)
+        assert u.shape == (5, 2) and v.shape == (8, 2)
 
     @pytest.mark.parametrize("routine", ["dsytrd", "dstebz", "dsterf",
                                          "dstemr", "dormtr"])
     def test_lapack_failure_raises(self, monkeypatch, routine):
         """A nonzero LAPACK info is a LinAlgError naming the routine, from
-        the call that needs it."""
+        the call that needs it: `dsterf` from ``values()`` only."""
         fail_lapack(monkeypatch, routine)
-        with pytest.raises(np.linalg.LinAlgError, match=routine):
-            count, top, values = linalg.gram_svd(gaussian(5, 31))
-            count(1.0)
-            _, factors = top(2)
-            factors(2)
-            values()
+        a = gaussian(5, 31)
+        failed = pytest.raises(np.linalg.LinAlgError, match=routine)
+        if routine == "dsterf":
+            values = linalg.gram_svd(a, 1.0, 2)[4]
+            with failed:
+                values()
+        else:
+            with failed:
+                linalg.gram_svd(a, 1.0, 2)
 
     def test_eigh_failure_raises(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -174,7 +170,7 @@ class TestGramEigen:
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            linalg.gram_svd(gaussian(5, 32))
+            linalg.gram_svd(gaussian(5, 32), 1.0, 2)
 
     def test_bundled_lapack_is_selected(self, monkeypatch):
         """Where numpy names the wheels' scipy-openblas as its BLAS, the
@@ -189,14 +185,13 @@ class TestGramEigen:
             raise AssertionError("the eigh fallback was called")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        count, top, _ = linalg.gram_svd(gaussian(3, 33))
-        s, factors = top(3)
-        assert count(0.0) == 3 and np.all(s > 0)
-        assert factors(3)[0].shape == (3, 3)
+        count, s, u, _, _ = linalg.gram_svd(gaussian(3, 33), 0.0, 3)
+        assert count == 3 and np.all(s > 0)
+        assert u.shape == (3, 3)
 
     def test_values_hold_no_matrix(self, backend):
         """What `values` keeps alive is O(min(m, n)): no n x n array."""
-        _, _, values = linalg.gram_svd(gaussian(40, 34))
+        values = linalg.gram_svd(gaussian(40, 34), math.inf, 1)[4]
         held, stack = [], [values]
         while stack:
             fn = stack.pop()

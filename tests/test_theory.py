@@ -44,6 +44,9 @@ class TestOverlapLimit:
             overlap_limit(0.0, 1.0)
         with pytest.raises(ValueError):
             overlap_limit(1.0, 0.0)
+        for gamma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="aspect ratio"):
+                overlap_limit(2.0, 1.0, gamma)
 
 
 class TestErrorLimit:
@@ -57,6 +60,12 @@ class TestErrorLimit:
 
     def test_linear_branch(self):
         assert error_limit(0.5, 1.0) == 0.5
+
+    def test_validation(self):
+        for sigma1, t in ((-1.0, 1.0), (math.nan, 1.0), (1.0, 0.0),
+                          (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                error_limit(sigma1, t)
 
     def test_kink_location(self):
         t = 0.7256
@@ -82,6 +91,13 @@ class TestMinimaxLimits:
         assert lo == pytest.approx(math.sqrt(2.0), rel=1e-14)
         assert hi == pytest.approx(math.sqrt(2.0) + 1 / math.sqrt(2.0),
                                    rel=1e-14)
+
+    def test_validation(self):
+        for gamma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="aspect ratio"):
+                minimax_limits(gamma, 1.0)
+        with pytest.raises(ValueError, match="fisher_info"):
+            minimax_limits(1.0, 0.0)
 
     def test_sandwich(self):
         for gamma in (0.3, 1.0, 2.5):
