@@ -293,16 +293,225 @@ def subspace_overlap(a, b) -> float:
     return float(s[-1])
 
 
+# Matrix CSV is written through a numpy kernel that gives the bytes of
+# "%.17g" % x for every x whose 17-digit decimal exponent E lies in
+# [-6, 15], where 10**(16 - E) is an exact double.  Blocks of at most
+# _CSV_BLOCK entries bound its temporaries.
+_CSV_BLOCK = 1 << 15
+_POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
+_U64 = np.uint64
+_BYTES = 0x0101010101010101      # 0x01 in each byte of a word
+
+
+def _split(a):
+    """Veltkamp's split of doubles into a_hi + a_lo, 26 bits each."""
+    hi = a * 134217729.0        # 2**27 + 1
+    hi -= hi - a
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a, e):
+    """a * 10**(16 - e) as p + err exactly: Dekker's two-product (Numer.
+    Math. 18, 1971), exact for these operands since nothing over- or
+    underflows."""
+    k = 16 - e
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    a_hi, a_lo = _split(a)
+    p = a * _POW10[k]
+    err = a_hi * s_hi
+    err -= p
+    err += a_hi * s_lo
+    err += a_lo * s_hi
+    err += a_lo * s_lo
+    return p, err
+
+
+def _misscaled(p, err, e):
+    """Where the exact p + err is below 10**16 or at least 10**17, and
+    where that puts the exponent e outside [-6, 15]."""
+    low = (p < 1e16) | ((p == 1e16) & (err < 0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    return low, high, (low & (e == -6)) | (high & (e == 15))
+
+
+def _decimal17(a):
+    """17 significant digits of each a in [1e-7, 1e16): ``(d, e, ok)``
+    with 10**16 <= d < 10**17 the integer of the digits, e the decimal
+    exponent %.17g prints, and ok False where e is outside [-6, 15].
+
+    e starts at floor(log10(a)) and moves until the exact product
+    a * 10**(16 - e) lies in [10**16, 10**17); the exponent is judged on
+    that product, before rounding.  Its rounded part p is then an even
+    integer >= 2**53, so p + rint(err) rounds the product half to even,
+    as printf does.  A product that rounds up to 10**17 carries into e.
+    """
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = np.clip(e, -6, 15).astype(np.int64)
+    p, err = _scaled(a, e)
+    low, high, stuck = _misscaled(p, err, e)
+    ok = ~stuck
+    todo = np.flatnonzero((low | high) & ok)
+    step = np.where(high[todo], 1, -1)
+    while todo.size:
+        e[todo] += step
+        p[todo], err[todo] = pt, et = _scaled(a[todo], e[todo])
+        low, high, stuck = _misscaled(pt, et, e[todo])
+        ok[todo[stuck]] = False
+        move = (low | high) & ~stuck
+        todo, step = todo[move], np.where(high[move], 1, -1)
+    d = p.astype(np.int64)
+    d += np.rint(err).astype(np.int64)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    return d, e, ok
+
+
+def _digits8(v) -> None:
+    """In place: each v < 10**8 becomes its 8 decimal digits, one per
+    byte as values 0-9, the leading digit in the lowest byte.  Each step
+    halves the lanes of the word with a multiply-shift division that is
+    exact for the lane's range."""
+    q = v // _U64(10000)
+    v -= q * _U64(10000)
+    v <<= _U64(32)
+    v |= q
+    q = v * _U64(10486)              # v // 100 in each 32-bit lane
+    q >>= _U64(20)
+    q &= _U64(0x0000007F0000007F)
+    v -= q * _U64(100)
+    v <<= _U64(16)
+    v |= q
+    q = v * _U64(103)                # v // 10 in each 16-bit lane
+    q >>= _U64(10)
+    q &= _U64(0x000F000F000F000F)
+    v -= q * _U64(10)
+    v <<= _U64(8)
+    v |= q
+
+
+# Each entry's text sits in a slot of four little-endian words, padded
+# with NUL bytes that the writer drops.  Word 0 holds the sign in byte 0
+# and, for -4 <= E <= -1, the "0.0..." prefix; words 1-3 hold the 17
+# digits with the point inserted after the first P of them, then
+# "e-05"/"e-06" in bytes 3-6 of word 3 and the separator in its byte 7.
+_LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
+_WORD_START = np.array([[0], [8], [16]])
+_PREFIX = np.array(      # by E + 6
+    [int.from_bytes(("0." + "0" * (-e - 1)).rjust(7, "\0").encode(), "little")
+     << 8 if -4 <= e < 0 else 0 for e in range(-6, 16)], dtype=np.uint64)
+_SUFFIX = np.array(      # by E + 6
+    [int.from_bytes(f"\0\0\0e-0{-e}".encode(), "little") if e < -4 else 0
+     for e in range(-6, 16)], dtype=np.uint64)
+# an entry the kernel does not take holds the conversion the writer fills
+_FALLBACK = np.array([int.from_bytes(b"%.17g", "little"), 0, 0, 0],
+                     dtype=np.uint64)
+
+
+def _format17(x: np.ndarray):
+    """Format a 1-D block of finite doubles as ``(slots, fallback)``.
+
+    ``slots`` is an (n, 4) array of little-endian words whose bytes, with
+    NUL removed, give ``"%.17g" % x[i]`` for each entry not flagged in
+    ``fallback`` (separators left out).  A flagged entry -- nonzero with
+    E outside [-6, 15], which includes every |x| < 1e-6 and >= 1e16 --
+    holds ``%.17g`` itself.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-7) & (a < 1e16)
+    zero = a == 0
+    a[~ok] = 1.0
+    d, e, in_window = _decimal17(a)
+    del a
+    ok &= in_window
+    blank = ~ok | zero          # written as 0 with E = 0: zeros print "0"
+    ok |= zero
+    d[blank] = 0
+    e[blank] = 0
+    d = d.view(np.uint64)
+    digits = np.empty((3, x.size), np.uint64)     # 8 + 8 + 1 digits
+    np.floor_divide(d, _U64(10 ** 9), out=digits[0])
+    np.floor_divide(d, _U64(10), out=digits[1])
+    digits[1] %= _U64(10 ** 8)
+    np.remainder(d, _U64(10), out=digits[2])
+    del d
+    _digits8(digits[:2])
+    # keep each digit up to the last nonzero one: a byte is nonzero iff
+    # adding 0x7F sets its top bit; then smear that bit to lower bytes
+    keep = digits + _U64(0x7F * _BYTES)
+    keep &= _U64(0x80 * _BYTES)
+    for shift in (8, 16, 32):
+        keep |= keep >> _U64(shift)
+    keep >>= _U64(7)
+    keep *= _U64(0xFF)
+    keep[1][keep[2] != 0] = _U64(2 ** 64 - 1)
+    keep[0][keep[1] != 0] = _U64(2 ** 64 - 1)
+    # fixed notation has E + 1 integer digits, exponent notation one; the
+    # integer digits are all kept and the rest move up a byte for the point
+    point = np.where(e < -4, 1, np.maximum(e + 1, 0))
+    low = _LOW_BYTES[np.clip(point - _WORD_START, 0, 8)]
+    keep |= low
+    digits += _U64(ord("0") * _BYTES)
+    digits &= keep
+    del keep
+    frac = ~low
+    frac &= digits
+    digits &= low
+    del low
+    digits[1:] |= frac[1:] << _U64(8)
+    digits[1:] |= frac[:-1] >> _U64(56)
+    digits[0] |= frac[0] << _U64(8)
+    dot = (frac[0] | frac[1] | frac[2]) != 0
+    del frac
+    dot &= point > 0            # for E < 0 the point is in the prefix
+    dot = dot * (_U64(ord(".")) << _U64(8) * (point & 7).astype(np.uint64))
+    digits[point >> 3, np.arange(x.size)] |= dot
+    slots = np.empty((x.size, 4), "<u8")
+    slots[:, 0] = np.signbit(x) * _U64(ord("-"))
+    slots[:, 0] |= _PREFIX[e + 6]
+    slots[:, 1:] = digits.T
+    slots[:, 3] |= _SUFFIX[e + 6]
+    fallback = ~ok
+    slots[fallback] = _FALLBACK
+    return slots, fallback
+
+
 def write_matrix_csv(a, path) -> None:
-    """Write a matrix as headerless CSV rows, 17 significant digits."""
+    """Write a matrix as headerless CSV rows, each entry as ``"%.17g" % x``:
+    up to 17 significant digits (``%g`` strips trailing zeros), which
+    read back to the same double.
+
+    A numpy kernel (`_format17`) writes the bytes of ``%.17g`` for every
+    entry whose decimal exponent E lies in [-6, 15]: there 10**(16 - E)
+    is an exact double, Dekker's two-product gives x * 10**(16 - E)
+    exactly, and rounding its error half to even rounds the product as
+    printf does.  Fixed notation is used for E >= -4 and ``d.ddde-0X``
+    below, as ``%g`` does.  Any other nonzero entry (|x| < 1e-6,
+    |x| >= 1e16, subnormals) goes through the ``%.17g`` conversion
+    itself.  Entries are formatted in blocks of at most 2**15.
+    """
     a = as_matrix(a)
-    # one printf-style format per row converts every number at C level;
-    # "%.17g" is the same conversion as format(x, ".17g").  Rows are
-    # converted one at a time, so no second copy of the matrix is held.
-    fmt = ",".join(["%.17g"] * a.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
-        for row in a:
-            fh.write(fmt % tuple(row.tolist()))
+    m, n = a.shape
+    rows, cols = max(1, _CSV_BLOCK // n), min(n, _CSV_BLOCK)
+    comma, newline = _U64(ord(",") << 56), _U64(ord("\n") << 56)
+    with open(path, "wb") as fh:
+        for r0 in range(0, m, rows):
+            for c0 in range(0, n, cols):
+                block = a[r0:r0 + rows, c0:c0 + cols]
+                x = block.ravel()
+                slots, fallback = _format17(x)
+                sep = slots.reshape(block.shape + (4,))[:, :, 3]
+                sep |= comma
+                if c0 + block.shape[1] == n:
+                    sep[:, -1] ^= comma ^ newline
+                text = slots.tobytes().translate(None, b"\0")
+                if fallback.any():
+                    text %= tuple(x[fallback].tolist())
+                fh.write(text)
 
 
 def read_matrix_csv(path) -> np.ndarray:

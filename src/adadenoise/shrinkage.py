@@ -51,11 +51,12 @@ def inflated_sv(sigma, gamma: float = 1.0):
     """Observed scaled singular value produced by a planted value `sigma`.
 
     Constant at the bulk edge for sigma < 1, strictly increasing above.
-    Symmetric in gamma <-> 1/gamma.  Accepts scalars or arrays.
+    Symmetric in gamma <-> 1/gamma.  Accepts scalars or arrays; a
+    negative or NaN sigma is a domain error.
     """
     gamma = _check_gamma(gamma)
     sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0):
+    if not np.all(sigma >= 0):      # NaN fails this too
         raise ValueError("sigma must be >= 0")
     rg = _root_gamma(gamma)
     s = np.maximum(sigma, 1.0)
@@ -72,12 +73,12 @@ def debiased_sv(y, gamma: float = 1.0):
     d = y^2 - edge^2 = (y - edge)(y + edge), which keeps full precision
     at the boundary where the textbook radicand cancels to rounding
     noise.  Inputs within 1e-12 below the edge are clamped up; anything
-    lower is a domain error.
+    lower, and NaN, is a domain error.
     """
     gamma = _check_gamma(gamma)
     edge = bulk_edge(gamma)
     y_arr = np.asarray(y, dtype=np.float64)
-    if np.any(y_arr < edge - 1e-12):
+    if not np.all(y_arr >= edge - 1e-12):      # NaN fails this too
         raise ValueError(f"debiased_sv requires y >= bulk edge {edge:.12g}")
     y_arr = np.maximum(y_arr, edge)
     d = (y_arr - edge) * (y_arr + edge)  # = y^2 - c - 2, exactly 0 at the edge

@@ -273,7 +273,8 @@ class ExperimentConfig:
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse '2.0', '1,2,3' or 'start:stop:step' (stop inclusive)."""
+    """Parse '2.0', '1,2,3' or 'start:stop:step' (stop inclusive) into
+    finite values."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -290,9 +291,12 @@ def parse_grid(text: str) -> tuple[float, ...]:
         return tuple(round(start + i * step, 12) for i in range(count)
                      if start + i * step <= stop + 1e-9)
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        values = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ConfigError(f"bad grid spec {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad grid spec {text!r}")
+    return values
 
 
 def _list(parse):

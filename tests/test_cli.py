@@ -11,7 +11,7 @@ from adadenoise import (DenoiserParams, GaussianMixture, baseline_estimate,
 
 from adadenoise.cli import main
 
-from conftest import fail_lapack, package_env
+from conftest import fail_lapack, package_env, row_format_csv
 
 REPO = Path(__file__).resolve().parents[1]
 SMOKE_CFG = REPO / "configs" / "smoke.cfg"
@@ -193,6 +193,26 @@ class TestDenoise:
         direct = tmp_path / "direct.csv"
         write_matrix_csv(res.x_hat, direct)
         assert direct.read_bytes() == Path(f"{prefix}_xhat.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["adaptive", "baseline"])
+    def test_csv_bytes_are_the_row_format(self, tmp_path, noisy_matrix, mode):
+        """Each CSV either mode writes holds the bytes of one ``%.17g`` row
+        format per row of the library's result."""
+        path, y = noisy_matrix
+        prefix = tmp_path / mode
+        if mode == "adaptive":
+            extra, res = [], denoise(y, DenoiserParams())
+            expected = {"xhat": res.x_hat, "xstar": res.x_star}
+        else:
+            extra = ["--mode", "baseline", "--noise-sd", "2.2360679775"]
+            expected = {"xhat": baseline_estimate(y, 2.2360679775).x_hat}
+        run = run_cli("denoise", str(path), "-o", str(prefix), *extra)
+        assert run.returncode == 0, run.stderr
+        assert sorted(tmp_path.glob(f"{mode}_*.csv")) == sorted(
+            Path(f"{prefix}_{name}.csv") for name in expected)
+        for name, matrix in expected.items():
+            written = Path(f"{prefix}_{name}.csv").read_bytes()
+            assert written == row_format_csv(matrix)
 
     def test_baseline_mode(self, tmp_path, noisy_matrix):
         path, y = noisy_matrix
@@ -390,8 +410,12 @@ class TestTheory:
         (["--what", "overlap", "--t", "1", "--sigma", "2", "--gamma", "nan"],
          "aspect ratio must be positive and finite"),
         (["--what", "error", "--t", "1", "--sigma", "nan"],
-         "need sigma1 >= 0 and t > 0"),
-    ], ids=["gamma-zero", "gamma-negative", "gamma-nan", "sigma-nan"])
+         "bad grid spec 'nan'"),
+        (["--what", "H", "--sigma", "nan"], "bad grid spec 'nan'"),
+        (["--what", "Hinv", "--sigma", "inf"], "bad grid spec 'inf'"),
+        (["--what", "H", "--sigma", "1,nan"], "bad grid spec '1,nan'"),
+    ], ids=["gamma-zero", "gamma-negative", "gamma-nan", "sigma-nan",
+            "H-sigma-nan", "Hinv-sigma-inf", "H-sigma-list-nan"])
     def test_out_of_domain_input_is_usage_error(self, args, message):
         res = run_cli("theory", *args)
         assert res.returncode == 2, res.stdout

@@ -4,11 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adadenoise import (linalg, op_norm, read_matrix_csv, subspace_overlap,
                         write_matrix_csv)
 
-from conftest import fail_lapack, package_env
+from conftest import fail_lapack, package_env, row_format_csv
 
 
 def random_orthogonal(rng, dim):
@@ -303,6 +304,37 @@ class TestMatrixCsv:
         assert np.array_equal(back, values)
         assert np.array_equal(np.signbit(back), np.signbit(values))
 
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 9), (9, 1), (1, (1 << 15) + 3), ((1 << 15) // 3 + 5, 3),
+    ], ids=["1x1", "1xn", "mx1", "row-past-block", "rows-past-block"])
+    def test_bytes_match_row_format(self, tmp_path, shape):
+        """Any shape, including a row longer than a block and a height
+        that straddles one, gives the bytes of one ``%.17g`` row format per
+        row, and reads back bit for bit, signed zeros included."""
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 18, shape)
+        a.flat[::7] = 0.0
+        a.flat[3::11] = -0.0
+        path = tmp_path / "m.csv"
+        write_matrix_csv(a, path)
+        assert path.read_bytes() == row_format_csv(a)
+        back = read_matrix_csv(path)
+        assert back.shape == a.shape and np.array_equal(back, a)
+        assert np.array_equal(np.signbit(back), np.signbit(a))
+
+    @pytest.mark.parametrize("value, token", zip(GOLDEN_VALUES, GOLDEN_TOKENS))
+    def test_one_value_mid_block(self, tmp_path, value, token):
+        """A single value of each golden kind, inside the kernel's window or
+        outside it, lands in its place in the middle of a block of values
+        inside the window."""
+        a = np.random.default_rng(18).uniform(-9.0, 9.0, (300, 200))
+        a[120, 77] = value
+        path = tmp_path / "m.csv"
+        write_matrix_csv(a, path)
+        text = path.read_bytes()
+        assert text == row_format_csv(a)
+        assert text.splitlines()[120].split(b",")[77] == token.encode()
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")
@@ -321,3 +353,87 @@ class TestMatrixCsv:
             read_matrix_csv(path)
         assert not isinstance(info.value, UnicodeError)
         assert str(info.value).startswith(f"{path}: ")
+
+
+# The kernel behind `write_matrix_csv` against the "%.17g" conversion.
+KERNEL = settings(max_examples=200, deadline=None, database=None,
+                  derandomize=True)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def check_kernel(values):
+    """Each entry gives the bytes of "%.17g" % x, or is flagged for the
+    fallback, which only a nonzero x whose exponent lies outside
+    [-6, 15] may be; a flagged entry holds the conversion itself."""
+    slots, fallback = linalg._format17(np.array(values, dtype=np.float64))
+    for x, slot, flagged in zip(values, slots.view(np.uint8), fallback):
+        token = bytes(slot).translate(None, b"\0")
+        if flagged:
+            exponent = int(("%.16e" % x).split("e")[1])
+            assert x != 0 and not -6 <= exponent <= 15, repr(x)
+            assert token == b"%.17g"
+        else:
+            assert token == b"%.17g" % x, repr(x)
+
+
+def near_powers_of_ten():
+    """10**k (as parsed) for k in [-8, 17] and its neighbours, either sign."""
+    return st.builds(
+        lambda k, steps, sign: sign * float(np.nextafter(
+            float(f"1e{k}"), math.inf if steps > 0 else 0.0, dtype=float)
+            if steps else float(f"1e{k}")),
+        st.integers(-8, 17), st.integers(-1, 1), st.sampled_from([1.0, -1.0]))
+
+
+class TestFormat17:
+    @KERNEL
+    @given(st.lists(finite, min_size=1, max_size=40))
+    @example([0.0, -0.0])
+    def test_any_finite_double(self, values):
+        check_kernel(values)
+
+    @KERNEL
+    @given(st.lists(st.builds(lambda d, e: float(f"{d}e{e - 16}"),
+                              st.integers(10 ** 16, 10 ** 17 - 1),
+                              st.integers(-8, 17)), min_size=1, max_size=40))
+    def test_17_digit_decimals_at_every_exponent(self, values):
+        check_kernel(values)
+
+    @KERNEL
+    @given(st.lists(near_powers_of_ten(), min_size=1, max_size=40))
+    @example([float(np.float64(1e-6)), 1e16, 1e-5, 1e15])
+    def test_neighbours_of_powers_of_ten(self, values):
+        check_kernel(values)
+
+    @KERNEL
+    @given(st.lists(st.one_of(
+        st.builds(lambda k, f: k + f, st.integers(10 ** 15, 2 ** 51 - 1),
+                  st.sampled_from([0.25, 0.75])),
+        st.builds(lambda k, f: k + f, st.integers(10 ** 14, 2 ** 49 - 1),
+                  st.sampled_from([0.125, 0.375, 0.625, 0.875]))),
+        min_size=1, max_size=40))
+    def test_ties_round_half_even(self, values):
+        """Exact 18-digit decimals ending in 5 at E = 14 and 15."""
+        check_kernel(values)
+
+    @pytest.mark.parametrize("x, token", [
+        (1234567890123456.25, b"1234567890123456.2"),
+        (1234567890123456.75, b"1234567890123456.8"),
+        (np.nextafter(1e16, 0.0), b"9999999999999998"),
+        (1e-5, b"1.0000000000000001e-05"),
+        (-2.5e-6, b"-2.5000000000000002e-06"),
+        (1e-4, b"0.0001"),
+        (0.5, b"0.5"),
+        (-0.0, b"-0"),
+    ])
+    def test_tokens(self, x, token):
+        slots, fallback = linalg._format17(np.array([x]))
+        assert not fallback[0]
+        assert slots.tobytes().translate(None, b"\0") == token
+
+    @pytest.mark.parametrize("x", [float(np.float64(1e-6)), 1e16, 5e-324])
+    def test_outside_window_falls_back(self, x):
+        """fl(1e-6) lies below 1e-6: its exponent is -7."""
+        slots, fallback = linalg._format17(np.array([x]))
+        assert fallback[0]
+        assert slots.tobytes().translate(None, b"\0") == b"%.17g"

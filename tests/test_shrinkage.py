@@ -42,6 +42,11 @@ class TestForwardMap:
             assert inflated_sv(1.0, gamma) == pytest.approx(expected, rel=1e-14)
             assert bulk_edge(gamma) == pytest.approx(expected, rel=1e-14)
 
+    def test_domain(self):
+        for bad in (-1.0, math.nan, [2.0, math.nan]):
+            with pytest.raises(ValueError, match="sigma must be >= 0"):
+                inflated_sv(bad, 1.0)
+
     def test_square_case(self):
         """gamma = 1 reduces to sigma + 1/sigma."""
         assert inflated_sv(2.0, 1.0) == pytest.approx(2.5, rel=1e-14)
@@ -112,8 +117,9 @@ class TestInverseMap:
 
     def test_domain(self):
         edge = bulk_edge(1.0)
-        with pytest.raises(ValueError, match="bulk edge"):
-            debiased_sv(edge - 1e-6, 1.0)
+        for bad in (edge - 1e-6, math.nan, [2.5, math.nan]):
+            with pytest.raises(ValueError, match="bulk edge"):
+                debiased_sv(bad, 1.0)
         # inputs a hair below the edge clamp up instead of failing
         assert debiased_sv(edge - 1e-13, 1.0) == pytest.approx(1.0, abs=1e-6)
 

@@ -207,7 +207,8 @@ class TestConfig:
         grid = parse_grid("0.2:4.0:0.2")
         assert len(grid) == 20
         assert grid[0] == 0.2 and grid[-1] == 4.0
-        for bad in ("1:2", "1:inf:1", "1:nan:1", "nan:2:1", "1:2:inf"):
+        for bad in ("1:2", "1:inf:1", "1:nan:1", "nan:2:1", "1:2:inf",
+                    "nan", "inf", "1,nan", "1,-inf"):
             with pytest.raises(ConfigError):
                 parse_grid(bad)
 
