@@ -14,6 +14,10 @@ symbols carry a ``scipy_`` prefix and a ``64_`` suffix) through
 `ctypes`, so it needs no dependency beyond numpy and loads no new
 library.  Where those symbols do not resolve (numpy built
 on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
+
+`write_matrix_csv` writes the bytes of ``"%.17g" % x`` for each entry,
+most of them through an exact numpy kernel instead of one conversion per
+number.
 """
 
 from __future__ import annotations
@@ -298,7 +302,6 @@ def subspace_overlap(a, b) -> float:
 # [-6, 15], where 10**(16 - E) is an exact double.  Blocks of at most
 # _CSV_BLOCK entries bound its temporaries.
 _CSV_BLOCK = 1 << 15
-_POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
 _U64 = np.uint64
 _BYTES = 0x0101010101010101      # 0x01 in each byte of a word
 
@@ -310,17 +313,44 @@ def _split(a):
     return hi, a - hi
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+# Each entry's text sits in a slot of four little-endian words, padded
+# with NUL bytes that the writer drops.  Word 0 holds the sign in byte 0
+# and, for -4 <= E <= -1, the "0.0..." prefix; words 1-3 hold the 17
+# digits with the point inserted after the first P of them, then
+# "e-05"/"e-06" in bytes 3-6 of word 3 and the separator in its byte 7.
+@functools.cache
+def _csv_tables() -> SimpleNamespace:
+    """The kernel's constant tables, built on first use so that importing
+    the package allocates nothing for them."""
+    pow10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
+    pow10_hi, pow10_lo = _split(pow10)
+    by_exponent = range(-6, 16)         # indexed by E + 6
+    prefix = [("0." + "0" * (-e - 1)).rjust(7, "\0") if -4 <= e < 0 else ""
+              for e in by_exponent]
+    suffix = [f"\0\0\0e-0{-e}" if e < -4 else "" for e in by_exponent]
+    return SimpleNamespace(
+        pow10=pow10, pow10_hi=pow10_hi, pow10_lo=pow10_lo,
+        low_bytes=np.array([(1 << 8 * b) - 1 for b in range(9)], np.uint64),
+        word_start=np.array([[0], [8], [16]]),
+        prefix=np.array([int.from_bytes(p.encode(), "little") << 8
+                         for p in prefix], np.uint64),
+        suffix=np.array([int.from_bytes(p.encode(), "little")
+                         for p in suffix], np.uint64),
+        # an entry the kernel does not take holds the conversion the
+        # writer fills in
+        fallback=np.array([int.from_bytes(b"%.17g", "little"), 0, 0, 0],
+                          np.uint64))
 
 
 def _scaled(a, e):
     """a * 10**(16 - e) as p + err exactly: Dekker's two-product (Numer.
     Math. 18, 1971), exact for these operands since nothing over- or
     underflows."""
+    t = _csv_tables()
     k = 16 - e
-    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    s_hi, s_lo = t.pow10_hi[k], t.pow10_lo[k]
     a_hi, a_lo = _split(a)
-    p = a * _POW10[k]
+    p = a * t.pow10[k]
     err = a_hi * s_hi
     err -= p
     err += a_hi * s_lo
@@ -394,24 +424,6 @@ def _digits8(v) -> None:
     v |= q
 
 
-# Each entry's text sits in a slot of four little-endian words, padded
-# with NUL bytes that the writer drops.  Word 0 holds the sign in byte 0
-# and, for -4 <= E <= -1, the "0.0..." prefix; words 1-3 hold the 17
-# digits with the point inserted after the first P of them, then
-# "e-05"/"e-06" in bytes 3-6 of word 3 and the separator in its byte 7.
-_LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
-_WORD_START = np.array([[0], [8], [16]])
-_PREFIX = np.array(      # by E + 6
-    [int.from_bytes(("0." + "0" * (-e - 1)).rjust(7, "\0").encode(), "little")
-     << 8 if -4 <= e < 0 else 0 for e in range(-6, 16)], dtype=np.uint64)
-_SUFFIX = np.array(      # by E + 6
-    [int.from_bytes(f"\0\0\0e-0{-e}".encode(), "little") if e < -4 else 0
-     for e in range(-6, 16)], dtype=np.uint64)
-# an entry the kernel does not take holds the conversion the writer fills
-_FALLBACK = np.array([int.from_bytes(b"%.17g", "little"), 0, 0, 0],
-                     dtype=np.uint64)
-
-
 def _format17(x: np.ndarray):
     """Format a 1-D block of finite doubles as ``(slots, fallback)``.
 
@@ -421,6 +433,9 @@ def _format17(x: np.ndarray):
     E outside [-6, 15], which includes every |x| < 1e-6 and >= 1e16 --
     holds ``%.17g`` itself.
     """
+    # temporaries are dropped once spent and updated in place: at this
+    # size, touching fresh pages costs about as much as the arithmetic
+    t = _csv_tables()
     a = np.abs(x)
     ok = (a >= 1e-7) & (a < 1e16)
     zero = a == 0
@@ -453,7 +468,7 @@ def _format17(x: np.ndarray):
     # fixed notation has E + 1 integer digits, exponent notation one; the
     # integer digits are all kept and the rest move up a byte for the point
     point = np.where(e < -4, 1, np.maximum(e + 1, 0))
-    low = _LOW_BYTES[np.clip(point - _WORD_START, 0, 8)]
+    low = t.low_bytes[np.clip(point - t.word_start, 0, 8)]
     keep |= low
     digits += _U64(ord("0") * _BYTES)
     digits &= keep
@@ -468,15 +483,15 @@ def _format17(x: np.ndarray):
     dot = (frac[0] | frac[1] | frac[2]) != 0
     del frac
     dot &= point > 0            # for E < 0 the point is in the prefix
-    dot = dot * (_U64(ord(".")) << _U64(8) * (point & 7).astype(np.uint64))
+    dot = dot * (_U64(ord(".")) << (_U64(8) * (point & 7).astype(np.uint64)))
     digits[point >> 3, np.arange(x.size)] |= dot
     slots = np.empty((x.size, 4), "<u8")
     slots[:, 0] = np.signbit(x) * _U64(ord("-"))
-    slots[:, 0] |= _PREFIX[e + 6]
+    slots[:, 0] |= t.prefix[e + 6]
     slots[:, 1:] = digits.T
-    slots[:, 3] |= _SUFFIX[e + 6]
+    slots[:, 3] |= t.suffix[e + 6]
     fallback = ~ok
-    slots[fallback] = _FALLBACK
+    slots[fallback] = t.fallback
     return slots, fallback
 
 
@@ -489,10 +504,12 @@ def write_matrix_csv(a, path) -> None:
     entry whose decimal exponent E lies in [-6, 15]: there 10**(16 - E)
     is an exact double, Dekker's two-product gives x * 10**(16 - E)
     exactly, and rounding its error half to even rounds the product as
-    printf does.  Fixed notation is used for E >= -4 and ``d.ddde-0X``
-    below, as ``%g`` does.  Any other nonzero entry (|x| < 1e-6,
-    |x| >= 1e16, subnormals) goes through the ``%.17g`` conversion
-    itself.  Entries are formatted in blocks of at most 2**15.
+    printf does.  E is judged on that exact product, before rounding, so
+    fl(1e-6) = 9.99...95e-07 has E = -7.  Fixed notation is used for
+    E >= -4 and ``d.ddde-0X`` below, as ``%g`` does.  Any other nonzero
+    entry (|x| < 1e-6, |x| >= 1e16, subnormals) goes through the
+    ``%.17g`` conversion itself, one ``bytes %`` call per block.
+    Entries are formatted in blocks of at most 2**15.
     """
     a = as_matrix(a)
     m, n = a.shape
