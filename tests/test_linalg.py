@@ -378,11 +378,13 @@ def check_kernel(values):
 
 def near_powers_of_ten():
     """10**k (as parsed) for k in [-8, 17] and its neighbours, either sign."""
-    return st.builds(
-        lambda k, steps, sign: sign * float(np.nextafter(
-            float(f"1e{k}"), math.inf if steps > 0 else 0.0, dtype=float)
-            if steps else float(f"1e{k}")),
-        st.integers(-8, 17), st.integers(-1, 1), st.sampled_from([1.0, -1.0]))
+    def value(k, step, sign):
+        x = float(f"1e{k}")
+        if step:
+            x = float(np.nextafter(x, math.inf if step > 0 else 0.0))
+        return sign * x
+    return st.builds(value, st.integers(-8, 17), st.integers(-1, 1),
+                     st.sampled_from([1.0, -1.0]))
 
 
 class TestFormat17:
