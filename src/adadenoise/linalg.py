@@ -217,57 +217,58 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     `np.linalg.LinAlgError`: from this call, or for the full spectrum
     from ``values()``.
 
-    Squaring the matrix squares its spectrum.  Each eigenvalue carries
-    an absolute error of about eps * s_1^2, so s_j agrees with the SVD's
-    to about eps * s_1^2 / s_j absolute: to the last digits near the top,
-    less closely far below it.  Entries so large that their squares
-    overflow are a ValueError, and so are nonzero entries so small that
-    they underflow: the rule is that the Gram matrix's largest diagonal
-    entry (the largest sum of squares along the long side) is below
-    max(m, n) times the smallest normal double, which holds whenever
-    every square is subnormal or zero.  An all-zero matrix is not an
-    error; its rank is 0.  Column j of the long-side factor is
-    orthonormal to the others to about eps * (s_1 / s_j)^2.
+    The solve runs at unit scale: with 2^e the power of two `np.frexp`
+    reads off the largest |entry|, the Gram matrix is scaled in place by
+    2^-2e, or formed from a 2^-e copy of the short side where |e| > 400
+    (where squares or their sums could leave the normal range); the
+    count is taken against t * 2^-e and the values are scaled back by
+    2^e.  These scalings are exact on normal numbers, so no scale over-
+    or underflows a square; a top singular value above the largest
+    double is a ValueError.  Squaring costs accuracy far below the top:
+    each eigenvalue carries an absolute error of about eps * s_1^2, so
+    s_j agrees with the SVD's to about eps * s_1^2 / s_j, and column j of
+    the long-side factor is orthonormal to the others to about
+    eps * (s_1 / s_j)^2.
     """
     m, n = a.shape
     short = a if m <= n else a.T
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        gram = short @ short.T
-    # finite entries can overflow or underflow when squared, and no
-    # eigensolver says so
-    if not np.isfinite(gram).all():
-        raise ValueError("matrix entries are too large to square: the "
-                         "Gram matrix overflows")
-    if (gram.diagonal().max() < max(m, n) * np.finfo(np.float64).tiny
-            and np.any(short)):
-        raise ValueError("matrix entries are too small to square: the "
-                         "Gram matrix underflows")
+    e = int(np.frexp(max(a.max(), -a.min()))[1])
+    lift = e if abs(e) <= 400 else 0  # short is 2**lift times unit scale
+    short = short if lift == e else np.ldexp(short, -e)
+    gram = short @ short.T
+    gram *= 2.0 ** (-2 * lift)
+    # t at unit scale, or inf past the largest double: no value reaches it
+    t = math.ldexp(t, -e) if math.frexp(t)[1] - e <= 1024 else math.inf
     lapack = _lapack()
     count, lam, w, values = (
         _dense_eigen(gram, t * t, k) if lapack is None
         else _tridiagonal_eigen(lapack, gram, t * t, k))
 
-    def roots(lam: np.ndarray) -> np.ndarray:
+    def roots(lam: np.ndarray, shift: int) -> np.ndarray:
+        """Singular values of unit-scale eigenvalues, times 2**shift."""
         s = np.zeros_like(lam)
         if lam.size:
             # 0 when lam[0] <= 0: an all-zero input has no factors
             tol = max(lam[0], 0.0) * max(m, n) * np.finfo(np.float64).eps
             rank = int(np.count_nonzero(lam > tol))
             s[:rank] = np.sqrt(lam[:rank])
+            if np.frexp(s[0])[1] + shift > 1024:
+                raise ValueError("top singular value exceeds the largest "
+                                 "double")
+            np.ldexp(s, shift, out=s)
         return s
 
-    s = roots(lam)
+    s = roots(lam, lift)
     w = w[:, :np.count_nonzero(s)]
     long = short.T @ w
     long /= s[:w.shape[1]]
     u, v = (w, long) if m <= n else (long, w)
-    return count, s, u, v, lambda: roots(values())
+    return count, roots(lam, e), u, v, lambda: roots(values(), e)
 
 
 def op_norm(a) -> float:
-    """Operator (spectral) norm: the largest singular value, taken as the
-    root of the top eigenvalue of the Gram matrix on the short side
-    (`gram_svd`, whose over- and underflow errors it raises)."""
+    """Operator (spectral) norm: the top singular value of `gram_svd`, at
+    unit scale; ValueError when it exceeds the largest double."""
     return float(gram_svd(as_matrix(a), math.inf, 1)[1][0])
 
 

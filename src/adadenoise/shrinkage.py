@@ -60,7 +60,9 @@ def inflated_sv(sigma, gamma: float = 1.0):
         raise ValueError("sigma must be >= 0")
     rg = _root_gamma(gamma)
     s = np.maximum(sigma, 1.0)
-    above = np.sqrt((s + 1.0 / (rg * s)) * (s + rg / s))
+    with np.errstate(over="ignore"):  # s^2 overflows past s ~ 1.3e154,
+        above = np.sqrt((s + 1.0 / (rg * s)) * (s + rg / s))
+    above = np.where(np.isfinite(above), above, s)  # where the map is s
     out = np.where(sigma >= 1.0, above, bulk_edge(gamma))
     return float(out) if out.ndim == 0 else out
 
@@ -81,8 +83,10 @@ def debiased_sv(y, gamma: float = 1.0):
     if not np.all(y_arr >= edge - 1e-12):      # NaN fails this too
         raise ValueError(f"debiased_sv requires y >= bulk edge {edge:.12g}")
     y_arr = np.maximum(y_arr, edge)
-    d = (y_arr - edge) * (y_arr + edge)  # = y^2 - c - 2, exactly 0 at the edge
-    out = np.sqrt(0.5 * (d + 2.0 + np.sqrt(d * (d + 4.0))))
+    with np.errstate(over="ignore"):  # y^4 overflows past y ~ 1.16e77,
+        d = (y_arr - edge) * (y_arr + edge)  # = y^2 - c - 2, 0 at the edge
+        out = np.sqrt(0.5 * (d + 2.0 + np.sqrt(d * (d + 4.0))))
+    out = np.where(np.isfinite(out), out, y_arr)  # where the inverse is y
     return float(out) if out.ndim == 0 else out
 
 

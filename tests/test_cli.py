@@ -315,31 +315,45 @@ class TestDenoise:
         assert not any(out.iterdir())
 
     def test_overflowing_input_is_runtime_error(self, tmp_path, capsys):
-        """Entries whose squares overflow fail with the cause named."""
+        """Entries whose squares overflow a double are denoised at unit
+        scale into finite files; only a top singular value above the
+        largest double fails, with the cause named."""
+        y = 1e160 * np.random.default_rng(73).standard_normal((30, 40))
         path = tmp_path / "big.csv"
-        write_matrix_csv(1e160 * np.random.default_rng(73).standard_normal(
-            (30, 40)), path)
+        write_matrix_csv(y, path)
         prefix = tmp_path / "x"
         code = main(["denoise", str(path), "-o", str(prefix),
                      "--mode", "baseline", "--noise-sd", "1"])
+        assert code == 0
+        x_hat = read_matrix_csv(f"{prefix}_xhat.csv")
+        assert np.array_equal(
+            x_hat, baseline_estimate(read_matrix_csv(path), 1.0).x_hat)
+        assert "k_hat = 30\n" in Path(f"{prefix}_meta.txt").read_text()
+        write_matrix_csv(np.full((30, 40), 1e307), path)
+        code = main(["denoise", str(path), "-o", str(tmp_path / "z"),
+                     "--mode", "baseline", "--noise-sd", "1"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "denoising failed" in err and "too large to square" in err
-        assert not Path(f"{prefix}_meta.txt").exists()
+        assert "denoising failed" in err
+        assert "exceeds the largest double" in err
+        assert not Path(f"{tmp_path / 'z'}_meta.txt").exists()
 
-    def test_underflowing_input_is_runtime_error(self, tmp_path, capsys):
-        """Nonzero entries whose squares underflow fail with the cause
-        named."""
+    def test_underflowing_input_is_runtime_error(self, tmp_path):
+        """Nonzero entries whose squares underflow a double are denoised
+        at unit scale into finite files, with the unit-scale k_hat."""
+        y = np.random.default_rng(76).standard_normal((30, 40))
         path = tmp_path / "small.csv"
-        write_matrix_csv(1e-170 * np.random.default_rng(76).standard_normal(
-            (30, 40)), path)
+        write_matrix_csv(1e-170 * y, path)
         prefix = tmp_path / "x"
         code = main(["denoise", str(path), "-o", str(prefix),
                      "--mode", "baseline", "--noise-sd", "1e-170"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "denoising failed" in err and "too small to square" in err
-        assert not Path(f"{prefix}_meta.txt").exists()
+        assert code == 0
+        x_hat = read_matrix_csv(f"{prefix}_xhat.csv")
+        assert np.array_equal(
+            x_hat, baseline_estimate(read_matrix_csv(path), 1e-170).x_hat)
+        k_hat = baseline_estimate(y, noise_sd=1.0).k_hat
+        assert (f"k_hat = {k_hat}\n"
+                in Path(f"{prefix}_meta.txt").read_text())
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -410,12 +410,20 @@ class TestSpectralStep:
                 baseline_estimate(y, noise_sd=1.0, factors=bad)
 
     def test_gram_overflow_raises(self):
-        """Finite entries whose squares overflow are an error that says
-        so, not k_hat = 0 from an all-zero spectrum or a bare LAPACK
-        failure."""
-        y = 1e160 * Gaussian(1.0).sample(30, 40, seed=72)
-        with pytest.raises(ValueError, match="too large to square"):
-            baseline_estimate(y, noise_sd=1.0)
+        """Entries whose squares overflow a double are decomposed at unit
+        scale: at 1e160 and noise sd 1 every value survives, debiased to
+        itself (to rounding), with a finite estimate.  Only a top
+        singular value above the largest double raises."""
+        y = Gaussian(1.0).sample(30, 40, seed=72)
+        unit = baseline_estimate(y, noise_sd=1e-160)
+        res = baseline_estimate(1e160 * y, noise_sd=1.0)
+        assert res.k_hat == unit.k_hat == 30
+        np.testing.assert_allclose(res.sigma0, 1e160 * unit.sigma0,
+                                   rtol=1e-13)
+        np.testing.assert_allclose(res.sigma_shrunk, res.sigma0, rtol=1e-13)
+        assert np.all(np.isfinite(res.x_hat))
+        with pytest.raises(ValueError, match="exceeds the largest double"):
+            baseline_estimate(np.full((30, 40), 1e307), noise_sd=1.0)
 
     @staticmethod
     def rank_one_plus_noise():
@@ -426,16 +434,23 @@ class TestSpectralStep:
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
     def test_gram_underflow_raises(self, scale):
-        """Nonzero entries whose squares underflow are an error that says
-        so, not k_hat = 0 from an all-zero spectrum or a spectrum that
-        subnormal squares have already skewed."""
-        y = scale * self.rank_one_plus_noise()
-        with pytest.raises(ValueError, match="too small to square"):
-            baseline_estimate(y, noise_sd=scale)
+        """Nonzero entries whose squares underflow a double are decomposed
+        at unit scale: the unit-scale k_hat, and sigma0 and the estimate
+        times the scale.  A lone entry is the one nonzero value."""
+        y = self.rank_one_plus_noise()
+        res = baseline_estimate(y, noise_sd=1.0)
+        small = baseline_estimate(scale * y, noise_sd=scale)
+        assert small.k_hat == res.k_hat == 1
+        np.testing.assert_allclose(small.sigma0 / scale, res.sigma0,
+                                   rtol=1e-13)
+        np.testing.assert_allclose(small.x_hat / scale, res.x_hat, rtol=0,
+                                   atol=1e-12 * np.abs(res.x_hat).max())
         lone = np.zeros((30, 40))
         lone[3, 5] = scale
-        with pytest.raises(ValueError, match="too small to square"):
-            baseline_estimate(lone, noise_sd=1.0)
+        res = baseline_estimate(lone, noise_sd=1.0)
+        assert res.k_hat == 0 and np.count_nonzero(res.sigma0) == 1
+        assert res.sigma0[0] == pytest.approx(scale / 1200 ** 0.25,
+                                              rel=1e-15)
 
     def test_squares_above_the_underflow_check_are_exact(self):
         """At scale 1e-150 the squares are normal numbers: the same k_hat
@@ -446,6 +461,24 @@ class TestSpectralStep:
         assert small.k_hat == res.k_hat == 1
         np.testing.assert_allclose(small.sigma0 / 1e-150, res.sigma0,
                                    rtol=1e-13)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0 ** 18, 1e6, 1e9])
+    def test_large_scales_keep_the_unit_scale_count(self, c):
+        """Handed this Gram matrix in the input's units, LAPACK's dstemr
+        fails (info = 22) from c = 2^18 up; at unit scale every c gives
+        the same k_hat."""
+        a = np.random.default_rng(1).standard_normal((400, 400)) * 3 + 0.1
+        assert baseline_estimate(c * a, noise_sd=c).k_hat == 231
+
+    def test_tiny_noise_sd_gives_a_finite_estimate(self):
+        """Values far above a tiny noise sd (y ~ 1e78 in noise units, past
+        where y^4 overflows) are debiased to themselves, not to inf."""
+        y = np.random.default_rng(0).standard_normal((60, 80)) + 5
+        res = baseline_estimate(y, noise_sd=1e-76)
+        assert res.k_hat == 60
+        assert np.all(np.isfinite(res.sigma_shrunk))
+        assert np.all(np.isfinite(res.x_hat))
+        np.testing.assert_allclose(res.sigma_shrunk, res.sigma0, rtol=1e-13)
 
 
 class TestSpectralStepEigh(TestSpectralStep):

@@ -77,17 +77,21 @@ class TestOpNormEigh(TestOpNorm):
 
 @pytest.mark.parametrize("entry", [1e-170, 3e-160])
 def test_op_norm_underflow_raises(backend, entry):
-    """A nonzero matrix whose squares underflow is an error, not a norm
-    of 0 or one that subnormal squares have skewed."""
+    """A lone entry whose square underflows a double is the matrix's
+    norm, exactly: the Gram matrix is formed at unit scale, where
+    nothing underflows."""
     a = np.zeros((5, 4))
     a[2, 1] = entry
-    with pytest.raises(ValueError, match="too small to square"):
-        op_norm(a)
+    assert op_norm(a) == op_norm(-a) == entry
 
 
 def test_op_norm_overflow_raises(backend):
-    with pytest.raises(ValueError, match="too large to square"):
-        op_norm(np.full((3, 3), 1e160))
+    """Squares that overflow a double are taken at unit scale; only a
+    norm above the largest double raises."""
+    assert op_norm(np.full((3, 3), 1e160)) == pytest.approx(3e160,
+                                                           rel=1e-15)
+    with pytest.raises(ValueError, match="exceeds the largest double"):
+        op_norm(np.full((3, 3), 1e308))
 
 
 def gaussian(n, seed):

@@ -82,6 +82,20 @@ class TestForwardMap:
         for gamma in GAMMAS:
             assert np.all(inflated_sv(s, gamma) >= s)
 
+    def test_finite_where_the_square_overflows(self):
+        """Past s ~ 1.3e154 the product under the root overflows; the map
+        is s there, to far below rounding.  Below, it is that expression
+        bit for bit."""
+        big = np.array([1e155, 1e160, 1e300, np.finfo(np.float64).max])
+        s = np.geomspace(1.0, 1e154, 500)
+        for gamma in GAMMAS:
+            np.testing.assert_array_equal(inflated_sv(big, gamma), big)
+            assert inflated_sv(1e160, gamma) == 1e160
+            rg = math.sqrt(max(gamma, 1.0 / gamma))
+            np.testing.assert_array_equal(
+                inflated_sv(s, gamma),
+                np.sqrt((s + 1.0 / (rg * s)) * (s + rg / s)))
+
 
 class TestInverseMap:
     def test_boundary(self):
@@ -127,6 +141,21 @@ class TestInverseMap:
         for gamma in GAMMAS:
             y = np.linspace(bulk_edge(gamma), 25.0, 50)
             assert np.all(debiased_sv(y, gamma) >= 1.0)
+
+    def test_finite_where_the_fourth_power_overflows(self):
+        """Past y ~ 1.16e77 the closed form's y^4 overflows; the inverse
+        is y there, to far below rounding.  Below, it is the closed form
+        bit for bit."""
+        big = np.array([1e78, 1e155, 1e160, np.finfo(np.float64).max])
+        for gamma in GAMMAS:
+            np.testing.assert_array_equal(debiased_sv(big, gamma), big)
+            assert debiased_sv(1e160, gamma) == 1e160
+            edge = bulk_edge(gamma)
+            y = np.geomspace(edge, 1e77, 500)
+            d = (y - edge) * (y + edge)
+            np.testing.assert_array_equal(
+                debiased_sv(y, gamma),
+                np.sqrt(0.5 * (d + 2.0 + np.sqrt(d * (d + 4.0)))))
 
 
 def adaptive(sigma0, fisher, delta=0.01, gamma=1.0):
