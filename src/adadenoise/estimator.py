@@ -17,20 +17,24 @@ Given a single noisy matrix Y the pipeline
    matrix X* = (a/b) psi(c) / i_hat, which is psi(c) / a unless the
    floor binds; X* is a spiked matrix with noise level i_hat^{-1/2},
 4. decomposes X* in (m n)^{1/4}-scaled units through the eigenvalues of
-   its Gram matrix on the short side (`linalg.gram_svd`), and
-   threshold-shrinks that spectrum at noise level i_hat^{-1/2} with the
-   same rule the PCA baseline applies to Y at its known noise level, to
-   produce the final low-rank estimate.  k_hat is a Sturm count of the
-   values at or above the threshold; values and vectors are formed only
-   for the k_hat kept factors and at least `factors` leading ones
-   (`DenoiseResult`), and the full spectrum `sigma0` on its first read.
+   its Gram matrix on the short side, and threshold-shrinks that
+   spectrum at noise level i_hat^{-1/2} with the same rule the PCA
+   baseline applies to Y at its known noise level, to produce the final
+   low-rank estimate.  One call (`linalg.gram_svd`) computes only what
+   the rule reads: k_hat is a Sturm count of the values at or above the
+   threshold, and values and vectors are formed only for the factors
+   anything reads: the k_hat kept ones, and at least `factors` leading
+   ones (`DenoiseResult`).  The full spectrum `sigma0` is taken on its
+   first read.
 
 The score map is looked up once, at one point set (the centered
 entries), with an O(1) uniform-grid index; the gain and the variance
 come from the map tabulated on the grid (O(GRID_NODES)), so the whole
 thing stays O(m n), with one sort of the m n entries (Y's) and one
-m x n scored array, plus one min(m, n)-sized Gram decomposition (one
-tridiagonal reduction; `linalg.gram_svd` gives its accuracy).
+m x n scored array, plus one min(m, n)-sized Gram decomposition
+(`linalg.gram_svd`: one tridiagonal reduction, a count, the top few
+values and vectors; its docstring gives the accuracy of the squared
+spectrum).
 """
 
 from __future__ import annotations
@@ -125,8 +129,8 @@ class DenoiseResult:
     3): the kept factors, and at least `factors` leading ones even when
     fewer values survive.  The short-side factor is orthonormal to
     rounding; the long-side one to about eps * (s_1 / s_j)^2 in column
-    j.  The baseline never scores the entries, so its `x_star`, `i_hat`
-    and `y_bar` are None.
+    j.  The baseline never scores
+    the entries, so its `x_star`, `i_hat` and `y_bar` are None.
     """
 
     x_hat: np.ndarray

@@ -218,25 +218,20 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     from ``values()``.
 
     The solve runs at unit scale: with 2^e the power of two `np.frexp`
-    reads off the largest |entry|, the Gram matrix is scaled in place by
-    2^-2e, or formed from a 2^-e copy of the short side where |e| > 400
-    (where squares or their sums could leave the normal range); the
-    count is taken against t * 2^-e and the values are scaled back by
-    2^e.  These scalings are exact on normal numbers, so no scale over-
-    or underflows a square; a top singular value above the largest
-    double is a ValueError.  Squaring costs accuracy far below the top:
-    each eigenvalue carries an absolute error of about eps * s_1^2, so
-    s_j agrees with the SVD's to about eps * s_1^2 / s_j, and column j of
-    the long-side factor is orthonormal to the others to about
-    eps * (s_1 / s_j)^2.
+    reads off the largest |entry|, the Gram matrix is formed from a 2^-e
+    copy of the short side, the count is taken against t * 2^-e and the
+    values are scaled back by 2^e.  These scalings are exact on normal
+    numbers, so no scale over- or underflows a square; a top singular
+    value above the largest double is a ValueError.  Squaring costs
+    accuracy far below the top: each eigenvalue carries an absolute
+    error of about eps * s_1^2, so s_j agrees with the SVD's to about
+    eps * s_1^2 / s_j, and column j of the long-side factor is
+    orthonormal to the others to about eps * (s_1 / s_j)^2.
     """
     m, n = a.shape
-    short = a if m <= n else a.T
     e = int(np.frexp(max(a.max(), -a.min()))[1])
-    lift = e if abs(e) <= 400 else 0  # short is 2**lift times unit scale
-    short = short if lift == e else np.ldexp(short, -e)
+    short = np.ldexp(a if m <= n else a.T, -e)
     gram = short @ short.T
-    gram *= 2.0 ** (-2 * lift)
     # t at unit scale, or inf past the largest double: no value reaches it
     t = math.ldexp(t, -e) if math.frexp(t)[1] - e <= 1024 else math.inf
     lapack = _lapack()
@@ -244,26 +239,27 @@ def gram_svd(a: np.ndarray, t: float, k: int):
         _dense_eigen(gram, t * t, k) if lapack is None
         else _tridiagonal_eigen(lapack, gram, t * t, k))
 
-    def roots(lam: np.ndarray, shift: int) -> np.ndarray:
-        """Singular values of unit-scale eigenvalues, times 2**shift."""
+    def roots(lam: np.ndarray) -> np.ndarray:
         s = np.zeros_like(lam)
         if lam.size:
             # 0 when lam[0] <= 0: an all-zero input has no factors
             tol = max(lam[0], 0.0) * max(m, n) * np.finfo(np.float64).eps
             rank = int(np.count_nonzero(lam > tol))
             s[:rank] = np.sqrt(lam[:rank])
-            if np.frexp(s[0])[1] + shift > 1024:
-                raise ValueError("top singular value exceeds the largest "
-                                 "double")
-            np.ldexp(s, shift, out=s)
         return s
 
-    s = roots(lam, lift)
+    def unscale(s: np.ndarray) -> np.ndarray:
+        """Unit-scale values `s` in the input's units: times 2**e, exact."""
+        if s.size and np.frexp(s[0])[1] + e > 1024:
+            raise ValueError("top singular value exceeds the largest double")
+        return np.ldexp(s, e)
+
+    s = roots(lam)
     w = w[:, :np.count_nonzero(s)]
     long = short.T @ w
     long /= s[:w.shape[1]]
     u, v = (w, long) if m <= n else (long, w)
-    return count, roots(lam, e), u, v, lambda: roots(values(), e)
+    return count, unscale(s), u, v, lambda: unscale(roots(values()))
 
 
 def op_norm(a) -> float:

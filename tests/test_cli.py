@@ -315,9 +315,21 @@ class TestDenoise:
         assert not any(out.iterdir())
 
     def test_overflowing_input_is_runtime_error(self, tmp_path, capsys):
+        """A top singular value above the largest double fails, with the
+        cause named, before any file is written."""
+        path = tmp_path / "big.csv"
+        write_matrix_csv(np.full((30, 40), 1e307), path)
+        code = main(["denoise", str(path), "-o", str(tmp_path / "z"),
+                     "--mode", "baseline", "--noise-sd", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "denoising failed" in err
+        assert "exceeds the largest double" in err
+        assert not Path(f"{tmp_path / 'z'}_meta.txt").exists()
+
+    def test_input_whose_squares_overflow_is_denoised(self, tmp_path):
         """Entries whose squares overflow a double are denoised at unit
-        scale into finite files; only a top singular value above the
-        largest double fails, with the cause named."""
+        scale into finite files."""
         y = 1e160 * np.random.default_rng(73).standard_normal((30, 40))
         path = tmp_path / "big.csv"
         write_matrix_csv(y, path)
@@ -329,14 +341,6 @@ class TestDenoise:
         assert np.array_equal(
             x_hat, baseline_estimate(read_matrix_csv(path), 1.0).x_hat)
         assert "k_hat = 30\n" in Path(f"{prefix}_meta.txt").read_text()
-        write_matrix_csv(np.full((30, 40), 1e307), path)
-        code = main(["denoise", str(path), "-o", str(tmp_path / "z"),
-                     "--mode", "baseline", "--noise-sd", "1"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "denoising failed" in err
-        assert "exceeds the largest double" in err
-        assert not Path(f"{tmp_path / 'z'}_meta.txt").exists()
 
     def test_underflowing_input_is_runtime_error(self, tmp_path):
         """Nonzero entries whose squares underflow a double are denoised

@@ -410,10 +410,14 @@ class TestSpectralStep:
                 baseline_estimate(y, noise_sd=1.0, factors=bad)
 
     def test_gram_overflow_raises(self):
+        """A top singular value above the largest double raises."""
+        with pytest.raises(ValueError, match="exceeds the largest double"):
+            baseline_estimate(np.full((30, 40), 1e307), noise_sd=1.0)
+
+    def test_squares_that_overflow_keep_the_unit_scale_values(self):
         """Entries whose squares overflow a double are decomposed at unit
         scale: at 1e160 and noise sd 1 every value survives, debiased to
-        itself (to rounding), with a finite estimate.  Only a top
-        singular value above the largest double raises."""
+        itself (to rounding), with a finite estimate."""
         y = Gaussian(1.0).sample(30, 40, seed=72)
         unit = baseline_estimate(y, noise_sd=1e-160)
         res = baseline_estimate(1e160 * y, noise_sd=1.0)
@@ -422,8 +426,6 @@ class TestSpectralStep:
                                    rtol=1e-13)
         np.testing.assert_allclose(res.sigma_shrunk, res.sigma0, rtol=1e-13)
         assert np.all(np.isfinite(res.x_hat))
-        with pytest.raises(ValueError, match="exceeds the largest double"):
-            baseline_estimate(np.full((30, 40), 1e307), noise_sd=1.0)
 
     @staticmethod
     def rank_one_plus_noise():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from adadenoise import baseline_estimate, inflated_sv, linalg
+from adadenoise import baseline_estimate, linalg, shrink_known_sd
 from adadenoise.shrinkage import shrink_threshold
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
@@ -56,14 +56,16 @@ def check_spectral_step(backend, a, noise_sd, delta, factors):
     tau = shrink_threshold(noise_sd, delta, m / n)
     assume(not np.any(np.abs(sigma0 - tau) <= 1e-12 * tau))
     assert res.k_hat == np.count_nonzero(sigma0 >= tau)
+    shrunk, _ = shrink_known_sd(sigma0, noise_sd, delta, m / n)
     # survivors are debiased from the solve's own values, which agree with
-    # sigma0 to rounding; near the bulk edge the debiasing map magnifies
-    # that rounding, so each is checked through the forward map, which is
-    # well conditioned there: it inflates back to its value in sigma0
-    k = res.k_hat
-    assert not np.any(res.sigma_shrunk[k:])
-    back = noise_sd * inflated_sv(res.sigma_shrunk[:k] / noise_sd, m / n)
-    np.testing.assert_allclose(back, sigma0[:k], rtol=1e-13, atol=0)
+    # sigma0 to rounding; debiasing y = sigma0 / noise_sd to x magnifies a
+    # relative error by its condition number y^2 / (x^2 - x^-2), which
+    # grows without bound at the bulk edge (x = 1)
+    y, x = sigma0 / noise_sd, shrunk / noise_sd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(x > 0, y * y / (x * x - 1 / (x * x)), 1.0)
+    assert np.all(np.abs(res.sigma_shrunk - shrunk)
+                  <= 1e-13 * np.maximum(cond, 1.0) * shrunk)
     cols = min(np.count_nonzero(sigma0), max(res.k_hat, factors))
     assert res.u_hat.shape == (m, cols) and res.v_hat.shape == (n, cols)
     return res
@@ -98,12 +100,14 @@ def test_random_shapes_and_scales(backend, case, delta, factors):
 @PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1), delta=DELTAS)
 def test_more_kept_than_factors(backend, seed, delta):
-    """A strong rank-5 signal with factors = 3: k_hat >= 5 > factors.
-    At delta = 0 the top noise value of a 30 x 50 matrix can sit above
-    the bulk edge and survive too."""
+    """A strong rank-5 signal with factors = 3: all 5 survive, so
+    k_hat > factors.  The top noise values of a 30 x 50 matrix can sit
+    above the bulk edge and survive too, at delta = 0."""
     a = spiked(np.random.default_rng(seed), 30, 50,
                np.linspace(12.0, 8.0, 5))
-    assert check_spectral_step(backend, a, 1.0, delta, 3).k_hat >= 5
+    res = check_spectral_step(backend, a, 1.0, delta, 3)
+    tau = shrink_threshold(1.0, delta, 30 / 50)
+    assert res.k_hat == 5 + np.count_nonzero(res.sigma0[5:] >= tau)
 
 
 @BACKENDS
