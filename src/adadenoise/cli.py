@@ -185,16 +185,20 @@ def cmd_theory(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an unknown flag such as --h must not be read as
+    # --help, nor --d as --delta
     parser = argparse.ArgumentParser(
-        prog="adadenoise",
+        prog="adadenoise", allow_abbrev=False,
         description="Noise-adaptive matrix denoising toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run a Monte-Carlo grid from a config file")
+    p_sim = sub.add_parser("simulate", allow_abbrev=False,
+                           help="run a Monte-Carlo grid from a config file")
     p_sim.add_argument("config", help="path to a key = value config file")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_den = sub.add_parser("denoise", help="denoise a CSV matrix")
+    p_den = sub.add_parser("denoise", allow_abbrev=False,
+                           help="denoise a CSV matrix")
     p_den.add_argument("input", help="input matrix (headerless CSV)")
     p_den.add_argument("-o", "--output-prefix", required=True,
                        help="prefix for _xhat.csv/_xstar.csv/_meta.txt outputs")
@@ -204,15 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
         f"score regularizer (default {DenoiserParams.eps:g})"))
     p_den.add_argument("--delta", type=float, help=(
         f"shrink threshold margin (default {DenoiserParams.delta:g})"))
-    p_den.add_argument("--h", type=float,
-                       help="density bandwidth (default 1.2 (mn)^-1/5)")
-    p_den.add_argument("--h-prime", type=float,
-                       help="derivative bandwidth (default (mn)^-1/7)")
     p_den.add_argument("--noise-sd", type=float, default=None,
                        help="noise standard deviation (baseline mode)")
     p_den.set_defaults(func=cmd_denoise)
 
-    p_th = sub.add_parser("theory", help="tabulate closed-form limit curves as CSV")
+    p_th = sub.add_parser("theory", allow_abbrev=False,
+                          help="tabulate closed-form limit curves as CSV")
     p_th.add_argument("--what", choices=["overlap", "error", "H", "Hinv"],
                       required=True)
     p_th.add_argument("--gamma", type=float, default=1.0)

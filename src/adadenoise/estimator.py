@@ -5,9 +5,10 @@ Given a single noisy matrix Y the pipeline
 1. centers the entries by the grand mean, c = Y - mean(Y), and uses them
    as surrogate noise samples,
 2. builds kernel estimates of the noise density and its derivative (two
-   independent bandwidths, by default h = 1.2 (mn)^{-1/5} and
-   h' = (mn)^{-1/7}) on one grid, from one binning pass, and tabulates
-   the regularized score map psi = -p'/(p + eps) on that grid,
+   independent bandwidths, h = 1.2 (mn)^{-1/5} and h' = (mn)^{-1/7},
+   fixed by the shape: `bandwidths`) on one grid, from one binning
+   pass, and tabulates the regularized score map psi = -p'/(p + eps) on
+   that grid,
 3. looks psi up at the centered entries and measures two moments of it
    on the grid, in O(GRID_NODES) each, from the binning of step 2:
    the signal gain a = mean psi'(c), less the slope each entry's own
@@ -54,6 +55,7 @@ __all__ = [
     "DenoiserParams",
     "SettingError",
     "DenoiseResult",
+    "bandwidths",
     "denoise_entrywise",
     "denoise",
     "baseline_estimate",
@@ -74,35 +76,26 @@ class DenoiserParams:
     """Pipeline parameters, one object for inputs of every shape.
 
     `eps` is the score regularizer (also a floor for the estimated Fisher
-    information), `delta` the relative threshold margin of the shrink
-    step, `h` the density bandwidth and `h_prime` the derivative
-    bandwidth; a bandwidth left as None follows the shape of the matrix
-    being denoised (`bandwidths`).
+    information) and `delta` the relative threshold margin of the shrink
+    step.  The kernel bandwidths are not settings: they follow the shape
+    of the matrix being denoised (`bandwidths`).
     """
 
     eps: float = 1e-3
     delta: float = 0.01
-    h: float | None = None
-    h_prime: float | None = None
 
     def __post_init__(self):
-        for name in ("h", "h_prime"):
-            value = getattr(self, name)
-            if value is not None and not (0 < value < math.inf):
-                raise SettingError(name, f"bandwidths must be positive and "
-                                         f"finite, got {name} = {value!r}")
         if not (0 < self.eps < math.inf):
             raise SettingError("eps", "eps must be positive and finite")
         if not (0 <= self.delta < math.inf):
             raise SettingError("delta", "delta must be >= 0 and finite")
 
-    def bandwidths(self, m: int, n: int) -> tuple[float, float]:
-        """(h, h_prime) for an m x n input: the given values, or the rule
-        of thumb h = 1.2 (mn)^{-1/5}, h' = (mn)^{-1/7} for those left as
-        None."""
-        mn = m * n
-        return (1.2 * mn ** -0.2 if self.h is None else self.h,
-                mn ** (-1.0 / 7.0) if self.h_prime is None else self.h_prime)
+
+def bandwidths(m: int, n: int) -> tuple[float, float]:
+    """(h, h_prime) for an m x n input: the rule of thumb
+    h = 1.2 (mn)^{-1/5}, h' = (mn)^{-1/7}."""
+    mn = m * n
+    return 1.2 * mn ** -0.2, mn ** (-1.0 / 7.0)
 
 
 @dataclass(frozen=True)
@@ -189,7 +182,7 @@ def denoise_entrywise(y, params: DenoiserParams):
     samples = np.sort(y, axis=None)
     y_bar = mean_entry(samples)
     samples -= y_bar
-    est = kde_binned(samples, *params.bandwidths(*y.shape))
+    est = kde_binned(samples, *bandwidths(*y.shape))
     del samples  # not held through the lookup's temporaries
 
     eps = params.eps

@@ -213,9 +213,8 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     density = _smooth(counts, spacing, h, gaussian_kernel, n * h)
     deriv = _smooth(counts, spacing, h_prime, gaussian_kernel_deriv,
                     n * h_prime * h_prime)
-    return DensityEstimate(lo=lo, spacing=spacing, counts=counts,
-                           moments=moments, density=density, deriv=deriv,
-                           h=h, h_prime=h_prime)
+    return DensityEstimate(lo, spacing, counts, moments, density, deriv, h,
+                           h_prime)
 
 
 def _smooth(counts: np.ndarray, spacing: float, bandwidth: float, kernel,

@@ -119,12 +119,12 @@ class ScoreParts(NamedTuple):
 
 def score_parts(y, params) -> ScoreParts:
     """Rebuild the scoring step from the package's building blocks:
-    `mean_entry`, `kde_binned` at the bandwidths `params` gives for the
-    shape of `y`, and the estimator's `_score_gain`."""
+    `mean_entry`, `kde_binned` at the bandwidths for the shape of `y`,
+    and the estimator's `_score_gain`."""
     y = np.asarray(y, dtype=np.float64)
     y_bar = mean_entry(y)
     centered = y - y_bar
-    est = kde_binned(centered, *params.bandwidths(*y.shape))
+    est = kde_binned(centered, *estimator.bandwidths(*y.shape))
     psi = -est.deriv / (est.density + params.eps)
     raw = est.evaluate(centered, psi)
     variance = (float(np.sort(np.square(raw), axis=None).sum() / raw.size)

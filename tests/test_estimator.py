@@ -16,9 +16,8 @@ from conftest import fail_lapack, kde_exact, score_parts
 
 class TestDefaults:
     def test_bandwidth_rules(self):
-        """Omitted bandwidths follow the shape of the matrix scored:
-        h = 1.2 (mn)^(-1/5) and h' = (mn)^(-1/7); given ones pass
-        through unchanged."""
+        """The bandwidths follow the shape of the matrix scored:
+        h = 1.2 (mn)^(-1/5) and h' = (mn)^(-1/7)."""
         params = DenoiserParams()
         assert params.eps == 1e-3 and params.delta == 0.01
         for m, n in ((400, 400), (40, 700)):
@@ -27,17 +26,14 @@ class TestDefaults:
             mn = m * n
             assert kde.h == pytest.approx(1.2 * mn ** -0.2, rel=1e-14)
             assert kde.h_prime == pytest.approx(mn ** (-1 / 7), rel=1e-14)
-        given = score_parts(y, DenoiserParams(h=0.3, h_prime=0.4)).kde
-        assert (given.h, given.h_prime) == (0.3, 0.4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DenoiserParams(h=0.0)
-        with pytest.raises(ValueError):
             DenoiserParams(eps=0.0)
-        for bad in (dict(h=math.inf), dict(h_prime=math.inf),
-                    dict(eps=math.inf), dict(delta=math.nan),
-                    dict(delta=math.inf)):
+        with pytest.raises(TypeError):  # bandwidths are not settings
+            DenoiserParams(h=0.3)
+        for bad in (dict(eps=-1.0), dict(eps=math.inf), dict(delta=-0.5),
+                    dict(delta=math.nan), dict(delta=math.inf)):
             with pytest.raises(SettingError) as info:
                 DenoiserParams(**bad)
             assert info.value.name == next(iter(bad))
@@ -54,7 +50,7 @@ class TestDenoiseEntrywise:
         x_star, i_hat, y_bar = denoise_entrywise(y, params)
         assert y_bar == 4.2
         assert np.all(np.isfinite(x_star))
-        h_prime = params.bandwidths(8, 6)[1]
+        h_prime = estimator.bandwidths(8, 6)[1]
         bound = np.max(np.abs(gaussian_kernel_deriv(
             np.linspace(-5, 5, 2001)))) / h_prime ** 2 / params.eps
         # x_star * i_hat = (a/b) psi(c), the scored matrix before the
@@ -177,7 +173,7 @@ class TestDenoiseEntrywise:
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
         params = DenoiserParams()
         eps = params.eps
-        h, h_prime = params.bandwidths(60, 50)
+        h, h_prime = estimator.bandwidths(60, 50)
         scored = score_parts(y, params)
         grid = scored.kde.grid
         p = scored.kde.density
@@ -409,7 +405,7 @@ class TestSpectralStep:
             with pytest.raises(ValueError, match="factors"):
                 baseline_estimate(y, noise_sd=1.0, factors=bad)
 
-    def test_gram_overflow_raises(self):
+    def test_top_value_above_the_largest_double_raises(self):
         """A top singular value above the largest double raises."""
         with pytest.raises(ValueError, match="exceeds the largest double"):
             baseline_estimate(np.full((30, 40), 1e307), noise_sd=1.0)
@@ -435,7 +431,7 @@ class TestSpectralStep:
         return x + Gaussian(1.0).sample(60, 80, seed=75)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
-    def test_gram_underflow_raises(self, scale):
+    def test_gram_where_squares_underflow(self, scale):
         """Nonzero entries whose squares underflow a double are decomposed
         at unit scale: the unit-scale k_hat, and sigma0 and the estimate
         times the scale.  A lone entry is the one nonzero value."""

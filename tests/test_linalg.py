@@ -76,7 +76,7 @@ class TestOpNormEigh(TestOpNorm):
 
 
 @pytest.mark.parametrize("entry", [1e-170, 3e-160])
-def test_op_norm_underflow_raises(backend, entry):
+def test_op_norm_where_squares_underflow(backend, entry):
     """A lone entry whose square underflows a double is the matrix's
     norm, exactly: the Gram matrix is formed at unit scale, where
     nothing underflows."""

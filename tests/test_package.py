@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -65,9 +66,8 @@ def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
                 "output": "out.csv"}
     defaults = {re.findall(r"`(\w+)`", key_cell)[0]: value
                 for key_cell, value in _config_table()
-                if value not in ("required", "auto")}
-    assert set(defaults) == set(sim._SCHEMA) - set(required) - {"h",
-                                                                "h_prime"}
+                if value != "required"}
+    assert set(defaults) == set(sim._SCHEMA) - set(required)
 
     def load(**keys):
         path = tmp_path / "defaults.cfg"
@@ -91,12 +91,30 @@ def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
         assert parse(cell.strip("`")) == loaded[key], key
 
 
-def test_readme_denoise_options_exist():
-    section = _readme_section("### `adadenoise denoise")
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+def _denoise_flags() -> set[str]:
     parser = cli.build_parser()
     (subparsers,) = [action for action in parser._actions
                      if isinstance(action, argparse._SubParsersAction)]
-    flags = {flag for action in subparsers.choices["denoise"]._actions
-             for flag in action.option_strings}
+    return {flag for action in subparsers.choices["denoise"]._actions
+            for flag in action.option_strings}
+
+
+def test_readme_denoise_options_exist():
+    section = _readme_section("### `adadenoise denoise")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    flags = _denoise_flags()
     assert named and named <= flags, named - flags
+
+
+def test_denoiser_settings_are_one_set_on_every_surface():
+    """The `DenoiserParams` fields, the config keys that build it and the
+    `denoise` flags other than help, output, mode and the baseline's
+    noise sd are the same two settings: none can be added or dropped on
+    one surface only."""
+    fields = {f.name for f in dataclasses.fields(DenoiserParams)}
+    keys = {key for key, (owner, _, _) in sim._SCHEMA.items()
+            if owner is DenoiserParams}
+    other = {"-h", "--help", "-o", "--output-prefix", "--mode", "--noise-sd"}
+    flags = {flag.removeprefix("--").replace("-", "_")
+             for flag in _denoise_flags() - other}
+    assert fields == keys == flags == {"eps", "delta"}

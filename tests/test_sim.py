@@ -234,7 +234,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("line, word", [
         ("sigma1 = 3:1:1", "bad grid spec '3:1:1'"),
-        ("sigma1 = 1\nh_prime = 0", "key 'h_prime'"),
+        ("sigma1 = 1\neps = 0", "key 'eps'"),
         ("sigma1 = 1\ngamma = inf", "gamma must be positive"),
         ("sigma1 = 1\nnoise = gaussian\nnoise_mu = 1",
          "'noise_mu' only applies to mixture noise")],
@@ -284,8 +284,14 @@ class TestConfig:
     def test_invalid_cell_settings_rejected(self, over):
         """Denoiser settings are checked when their `DenoiserParams` is
         built, naming the setting, and cell shapes when the config is
-        built: neither waits for the grid to run."""
+        built: neither waits for the grid to run.  The bandwidths follow
+        the input's shape and are not settings: `DenoiserParams` takes
+        no `h` or `h_prime`."""
         (key, _), = over.items()
+        if key in ("h", "h_prime"):
+            with pytest.raises(TypeError):
+                DenoiserParams(**over)
+            return
         if key in {f.name for f in dataclasses.fields(DenoiserParams)}:
             with pytest.raises(SettingError) as info:
                 DenoiserParams(**over)
@@ -334,7 +340,7 @@ class TestRunGrid:
 
     def test_one_params_serves_every_shape(self, tmp_path):
         """One `DenoiserParams` serves cells of different shapes: each
-        record equals a trial run at that shape's explicit bandwidths."""
+        record equals a trial run at that shape with the same params."""
         params = DenoiserParams(eps=2e-3)
         config = self.small_config(tmp_path, ns=(60, 80), trials=2,
                                    params=params)
@@ -342,10 +348,7 @@ class TestRunGrid:
         specs = [spec for spec in config.cells() for _ in range(2)]
         assert [rec.n for rec in records] == [60, 60, 80, 80]
         for spec, rec in zip(specs, records):
-            mn = spec.m * spec.n
-            explicit = dataclasses.replace(params, h=1.2 * mn ** -0.2,
-                                           h_prime=mn ** (-1 / 7))
-            trial = run_trial(spec, config.noise, explicit, rec.seed)
+            trial = run_trial(spec, config.noise, params, rec.seed)
             assert dataclasses.replace(trial, trial=rec.trial) == rec
 
     def test_trial_order_and_indices(self, tmp_path):

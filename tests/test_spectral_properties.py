@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from adadenoise import baseline_estimate, linalg, shrink_known_sd
 from adadenoise.shrinkage import shrink_threshold
@@ -58,14 +58,17 @@ def check_spectral_step(backend, a, noise_sd, delta, factors):
     assert res.k_hat == np.count_nonzero(sigma0 >= tau)
     shrunk, _ = shrink_known_sd(sigma0, noise_sd, delta, m / n)
     # survivors are debiased from the solve's own values, which agree with
-    # sigma0 to rounding; debiasing y = sigma0 / noise_sd to x magnifies a
-    # relative error by its condition number y^2 / (x^2 - x^-2), which
-    # grows without bound at the bulk edge (x = 1)
+    # sigma0 to eps * (s_1 / s_j)^2 relative, the accuracy of a squared
+    # spectrum (`linalg.gram_svd`); debiasing y = sigma0 / noise_sd to x
+    # magnifies a relative error by its condition number
+    # y^2 / (x^2 - x^-2), which grows without bound at the bulk edge (x = 1)
     y, x = sigma0 / noise_sd, shrunk / noise_sd
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(x > 0, y * y / (x * x - 1 / (x * x)), 1.0)
-    assert np.all(np.abs(res.sigma_shrunk - shrunk)
-                  <= 1e-13 * np.maximum(cond, 1.0) * shrunk)
+    spread = np.divide(sigma0[:1], sigma0, out=np.ones_like(sigma0),
+                       where=sigma0 > 0)
+    rtol = np.maximum(cond, 1.0) * (1e-13 + np.finfo(float).eps * spread ** 2)
+    assert np.all(np.abs(res.sigma_shrunk - shrunk) <= rtol * shrunk)
     cols = min(np.count_nonzero(sigma0), max(res.k_hat, factors))
     assert res.u_hat.shape == (m, cols) and res.v_hat.shape == (n, cols)
     return res
@@ -115,6 +118,7 @@ def test_more_kept_than_factors(backend, seed, delta):
 @given(m=st.integers(2, 30), n=st.integers(2, 30), r=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1), tiny=st.floats(1e-12, 1e-6),
        factors=st.integers(0, 6))
+@example(m=4, n=3, r=3, seed=0, tiny=1e-6, factors=0)
 def test_rank_deficient_with_tiny_noise_sd(backend, m, n, r, seed, tiny,
                                            factors):
     """Every nonzero value survives a tiny noise sd; none past the
