@@ -25,7 +25,7 @@ from .estimator import (DenoiserParams, SettingError, baseline_estimate,
                         denoise)
 from .linalg import read_matrix_csv, write_matrix_csv
 from .shrinkage import debiased_sv, inflated_sv
-from .sim import ConfigError, load_config, parse_grid, run_grid
+from .sim import REMOVED_KEYS, ConfigError, load_config, parse_grid, run_grid
 from .theory import error_limit, overlap_limit
 
 USAGE_ERROR = 2
@@ -227,7 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # a removed setting's flag is refused with the reason
+        keys = [a.lstrip("-").split("=")[0].replace("-", "_") for a in extra]
+        why = {REMOVED_KEYS[key] for key in keys if key in REMOVED_KEYS}
+        parser.error(" ".join(["unrecognized arguments:", *extra])
+                     + "".join(f" ({w})" for w in sorted(why)))
     return args.func(args)
 
 

@@ -332,6 +332,9 @@ _SCHEMA = {
     "workers": (ExperimentConfig, "workers", int),
 }
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+# keys of earlier versions, refused with the reason they are gone
+REMOVED_KEYS = dict.fromkeys(("h", "h_prime"),
+                             "the kernel bandwidths follow the input's shape")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -355,7 +358,9 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            why = REMOVED_KEYS.get(key)
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}"
+                              + (f": {why}" if why else ""))
         if key in parsed:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:

@@ -78,10 +78,13 @@ class TestSimulate:
     @pytest.mark.parametrize("line, word", [
         ("eps = 0", "eps"),
         ("delta = -0.5", "delta"), ("delta = nan", "delta"),
-        ("delta = inf", "delta")])
+        ("delta = inf", "delta"),
+        ("h = -1", "bandwidths"), ("h = inf", "bandwidths"),
+        ("h_prime = 0", "bandwidths"), ("h_prime = inf", "bandwidths")])
     def test_invalid_denoiser_setting_is_usage_error(self, tmp_path, line,
                                                      word):
-        # the message names the config key, not only the field's rule
+        # the message names the config key, not only the field's rule;
+        # a removed bandwidth key is refused with the reason it is gone
         key = line.split("=")[0].strip()
         assert_simulate_usage_error(tmp_path, line, word, f"key {key!r}")
 
@@ -233,9 +236,11 @@ class TestDenoise:
         ("--eps=0", "eps"), ("--delta=-1", "delta"),
         ("--delta=nan", "delta"), ("--delta=inf", "delta"),
         ("--mode=baseline --noise-sd=-1", "noise-sd"),
-        ("--mode=baseline --noise-sd=inf", "noise-sd")])
+        ("--mode=baseline --noise-sd=inf", "noise-sd"),
+        ("--h=-1", "bandwidths"), ("--h=inf", "bandwidths")])
     def test_invalid_setting_is_usage_error(self, tmp_path, noisy_matrix,
                                             flag, word):
+        # a removed bandwidth flag is refused with the reason it is gone
         path, _ = noisy_matrix
         prefix = tmp_path / "x"
         res = run_cli("denoise", str(path), "-o", str(prefix), *flag.split())
