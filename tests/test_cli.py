@@ -374,6 +374,16 @@ class TestDenoise:
         assert res.returncode == 2
         assert "malformed" in res.stderr
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_input_names_the_line(self, tmp_path, token):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,2\n3,{token}\n")
+        res = run_cli("denoise", str(bad), "-o", str(tmp_path / "x"))
+        assert res.returncode == 2, res.stderr
+        assert (f"malformed input: {bad}:2: non-finite entry '{token}'"
+                in res.stderr)
+        assert not (tmp_path / "x_meta.txt").exists()
+
     def test_non_utf8_input_is_usage_error(self, tmp_path):
         bad = tmp_path / "bin.csv"
         bad.write_bytes(b"\xff\xfe1,2\n")

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from adadenoise import (linalg, op_norm, read_matrix_csv, subspace_overlap,
                         write_matrix_csv)
@@ -361,6 +361,46 @@ class TestMatrixCsv:
         assert not isinstance(info.value, UnicodeError)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_entry_names_its_line(self, tmp_path, token):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2\n\n3,{token}\n4,{token}\n")
+        with pytest.raises(ValueError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{path}:3: non-finite entry {token!r}"
+
+    @pytest.mark.parametrize("text", [
+        b"1,2\r\n3,4\r\n", b"1,2\r3,4\r", b"1\r,2\n", b"1,2\n3,4", b" 1 , 2\n3 ,4 \n",
+        b"\t1,2\n3,4\t\n", b"1,2\n\n3,4\n\n", b"\n1,2\n", b"+1,2\n", b"1_0,2\n",
+        "\ufeff1,2\n".encode(), b"1,2,\n3,4,\n", b"1,2\n3\n", b"1,2\n3,4,5\n",
+        b"\xff\xfe1,2\n", b"1,\xe9\n", b"  \n\t\n", b"", b"1,two\n", b"1,-\n",
+        b"1,,2\n", b"1e5,1E+05\n", b".5,5.\n", b"1,2\x00\n", b"1\x1f,2\n",
+        b"1,nan\n", b"1,Infinity\n", b"1.2.3,4\n", b"--1,2\n", b"1-2,3\n",
+        b"1e+5,2e-0x\n", b"0000000000000000000000000001,2\n",
+    ], ids=["crlf", "bare-cr", "cr-before-comma", "no-final-newline", "spaces", "tabs",
+            "blank-lines", "leading-blank", "plus", "underscore", "bom",
+            "trailing-comma", "ragged-short", "ragged-long", "non-utf8",
+            "latin1", "whitespace-only", "empty", "word", "lone-sign",
+            "empty-field", "other-exponents", "bare-points", "nul",
+            "unit-separator", "nan", "infinity", "two-points", "two-signs",
+            "inner-sign", "short-exponents", "long-mantissa"])
+    def test_irregular_file_reads_as_the_line_loop(self, tmp_path, text):
+        """Files off the kernel's path give the line loop's array bit for
+        bit, or its error text."""
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        assert read_outcome(read_matrix_csv, path) == read_outcome(
+            linalg._read_csv_lines, path)
+
+
+def read_outcome(read, path):
+    """The bit patterns and shape `read` returns, or its error text."""
+    try:
+        a = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return a.shape, a.view(np.uint64).tobytes()
+
 
 # The kernel behind `write_matrix_csv` against the "%.17g" conversion.
 KERNEL = settings(max_examples=200, deadline=None, database=None,
@@ -446,3 +486,91 @@ class TestFormat17:
         slots, fallback = linalg._format17(np.array([x]))
         assert fallback[0]
         assert slots.tobytes().translate(None, b"\0") == b"%.17g"
+
+
+# The kernel behind `read_matrix_csv` against ``float()`` of each token.
+READ = settings(max_examples=100, deadline=None, database=None,
+                derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+FORMATS = (lambda x: "%.17g" % x, repr, lambda x: "%.16g" % x,
+           lambda x: "%.6g" % x)
+
+
+def check_tokens(path, rows):
+    """A grid of the token rows reads as ``float()`` of each token, bit
+    for bit (one that overflows is named as non-finite), and as the line
+    loop does."""
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    want = np.array([[float(t) for t in row] for row in rows])
+    if np.isfinite(want).all():
+        got = read_matrix_csv(path)
+        assert got.shape == want.shape
+        for token, x, y in zip(np.ravel(rows), got.ravel(), want.ravel()):
+            assert x.view(np.uint64) == y.view(np.uint64), token
+    else:
+        with pytest.raises(ValueError, match="non-finite entry"):
+            read_matrix_csv(path)
+    assert read_outcome(read_matrix_csv, path) == read_outcome(
+        linalg._read_csv_lines, path)
+
+
+class TestParse17:
+    @READ
+    @given(st.lists(finite.map(lambda x: [f(x) for f in FORMATS]),
+                    min_size=1, max_size=30))
+    @example([["9007199254740993", "0.1", "9.9999999999999995e-07", "1e-05"],
+              ["1e16", "-0", "4.9406564584124654e-324",
+               "1.7976931348623157e308"],
+              ["123456789012345678", "0.0000000000000000000000012345",
+               "-1234567890123456.5", "0.00012345678901234567"],
+              ["-12345678901234567890.123", "1.5e-22", "12345.6e-19", "5e+22"]])
+    def test_each_token_reads_as_float(self, tmp_path, rows):
+        check_tokens(tmp_path / "m.csv", rows)
+
+    @READ
+    @given(st.lists(st.builds(lambda d, point, e: (
+        d[:point] + "." + d[point:] if 0 < point < len(d) else d)
+        + ("" if e is None else "e%+03d" % e),
+        st.integers(0, 10 ** 17 - 1).map(str), st.integers(0, 17),
+        st.none() | st.integers(-30, 30)), min_size=4, max_size=40)
+        .map(lambda t: [t[i:i + 4] for i in range(0, len(t) - 3, 4)]))
+    def test_decimals_of_up_to_17_digits(self, tmp_path, rows):
+        check_tokens(tmp_path / "m.csv", rows)
+
+    @READ
+    @given(st.lists(st.one_of(
+        # odd integers in [2**53, 2**54) and 2 mod 4 in [2**54, 10**17)
+        # lie halfway between doubles; so does k + 0.5 in [2**52, 2**53)
+        st.integers(2 ** 52, 2 ** 53 - 1).map(lambda k: 2 * k + 1),
+        st.integers(2 ** 52, 10 ** 17 // 4 - 1).map(lambda k: 4 * k + 2),
+        st.integers(2 ** 52, 2 ** 53 - 1).map(lambda k: k + 0.5),
+    ), min_size=1, max_size=30))
+    def test_ties_and_their_neighbours(self, tmp_path, halves):
+        """Exact ties, and decimals one unit of their last digit off them,
+        round as ``float()`` does."""
+        rows = []
+        for h in halves:
+            if isinstance(h, float):
+                k = int(h)
+                rows.append([f"{k}.5", f"{k}.4", f"{k}.6"])
+            else:
+                rows.append([str(h), str(h - 1), str(h + 1)])
+        check_tokens(tmp_path / "m.csv", rows)
+
+    def test_kernel_takes_the_writer_window(self):
+        """Every token the writer's kernel writes is one the reader's kernel
+        takes, and no other entry needs ``float()``."""
+        rng = np.random.default_rng(19)
+        a = (rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(-6, 16, 4000)
+             * rng.choice([-1.0, 1.0], 4000))
+        slots, fallback = linalg._format17(a)
+        tokens = [bytes(s).translate(None, b"\0")
+                  for s in slots.view(np.uint8).reshape(-1, 32)]
+        data = b"".join(t + b"\n" for t in tokens)
+        padded = np.zeros(24 + len(data) + 16, np.uint8)
+        padded[24:24 + len(data)] = np.frombuffer(data, np.uint8)
+        ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
+        x, ok = linalg._parse17(padded[:padded.size // 8 * 8], ends - [
+            len(t) for t in tokens], ends)
+        assert ok[~fallback].all()
+        assert np.array_equal(x[~fallback], a[~fallback])
