@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kde import DensityEstimate, gaussian_kernel, kde_binned
+from .kde import DensityEstimate, gaussian_kernel, kde_binned, mean_entry
 from .linalg import as_matrix, gram_svd
 from .shrinkage import shrink_known_sd, shrink_threshold
 
@@ -178,10 +178,10 @@ def denoise_entrywise(y, params: DenoiserParams):
         raise ValueError("denoising needs min(m, n) >= 2")
     # one sort serves the mean, the KDE and both moments of the score map:
     # centering keeps the order, so sort(Y) - y_bar is sort(Y - y_bar) bit
-    # for bit.  y_bar is `mean_entry`'s sum in sorted order, taken here so
-    # that only `kde_binned` checks the order
+    # for bit.  `mean_entry` sums a vector as given and `kde_binned` checks
+    # the order, once
     samples = np.sort(y, axis=None)
-    y_bar = float(samples.sum() / samples.size)
+    y_bar = mean_entry(samples)
     samples -= y_bar
     est = kde_binned(samples, *bandwidths(*y.shape))
     del samples  # not held through the lookup's temporaries

@@ -63,14 +63,16 @@ def gaussian_kernel_deriv(z):
 def mean_entry(a) -> float:
     """Grand mean of all entries.
 
-    Entries are summed in sorted order, so the result depends only on the
-    multiset of values: permuting the input cannot perturb the last bit.
-    A 1-D input that is already sorted is not sorted again.
+    The entries of a matrix are summed in sorted order, so the result
+    depends only on the multiset of values: permuting the entries cannot
+    perturb the last bit.  A 1-D input is summed in the order given, with
+    no O(N) check that it is sorted: pass the sorted entries, as
+    `denoise_entrywise` does, for the same bits.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         raise ValueError("empty input")
-    return float(_sorted(a).sum() / a.size)
+    return float((a if a.ndim == 1 else np.sort(a, axis=None)).sum() / a.size)
 
 
 def _sorted(a: np.ndarray) -> np.ndarray:

@@ -577,8 +577,9 @@ def _parse17(padded, start, end):
     """Parse a block of tokens of the form ``-?D+(.D+)?(e[+-]DD)?`` as
     doubles: ``(x, ok)``, with x meaningless where ok is False.
 
-    ``padded`` holds the file's bytes after _CSV_PAD zero bytes, and token
-    k spans bytes [start[k], end[k]) of the file.  The kernel takes a
+    ``padded`` holds the file's bytes after _CSV_PAD zero bytes, in whole
+    words with room for a fourth word after the last window; token k
+    spans bytes [start[k], end[k]) of the file.  The kernel takes a
     token whose mantissa, point included, has at most 24 bytes, whose
     digits give an integer M < 10**17 and whose value is M / 10**j with
     0 <= j <= 22, so that M is exact in two doubles and 10**j in one.

@@ -8,7 +8,7 @@ from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, SignalSpec,
                         denoise_entrywise, gaussian_kernel_deriv, kde_binned,
                         make_signal, op_norm, run_trial, shrink_known_sd,
                         subspace_overlap)
-from adadenoise import estimator, linalg
+from adadenoise import estimator, kde, linalg
 from adadenoise.estimator import SettingError
 
 from conftest import fail_lapack, kde_exact, score_parts
@@ -150,6 +150,21 @@ class TestDenoiseEntrywise:
             return sort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "sort", counting_sort)
+        y = GaussianMixture(2.0).sample(30, 20, seed=6)
+        denoise(y)
+        assert sizes.count(y.size) == 1
+
+    def test_one_order_check(self, monkeypatch):
+        """The sorted entries are checked for order once, by `kde_binned`:
+        `mean_entry` sums the vector it is given as it is."""
+        check = kde._sorted
+        sizes = []
+
+        def counting_check(a):
+            sizes.append(np.size(a))
+            return check(a)
+
+        monkeypatch.setattr(kde, "_sorted", counting_check)
         y = GaussianMixture(2.0).sample(30, 20, seed=6)
         denoise(y)
         assert sizes.count(y.size) == 1

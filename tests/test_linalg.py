@@ -271,6 +271,43 @@ GOLDEN_TOKENS = ["-0", "4.9406564584124654e-324", "1e+308",
                  "0.10000000000000001", "1", "-2.4999999999999999e-07"]
 
 
+# Files off the kernel's path, or with a token it leaves to ``float()``.
+IRREGULAR = {
+    "crlf": b"1,2\r\n3,4\r\n",
+    "bare-cr": b"1,2\r3,4\r",
+    "cr-before-comma": b"1\r,2\n",
+    "no-final-newline": b"1,2\n3,4",
+    "spaces": b" 1 , 2\n3 ,4 \n",
+    "tabs": b"\t1,2\n3,4\t\n",
+    "blank-lines": b"1,2\n\n3,4\n\n",
+    "leading-blank": b"\n1,2\n",
+    "plus": b"+1,2\n",
+    "underscore": b"1_0,2\n",
+    "bom": "\ufeff1,2\n".encode(),
+    "trailing-comma": b"1,2,\n3,4,\n",
+    "ragged-short": b"1,2\n3\n",
+    "ragged-long": b"1,2\n3,4,5\n",
+    "non-utf8": b"\xff\xfe1,2\n",
+    "latin1": b"1,\xe9\n",
+    "whitespace-only": b"  \n\t\n",
+    "empty": b"",
+    "word": b"1,two\n",
+    "lone-sign": b"1,-\n",
+    "empty-field": b"1,,2\n",
+    "other-exponents": b"1e5,1E+05\n",
+    "bare-points": b".5,5.\n",
+    "nul": b"1,2\x00\n",
+    "unit-separator": b"1\x1f,2\n",
+    "nan": b"1,nan\n",
+    "infinity": b"1,Infinity\n",
+    "two-points": b"1.2.3,4\n",
+    "two-signs": b"--1,2\n",
+    "inner-sign": b"1-2,3\n",
+    "short-exponents": b"1e+5,2e-0x\n",
+    "long-mantissa": b"0000000000000000000000000001,2\n",
+}
+
+
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path):
         """17 significant digits reproduce float64 exactly."""
@@ -369,21 +406,7 @@ class TestMatrixCsv:
             read_matrix_csv(path)
         assert str(info.value) == f"{path}:3: non-finite entry {token!r}"
 
-    @pytest.mark.parametrize("text", [
-        b"1,2\r\n3,4\r\n", b"1,2\r3,4\r", b"1\r,2\n", b"1,2\n3,4", b" 1 , 2\n3 ,4 \n",
-        b"\t1,2\n3,4\t\n", b"1,2\n\n3,4\n\n", b"\n1,2\n", b"+1,2\n", b"1_0,2\n",
-        "\ufeff1,2\n".encode(), b"1,2,\n3,4,\n", b"1,2\n3\n", b"1,2\n3,4,5\n",
-        b"\xff\xfe1,2\n", b"1,\xe9\n", b"  \n\t\n", b"", b"1,two\n", b"1,-\n",
-        b"1,,2\n", b"1e5,1E+05\n", b".5,5.\n", b"1,2\x00\n", b"1\x1f,2\n",
-        b"1,nan\n", b"1,Infinity\n", b"1.2.3,4\n", b"--1,2\n", b"1-2,3\n",
-        b"1e+5,2e-0x\n", b"0000000000000000000000000001,2\n",
-    ], ids=["crlf", "bare-cr", "cr-before-comma", "no-final-newline", "spaces", "tabs",
-            "blank-lines", "leading-blank", "plus", "underscore", "bom",
-            "trailing-comma", "ragged-short", "ragged-long", "non-utf8",
-            "latin1", "whitespace-only", "empty", "word", "lone-sign",
-            "empty-field", "other-exponents", "bare-points", "nul",
-            "unit-separator", "nan", "infinity", "two-points", "two-signs",
-            "inner-sign", "short-exponents", "long-mantissa"])
+    @pytest.mark.parametrize("text", IRREGULAR.values(), ids=IRREGULAR.keys())
     def test_irregular_file_reads_as_the_line_loop(self, tmp_path, text):
         """Files off the kernel's path give the line loop's array bit for
         bit, or its error text."""
@@ -523,7 +546,8 @@ class TestParse17:
                "1.7976931348623157e308"],
               ["123456789012345678", "0.0000000000000000000000012345",
                "-1234567890123456.5", "0.00012345678901234567"],
-              ["-12345678901234567890.123", "1.5e-22", "12345.6e-19", "5e+22"]])
+              ["-12345678901234567890.123", "1.5e-22", "12345.6e-19",
+               "5e+22"]])
     def test_each_token_reads_as_float(self, tmp_path, rows):
         check_tokens(tmp_path / "m.csv", rows)
 
