@@ -752,7 +752,8 @@ def _parse_csv(data: bytes):
     start = np.empty_like(end)
     start[0] = 0
     start[1:] = end[:-1] + 1
-    # whole words, with room for the last window's fourth
+    # whole words, with room for the fourth word `_window` gathers past
+    # the last window
     padded = np.zeros((_CSV_PAD + len(data)) // 8 * 8 + 16, np.uint8)
     padded[_CSV_PAD:_CSV_PAD + len(data)] = np.frombuffer(data, np.uint8)
     out = np.empty(end.size)
