@@ -21,8 +21,9 @@ number.  `read_matrix_csv` is its mirror: an exact numpy kernel reads
 each token of the form ``-?D+(.D+)?(e[+-]DD)?`` whose digits give an
 integer M < 10**17 and whose value is M / 10**j with 0 <= j <= 22,
 which covers every token the writer's kernel writes; ``float()`` reads
-each other token, and a file that is not a plain grid goes through a
-line loop that is also the source of every error.
+each other token, and a file that is not a plain grid, or that leaves
+more than a quarter of its tokens to ``float()``, goes through a line
+loop that is also the source of every error.
 """
 
 from __future__ import annotations
@@ -309,6 +310,11 @@ _CSV_BLOCK = 1 << 15
 # first windows inside the buffer.
 _CSV_READ_BLOCK = 1 << 13
 _CSV_PAD = 24
+# A token the kernel leaves to float() costs about twice as much in the
+# reader's loop as in the line loop, and one the kernel takes about a
+# third, so a block that leaves more than 1/_CSV_FLOAT_SHARE of its
+# tokens to float() hands the file to the line loop.
+_CSV_FLOAT_SHARE = 4
 _U64 = np.uint64
 _BYTES = 0x0101010101010101      # 0x01 in each byte of a word
 
@@ -741,10 +747,17 @@ def _parse_csv(data: bytes):
 
     `_parse17` takes each token it can, in blocks of _CSV_READ_BLOCK; any
     other goes through ``float()`` on its own.  None where `data` is not
-    a grid (`_csv_grid`) or a token is one ``float()`` rejects or reads as
-    non-finite: blank lines, carriage returns, non-ASCII bytes, unequal
-    widths and malformed entries are all left to the line loop.
+    a grid (`_csv_grid`), a token is one ``float()`` rejects or reads as
+    non-finite, or a block leaves more than 1/_CSV_FLOAT_SHARE of its
+    tokens to ``float()``: blank lines, carriage returns, non-ASCII bytes,
+    unequal widths, malformed entries and files written in another format
+    (``%.18e``, ``E`` exponents) are all left to the line loop.
     """
+    # the first line alone first: a file in another format is handed on
+    # before the grid pass over all of it
+    line = data.find(b"\n") + 1
+    if 0 < line < len(data) and _parse_csv(data[:line]) is None:
+        return None
     grid = _csv_grid(data)
     if grid is None:
         return None
@@ -760,7 +773,10 @@ def _parse_csv(data: bytes):
     for b in range(0, end.size, _CSV_READ_BLOCK):
         s, e = start[b:b + _CSV_READ_BLOCK], end[b:b + _CSV_READ_BLOCK]
         x, ok = _parse17(padded, s, e)
-        for k in np.flatnonzero(~ok).tolist():
+        rest = np.flatnonzero(~ok)
+        if rest.size > x.size // _CSV_FLOAT_SHARE:
+            return None
+        for k in rest.tolist():
             try:
                 x[k] = v = float(data[s[k]:e[k]])
             except ValueError:
@@ -796,7 +812,9 @@ def _read_csv_lines(path) -> np.ndarray:
                 elif len(row) != width:
                     raise ValueError(f"{path}:{lineno}: ragged row "
                                      f"({len(row)} fields, expected {width})")
-                if not all(map(math.isfinite, row)):
+                # finite entries have a finite sum unless it overflows
+                if (not math.isfinite(sum(row))
+                        and not all(map(math.isfinite, row))):
                     token = next(t for t, x in zip(tokens, row)
                                  if not math.isfinite(x))
                     raise ValueError(f"{path}:{lineno}: non-finite entry "
@@ -830,9 +848,12 @@ def read_matrix_csv(path) -> np.ndarray:
     as do tokens outside the grammar or the window: more than 17
     significant digits, other exponents, ``+``, ``_``, whitespace,
     ``nan``.  A file that is not such a grid (blank lines, carriage
-    returns, a byte-order mark, unequal widths), or that holds a token
-    ``float()`` rejects or reads as non-finite, is read by the line loop
-    `_read_csv_lines`, which raises every error this function raises.
+    returns, a byte-order mark, unequal widths), that holds a token
+    ``float()`` rejects or reads as non-finite, or whose first line or
+    any block leaves more than a quarter of its tokens to ``float()``
+    (a file in another format, such as ``np.savetxt``'s ``%.18e``) is
+    read by the line loop `_read_csv_lines`, which raises every error
+    this function raises.
     """
     with open(path, "rb") as fh:
         a = _parse_csv(fh.read())

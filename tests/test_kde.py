@@ -52,6 +52,14 @@ class TestMeanEntry:
         a = np.random.default_rng(22).standard_normal((40, 37)) * 1e3
         assert mean_entry(np.sort(a, axis=None)) == mean_entry(a)
 
+    def test_vector_is_summed_as_given(self):
+        """A matrix is summed in sorted order; a 1-D input in the order
+        given, so only a sorted vector is sure to give the matrix's bits."""
+        a = np.array([1e16, -1e16, 1.0])
+        assert mean_entry(a) == 1.0 / 3.0
+        assert mean_entry(a[None, :]) == 0.0
+        assert mean_entry(np.sort(a)) == 0.0
+
 
 class TestKdeExact:
     def test_single_sample_peak(self):

@@ -415,6 +415,45 @@ class TestMatrixCsv:
         assert read_outcome(read_matrix_csv, path) == read_outcome(
             linalg._read_csv_lines, path)
 
+    @pytest.mark.parametrize("fmt", ["%.18e", "%.17E", "%.20f"])
+    def test_other_format_goes_to_the_line_loop(self, tmp_path, monkeypatch,
+                                                fmt):
+        """A file whose tokens the kernel does not take (np.savetxt's
+        default, upper-case exponents, 20 decimals) is handed to the line
+        loop after its first line, before any pass over the whole file."""
+        a = np.random.default_rng(19).standard_normal((40, 30)) * 3
+        path = tmp_path / "m.csv"
+        np.savetxt(path, a, fmt=fmt, delimiter=",")
+        data = path.read_bytes()
+        grid = linalg._csv_grid
+        sizes = []
+
+        def recording_grid(d):
+            sizes.append(len(d))
+            return grid(d)
+
+        monkeypatch.setattr(linalg, "_csv_grid", recording_grid)
+        assert linalg._parse_csv(data) is None
+        assert sizes == [data.index(b"\n") + 1]
+        assert read_outcome(read_matrix_csv, path) == read_outcome(
+            linalg._read_csv_lines, path)
+
+    @pytest.mark.parametrize("every, kernel", [(8, True), (3, False)])
+    def test_share_left_to_float(self, tmp_path, every, kernel):
+        """A block that leaves a few tokens to float() stays on the
+        kernel's path; one that leaves more than 1/_CSV_FLOAT_SHARE of
+        them goes to the line loop.  Both read as the line loop does."""
+        assert 1 / 8 < 1 / linalg._CSV_FLOAT_SHARE < 1 / 3
+        a = np.random.default_rng(20).standard_normal((60, 50))
+        path = tmp_path / "m.csv"
+        path.write_text("".join(
+            ",".join(("%.18e" if (50 * i + j) % every == 0 else "%.17g") % x
+                     for j, x in enumerate(row)) + "\n"
+            for i, row in enumerate(a)))
+        assert (linalg._parse_csv(path.read_bytes()) is not None) == kernel
+        assert read_outcome(read_matrix_csv, path) == read_outcome(
+            linalg._read_csv_lines, path)
+
 
 def read_outcome(read, path):
     """The bit patterns and shape `read` returns, or its error text."""
