@@ -11,8 +11,8 @@ Closed-form asymptotic predictions and a reproducible Monte-Carlo
 harness round out the package.
 """
 
-from .estimator import (DenoiseResult, DenoiserParams, baseline_estimate,
-                        denoise, denoise_entrywise)
+from .estimator import (DenoiseResult, baseline_estimate, denoise,
+                        denoise_entrywise)
 from .kde import (DensityEstimate, gaussian_kernel, gaussian_kernel_deriv,
                   kde_binned, mean_entry)
 from .linalg import (op_norm, read_matrix_csv, subspace_overlap,
@@ -27,8 +27,7 @@ from .theory import (Prediction, error_limit, minimax_limits, overlap_limit,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DenoiseResult", "DenoiserParams", "baseline_estimate", "denoise",
-    "denoise_entrywise",
+    "DenoiseResult", "baseline_estimate", "denoise", "denoise_entrywise",
     "DensityEstimate", "gaussian_kernel", "gaussian_kernel_deriv",
     "kde_binned", "mean_entry",
     "op_norm", "read_matrix_csv", "subspace_overlap", "write_matrix_csv",

@@ -14,15 +14,13 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
 
 import numpy as np
 
-from .estimator import (DenoiserParams, SettingError, baseline_estimate,
-                        denoise)
+from .estimator import baseline_estimate, denoise
 from .linalg import read_matrix_csv, write_matrix_csv
 from .shrinkage import debiased_sv, inflated_sv
 from .sim import REMOVED_KEYS, ConfigError, load_config, parse_grid, run_grid
@@ -92,6 +90,16 @@ def _write_meta(path, fields) -> None:
 
 
 def cmd_denoise(args) -> int:
+    if args.mode == "baseline" and args.noise_sd is None:
+        _err("--noise-sd is required with --mode baseline")
+        return USAGE_ERROR
+    if args.mode != "baseline" and args.noise_sd is not None:
+        _err("--noise-sd only applies to --mode baseline")
+        return USAGE_ERROR
+    if args.noise_sd is not None and not (0 < args.noise_sd < math.inf):
+        _err("--noise-sd must be positive and finite")
+        return USAGE_ERROR
+
     try:
         y = read_matrix_csv(args.input)
     except FileNotFoundError:
@@ -104,32 +112,13 @@ def cmd_denoise(args) -> int:
         _err(f"malformed input: {exc}")
         return USAGE_ERROR
 
-    if args.mode == "baseline" and args.noise_sd is None:
-        _err("--noise-sd is required with --mode baseline")
-        return USAGE_ERROR
-
-    # only the flags given: the others keep the `DenoiserParams` defaults
-    given = {f.name: getattr(args, f.name)
-             for f in dataclasses.fields(DenoiserParams)}
-    try:
-        params = DenoiserParams(**{name: value for name, value in given.items()
-                                   if value is not None})
-    except SettingError as exc:
-        flag = "--" + exc.name.replace("_", "-")
-        _err(f"invalid denoiser setting {flag}: {exc}")
-        return USAGE_ERROR
-    if args.noise_sd is not None and not (0 < args.noise_sd < math.inf):
-        _err("--noise-sd must be positive and finite")
-        return USAGE_ERROR
-
     try:
         if args.mode == "adaptive":
-            res = denoise(y, params)
+            res = denoise(y)
             meta = [("i_hat", res.i_hat), ("k_hat", res.k_hat),
                     ("y_bar", res.y_bar)]
         else:  # baseline
-            res = baseline_estimate(y, noise_sd=args.noise_sd,
-                                    delta=params.delta)
+            res = baseline_estimate(y, noise_sd=args.noise_sd)
             meta = [("noise_sd", args.noise_sd), ("k_hat", res.k_hat)]
         # the full spectrum is taken on first read of sigma0; read it
         # before any file is written, so a failure leaves no output behind
@@ -186,7 +175,7 @@ def cmd_theory(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: an unknown flag such as --h must not be read as
-    # --help, nor --d as --delta
+    # --help, nor --noise as --noise-sd
     parser = argparse.ArgumentParser(
         prog="adadenoise", allow_abbrev=False,
         description="Noise-adaptive matrix denoising toolkit")
@@ -204,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prefix for _xhat.csv/_xstar.csv/_meta.txt outputs")
     p_den.add_argument("--mode", choices=["adaptive", "baseline"],
                        default="adaptive")
-    p_den.add_argument("--eps", type=float, help=(
-        f"score regularizer (default {DenoiserParams.eps:g})"))
-    p_den.add_argument("--delta", type=float, help=(
-        f"shrink threshold margin (default {DenoiserParams.delta:g})"))
     p_den.add_argument("--noise-sd", type=float, default=None,
                        help="noise standard deviation (baseline mode)")
     p_den.set_defaults(func=cmd_denoise)

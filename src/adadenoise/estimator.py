@@ -7,13 +7,13 @@ Given a single noisy matrix Y the pipeline
 2. builds kernel estimates of the noise density and its derivative (two
    independent bandwidths, h = 1.2 (mn)^{-1/5} and h' = (mn)^{-1/7},
    fixed by the shape: `bandwidths`) on one grid, from one binning
-   pass, and tabulates the regularized score map psi = -p'/(p + eps) on
+   pass, and tabulates the regularized score map psi = -p'/(p + EPS) on
    that grid,
 3. looks psi up at the centered entries and measures two moments of it
    on the grid, in O(GRID_NODES) each, from the binning of step 2:
    the signal gain a = mean psi'(c), less the slope each entry's own
-   kernel adds, and the noise variance b = mean psi(c)^2 + eps.
-   The Fisher-information estimate is i_hat = a^2/b (floored at eps),
+   kernel adds, and the noise variance b = mean psi(c)^2 + EPS.
+   The Fisher-information estimate is i_hat = a^2/b (floored at EPS),
    and the looked-up array is scaled in place to the rescaled score
    matrix X* = (a/b) psi(c) / i_hat, which is psi(c) / a unless the
    floor binds; X* is a spiked matrix with noise level i_hat^{-1/2},
@@ -52,8 +52,8 @@ from .linalg import as_matrix, gram_svd
 from .shrinkage import shrink_known_sd, shrink_threshold
 
 __all__ = [
-    "DenoiserParams",
-    "SettingError",
+    "EPS",
+    "DELTA",
     "DenoiseResult",
     "bandwidths",
     "denoise_entrywise",
@@ -61,34 +61,11 @@ __all__ = [
     "baseline_estimate",
 ]
 
-
-class SettingError(ValueError):
-    """An out-of-range `DenoiserParams` field; `name` is the field, which
-    is also its config key."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(message)
-        self.name = name
-
-
-@dataclass(frozen=True)
-class DenoiserParams:
-    """Pipeline parameters, one object for inputs of every shape.
-
-    `eps` is the score regularizer (also a floor for the estimated Fisher
-    information) and `delta` the relative threshold margin of the shrink
-    step.  The kernel bandwidths are not settings: they follow the shape
-    of the matrix being denoised (`bandwidths`).
-    """
-
-    eps: float = 1e-3
-    delta: float = 0.01
-
-    def __post_init__(self):
-        if not (0 < self.eps < math.inf):
-            raise SettingError("eps", "eps must be positive and finite")
-        if not (0 <= self.delta < math.inf):
-            raise SettingError("delta", "delta must be >= 0 and finite")
+# Constants of the method, not settings: EPS is the score regularizer
+# (also a floor for the estimated Fisher information) and DELTA the
+# relative threshold margin of the shrink step.
+EPS = 1e-3
+DELTA = 0.01
 
 
 def bandwidths(m: int, n: int) -> tuple[float, float]:
@@ -142,13 +119,12 @@ class DenoiseResult:
         return self._spectrum()
 
 
-def _score_gain(est: DensityEstimate, psi: np.ndarray, eps: float,
-                n: int) -> float:
+def _score_gain(est: DensityEstimate, psi: np.ndarray, n: int) -> float:
     """Signal gain of the score map: its mean slope over the `n` binned
     samples, less each sample's self-influence.
 
     Each entry's own kernel in the derivative estimate moves with the
-    entry, so it adds slope K(0) / (N h'^3 (p + eps)) to psi at that
+    entry, so it adds slope K(0) / (N h'^3 (p + EPS)) to psi at that
     entry but no gain on the signal; that share is taken out.  The slope
     is tabulated on the grid and weighted by the linear-binning counts,
     which equals the mean of the interpolated slope at the samples at
@@ -156,18 +132,18 @@ def _score_gain(est: DensityEstimate, psi: np.ndarray, eps: float,
     """
     self_slope = float(gaussian_kernel(0.0)) / (n * est.h_prime ** 3)
     slope = (np.gradient(psi, est.spacing)
-             - self_slope / (est.density + eps))
+             - self_slope / (est.density + EPS))
     return float(est.counts @ slope) / n
 
 
-def denoise_entrywise(y, params: DenoiserParams):
+def denoise_entrywise(y):
     """Score the entries of Y and estimate the noise Fisher information.
 
     Returns ``(x_star, i_hat, y_bar)``: the rescaled score matrix
     (a/b) psi(Y - y_bar) / i_hat, the estimated Fisher information
-    i_hat = a^2/b floored at eps, and the grand mean used to center the
+    i_hat = a^2/b floored at EPS, and the grand mean used to center the
     surrogate noise samples.  Here a is the mean slope (less each
-    entry's self-influence) and b the mean square (plus eps) of the
+    entry's self-influence) and b the mean square (plus EPS) of the
     score map psi over the centered entries, both taken on the KDE grid,
     so x_star = psi(c) / a unless the floor binds.  Raises ValueError
     when a is not positive and finite, rather than flip or zero the
@@ -186,21 +162,20 @@ def denoise_entrywise(y, params: DenoiserParams):
     est = kde_binned(samples, *bandwidths(*y.shape))
     del samples  # not held through the lookup's temporaries
 
-    eps = params.eps
-    psi = -est.deriv / (est.density + eps)
+    psi = -est.deriv / (est.density + EPS)
     scored = est.evaluate(y - y_bar, psi)
     # both moments come from the grid, where the entries were binned in
     # sorted order: they depend only on the multiset of entries, never on
     # their layout
-    variance = est.square_sum(psi) / scored.size + eps
-    gain = _score_gain(est, psi, eps, scored.size)
+    variance = est.square_sum(psi) / scored.size + EPS
+    gain = _score_gain(est, psi, scored.size)
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"score map gain {gain!r} is not positive and "
                          f"finite; the noise density estimate is unusable")
     # rescaled by a/b, the map's gain equals its variance, as the true
     # score's does, and both equal a^2/b; dividing by i_hat then makes the
     # scored array X* in place, so no second m x n matrix is formed
-    i_hat = max(gain * gain / variance, eps)
+    i_hat = max(gain * gain / variance, EPS)
     scored *= gain / variance / i_hat
     return scored, i_hat, y_bar
 
@@ -242,24 +217,22 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
                          sigma_shrunk=sigma_shrunk, k_hat=k_hat, **scored)
 
 
-def denoise(y, params: DenoiserParams = DenoiserParams(), *,
-            factors: int = 3) -> DenoiseResult:
+def denoise(y, *, factors: int = 3) -> DenoiseResult:
     """Run the full adaptive pipeline on Y.
 
     `factors` is how many leading singular vectors to return at least
     (`DenoiseResult`).
     """
-    x_star, i_hat, y_bar = denoise_entrywise(y, params)
+    x_star, i_hat, y_bar = denoise_entrywise(y)
     # X* is a spiked matrix with noise sd i_hat^-1/2
-    return _spectral_estimate(x_star, i_hat ** -0.5, params.delta, factors,
+    return _spectral_estimate(x_star, i_hat ** -0.5, DELTA, factors,
                               x_star=x_star, i_hat=i_hat, y_bar=y_bar)
 
 
-def baseline_estimate(y, noise_sd: float,
-                      delta: float = DenoiserParams.delta, *,
+def baseline_estimate(y, noise_sd: float, *,
                       factors: int = 3) -> DenoiseResult:
     """Known-variance PCA baseline: shrink the spectrum of Y itself.
 
     `factors` is as for `denoise`.
     """
-    return _spectral_estimate(as_matrix(y, "y"), noise_sd, delta, factors)
+    return _spectral_estimate(as_matrix(y, "y"), noise_sd, DELTA, factors)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import io
 import math
 from types import SimpleNamespace
 
@@ -787,16 +788,18 @@ def _parse_csv(data: bytes):
     return out.reshape(rows, width)
 
 
-def _read_csv_lines(path) -> np.ndarray:
-    """Read a matrix CSV one line at a time, skipping blank lines:
-    ``float()`` of each comma-separated token of the stripped line.  The
-    reference `read_matrix_csv` agrees with bit for bit, and the source of
-    its every error: a malformed or ragged row, a non-finite entry (the
-    first, named with its line), a file that is not text or has no rows."""
+def _read_csv_lines(path, data: bytes) -> np.ndarray:
+    """Read the bytes `data` of the matrix CSV `path` one line at a time,
+    as UTF-8 text with universal newlines whatever the locale, skipping
+    blank lines: ``float()`` of each comma-separated token of the stripped
+    line.  The reference `read_matrix_csv` agrees with bit for bit, and
+    the source of its every error: a malformed or ragged row, a non-finite
+    entry (the first, named with its line), a file that is not UTF-8 text
+    or has no rows."""
     rows = []
     width = None
     try:
-        with open(path) as fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -856,5 +859,6 @@ def read_matrix_csv(path) -> np.ndarray:
     this function raises.
     """
     with open(path, "rb") as fh:
-        a = _parse_csv(fh.read())
-    return _read_csv_lines(path) if a is None else a
+        data = fh.read()
+    a = _parse_csv(data)
+    return _read_csv_lines(path, data) if a is None else a

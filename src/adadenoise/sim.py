@@ -5,8 +5,8 @@ the trial seed through the splitmix64 finalizer with a per-role salt
 ('U', 'V', 'W'), so adding a new consumer never shifts existing streams,
 and per-trial seeds derive from (base_seed, cell identity, trial index)
 rather than enumeration order.  Re-running a config reproduces its CSV
-byte for byte; the wall_ms column is therefore pinned to 0 in the file
-(measured timings live on the in-memory records).
+byte for byte; the wall_ms column, kept for the file's schema, is
+always 0.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ import errno
 import math
 import os
 import struct
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import (DenoiserParams, SettingError, baseline_estimate,
-                        denoise)
+from .estimator import baseline_estimate, denoise
 from .linalg import op_norm, set_blas_threads, subspace_overlap
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
@@ -122,12 +120,7 @@ def make_signal(spec: SignalSpec, seed: int):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Metrics of one Monte-Carlo trial, ready for CSV emission.
-
-    `wall_ms` is measurement metadata: it is excluded from equality
-    comparisons and pinned to 0 in CSV output, so identical seeds give
-    records and files that compare identical.
-    """
+    """Metrics of one Monte-Carlo trial, ready for CSV emission."""
 
     n: int
     m: int
@@ -142,11 +135,9 @@ class TrialRecord:
     err_adaptive: float
     err_baseline: float
     err_star: float
-    wall_ms: float = field(compare=False, default=0.0)
 
 
-def run_trial(spec: SignalSpec, model: NoiseModel, params: DenoiserParams,
-              seed: int) -> TrialRecord:
+def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     """One observation Y = X + W, both estimators, all metrics.
 
     The baseline gets the model's true noise standard deviation.
@@ -157,14 +148,13 @@ def run_trial(spec: SignalSpec, model: NoiseModel, params: DenoiserParams,
     from the factors (`_low_rank_op_norm`); only X* - X is decomposed at
     full size.
     """
-    t_start = time.perf_counter()
     x, u, v = make_signal(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
     y = x + w
 
-    res = denoise(y, params, factors=spec.r)
+    res = denoise(y, factors=spec.r)
     base = baseline_estimate(y, noise_sd=float(np.sqrt(model.variance())),
-                             delta=params.delta, factors=spec.r)
+                             factors=spec.r)
 
     scale = (spec.m * spec.n) ** 0.25
     ov_a = tuple(subspace_overlap(res.u_hat[:, :i], u[:, :i])
@@ -177,12 +167,10 @@ def run_trial(spec: SignalSpec, model: NoiseModel, params: DenoiserParams,
         np.concatenate([est.sigma_shrunk[:est.k_hat], -sigmas]),
         np.hstack([est.v_hat[:, :est.k_hat], v])) for est in (res, base))
     err_s = op_norm(res.x_star - x) / scale
-    wall_ms = (time.perf_counter() - t_start) * 1e3
     return TrialRecord(n=spec.n, m=spec.m, r=spec.r, sigma1=spec.sigmas[0],
                        trial=-1, seed=seed, i_hat=res.i_hat, k_hat=res.k_hat,
                        overlaps_adaptive=ov_a, overlaps_baseline=ov_b,
-                       err_adaptive=err_a, err_baseline=err_b, err_star=err_s,
-                       wall_ms=wall_ms)
+                       err_adaptive=err_a, err_baseline=err_b, err_star=err_s)
 
 
 def _low_rank_op_norm(left: np.ndarray, values: np.ndarray,
@@ -204,7 +192,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Grid definition for :func:`run_grid`; one `params` serves all cells.
+    """Grid definition for :func:`run_grid`.
 
     The defaults here are the config file's: `load_config` passes only
     the keys a file sets, and a field without a default is a required key.
@@ -215,7 +203,6 @@ class ExperimentConfig:
     sigma1_grid: tuple[float, ...]
     sigma_ratios: tuple[float, ...] = (1.0, 0.8, 0.6)
     noise: NoiseModel = field(default_factory=GaussianMixture)
-    params: DenoiserParams = DenoiserParams()
     trials: int
     base_seed: int = 0
     gamma: float = 1.0
@@ -323,8 +310,6 @@ _SCHEMA = {
     "noise": (ExperimentConfig, "noise", _noise_kind),
     "noise_mu": (GaussianMixture, "mu", float),
     "noise_variance": (Gaussian, "variance", float),
-    **{f.name: (DenoiserParams, f.name, float)
-       for f in dataclasses.fields(DenoiserParams)},
     "trials": (ExperimentConfig, "trials", int),
     "base_seed": (ExperimentConfig, "base_seed", int),
     "gamma": (ExperimentConfig, "gamma", float),
@@ -333,8 +318,12 @@ _SCHEMA = {
 }
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 # keys of earlier versions, refused with the reason they are gone
-REMOVED_KEYS = dict.fromkeys(("h", "h_prime"),
-                             "the kernel bandwidths follow the input's shape")
+REMOVED_KEYS = {
+    **dict.fromkeys(("h", "h_prime"),
+                    "the kernel bandwidths follow the input's shape"),
+    **dict.fromkeys(("eps", "delta"),
+                    "eps and delta are constants of the method"),
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -391,10 +380,7 @@ def load_config(path) -> ExperimentConfig:
         key = next(key for key in parsed if _SCHEMA[key][0] is kind)
         raise ConfigError(f"{path}: key {key!r}: {exc}") from None
     try:
-        return ExperimentConfig(**settings, noise=noise,
-                                params=DenoiserParams(**given(DenoiserParams)))
-    except SettingError as exc:
-        raise ConfigError(f"{path}: key {exc.name!r}: {exc}") from None
+        return ExperimentConfig(**settings, noise=noise)
     except ValueError as exc:  # ConfigError included: name the file
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -422,7 +408,7 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     for spec in config.cells():
         for trial in range(config.trials):
             seed = config.trial_seed(spec, trial)
-            tasks.append((spec, config.noise, config.params, seed))
+            tasks.append((spec, config.noise, seed))
             order.append(trial)
 
     parallel = config.workers > 1

@@ -50,8 +50,7 @@ def mc_grid():
     t0 = time.perf_counter()
     cells = {}
     for spec in config.cells():
-        records = [run_trial(spec, model, config.params,
-                             config.trial_seed(spec, t))
+        records = [run_trial(spec, model, config.trial_seed(spec, t))
                    for t in range(config.trials)]
         cells[spec.sigmas[0]] = records
     return McGrid(cells=cells, build_seconds=time.perf_counter() - t0)
@@ -117,19 +116,19 @@ class ScoreParts(NamedTuple):
         return self.gain / self.variance
 
 
-def score_parts(y, params) -> ScoreParts:
+def score_parts(y) -> ScoreParts:
     """Rebuild the scoring step from the package's building blocks:
     `mean_entry`, `kde_binned` at the bandwidths for the shape of `y`,
-    and the estimator's `_score_gain`."""
+    the regularizer `estimator.EPS`, and the estimator's `_score_gain`."""
     y = np.asarray(y, dtype=np.float64)
     y_bar = mean_entry(y)
     centered = y - y_bar
     est = kde_binned(centered, *estimator.bandwidths(*y.shape))
-    psi = -est.deriv / (est.density + params.eps)
+    psi = -est.deriv / (est.density + estimator.EPS)
     raw = est.evaluate(centered, psi)
     variance = (float(np.sort(np.square(raw), axis=None).sum() / raw.size)
-                + params.eps)
-    gain = estimator._score_gain(est, psi, params.eps, raw.size)
+                + estimator.EPS)
+    gain = estimator._score_gain(est, psi, raw.size)
     return ScoreParts(y_bar, est, psi, raw, gain, variance)
 
 

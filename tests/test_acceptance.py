@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, bulk_edge,
-                        debiased_sv, denoise_entrywise, inflated_sv,
-                        kde_binned, make_signal, op_norm, overlap_limit,
-                        shrink_known_sd, SignalSpec)
+from adadenoise import (Gaussian, GaussianMixture, bulk_edge, debiased_sv,
+                        denoise_entrywise, inflated_sv, kde_binned,
+                        make_signal, op_norm, overlap_limit, shrink_known_sd,
+                        SignalSpec)
+from adadenoise.estimator import DELTA, EPS
 from adadenoise.sim import ROLE_W, derive_seed
 
 from conftest import (cell_mean, check_spectral_map_perturbation, kde_exact,
@@ -61,8 +62,7 @@ def test_criterion_2_mixture_variance():
 def test_criterion_3_information_estimate_adaptivity():
     t0 = time.perf_counter()
     model = GaussianMixture(2.0)
-    params = DenoiserParams()
-    vals = [denoise_entrywise(model.sample(400, 400, seed=s), params)[1]
+    vals = [denoise_entrywise(model.sample(400, 400, seed=s))[1]
             for s in range(20)]
     mean = float(np.mean(vals))
     elapsed = time.perf_counter() - t0
@@ -145,8 +145,8 @@ def _oracle_error(records):
         y = x + model.sample(rec.m, rec.n, derive_seed(rec.seed, ROLE_W))
         scale = (rec.m * rec.n) ** 0.25
         u, s, vt = np.linalg.svd(model.score(y), full_matrices=False)
-        shrunk, k = shrink_known_sd(s / scale / fisher, fisher ** -0.5, 0.01,
-                                    rec.m / rec.n)
+        shrunk, k = shrink_known_sd(s / scale / fisher, fisher ** -0.5,
+                                    DELTA, rec.m / rec.n)
         x_hat = scale * (u[:, :k] * shrunk[:k]) @ vt[:k]
         errs.append(op_norm(x_hat - x) / scale)
     sigma1 = records[0].sigma1
@@ -228,16 +228,15 @@ def _check_binned_vs_exact(failures):
 
 def _check_gaussian_score_identity(failures):
     y = Gaussian(1.0).sample(400, 400, seed=0)
-    params = DenoiserParams()
-    scored = score_parts(y, params)
-    i_hat = denoise_entrywise(y, params)[1]
+    scored = score_parts(y)
+    i_hat = denoise_entrywise(y)[1]
     t = np.linspace(-3.0, 3.0, 241)
     fitted = scored.factor * scored.kde.evaluate(t, scored.psi) / i_hat
     dev = float(np.max(np.abs(fitted - t)))
     if dev >= 0.15:
         failures.append(f"score map max deviation {dev:.3f} >= 0.15 "
                         f"on |y| <= 3")
-        failures.append(f"cause: {_exact_score_deviation(t, params.eps)}")
+        failures.append(f"cause: {_exact_score_deviation(t, EPS)}")
 
 
 def _exact_score_deviation(t, eps):

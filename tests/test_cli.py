@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adadenoise import (DenoiserParams, GaussianMixture, baseline_estimate,
-                        denoise, overlap_limit, read_matrix_csv,
-                        write_matrix_csv)
+from adadenoise import (GaussianMixture, baseline_estimate, denoise,
+                        overlap_limit, read_matrix_csv, write_matrix_csv)
 
 from adadenoise.cli import main
+from adadenoise.sim import REMOVED_KEYS
 
 from conftest import fail_lapack, package_env, row_format_csv
 
@@ -83,10 +83,11 @@ class TestSimulate:
         ("h_prime = 0", "bandwidths"), ("h_prime = inf", "bandwidths")])
     def test_invalid_denoiser_setting_is_usage_error(self, tmp_path, line,
                                                      word):
-        # the message names the config key, not only the field's rule;
-        # a removed bandwidth key is refused with the reason it is gone
+        # the denoiser has no settings: a key of an earlier version is
+        # refused by name, with the reason it is gone
         key = line.split("=")[0].strip()
-        assert_simulate_usage_error(tmp_path, line, word, f"key {key!r}")
+        assert_simulate_usage_error(tmp_path, line, word, f"key {key!r}",
+                                    REMOVED_KEYS[key])
 
     @pytest.mark.parametrize("lines, key", [
         ("noise_mu = -1", "noise_mu"), ("noise_mu = nan", "noise_mu"),
@@ -190,7 +191,7 @@ class TestDenoise:
         path, y = noisy_matrix
         prefix = tmp_path / "cli"
         run_cli("denoise", str(path), "-o", str(prefix))
-        res = denoise(y, DenoiserParams())
+        res = denoise(y)
         direct = tmp_path / "direct.csv"
         write_matrix_csv(res.x_hat, direct)
         assert direct.read_bytes() == Path(f"{prefix}_xhat.csv").read_bytes()
@@ -202,7 +203,7 @@ class TestDenoise:
         path, y = noisy_matrix
         prefix = tmp_path / mode
         if mode == "adaptive":
-            extra, res = [], denoise(y, DenoiserParams())
+            extra, res = [], denoise(y)
             expected = {"xhat": res.x_hat, "xstar": res.x_star}
         else:
             extra = ["--mode", "baseline", "--noise-sd", "2.2360679775"]
@@ -237,10 +238,13 @@ class TestDenoise:
         ("--delta=nan", "delta"), ("--delta=inf", "delta"),
         ("--mode=baseline --noise-sd=-1", "noise-sd"),
         ("--mode=baseline --noise-sd=inf", "noise-sd"),
+        ("--noise-sd=1", "only applies to --mode baseline"),
         ("--h=-1", "bandwidths"), ("--h=inf", "bandwidths")])
     def test_invalid_setting_is_usage_error(self, tmp_path, noisy_matrix,
                                             flag, word):
-        # a removed bandwidth flag is refused with the reason it is gone
+        # a flag of a removed setting is refused with the reason it is
+        # gone; the adaptive mode estimates the noise, so a noise sd
+        # given to it is refused, not ignored
         path, _ = noisy_matrix
         prefix = tmp_path / "x"
         res = run_cli("denoise", str(path), "-o", str(prefix), *flag.split())
@@ -260,10 +264,10 @@ class TestDenoise:
     def test_deleted_option_is_usage_error(self, tmp_path, noisy_matrix,
                                            flag, value):
         """The grid size is fixed, the aspect ratio is the input's m/n,
-        the adaptive mode writes X* and the bandwidths follow the
-        input's shape: none is an option.  No prefix of a flag is read
-        as that flag: `--h` is not `--help`, `--noise` not `--noise-sd`
-        and `--del` not `--delta`."""
+        the adaptive mode writes X*, the bandwidths follow the input's
+        shape and eps and delta are constants: none is an option.  No
+        prefix of a flag is read as that flag: `--h` is not `--help`
+        and `--noise` not `--noise-sd`."""
         path, _ = noisy_matrix
         prefix = tmp_path / "x"
         res = run_cli("denoise", str(path), "-o", str(prefix), flag, value)

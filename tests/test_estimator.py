@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from adadenoise import (DenoiserParams, Gaussian, GaussianMixture, SignalSpec,
+from adadenoise import (Gaussian, GaussianMixture, SignalSpec,
                         baseline_estimate, debiased_sv, denoise,
                         denoise_entrywise, gaussian_kernel_deriv, kde_binned,
                         make_signal, op_norm, run_trial, shrink_known_sd,
                         subspace_overlap)
 from adadenoise import estimator, kde, linalg
-from adadenoise.estimator import SettingError
+from adadenoise.estimator import DELTA, EPS
 
 from conftest import fail_lapack, kde_exact, score_parts
 
@@ -18,25 +18,29 @@ class TestDefaults:
     def test_bandwidth_rules(self):
         """The bandwidths follow the shape of the matrix scored:
         h = 1.2 (mn)^(-1/5) and h' = (mn)^(-1/7)."""
-        params = DenoiserParams()
-        assert params.eps == 1e-3 and params.delta == 0.01
+        assert EPS == 1e-3 and DELTA == 0.01
         for m, n in ((400, 400), (40, 700)):
             y = GaussianMixture(2.0).sample(m, n, seed=11)
-            kde = score_parts(y, params).kde
+            kde = score_parts(y).kde
             mn = m * n
             assert kde.h == pytest.approx(1.2 * mn ** -0.2, rel=1e-14)
             assert kde.h_prime == pytest.approx(mn ** (-1 / 7), rel=1e-14)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DenoiserParams(eps=0.0)
-        with pytest.raises(TypeError):  # bandwidths are not settings
-            DenoiserParams(h=0.3)
-        for bad in (dict(eps=-1.0), dict(eps=math.inf), dict(delta=-0.5),
-                    dict(delta=math.nan), dict(delta=math.inf)):
-            with pytest.raises(SettingError) as info:
-                DenoiserParams(**bad)
-            assert info.value.name == next(iter(bad))
+        """The estimators take the matrix and the number of factors, and
+        the baseline its noise sd: eps, delta and the bandwidths are not
+        settings."""
+        y = GaussianMixture(2.0).sample(8, 6, seed=1)
+        for bad in (dict(eps=1e-3), dict(delta=0.01), dict(h=0.3),
+                    dict(params=None)):
+            with pytest.raises(TypeError):
+                denoise(y, **bad)
+            with pytest.raises(TypeError):
+                baseline_estimate(y, 1.0, **bad)
+        with pytest.raises(TypeError):  # nothing more by position
+            denoise(y, None)
+        with pytest.raises(TypeError):
+            baseline_estimate(y, 1.0, 0.01)
         with pytest.raises(ValueError):
             denoise(np.array([[1.0, 2.0, 3.0]]))  # 1 x n rejected
 
@@ -46,29 +50,27 @@ class TestDenoiseEntrywise:
         """All-equal input: the grid's bandwidth margin keeps it
         non-degenerate."""
         y = np.full((8, 6), 4.2)
-        params = DenoiserParams(eps=1e-3)
-        x_star, i_hat, y_bar = denoise_entrywise(y, params)
+        x_star, i_hat, y_bar = denoise_entrywise(y)
         assert y_bar == 4.2
         assert np.all(np.isfinite(x_star))
         h_prime = estimator.bandwidths(8, 6)[1]
         bound = np.max(np.abs(gaussian_kernel_deriv(
-            np.linspace(-5, 5, 2001)))) / h_prime ** 2 / params.eps
+            np.linspace(-5, 5, 2001)))) / h_prime ** 2 / EPS
         # x_star * i_hat = (a/b) psi(c), the scored matrix before the
         # division by i_hat
         assert np.max(np.abs(x_star * i_hat)) <= bound
-        assert i_hat >= params.eps
+        assert i_hat >= EPS
 
     def test_gaussian_noise_information_near_one(self):
-        vals = [denoise_entrywise(Gaussian(1.0).sample(200, 200, seed=s),
-                                  DenoiserParams())[1]
+        vals = [denoise_entrywise(Gaussian(1.0).sample(200, 200, seed=s))[1]
                 for s in range(5)]
         assert 0.90 <= float(np.mean(vals)) <= 1.10
 
     def test_mixture_noise_information_tracks_truth(self):
         """The estimate lands near the mixture's information constant,
         clearly distinguishing it from unit-Gaussian noise."""
-        vals = [denoise_entrywise(GaussianMixture(2.0).sample(400, 400, seed=s),
-                                  DenoiserParams())[1]
+        vals = [denoise_entrywise(GaussianMixture(2.0).sample(400, 400,
+                                                              seed=s))[1]
                 for s in range(10)]
         mean = float(np.mean(vals))
         assert abs(mean - 0.7256) < 0.10
@@ -76,12 +78,11 @@ class TestDenoiseEntrywise:
 
     def test_score_bound(self):
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
-        params = DenoiserParams(eps=1e-2)
-        x_star, i_hat, _ = denoise_entrywise(y, params)
+        x_star, i_hat, _ = denoise_entrywise(y)
         grid = np.linspace(-9, 9, 4001)
-        est = score_parts(y, params).kde
+        est = score_parts(y).kde
         pd_max = np.max(np.abs(est.evaluate(grid, est.deriv)))
-        assert np.max(np.abs(x_star * i_hat)) <= pd_max / params.eps + 1e-12
+        assert np.max(np.abs(x_star * i_hat)) <= pd_max / EPS + 1e-12
 
     def test_shift_leaves_estimated_functions_unchanged(self):
         """Adding a constant shifts the grand mean and nothing else: the
@@ -89,14 +90,13 @@ class TestDenoiseEntrywise:
         estimate and the scored matrix are invariant."""
         rng = np.random.default_rng(40)
         y = rng.standard_normal((12, 10))
-        params = DenoiserParams()
         c = 3.7
-        x_a, i_a, y_bar_a = denoise_entrywise(y, params)
-        x_b, i_b, y_bar_b = denoise_entrywise(y + c, params)
+        x_a, i_a, y_bar_a = denoise_entrywise(y)
+        x_b, i_b, y_bar_b = denoise_entrywise(y + c)
         assert y_bar_b == pytest.approx(y_bar_a + c, abs=1e-12)
         assert i_b == pytest.approx(i_a, abs=1e-10)
-        a = score_parts(y, params).kde
-        b = score_parts(y + c, params).kde
+        a = score_parts(y).kde
+        b = score_parts(y + c).kde
         grid = np.linspace(-4, 4, 101)
         for table in ("density", "deriv"):
             np.testing.assert_allclose(
@@ -113,9 +113,8 @@ class TestDenoiseEntrywise:
         spec = SignalSpec(m=200, n=200, r=1, sigmas=(3.0,))
         x, _, _ = make_signal(spec, seed=44)
         y = x + GaussianMixture(2.0).sample(200, 200, seed=45)
-        params = DenoiserParams()
-        res = denoise(y, params)
-        res_c = denoise(y + c, params)
+        res = denoise(y)
+        res_c = denoise(y + c)
         np.testing.assert_allclose(res_c.x_star, res.x_star, rtol=0,
                                    atol=1e-8)
         assert res_c.i_hat == pytest.approx(res.i_hat, abs=1e-10)
@@ -135,7 +134,7 @@ class TestDenoiseEntrywise:
         monkeypatch.setattr(estimator, "kde_binned", counting_build)
         monkeypatch.setattr(np, "interp", no_interp)
         y = GaussianMixture(2.0).sample(30, 20, seed=6)
-        denoise_entrywise(y, DenoiserParams())
+        denoise_entrywise(y)
         assert len(builds) == 1
 
     def test_one_sort_for_mean_and_kde(self, monkeypatch):
@@ -172,11 +171,10 @@ class TestDenoiseEntrywise:
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(41)
         y = rng.standard_normal((14, 9))
-        params = DenoiserParams()
         rows = rng.permutation(14)
         cols = rng.permutation(9)
-        res = denoise(y, params)
-        res_p = denoise(y[rows][:, cols], params)
+        res = denoise(y)
+        res_p = denoise(y[rows][:, cols])
         assert res_p.i_hat == res.i_hat
         assert np.array_equal(res_p.x_star, res.x_star[rows][:, cols])
 
@@ -186,10 +184,9 @@ class TestDenoiseEntrywise:
         self-influence K(0) / (N h'^3 (p + eps)), and agrees with the same
         mean taken from exact kernel sums by central differences."""
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
-        params = DenoiserParams()
-        eps = params.eps
+        eps = EPS
         h, h_prime = estimator.bandwidths(60, 50)
-        scored = score_parts(y, params)
+        scored = score_parts(y)
         grid = scored.kde.grid
         p = scored.kde.density
         psi = -scored.kde.deriv / (p + eps)
@@ -210,7 +207,7 @@ class TestDenoiseEntrywise:
                        - self_slope / (kde_exact(centered, centered, h)
                                        + eps))
         assert np.mean(exact_slope) == pytest.approx(scored.gain, rel=1e-4)
-        i_hat = denoise_entrywise(y, params)[1]
+        i_hat = denoise_entrywise(y)[1]
         assert i_hat == pytest.approx(scored.gain ** 2 / scored.variance,
                                       rel=1e-15)
 
@@ -222,7 +219,7 @@ class TestDenoiseEntrywise:
         spec = SignalSpec(m=200, n=200, r=1, sigmas=(15.0,))
         x, _, _ = make_signal(spec, seed=500)
         y = x + Gaussian(25.0).sample(200, 200, seed=501)
-        scored = score_parts(y, DenoiserParams())
+        scored = score_parts(y)
         regression = float(np.sum(scored.raw * x) / np.sum(x * x))
         assert scored.gain == pytest.approx(regression, rel=0.20)
 
@@ -231,15 +228,14 @@ class TestDenoiseEntrywise:
         monkeypatch.setattr(estimator, "_score_gain", lambda *args: gain)
         y = GaussianMixture(2.0).sample(20, 20, seed=5)
         with pytest.raises(ValueError, match="gain"):
-            denoise_entrywise(y, DenoiserParams())
+            denoise_entrywise(y)
 
     def test_fitted_score_map_near_identity_for_gaussian(self):
         """For unit-Gaussian noise the normalized fitted map approximates
         the identity on the bulk of the data."""
         y = Gaussian(1.0).sample(400, 400, seed=2)
-        params = DenoiserParams()
-        scored = score_parts(y, params)
-        i_hat = denoise_entrywise(y, params)[1]
+        scored = score_parts(y)
+        i_hat = denoise_entrywise(y)[1]
         t = np.linspace(-2.0, 2.0, 161)
         fitted = scored.factor * scored.kde.evaluate(t, scored.psi) / i_hat
         dev = np.abs(fitted - t)
@@ -252,12 +248,11 @@ class TestDenoiseEntrywise:
 class TestDenoiseFull:
     def test_star_is_rescaled_score_matrix(self):
         y = GaussianMixture(2.0).sample(40, 30, seed=4)
-        params = DenoiserParams()
         res = denoise(y)
-        x_star, i_hat, y_bar = denoise_entrywise(y, params)
+        x_star, i_hat, y_bar = denoise_entrywise(y)
         assert np.array_equal(res.x_star, x_star)
         assert (res.i_hat, res.y_bar) == (i_hat, y_bar)
-        parts = score_parts(y, params)
+        parts = score_parts(y)
         np.testing.assert_allclose(res.x_star,
                                    parts.factor * parts.raw / res.i_hat,
                                    rtol=1e-14)
@@ -266,13 +261,12 @@ class TestDenoiseFull:
         """Where a^2/b falls below eps, i_hat is floored at eps and X* is
         (a/b) psi(c) / eps, not psi(c) / a."""
         y = Gaussian(1000.0).sample(200, 200, seed=1)
-        params = DenoiserParams()
-        parts = score_parts(y, params)
-        assert parts.gain ** 2 / parts.variance < params.eps
-        res = denoise(y, params)
-        assert res.i_hat == params.eps
+        parts = score_parts(y)
+        assert parts.gain ** 2 / parts.variance < EPS
+        res = denoise(y)
+        assert res.i_hat == EPS
         np.testing.assert_allclose(
-            res.x_star, parts.factor * parts.raw / params.eps, rtol=1e-14)
+            res.x_star, parts.factor * parts.raw / EPS, rtol=1e-14)
         unfloored = parts.raw / parts.gain
         assert np.max(np.abs(res.x_star - unfloored)) > 0.5 * np.max(
             np.abs(unfloored))
@@ -286,7 +280,7 @@ class TestDenoiseFull:
         scale = (80 * 60) ** 0.25
         y = scale * 6.0 * (u @ v.T) + Gaussian(1.0).sample(80, 60, seed=5)
         res = denoise(y)
-        assert res.i_hat >= 1e-3
+        assert res.i_hat >= EPS
         s_direct = np.linalg.svd(res.x_star, compute_uv=False) / scale
         np.testing.assert_allclose(res.sigma0, s_direct, atol=1e-12)
         assert np.all(np.diff(res.sigma0) <= 0)
@@ -360,7 +354,7 @@ class TestSpectralStep:
         scale = (m * n) ** 0.25
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         np.testing.assert_allclose(res.sigma0, s / scale, rtol=0, atol=1e-12)
-        shrunk, k = shrink_known_sd(s / scale, sd, 0.01, m / n)
+        shrunk, k = shrink_known_sd(s / scale, sd, DELTA, m / n)
         assert res.k_hat == k
         x_hat = scale * (u[:, :k] * shrunk[:k]) @ vt[:k]
         np.testing.assert_allclose(res.x_hat, x_hat, rtol=0,
@@ -518,8 +512,7 @@ class TestLazySpectrum:
         base = baseline_estimate(y, noise_sd=math.sqrt(5.0))
         assert res.k_hat == base.k_hat == 1
         assert op_norm(y - x) > 0
-        record = run_trial(spec, GaussianMixture(2.0), DenoiserParams(),
-                           seed=76)
+        record = run_trial(spec, GaussianMixture(2.0), seed=76)
         assert record.k_hat == 1
         for est in (res, base):
             with pytest.raises(np.linalg.LinAlgError, match="dsterf"):
@@ -540,7 +533,7 @@ class TestBaseline:
         scale = (50 * 40) ** 0.25
         sigma = 3.0
         y = scale * sigma * (u @ v.T)
-        res = baseline_estimate(y, noise_sd=1.0, delta=0.01)
+        res = baseline_estimate(y, noise_sd=1.0)
         assert res.k_hat == 1
         assert res.sigma_shrunk[0] == pytest.approx(debiased_sv(sigma, 50 / 40),
                                                     abs=1e-9)
@@ -555,10 +548,10 @@ class TestBaseline:
 
     def test_matches_shrink_composition(self):
         y = GaussianMixture(2.0).sample(30, 30, seed=6)
-        res = baseline_estimate(y, noise_sd=math.sqrt(5.0), delta=0.01)
+        res = baseline_estimate(y, noise_sd=math.sqrt(5.0))
         scale = (30 * 30) ** 0.25
         sig0 = np.linalg.svd(y, compute_uv=False) / scale
-        shrunk, k = shrink_known_sd(sig0, math.sqrt(5.0), 0.01, 1.0)
+        shrunk, k = shrink_known_sd(sig0, math.sqrt(5.0), DELTA, 1.0)
         assert k == res.k_hat
         np.testing.assert_allclose(res.sigma_shrunk, shrunk, atol=1e-12)
 
@@ -570,7 +563,7 @@ class TestBaseline:
         assert res.k_hat == 1
         u, s, vt = np.linalg.svd(res.x_star, full_matrices=False)
         sig0 = s / scale
-        shrunk, k = shrink_known_sd(sig0, res.i_hat ** -0.5, 0.01, 1.0)
+        shrunk, k = shrink_known_sd(sig0, res.i_hat ** -0.5, DELTA, 1.0)
         assert k == res.k_hat
         np.testing.assert_allclose(res.sigma0, sig0, atol=1e-12)
         np.testing.assert_allclose(res.sigma_shrunk, shrunk, atol=1e-12)

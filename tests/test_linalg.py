@@ -413,7 +413,21 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_bytes(text)
         assert read_outcome(read_matrix_csv, path) == read_outcome(
-            linalg._read_csv_lines, path)
+            line_loop, path)
+
+    def test_line_loop_reads_utf8_in_any_locale(self, tmp_path):
+        """The line loop decodes the bytes as UTF-8 whatever the locale: a
+        no-break space (U+00A0, which ``float()`` strips) reads under the C
+        locale with Python's UTF-8 mode off."""
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,\xc2\xa02\n")
+        code = ("import sys; from adadenoise import read_matrix_csv; "
+                "print(read_matrix_csv(sys.argv[1]).tolist())")
+        res = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True,
+            text=True, env={**package_env(), "PYTHONUTF8": "0", "LC_ALL": "C"})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[[1.0, 2.0]]"
 
     @pytest.mark.parametrize("fmt", ["%.18e", "%.17E", "%.20f"])
     def test_other_format_goes_to_the_line_loop(self, tmp_path, monkeypatch,
@@ -436,7 +450,7 @@ class TestMatrixCsv:
         assert linalg._parse_csv(data) is None
         assert sizes == [data.index(b"\n") + 1]
         assert read_outcome(read_matrix_csv, path) == read_outcome(
-            linalg._read_csv_lines, path)
+            line_loop, path)
 
     @pytest.mark.parametrize("every, kernel", [(8, True), (3, False)])
     def test_share_left_to_float(self, tmp_path, every, kernel):
@@ -452,7 +466,12 @@ class TestMatrixCsv:
             for i, row in enumerate(a)))
         assert (linalg._parse_csv(path.read_bytes()) is not None) == kernel
         assert read_outcome(read_matrix_csv, path) == read_outcome(
-            linalg._read_csv_lines, path)
+            line_loop, path)
+
+
+def line_loop(path):
+    """The line loop's reading of the file at `path`."""
+    return linalg._read_csv_lines(path, path.read_bytes())
 
 
 def read_outcome(read, path):
@@ -573,7 +592,7 @@ def check_tokens(path, rows):
         with pytest.raises(ValueError, match="non-finite entry"):
             read_matrix_csv(path)
     assert read_outcome(read_matrix_csv, path) == read_outcome(
-        linalg._read_csv_lines, path)
+        line_loop, path)
 
 
 class TestParse17:

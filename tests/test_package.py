@@ -1,11 +1,12 @@
 import argparse
 import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import adadenoise
-from adadenoise import DenoiserParams, cli, sim
+from adadenoise import cli, estimator, sim
 
 MODULES = ("estimator", "kde", "linalg", "noise", "shrinkage", "sim",
            "theory")
@@ -49,19 +50,19 @@ def test_readme_config_table_lists_the_config_keys():
     assert keys == set(sim._SCHEMA)
 
 
-def test_readme_config_defaults_match_the_params():
-    """The table's `eps` and `delta` defaults are `DenoiserParams()`'s,
-    the ones the config keys and `denoise` flags fall back to."""
-    defaults = dict(_config_table())
-    for key in ("eps", "delta"):
-        assert (float(defaults[f" `{key}` "].strip("`"))
-                == getattr(DenoiserParams(), key))
+def test_readme_constants_match_the_estimator():
+    """The values the README gives for `EPS` and `DELTA` are the
+    estimator's."""
+    text = _readme_section("### `adadenoise simulate")
+    for name in ("EPS", "DELTA"):
+        (value,) = re.findall(rf"`estimator\.{name} = ([^`]+)`", text)
+        assert float(value) == getattr(estimator, name)
 
 
 def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
     """Every default in the table is what `load_config` gives for a key
-    left out, which is the default of `ExperimentConfig`, of the noise
-    model or of `DenoiserParams`."""
+    left out, which is the default of `ExperimentConfig` or of the noise
+    model."""
     required = {"n": "40", "sigma1": "2.0", "trials": "1",
                 "output": "out.csv"}
     defaults = {re.findall(r"`(\w+)`", key_cell)[0]: value
@@ -82,7 +83,6 @@ def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
         "rank": config.ranks, "sigma_ratios": config.sigma_ratios,
         "noise": type(config.noise),
         "noise_mu": config.noise.mu, "noise_variance": gaussian.var,
-        "eps": config.params.eps, "delta": config.params.delta,
         "base_seed": config.base_seed, "gamma": config.gamma,
         "workers": config.workers,
     }
@@ -107,14 +107,21 @@ def test_readme_denoise_options_exist():
 
 
 def test_denoiser_settings_are_one_set_on_every_surface():
-    """The `DenoiserParams` fields, the config keys that build it and the
-    `denoise` flags other than help, output, mode and the baseline's
-    noise sd are the same two settings: none can be added or dropped on
-    one surface only."""
-    fields = {f.name for f in dataclasses.fields(DenoiserParams)}
-    keys = {key for key, (owner, _, _) in sim._SCHEMA.items()
-            if owner is DenoiserParams}
+    """The denoiser has no settings on any surface: the estimators take
+    the matrix, the baseline's noise sd and the number of factors; the
+    config keys build the grid and the noise model only; the `denoise`
+    flags other than help, output, mode and the baseline's noise sd are
+    none; and each removed setting is refused with its reason."""
+    assert list(inspect.signature(estimator.denoise).parameters) == [
+        "y", "factors"]
+    assert list(inspect.signature(estimator.baseline_estimate).parameters) \
+        == ["y", "noise_sd", "factors"]
+    assert list(inspect.signature(estimator.denoise_entrywise).parameters) \
+        == ["y"]
+    owners = {owner for owner, _, _ in sim._SCHEMA.values()}
+    assert owners == {sim.ExperimentConfig, *sim._NOISE_KINDS.values()}
+    fields = {f.name for f in dataclasses.fields(sim.ExperimentConfig)}
+    removed = {"eps", "delta", "h", "h_prime"}
+    assert not fields & removed and set(sim.REMOVED_KEYS) == removed
     other = {"-h", "--help", "-o", "--output-prefix", "--mode", "--noise-sd"}
-    flags = {flag.removeprefix("--").replace("-", "_")
-             for flag in _denoise_flags() - other}
-    assert fields == keys == flags == {"eps", "delta"}
+    assert _denoise_flags() == other

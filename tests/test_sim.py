@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from adadenoise import linalg, sim
-from adadenoise import (DenoiserParams, ExperimentConfig, GaussianMixture,
-                        SignalSpec, baseline_estimate, denoise,
-                        haar_orthonormal, load_config, make_signal, op_norm,
-                        run_grid, run_trial)
-from adadenoise.estimator import SettingError
+from adadenoise import (ExperimentConfig, GaussianMixture, SignalSpec,
+                        baseline_estimate, denoise, haar_orthonormal,
+                        load_config, make_signal, op_norm, run_grid,
+                        run_trial)
 from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
                             mix64, parse_grid, write_records_csv)
 
@@ -105,33 +104,31 @@ class TestMakeSignal:
 class TestRunTrial:
     SPEC = SignalSpec(m=60, n=60, r=1, sigmas=(3.0,))
     MODEL = GaussianMixture(2.0)
-    PARAMS = DenoiserParams()
 
     def test_determinism(self):
-        a = run_trial(self.SPEC, self.MODEL, self.PARAMS, seed=99)
-        b = run_trial(self.SPEC, self.MODEL, self.PARAMS, seed=99)
-        assert a == b  # wall_ms excluded from comparison
+        a = run_trial(self.SPEC, self.MODEL, seed=99)
+        b = run_trial(self.SPEC, self.MODEL, seed=99)
+        assert a == b
         assert a.overlaps_adaptive == b.overlaps_adaptive
         assert a.err_adaptive == b.err_adaptive
 
     def test_record_ranges(self):
-        rec = run_trial(self.SPEC, self.MODEL, self.PARAMS, seed=5)
+        rec = run_trial(self.SPEC, self.MODEL, seed=5)
         assert 0.0 <= rec.overlaps_adaptive[0] <= 1.0 + 1e-10
         assert 0.0 <= rec.overlaps_baseline[0] <= 1.0 + 1e-10
         assert rec.err_adaptive >= 0 and rec.err_baseline >= 0
         assert rec.err_star >= 0
         assert rec.i_hat > 0
-        assert rec.wall_ms > 0  # measured, in-memory only
 
     def test_vanishing_signal_below_threshold(self):
         spec = SignalSpec(m=60, n=60, r=1, sigmas=(1e-8,))
-        rec = run_trial(spec, self.MODEL, self.PARAMS, seed=6)
+        rec = run_trial(spec, self.MODEL, seed=6)
         assert rec.k_hat == 0
         assert rec.err_adaptive == pytest.approx(1e-8, rel=1e-6)
 
     def test_rank_three_overlap_blocks(self):
         spec = SignalSpec(m=80, n=80, r=3, sigmas=(4.0, 3.2, 2.4))
-        rec = run_trial(spec, self.MODEL, self.PARAMS, seed=7)
+        rec = run_trial(spec, self.MODEL, seed=7)
         assert len(rec.overlaps_adaptive) == 3
         assert len(rec.overlaps_baseline) == 3
 
@@ -140,7 +137,7 @@ class TestRunTrial:
         threshold still get every overlap block: the trial asks both
         estimators for r factors."""
         spec = SignalSpec(m=80, n=80, r=5, sigmas=(4.0, 3.5, 3.0, 0.5, 0.2))
-        rec = run_trial(spec, self.MODEL, self.PARAMS, seed=8)
+        rec = run_trial(spec, self.MODEL, seed=8)
         assert rec.k_hat < spec.r
         for overlaps in (rec.overlaps_adaptive, rec.overlaps_baseline):
             assert len(overlaps) == 5
@@ -154,14 +151,12 @@ class TestRunTrial:
     def test_errors_match_dense_norms(self, spec, seed, k_hat):
         """The low-rank err_adaptive and err_baseline and the Gram-based
         err_star equal dense operator norms of the same differences."""
-        rec = run_trial(spec, self.MODEL, self.PARAMS, seed)
+        rec = run_trial(spec, self.MODEL, seed)
         assert rec.k_hat == k_hat
         x, _, _ = make_signal(spec, seed)
         y = x + self.MODEL.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
-        params = self.PARAMS
-        res = denoise(y, params)
-        base = baseline_estimate(y, math.sqrt(self.MODEL.variance()),
-                                 params.delta)
+        res = denoise(y)
+        base = baseline_estimate(y, math.sqrt(self.MODEL.variance()))
         scale = (spec.m * spec.n) ** 0.25
         for got, est in ((rec.err_adaptive, res.x_hat),
                          (rec.err_baseline, base.x_hat),
@@ -181,7 +176,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         spec = SignalSpec(m=80, n=80, r=3, sigmas=(4.0, 3.2, 2.4))
-        rec = run_trial(spec, self.MODEL, self.PARAMS, seed=7)
+        rec = run_trial(spec, self.MODEL, seed=7)
         assert shapes
         assert max(max(shape) for shape in shapes) <= rec.k_hat + spec.r
 
@@ -212,6 +207,14 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 parse_grid(bad)
 
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                             ids=lambda path: path.name)
+    def test_shipped_config_loads(self, path):
+        """Every config in `configs/` loads: a key dropped from the
+        schema cannot leave a shipped file unloadable."""
+        config = load_config(path)
+        assert list(config.cells())
+
     def test_paper_grid_enumerates_6000_trials(self):
         config = load_config(CONFIG_DIR / "paper_sec5.cfg")
         cells = list(config.cells())
@@ -234,7 +237,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("line, word", [
         ("sigma1 = 3:1:1", "bad grid spec '3:1:1'"),
-        ("sigma1 = 1\neps = 0", "key 'eps'"),
+        ("sigma1 = 1\nnoise_mu = -1", "key 'noise_mu'"),
         ("sigma1 = 1\ngamma = inf", "gamma must be positive"),
         ("sigma1 = 1\nnoise = gaussian\nnoise_mu = 1",
          "'noise_mu' only applies to mixture noise")],
@@ -282,26 +285,17 @@ class TestConfig:
         dict(sigma1_grid=(math.inf,)), dict(sigma1_grid=(math.nan,)),
         dict(sigma_ratios=(1.0, math.nan))])
     def test_invalid_cell_settings_rejected(self, over):
-        """Denoiser settings are checked when their `DenoiserParams` is
-        built, naming the setting, and cell shapes when the config is
-        built: neither waits for the grid to run.  The bandwidths follow
-        the input's shape and are not settings: `DenoiserParams` takes
-        no `h` or `h_prime`."""
+        """Cell shapes are checked when the config is built, not when
+        the grid runs.  The denoiser has no settings: eps and delta are
+        constants and the bandwidths follow the input's shape, so
+        `ExperimentConfig` takes none of them."""
         (key, _), = over.items()
-        if key in ("h", "h_prime"):
-            with pytest.raises(TypeError):
-                DenoiserParams(**over)
-            return
-        if key in {f.name for f in dataclasses.fields(DenoiserParams)}:
-            with pytest.raises(SettingError) as info:
-                DenoiserParams(**over)
-            assert info.value.name == key
-            return
-        with pytest.raises(ConfigError):
-            ExperimentConfig(**{**dict(ns=(60,), ranks=(1,),
-                                       sigma1_grid=(1.0,), trials=1,
-                                       output="o.csv"),
-                                **over})
+        base = dict(ns=(60,), ranks=(1,), sigma1_grid=(1.0,), trials=1,
+                    output="o.csv")
+        error = (TypeError if key in ("eps", "delta", "h", "h_prime")
+                 else ConfigError)
+        with pytest.raises(error):
+            ExperimentConfig(**{**base, **over})
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
@@ -338,17 +332,15 @@ class TestRunGrid:
         run_grid(config)
         assert Path(config.output).read_bytes() == first
 
-    def test_one_params_serves_every_shape(self, tmp_path):
-        """One `DenoiserParams` serves cells of different shapes: each
-        record equals a trial run at that shape with the same params."""
-        params = DenoiserParams(eps=2e-3)
-        config = self.small_config(tmp_path, ns=(60, 80), trials=2,
-                                   params=params)
+    def test_records_are_trials_at_every_shape(self, tmp_path):
+        """A grid over cells of different shapes: each record equals a
+        trial run at that shape with the record's seed."""
+        config = self.small_config(tmp_path, ns=(60, 80), trials=2)
         records = run_grid(config)
         specs = [spec for spec in config.cells() for _ in range(2)]
         assert [rec.n for rec in records] == [60, 60, 80, 80]
         for spec, rec in zip(specs, records):
-            trial = run_trial(spec, config.noise, params, rec.seed)
+            trial = run_trial(spec, config.noise, rec.seed)
             assert dataclasses.replace(trial, trial=rec.trial) == rec
 
     def test_trial_order_and_indices(self, tmp_path):
@@ -371,13 +363,13 @@ class TestRunGrid:
         OpenBLAS threads in the calling environment and for one and two
         workers.  At n = 400 threaded BLAS splits its sums, so without
         the hold the records differ in the last bits."""
-        code = ("import dataclasses, sys\n"
+        code = ("import sys\n"
                 "from adadenoise import ExperimentConfig, run_grid\n"
                 "config = ExperimentConfig(ns=(400,), ranks=(1,), "
                 "sigma1_grid=(3.0,), trials=2, base_seed=5, "
                 "output=sys.argv[1], workers=int(sys.argv[2]))\n"
                 "for rec in run_grid(config):\n"
-                "    print(repr(dataclasses.replace(rec, wall_ms=0.0)))\n")
+                "    print(repr(rec))\n")
         runs = set()
         for threads in ("1", "2"):
             for workers in ("1", "2"):
