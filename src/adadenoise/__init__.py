@@ -17,12 +17,11 @@ from .kde import (DensityEstimate, gaussian_kernel, gaussian_kernel_deriv,
                   kde_binned, mean_entry)
 from .linalg import (op_norm, read_matrix_csv, subspace_overlap,
                      write_matrix_csv)
-from .noise import Gaussian, GaussianMixture, NoiseModel, adaptive_simpson
+from .noise import Gaussian, GaussianMixture, NoiseModel
 from .shrinkage import bulk_edge, debiased_sv, inflated_sv, shrink_known_sd
 from .sim import (ExperimentConfig, SignalSpec, TrialRecord, haar_orthonormal,
                   load_config, make_signal, run_grid, run_trial)
-from .theory import (Prediction, error_limit, minimax_limits, overlap_limit,
-                     predict)
+from .theory import error_limit, minimax_limits, overlap_limit
 
 __version__ = "0.1.0"
 
@@ -31,10 +30,10 @@ __all__ = [
     "DensityEstimate", "gaussian_kernel", "gaussian_kernel_deriv",
     "kde_binned", "mean_entry",
     "op_norm", "read_matrix_csv", "subspace_overlap", "write_matrix_csv",
-    "Gaussian", "GaussianMixture", "NoiseModel", "adaptive_simpson",
+    "Gaussian", "GaussianMixture", "NoiseModel",
     "bulk_edge", "debiased_sv", "inflated_sv", "shrink_known_sd",
     "ExperimentConfig", "SignalSpec", "TrialRecord", "haar_orthonormal",
     "load_config", "make_signal", "run_grid", "run_trial",
-    "Prediction", "error_limit", "minimax_limits", "overlap_limit", "predict",
+    "error_limit", "minimax_limits", "overlap_limit",
     "__version__",
 ]

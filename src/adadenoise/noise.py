@@ -1,11 +1,11 @@
 """Scalar noise distributions.
 
 Each model exposes the density, its first derivative, i.i.d. matrix
-sampling from an explicit seed, and the location-family Fisher
-information computed by adaptive quadrature.  The score map
-``-p'(x) / (p(x) + eps)`` is the building block of the entrywise
-denoiser; with ``eps = 0`` and Gaussian noise it is exactly the
-identity.
+sampling from an explicit seed, and its location-family Fisher
+information, in closed form or as a Gaussian expectation.  The score
+map ``-p'(x) / (p(x) + eps)`` is the building block of the entrywise
+denoiser; with ``eps = 0`` and Gaussian noise of variance v it is
+x / v, the identity only at unit variance.
 """
 
 from __future__ import annotations
@@ -19,55 +19,10 @@ __all__ = [
     "NoiseModel",
     "Gaussian",
     "GaussianMixture",
-    "adaptive_simpson",
 ]
 
 def _phi(x, var=1.0):
     return np.exp(-np.square(x) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9,
-                     max_depth: int = 48, initial_panels: int = 16) -> float:
-    """Adaptive Simpson quadrature of a scalar function.
-
-    Standard interval halving with the |S2 - S1|/15 error estimate.  The
-    range starts pre-split into `initial_panels` equal panels so that an
-    integrand vanishing at the endpoints and midpoint (a symmetric bump
-    pair, say) cannot fool the first error estimate into stopping early.
-    Raises ``RuntimeError`` if the recursion cannot reach the requested
-    absolute tolerance.
-    """
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl = float(f(xl))
-        fr = float(f(xr))
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        if depth >= max_depth:
-            raise RuntimeError("adaptive quadrature did not converge "
-                               f"(interval [{x0}, {x2}], error {err:.3e})")
-        return (recurse(x0, x1, f0, fl, f1, left, tol / 2.0, depth + 1)
-                + recurse(x1, x2, f1, fr, f2, right, tol / 2.0, depth + 1))
-
-    a, b = float(a), float(b)
-    if not b > a:
-        raise ValueError("need b > a")
-    edges = [a + (b - a) * i / initial_panels for i in range(initial_panels + 1)]
-    total = 0.0
-    for x0, x2 in zip(edges, edges[1:]):
-        x1 = 0.5 * (x0 + x2)
-        f0, f1, f2 = float(f(x0)), float(f(x1)), float(f(x2))
-        whole = simpson(x0, x2, f0, f1, f2)
-        total += recurse(x0, x2, f0, f1, f2, whole, tol / initial_panels, 0)
-    return total
 
 
 class NoiseModel(ABC):
@@ -90,8 +45,8 @@ class NoiseModel(ABC):
         """Var of a single draw."""
 
     @abstractmethod
-    def integration_window(self) -> tuple[float, float]:
-        """Interval outside which density tails are negligible (< 1e-8 mass)."""
+    def fisher_info(self) -> float:
+        """Location-family Fisher information ``int (p')^2 / p``."""
 
     def score(self, x, eps: float = 0.0):
         """Regularized score ``-p'(x) / (p(x) + eps)``.
@@ -109,22 +64,6 @@ class NoiseModel(ABC):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(den > 0.0, -pd / np.where(den > 0.0, den, 1.0), 0.0)
         return float(out) if out.ndim == 0 else out
-
-    def fisher_info(self, tol: float = 1e-6) -> float:
-        """Location-family Fisher information ``int (p')^2 / p`` by quadrature."""
-        a, b = self.integration_window()
-
-        def integrand(x):
-            p = self.density(x)
-            pd = self.density_deriv(x)
-            if p <= 0.0:
-                if pd == 0.0:
-                    return 0.0
-                raise ValueError("density must be strictly positive on the "
-                                 "integration range")
-            return pd * pd / p
-
-        return adaptive_simpson(integrand, a, b, tol=tol / 4.0)
 
 
 class Gaussian(NoiseModel):
@@ -155,8 +94,8 @@ class Gaussian(NoiseModel):
     def variance(self) -> float:
         return self.var
 
-    def integration_window(self):
-        return (-12.0 * self.sd, 12.0 * self.sd)
+    def fisher_info(self) -> float:
+        return 1.0 / self.var
 
 
 class GaussianMixture(NoiseModel):
@@ -192,5 +131,10 @@ class GaussianMixture(NoiseModel):
     def variance(self) -> float:
         return 1.0 + self.mu * self.mu
 
-    def integration_window(self):
-        return (-(self.mu + 12.0), self.mu + 12.0)
+    def fisher_info(self) -> float:
+        # The score x - mu tanh(mu x) is odd, so I is its second moment under
+        # N(mu, 1) alone; z + mu (1 - tanh(.)) keeps z exact at large mu, and
+        # the trapezoid rule gets this Gaussian expectation to rounding.
+        z = np.linspace(-12.0, 12.0, 1001)
+        score = z + self.mu * (1.0 - np.tanh(self.mu * (z + self.mu)))
+        return float(np.trapezoid(score * score * _phi(z), z))

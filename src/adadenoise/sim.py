@@ -329,12 +329,13 @@ REMOVED_KEYS = {
 def load_config(path) -> ExperimentConfig:
     """Read a flat `key = value` config file.
 
-    Blank lines and '#' comments are ignored; unknown keys are errors.
-    Only the keys present are passed on: a key left out keeps its field's
-    default, and `ExperimentConfig`'s fields without one are required.
+    The file is UTF-8 whatever the locale.  Blank lines and '#' comments
+    are ignored; unknown keys are errors.  Only the keys present are
+    passed on: a key left out keeps its field's default, and
+    `ExperimentConfig`'s fields without one are required.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file: {exc}") from None

@@ -11,7 +11,6 @@ adaptive pipeline, the reciprocal noise variance for plain PCA.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .shrinkage import _check_gamma, _root_gamma, bulk_edge
 
@@ -19,8 +18,6 @@ __all__ = [
     "overlap_limit",
     "error_limit",
     "minimax_limits",
-    "Prediction",
-    "predict",
 ]
 
 
@@ -64,20 +61,3 @@ def minimax_limits(gamma: float, fisher_info: float) -> tuple[float, float]:
     root = math.sqrt(fisher_info)
     lo = max(gamma ** 0.25, gamma ** -0.25) / root
     return (lo, bulk_edge(gamma) / root)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Bundle of the closed-form limits at one (sigma, t, gamma) point."""
-
-    sigma: float
-    gamma: float
-    t: float
-    overlap: float
-    error: float
-
-
-def predict(sigma: float, t: float, gamma: float = 1.0) -> Prediction:
-    return Prediction(sigma=sigma, gamma=gamma, t=t,
-                      overlap=overlap_limit(sigma, t, gamma),
-                      error=error_limit(sigma, t))

@@ -3,15 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from adadenoise import Gaussian, GaussianMixture, adaptive_simpson
+from adadenoise import Gaussian, GaussianMixture
 
 PHI0 = 0.3989422804014327  # 1/sqrt(2 pi)
 
 
 def trapezoid_integral(f, a, b, n=60001):
-    """Fine trapezoid rule; independent of the package quadrature."""
+    """Fine trapezoid rule over [a, b]."""
     x = np.linspace(a, b, n)
     return float(np.trapezoid(f(x), x))
+
+
+def window(model):
+    """Plus and minus 12 standard deviations of one draw."""
+    half = 12.0 * math.sqrt(model.variance())
+    return -half, half
+
+
+def fisher_by_trapezoid(model):
+    """Fine trapezoid rule of (p')^2 / p in x, over `window(model)`; where
+    p underflows to zero the integrand is taken as zero."""
+    def integrand(x):
+        p, pd = model.density(x), model.density_deriv(x)
+        return np.divide(pd * pd, p, out=np.zeros_like(p), where=p > 0.0)
+
+    return trapezoid_integral(integrand, *window(model), n=200001)
 
 
 class TestDensity:
@@ -32,7 +48,7 @@ class TestDensity:
 
     def test_nonnegative_and_normalized(self):
         for model in (Gaussian(1.0), Gaussian(4.0), GaussianMixture(2.0)):
-            a, b = model.integration_window()
+            a, b = window(model)
             x = np.linspace(a, b, 20001)
             assert np.all(model.density(x) >= 0)
             mass = trapezoid_integral(model.density, a, b)
@@ -59,7 +75,7 @@ class TestDensityDeriv:
     def test_fundamental_theorem(self):
         """Integral of p' over [-L, L] equals p(L) - p(-L)."""
         for model in (Gaussian(0.5), GaussianMixture(2.0)):
-            a, b = model.integration_window()
+            a, b = window(model)
             integral = trapezoid_integral(model.density_deriv, a, b)
             assert integral == pytest.approx(model.density(b) - model.density(a),
                                              abs=1e-5)
@@ -108,7 +124,7 @@ class TestFisherInfo:
         assert Gaussian(4.0).fisher_info() == pytest.approx(0.25, abs=1e-6)
 
     def test_mixture_value(self):
-        """Adaptive quadrature against the reported mixture constant."""
+        """The mixture's value against the reported constant."""
         assert GaussianMixture(2.0).fisher_info() == pytest.approx(0.7256,
                                                                    abs=5e-4)
 
@@ -120,11 +136,33 @@ class TestFisherInfo:
     def test_small_mu_limit(self):
         assert 0.999 <= GaussianMixture(1e-4).fisher_info() <= 1.001
 
+    @pytest.mark.parametrize("var", [1e-6, 0.25, 1.0, 100.0, 1e6])
+    def test_gaussian_is_reciprocal_variance(self, var):
+        assert abs(Gaussian(var).fisher_info() * var - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-4, 0.5, 2.0, 8.0, 1e3, 1e8])
+    def test_mixture_between_cramer_rao_and_stam(self, mu):
+        """1/Var <= I (Cramer-Rao) and, for unit Gaussian noise plus an
+        independent shift, I <= 1 (Stam's inequality)."""
+        info = GaussianMixture(mu).fisher_info()
+        assert 1.0 / (1.0 + mu * mu) - 1e-12 <= info <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("mu", [30.0, 1e3, 1e8])
+    def test_separated_mixture_is_unit_gaussian(self, mu):
+        """Components 60 sd and more apart: the score is that of the nearer
+        N(+-mu, 1) but for an exponentially small term, so I is 1."""
+        assert abs(GaussianMixture(mu).fisher_info() - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 3.0, 8.0])
+    def test_mixture_matches_fine_trapezoid(self, mu):
+        model = GaussianMixture(mu)
+        assert abs(model.fisher_info() - fisher_by_trapezoid(model)) <= 1e-12
+
     def test_cramer_rao_direction(self):
         """Fisher information dominates the reciprocal variance."""
         for model in (Gaussian(1.0), Gaussian(0.25), GaussianMixture(2.0),
                       GaussianMixture(0.7)):
-            a, b = model.integration_window()
+            a, b = window(model)
             mean = trapezoid_integral(lambda x: x * model.density(x), a, b)
             second = trapezoid_integral(lambda x: x * x * model.density(x), a, b)
             var = second - mean ** 2
@@ -160,16 +198,3 @@ class TestScore:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             Gaussian(1.0).score(0.0, eps=-1e-3)
-
-
-class TestAdaptiveSimpson:
-    def test_polynomial_exact(self):
-        """Simpson is exact on cubics: int_{-1}^{3} (x^3 - x + 2) = 24."""
-        assert adaptive_simpson(lambda x: x ** 3 - x + 2, -1, 3,
-                                tol=1e-12) == pytest.approx(24.0, abs=1e-9)
-
-    def test_reports_nonconvergence(self):
-        with pytest.raises(RuntimeError, match="did not converge"):
-            adaptive_simpson(lambda x: abs(x - math.pi / 7) ** -0.5
-                             if x != math.pi / 7 else 1e9,
-                             0, 1, tol=1e-14, max_depth=8)

@@ -297,6 +297,21 @@ class TestConfig:
         with pytest.raises(error):
             ExperimentConfig(**{**base, **over})
 
+    def test_utf8_comment_loads_in_any_locale(self, tmp_path):
+        """The config is decoded as UTF-8 whatever the locale: a comment
+        holding a sigma (U+03C3) loads under the C locale with Python's
+        UTF-8 mode off."""
+        path = tmp_path / "u.cfg"
+        path.write_bytes("# grid of \u03c3 values\nn = 60\nsigma1 = 1,2\n"
+                         "trials = 1\noutput = o.csv\n".encode("utf-8"))
+        code = ("import sys; from adadenoise import load_config; "
+                "print(load_config(sys.argv[1]).sigma1_grid)")
+        res = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True,
+            text=True, env={**package_env(), "PYTHONUTF8": "0", "LC_ALL": "C"})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "(1.0, 2.0)"
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# heading\n\nn = 60  # inline\nsigma1 = 1.0\n"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adadenoise import error_limit, minimax_limits, overlap_limit, predict
+from adadenoise import error_limit, minimax_limits, overlap_limit
 
 
 class TestOverlapLimit:
@@ -104,12 +104,3 @@ class TestMinimaxLimits:
             for info in (0.2, 1.0, 4.0):
                 lo, hi = minimax_limits(gamma, info)
                 assert lo <= hi <= 2 * lo
-
-
-class TestPrediction:
-    def test_bundle_invariants(self):
-        for sigma in (0.3, 1.2, 4.0):
-            pred = predict(sigma, t=0.7256, gamma=1.0)
-            assert 0.0 <= pred.overlap <= 1.0
-            assert pred.error >= 0.0
-            assert pred.sigma == sigma
