@@ -15,13 +15,13 @@ from .estimator import (DenoiseResult, baseline_estimate, denoise,
                         denoise_entrywise)
 from .kde import (DensityEstimate, gaussian_kernel, gaussian_kernel_deriv,
                   kde_binned, mean_entry)
-from .linalg import (op_norm, read_matrix_csv, subspace_overlap,
-                     write_matrix_csv)
+from .csvio import read_matrix_csv, write_matrix_csv
+from .linalg import op_norm, subspace_overlap
 from .noise import Gaussian, GaussianMixture, NoiseModel
-from .shrinkage import bulk_edge, debiased_sv, inflated_sv, shrink_known_sd
+from .shrinkage import (bulk_edge, debiased_sv, error_limit, inflated_sv,
+                        minimax_limits, overlap_limit, shrink_known_sd)
 from .sim import (ExperimentConfig, SignalSpec, TrialRecord, haar_orthonormal,
                   load_config, make_signal, run_grid, run_trial)
-from .theory import error_limit, minimax_limits, overlap_limit
 
 __version__ = "0.1.0"
 
@@ -29,11 +29,11 @@ __all__ = [
     "DenoiseResult", "baseline_estimate", "denoise", "denoise_entrywise",
     "DensityEstimate", "gaussian_kernel", "gaussian_kernel_deriv",
     "kde_binned", "mean_entry",
-    "op_norm", "read_matrix_csv", "subspace_overlap", "write_matrix_csv",
+    "read_matrix_csv", "write_matrix_csv", "op_norm", "subspace_overlap",
     "Gaussian", "GaussianMixture", "NoiseModel",
     "bulk_edge", "debiased_sv", "inflated_sv", "shrink_known_sd",
+    "error_limit", "minimax_limits", "overlap_limit",
     "ExperimentConfig", "SignalSpec", "TrialRecord", "haar_orthonormal",
     "load_config", "make_signal", "run_grid", "run_trial",
-    "error_limit", "minimax_limits", "overlap_limit",
     "__version__",
 ]

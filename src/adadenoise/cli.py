@@ -20,11 +20,10 @@ import time
 
 import numpy as np
 
+from .csvio import read_matrix_csv, write_matrix_csv
 from .estimator import baseline_estimate, denoise
-from .linalg import read_matrix_csv, write_matrix_csv
-from .shrinkage import debiased_sv, inflated_sv
+from .shrinkage import debiased_sv, error_limit, inflated_sv, overlap_limit
 from .sim import REMOVED_KEYS, ConfigError, load_config, parse_grid, run_grid
-from .theory import error_limit, overlap_limit
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1

@@ -1,4 +1,4 @@
-"""Spectral maps for singular value debiasing and thresholding.
+"""Spiked-model closed forms for singular value shrinkage and its limits.
 
 In the spiked model with unit-variance noise, a planted scaled singular
 value ``sigma >= 1`` is observed inflated to
@@ -12,6 +12,11 @@ by the noise level first, so one rule serves both estimators: the
 known-variance baseline at its noise sd, and the adaptive pipeline on
 the rescaled score matrix X* at the noise sd i_hat^-1/2 implied by the
 estimated Fisher information.
+
+The same closed forms give the overlap and error limits, 0 (not NaN)
+below their detection threshold, and the minimax constants; their `t`
+is the effective noise precision: the Fisher information for the
+adaptive pipeline, the reciprocal noise variance for plain PCA.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ __all__ = [
     "inflated_sv",
     "debiased_sv",
     "shrink_known_sd",
+    "overlap_limit",
+    "error_limit",
+    "minimax_limits",
 ]
 
 
@@ -88,6 +96,48 @@ def debiased_sv(y, gamma: float = 1.0):
         out = np.sqrt(0.5 * (d + 2.0 + np.sqrt(d * (d + 4.0))))
     out = np.where(np.isfinite(out), out, y_arr)  # where the inverse is y
     return float(out) if out.ndim == 0 else out
+
+
+def overlap_limit(sigma: float, t: float, gamma: float = 1.0) -> float:
+    """Limit of the smallest singular value of the left-factor product.
+
+    Zero when sigma^2 * t <= 1 (no recovery); above the threshold
+
+        sqrt((1 - t^-2 sigma^-4) / (1 + min(g^1/2, g^-1/2) t^-1 sigma^-2)),
+
+    increasing to 1 as sigma grows.  Symmetric in gamma <-> 1/gamma.
+    """
+    if not (sigma > 0 and t > 0):
+        raise ValueError("sigma and t must be positive")
+    root_gamma = _root_gamma(_check_gamma(gamma))
+    snr = sigma * sigma * t
+    if snr <= 1.0:
+        return 0.0
+    num = 1.0 - 1.0 / (snr * snr)
+    den = 1.0 + 1.0 / (root_gamma * snr)
+    return math.sqrt(num / den)
+
+
+def error_limit(sigma1: float, t: float) -> float:
+    """Scaled operator-norm error limit: min(sigma1, t^-1/2)."""
+    if not (sigma1 >= 0 and t > 0):
+        raise ValueError("need sigma1 >= 0 and t > 0")
+    return min(sigma1, 1.0 / math.sqrt(t))
+
+
+def minimax_limits(gamma: float, fisher_info: float) -> tuple[float, float]:
+    """Scaled minimax error constants (rank-constrained, unconstrained).
+
+    In units of (m n)^{1/4}: max(g^1/4, g^-1/4) / sqrt(I) for the
+    rank-constrained class and (g^1/4 + g^-1/4) / sqrt(I) without the
+    rank constraint.
+    """
+    gamma = _check_gamma(gamma)
+    if not (fisher_info > 0):
+        raise ValueError("fisher_info must be positive")
+    root = math.sqrt(fisher_info)
+    lo = max(gamma ** 0.25, gamma ** -0.25) / root
+    return (lo, bulk_edge(gamma) / root)
 
 
 def shrink_threshold(noise_sd: float, delta: float,

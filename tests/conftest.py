@@ -77,7 +77,7 @@ def fail_lapack(monkeypatch, routine):
 
 def row_format_csv(a) -> bytes:
     """The matrix CSV bytes of one ``%.17g`` row format per row: the
-    reference `linalg.write_matrix_csv` must reproduce."""
+    reference `csvio.write_matrix_csv` must reproduce."""
     a = np.asarray(a, dtype=np.float64)
     fmt = ",".join(["%.17g"] * a.shape[1]) + "\n"
     return "".join(fmt % tuple(row.tolist()) for row in a).encode("ascii")

@@ -60,6 +60,10 @@ class TestMeanEntry:
         assert mean_entry(a[None, :]) == 0.0
         assert mean_entry(np.sort(a)) == 0.0
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty input"):
+            mean_entry([])
+
 
 class TestKdeExact:
     def test_single_sample_peak(self):

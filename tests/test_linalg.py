@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from adadenoise import (linalg, op_norm, read_matrix_csv, subspace_overlap,
-                        write_matrix_csv)
+from adadenoise import (csvio, denoise, linalg, op_norm, read_matrix_csv,
+                        subspace_overlap, write_matrix_csv)
 
 from conftest import fail_lapack, package_env, row_format_csv
 
@@ -219,6 +219,20 @@ class TestGramEigen:
         assert res.stdout.strip() == "0"
 
 
+@pytest.mark.parametrize("entry", ["denoise", "write_matrix_csv", "op_norm"])
+@pytest.mark.parametrize("a, message", [
+    (np.ones(4), "must be 2-D"), (np.ones((0, 3)), "must be non-empty")],
+    ids=["1-D", "empty"])
+def test_matrix_shape_rejected(tmp_path, entry, a, message):
+    """Each entry point that takes a matrix rejects one that is not 2-D
+    or has no entries."""
+    call = {"denoise": denoise, "op_norm": op_norm,
+            "write_matrix_csv": lambda a: write_matrix_csv(
+                a, tmp_path / "m.csv")}[entry]
+    with pytest.raises(ValueError, match=message):
+        call(a)
+
+
 class TestSubspaceOverlap:
     def test_identical_basis(self):
         rng = np.random.default_rng(11)
@@ -398,13 +412,40 @@ class TestMatrixCsv:
         assert not isinstance(info.value, UnicodeError)
         assert str(info.value).startswith(f"{path}: ")
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
-    def test_non_finite_entry_names_its_line(self, tmp_path, token):
+    @pytest.mark.parametrize("token, grid", [
+        pytest.param(token, grid, id=f"grid-{token}" if grid else token)
+        for grid in (False, True)
+        for token in ("nan", "inf", "-inf", "1e999")])
+    def test_non_finite_entry_names_its_line(self, tmp_path, token, grid):
+        """A non-finite entry is named with its line: in a file with a
+        blank line, which goes straight to the line loop, and at an
+        interior cell of a plain 6 x 5 grid, which the kernel's path
+        hands to the line loop when ``float()`` reads the entry."""
         path = tmp_path / "m.csv"
-        path.write_text(f"1,2\n\n3,{token}\n4,{token}\n")
+        if grid:
+            rows = np.random.default_rng(21).standard_normal((6, 5))
+            tokens = [["%.17g" % x for x in row] for row in rows]
+            tokens[2][3] = token
+            path.write_text("".join(",".join(row) + "\n" for row in tokens))
+            assert csvio._csv_grid(path.read_bytes()) is not None
+        else:
+            path.write_text(f"1,2\n\n3,{token}\n4,{token}\n")
         with pytest.raises(ValueError) as info:
             read_matrix_csv(path)
         assert str(info.value) == f"{path}:3: non-finite entry {token!r}"
+
+    def test_tables_built_on_first_use_not_on_import(self, tmp_path):
+        """Importing the package and its CLI builds none of the codec's
+        tables; the first write does."""
+        code = ("import sys, adadenoise, adadenoise.cli; "
+                "t = adadenoise.csvio._csv_tables; "
+                "print(t.cache_info().currsize); "
+                "adadenoise.write_matrix_csv([[0.5]], sys.argv[1]); "
+                "print(t.cache_info().currsize)")
+        res = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "m.csv")],
+            capture_output=True, text=True, env=package_env(), check=True)
+        assert res.stdout.split() == ["0", "1"]
 
     @pytest.mark.parametrize("text", IRREGULAR.values(), ids=IRREGULAR.keys())
     def test_irregular_file_reads_as_the_line_loop(self, tmp_path, text):
@@ -439,15 +480,15 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         np.savetxt(path, a, fmt=fmt, delimiter=",")
         data = path.read_bytes()
-        grid = linalg._csv_grid
+        grid = csvio._csv_grid
         sizes = []
 
         def recording_grid(d):
             sizes.append(len(d))
             return grid(d)
 
-        monkeypatch.setattr(linalg, "_csv_grid", recording_grid)
-        assert linalg._parse_csv(data) is None
+        monkeypatch.setattr(csvio, "_csv_grid", recording_grid)
+        assert csvio._parse_csv(data) is None
         assert sizes == [data.index(b"\n") + 1]
         assert read_outcome(read_matrix_csv, path) == read_outcome(
             line_loop, path)
@@ -457,21 +498,21 @@ class TestMatrixCsv:
         """A block that leaves a few tokens to float() stays on the
         kernel's path; one that leaves more than 1/_CSV_FLOAT_SHARE of
         them goes to the line loop.  Both read as the line loop does."""
-        assert 1 / 8 < 1 / linalg._CSV_FLOAT_SHARE < 1 / 3
+        assert 1 / 8 < 1 / csvio._CSV_FLOAT_SHARE < 1 / 3
         a = np.random.default_rng(20).standard_normal((60, 50))
         path = tmp_path / "m.csv"
         path.write_text("".join(
             ",".join(("%.18e" if (50 * i + j) % every == 0 else "%.17g") % x
                      for j, x in enumerate(row)) + "\n"
             for i, row in enumerate(a)))
-        assert (linalg._parse_csv(path.read_bytes()) is not None) == kernel
+        assert (csvio._parse_csv(path.read_bytes()) is not None) == kernel
         assert read_outcome(read_matrix_csv, path) == read_outcome(
             line_loop, path)
 
 
 def line_loop(path):
     """The line loop's reading of the file at `path`."""
-    return linalg._read_csv_lines(path, path.read_bytes())
+    return csvio._read_csv_lines(path, path.read_bytes())
 
 
 def read_outcome(read, path):
@@ -493,7 +534,7 @@ def check_kernel(values):
     """Each entry gives the bytes of "%.17g" % x, or is flagged for the
     fallback, which only a nonzero x whose exponent lies outside
     [-6, 15] may be; a flagged entry holds the conversion itself."""
-    slots, fallback = linalg._format17(np.array(values, dtype=np.float64))
+    slots, fallback = csvio._format17(np.array(values, dtype=np.float64))
     for x, slot, flagged in zip(values, slots.view(np.uint8), fallback):
         token = bytes(slot).translate(None, b"\0")
         if flagged:
@@ -557,14 +598,14 @@ class TestFormat17:
         (-0.0, b"-0"),
     ])
     def test_tokens(self, x, token):
-        slots, fallback = linalg._format17(np.array([x]))
+        slots, fallback = csvio._format17(np.array([x]))
         assert not fallback[0]
         assert slots.tobytes().translate(None, b"\0") == token
 
     @pytest.mark.parametrize("x", [float(np.float64(1e-6)), 1e16, 5e-324])
     def test_outside_window_falls_back(self, x):
         """fl(1e-6) lies below 1e-6: its exponent is -7."""
-        slots, fallback = linalg._format17(np.array([x]))
+        slots, fallback = csvio._format17(np.array([x]))
         assert fallback[0]
         assert slots.tobytes().translate(None, b"\0") == b"%.17g"
 
@@ -645,14 +686,14 @@ class TestParse17:
         rng = np.random.default_rng(19)
         a = (rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(-6, 16, 4000)
              * rng.choice([-1.0, 1.0], 4000))
-        slots, fallback = linalg._format17(a)
+        slots, fallback = csvio._format17(a)
         tokens = [bytes(s).translate(None, b"\0")
                   for s in slots.view(np.uint8).reshape(-1, 32)]
         data = b"".join(t + b"\n" for t in tokens)
         padded = np.zeros(24 + len(data) + 16, np.uint8)
         padded[24:24 + len(data)] = np.frombuffer(data, np.uint8)
         ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
-        x, ok = linalg._parse17(padded[:padded.size // 8 * 8], ends - [
+        x, ok = csvio._parse17(padded[:padded.size // 8 * 8], ends - [
             len(t) for t in tokens], ends)
         assert ok[~fallback].all()
         assert np.array_equal(x[~fallback], a[~fallback])

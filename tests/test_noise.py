@@ -106,6 +106,8 @@ class TestSampling:
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             Gaussian(1.0).sample(0, 5, seed=1)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            GaussianMixture(2.0).sample(0, 3, seed=1)
 
     @pytest.mark.parametrize("make, value", [
         (Gaussian, 0.0), (Gaussian, math.inf), (Gaussian, math.nan),

@@ -210,6 +210,8 @@ class TestShrinkAdaptive:
     def test_validation(self):
         with pytest.raises(ValueError):
             shrink_known_sd(np.array([1.0, 2.0]), noise_sd=1.0, delta=0.01)
+        with pytest.raises(ValueError, match="1-D"):
+            shrink_known_sd(np.ones((2, 2)), noise_sd=1.0, delta=0.01)
         with pytest.raises(ValueError):
             shrink_known_sd(np.array([2.0, 1.0]), noise_sd=0.0, delta=0.01)
         for bad in (dict(noise_sd=math.inf), dict(noise_sd=math.nan),

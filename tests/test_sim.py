@@ -99,6 +99,10 @@ class TestMakeSignal:
             SignalSpec(m=10, n=10, r=2, sigmas=(1.0, 2.0))  # ascending
         with pytest.raises(ValueError):
             SignalSpec(m=10, n=10, r=0, sigmas=())
+        with pytest.raises(ValueError, match="need exactly r singular"):
+            SignalSpec(m=10, n=10, r=2, sigmas=(2.0,))
+        with pytest.raises(ValueError, match="must be positive"):
+            SignalSpec(m=10, n=10, r=2, sigmas=(2.0, 0.0))
 
 
 class TestRunTrial:
@@ -295,6 +299,22 @@ class TestConfig:
         error = (TypeError if key in ("eps", "delta", "h", "h_prime")
                  else ConfigError)
         with pytest.raises(error):
+            ExperimentConfig(**{**base, **over})
+
+    @pytest.mark.parametrize("over, message", [
+        (dict(ns=(60, 1)), "n must list integers >= 2"),
+        (dict(ranks=(0,)), "rank must list integers >= 1"),
+        (dict(sigma1_grid=(2.0, 1.0)),
+         "sigma1 grid must be strictly increasing"),
+        (dict(ranks=(4,)), "sigma_ratios must cover the largest rank"),
+        (dict(sigma_ratios=(0.9, 0.8, 0.6)), "must start at 1.0"),
+        (dict(sigma_ratios=(1.0, 0.6, 0.8)), "must be non-increasing"),
+        (dict(trials=0), "trials must be >= 1"),
+        (dict(workers=0), "workers must be >= 1")])
+    def test_invalid_grid_names_the_rule(self, over, message):
+        base = dict(ns=(60,), ranks=(1,), sigma1_grid=(1.0,), trials=1,
+                    output="o.csv")
+        with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig(**{**base, **over})
 
     def test_utf8_comment_loads_in_any_locale(self, tmp_path):

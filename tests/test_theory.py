@@ -1,3 +1,6 @@
+"""The closed-form limits in `shrinkage`: overlap and error limits and
+the minimax constants."""
+
 import math
 
 import numpy as np
