@@ -25,17 +25,19 @@ Given a single noisy matrix Y the pipeline
    the rule reads: k_hat is a Sturm count of the values at or above the
    threshold, and values and vectors are formed only for the factors
    anything reads: the k_hat kept ones, and at least `factors` leading
-   ones (`DenoiseResult`).  The full spectrum `sigma0` is taken on its
-   first read.
+   ones (`DenoiseResult`).  The full spectrum `sigma0` and the m x n
+   estimate `x_hat` are each formed on their first read.
 
 The score map is looked up once, at one point set (the centered
-entries), with an O(1) uniform-grid index; the gain and the variance
-come from the map tabulated on the grid (O(GRID_NODES)), so the whole
-thing stays O(m n), with one sort of the m n entries (Y's) and one
-m x n scored array, plus one min(m, n)-sized Gram decomposition
-(`linalg.gram_svd`: one tridiagonal reduction, a count, the top few
-values and vectors; its docstring gives the accuracy of the squared
-spectrum).
+entries), with an O(1) uniform-grid index, into the centered copy of Y
+itself; the gain and the variance come from the map tabulated on the
+grid (O(GRID_NODES)), so the whole thing stays O(m n), with one sort of
+the m n entries (Y's) and one m x n scored array, plus one
+min(m, n)-sized Gram decomposition (`linalg.gram_svd`: one tridiagonal
+reduction, a count, the top few values and vectors; its docstring gives
+the accuracy of the squared spectrum).  Besides its input, a call holds
+at most two m x n arrays at a time: the sorted entries and their binning
+fractions, then X* and the copy `gram_svd` scales.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ class DenoiseResult:
 
     `x_star` is the rescaled score matrix (a/b) psi(Y - y_bar) / i_hat,
     the rank-free estimate (see the module docstring), `x_hat` the
-    rank-`k_hat` shrunk estimate.  `sigma0` holds the min(m, n) singular
+    rank-`k_hat` shrunk estimate, formed from the factors and
+    `sigma_shrunk` on its first read (a Monte-Carlo trial never reads
+    it, and so never forms it).  `sigma0` holds the min(m, n) singular
     values of the matrix that was decomposed, divided by (m n)^{1/4},
     descending: the spectrum the shrink rule thresholds, x_star's for
     the adaptive pipeline and the input's for the PCA baseline.  It is
@@ -103,10 +107,10 @@ class DenoiseResult:
     the entries, so its `x_star`, `i_hat` and `y_bar` are None.
     """
 
-    x_hat: np.ndarray
     u_hat: np.ndarray
     v_hat: np.ndarray
     _spectrum: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    _scale: float = field(repr=False, compare=False)
     sigma_shrunk: np.ndarray
     k_hat: int
     x_star: np.ndarray | None = None
@@ -114,9 +118,16 @@ class DenoiseResult:
     y_bar: float | None = None
 
     @cached_property
+    def x_hat(self) -> np.ndarray:
+        """The m x n rank-k_hat estimate, formed on first read."""
+        k = self.k_hat
+        return (self._scale * (self.u_hat[:, :k] * self.sigma_shrunk[:k])
+                @ self.v_hat[:, :k].T)
+
+    @cached_property
     def sigma0(self) -> np.ndarray:
         """All min(m, n) scaled singular values, taken on first read."""
-        return self._spectrum()
+        return self._spectrum() / self._scale
 
 
 def _score_gain(est: DensityEstimate, psi: np.ndarray, n: int) -> float:
@@ -163,7 +174,11 @@ def denoise_entrywise(y):
     del samples  # not held through the lookup's temporaries
 
     psi = -est.deriv / (est.density + EPS)
-    scored = est.evaluate(y - y_bar, psi)
+    # psi is looked up into the centered entries themselves; C order keeps
+    # the flat view `evaluate` writes through, and X*'s layout, whatever
+    # Y's is
+    scored = np.subtract(y, y_bar, order="C")
+    est.evaluate(scored, psi, out=scored)
     # both moments come from the grid, where the entries were binned in
     # sorted order: they depend only on the multiset of entries, never on
     # their layout
@@ -211,9 +226,7 @@ def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
     k_hat = min(above, kept)
     sigma_shrunk = np.zeros(min(m, n))
     sigma_shrunk[:k_hat] = shrunk[:k_hat]
-    x_hat = scale * (u[:, :k_hat] * sigma_shrunk[:k_hat]) @ v[:, :k_hat].T
-    return DenoiseResult(x_hat=x_hat, u_hat=u, v_hat=v,
-                         _spectrum=lambda: values() / scale,
+    return DenoiseResult(u_hat=u, v_hat=v, _spectrum=values, _scale=scale,
                          sigma_shrunk=sigma_shrunk, k_hat=k_hat, **scored)
 
 

@@ -119,17 +119,24 @@ class DensityEstimate:
     def grid(self) -> np.ndarray:
         return self.lo + self.spacing * np.arange(self.counts.size)
 
-    def evaluate(self, x, table):
+    def evaluate(self, x, table, out=None):
         """Linear interpolation at `x` (scalar or array) of `table`, a
         function tabulated on the grid.
 
         The cell index comes straight from the uniform spacing, O(1) per
         point.  Points outside the grid clamp to the end values, as in
-        ``np.interp``.
+        ``np.interp``.  The values go to `out` when given, a C-contiguous
+        float64 array of x's shape, which may be `x` itself; it is
+        returned.
         """
         x = np.asarray(x, dtype=np.float64)
-        flat = x.ravel()
-        out = np.empty(flat.shape)
+        if out is None:
+            out = np.empty(x.shape)
+        elif not (out.shape == x.shape and out.dtype == np.float64
+                  and out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous float64 array of "
+                             "the points' shape")
+        flat, dest = x.ravel(), out.reshape(-1)
         for start in range(0, flat.size, _LOOKUP_BLOCK):
             pos = (flat[start:start + _LOOKUP_BLOCK] - self.lo) / self.spacing
             cell = np.clip(np.floor(pos), 0, table.size - 2)
@@ -137,9 +144,9 @@ class DensityEstimate:
             idx = cell.astype(np.intp)
             # (1 - t) f[i] + t f[i+1] gives the end values exactly at t = 0
             # and t = 1, so points off the grid clamp as in np.interp
-            out[start:start + _LOOKUP_BLOCK] = ((1.0 - frac) * table[idx]
-                                                + frac * table[idx + 1])
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+            dest[start:start + _LOOKUP_BLOCK] = ((1.0 - frac) * table[idx]
+                                                 + frac * table[idx + 1])
+        return float(dest[0]) if x.ndim == 0 else out
 
     def square_sum(self, table) -> float:
         """Sum of ``evaluate(samples, table)**2`` over the binned samples,
@@ -161,10 +168,9 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     grid nodes, which keeps the binning error second order in the cell
     width.  The samples are binned in sorted order, each cell's run summed
     pairwise, so the tables depend only on their multiset; samples that
-    come sorted are not sorted again.  The build holds at most two
-    sample-sized arrays: the binning fractions, and the cell indices
-    until the runs are found.  Samples so large that the grid margin is
-    lost to rounding are an error.
+    come sorted are not sorted again.  The build holds one sample-sized
+    array, the binning fractions.  Samples so large that the grid margin
+    is lost to rounding are an error.
     """
     samples = _sorted(np.asarray(samples, dtype=np.float64))
     if samples.size == 0:
@@ -184,16 +190,16 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
         raise ValueError("samples are too large for the bandwidths: the "
                          "grid margin is lost to rounding")
 
-    # sorted samples fill each cell in one contiguous run; t, the binning
-    # fraction, is formed in place and the cell indices live only until
-    # the run boundaries are known
+    # sorted samples fill each cell in one contiguous run.  Cell i starts
+    # at the first position t >= i, since floor(t) >= i exactly when
+    # t >= i (the clamp to the last cell moves no start); t, the position
+    # in cells, then becomes the binning fraction in place, block by block
     t = samples - lo
     t /= spacing
-    cell = np.floor(t)
-    np.minimum(cell, GRID_NODES - 2, out=cell)
-    t -= cell
-    starts = np.searchsorted(cell, np.arange(GRID_NODES - 1))
-    del cell
+    starts = np.searchsorted(t, np.arange(GRID_NODES - 1))
+    for start in range(0, t.size, _LOOKUP_BLOCK):
+        block = t[start:start + _LOOKUP_BLOCK]
+        block -= np.minimum(np.floor(block), GRID_NODES - 2)
     occupied = np.flatnonzero(np.diff(starts, append=samples.size))
     starts = starts[occupied]
     sum_t = np.add.reduceat(t, starts)

@@ -126,7 +126,9 @@ class GaussianMixture(NoiseModel):
         rng = np.random.default_rng(seed)
         coins = rng.integers(0, 2, size=(m, n))
         z = rng.standard_normal((m, n))
-        return z + self.mu * (2.0 * coins - 1.0)
+        # a coin picks -mu or mu, the same bits as mu * (2 coin - 1)
+        z += np.array([-self.mu, self.mu])[coins]
+        return z
 
     def variance(self) -> float:
         return 1.0 + self.mu * self.mu

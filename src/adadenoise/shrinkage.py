@@ -136,8 +136,9 @@ def minimax_limits(gamma: float, fisher_info: float) -> tuple[float, float]:
     if not (fisher_info > 0):
         raise ValueError("fisher_info must be positive")
     root = math.sqrt(fisher_info)
-    lo = max(gamma ** 0.25, gamma ** -0.25) / root
-    return (lo, bulk_edge(gamma) / root)
+    # through the representative >= 1, as in bulk_edge, so that gamma and
+    # 1/gamma give the same bits
+    return (math.sqrt(_root_gamma(gamma)) / root, bulk_edge(gamma) / root)
 
 
 def shrink_threshold(noise_sd: float, delta: float,

@@ -149,8 +149,8 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     full size.
     """
     x, u, v = make_signal(spec, seed)
-    w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
-    y = x + w
+    y = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
+    y += x
 
     res = denoise(y, factors=spec.r)
     base = baseline_estimate(y, noise_sd=float(np.sqrt(model.variance())),
@@ -166,7 +166,10 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
         np.hstack([est.u_hat[:, :est.k_hat], u]),
         np.concatenate([est.sigma_shrunk[:est.k_hat], -sigmas]),
         np.hstack([est.v_hat[:, :est.k_hat], v])) for est in (res, base))
-    err_s = op_norm(res.x_star - x) / scale
+    # nothing reads X* after this, so X* - X is formed in place
+    x_star = res.x_star
+    x_star -= x
+    err_s = op_norm(x_star) / scale
     return TrialRecord(n=spec.n, m=spec.m, r=spec.r, sigma1=spec.sigmas[0],
                        trial=-1, seed=seed, i_hat=res.i_hat, k_hat=res.k_hat,
                        overlaps_adaptive=ov_a, overlaps_baseline=ov_b,

@@ -10,6 +10,7 @@ itself never calls them.
 import math
 import os
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,6 +74,22 @@ def fail_lapack(monkeypatch, routine):
     fake = SimpleNamespace(**vars(real))
     setattr(fake, routine, lambda *args: 1)
     monkeypatch.setattr(linalg, "_lapack", lambda: fake)
+
+
+def traced_peak_arrays(call, shape) -> float:
+    """Peak of the memory `call()` allocates while it runs, in float64
+    arrays of `shape`, as `tracemalloc` counts it: deterministic, unlike
+    a timing or the resident set.  One untraced call first takes imports
+    and caches out of the count."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * math.prod(shape))
 
 
 def row_format_csv(a) -> bytes:

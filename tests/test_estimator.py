@@ -8,10 +8,10 @@ from adadenoise import (Gaussian, GaussianMixture, SignalSpec,
                         denoise_entrywise, gaussian_kernel_deriv, kde_binned,
                         make_signal, op_norm, run_trial, shrink_known_sd,
                         subspace_overlap)
-from adadenoise import estimator, kde, linalg
+from adadenoise import estimator, kde, linalg, sim
 from adadenoise.estimator import DELTA, EPS
 
-from conftest import fail_lapack, kde_exact, score_parts
+from conftest import fail_lapack, kde_exact, score_parts, traced_peak_arrays
 
 
 class TestDefaults:
@@ -521,6 +521,49 @@ class TestLazySpectrum:
         again = baseline_estimate(y, noise_sd=math.sqrt(5.0))
         assert again.sigma0 is again.sigma0  # taken once, then kept
         np.testing.assert_array_equal(again.sigma0, want)
+
+
+    def test_x_hat_is_formed_on_first_read(self):
+        spec = SignalSpec(m=60, n=80, r=2, sigmas=(5.0, 4.0))
+        x, _, _ = make_signal(spec, seed=77)
+        y = x + GaussianMixture(2.0).sample(60, 80, seed=78)
+        for res in (denoise(y), baseline_estimate(y, math.sqrt(5.0))):
+            assert "x_hat" not in vars(res)
+            k, scale = res.k_hat, (60 * 80) ** 0.25
+            want = (scale * (res.u_hat[:, :k] * res.sigma_shrunk[:k])
+                    @ res.v_hat[:, :k].T)
+            assert res.x_hat is res.x_hat  # formed once, then kept
+            assert np.array_equal(res.x_hat, want)
+
+    def test_a_trial_never_forms_x_hat(self, monkeypatch):
+        """A trial takes its errors from the factors, so neither
+        estimate's m x n x_hat is ever formed."""
+        results = []
+
+        def keeping(estimate):
+            def call(*args, **kwargs):
+                results.append(estimate(*args, **kwargs))
+                return results[-1]
+            return call
+
+        monkeypatch.setattr(sim, "denoise", keeping(denoise))
+        monkeypatch.setattr(sim, "baseline_estimate",
+                            keeping(baseline_estimate))
+        run_trial(SignalSpec(m=60, n=80, r=1, sigmas=(5.0,)),
+                  GaussianMixture(2.0), seed=79)
+        assert len(results) == 2
+        assert all("x_hat" not in vars(res) for res in results)
+
+
+class TestAllocationBudget:
+    """The peak memory of one call, counted in m x n arrays: a guard on
+    the pipeline's temporaries that does not depend on timing."""
+
+    def test_denoise_wide(self):
+        y = GaussianMixture(2.0).sample(100, 6400, seed=80)
+        # the sorted entries with the binning fractions, or X* with the
+        # unit-scale copy the spectral step decomposes
+        assert traced_peak_arrays(lambda: denoise(y), y.shape) <= 2.6
 
 
 class TestBaseline:

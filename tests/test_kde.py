@@ -181,6 +181,24 @@ class TestKdeBinned:
                                    np.interp(x, grid, table), rtol=0,
                                    atol=1e-12)
 
+    def test_lookup_into_out_keeps_the_bits(self, mixture_samples):
+        """Values written to `out`, which may be the points themselves,
+        are those of a fresh lookup, whatever the points' layout."""
+        est = kde_binned(mixture_samples, 0.2, 0.3)
+        table = -est.deriv / (est.density + 1e-3)
+        x = np.asfortranarray(mixture_samples.reshape(100, 100)[:, :70])
+        want = est.evaluate(x, table)
+        out = np.empty(x.shape)
+        assert est.evaluate(x, table, out=out) is out
+        assert np.array_equal(out, want)
+        inplace = np.ascontiguousarray(x)
+        assert est.evaluate(inplace, table, out=inplace) is inplace
+        assert np.array_equal(inplace, want)
+        for bad in (np.empty(x.shape, order="F"), np.empty(x.size),
+                    np.empty(x.shape, dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                est.evaluate(x, table, out=bad)
+
     def test_grid_is_uniform_and_increasing(self, mixture_samples):
         est = kde_binned(mixture_samples, 0.3, 0.3)
         assert isinstance(est, DensityEstimate)
@@ -214,6 +232,33 @@ class TestKdeBinned:
             assert np.array_equal(getattr(ordered, name), getattr(est, name))
 
 
+def cell_array_binning(samples, h, h_prime):
+    """Counts and moments as `kde_binned` formed them from an array of
+    cell indices, floor(t) clamped to the last cell, kept here as the
+    bitwise reference for the run starts taken on t itself."""
+    samples = np.sort(samples, axis=None)
+    margin = 8.0 * max(h, h_prime)
+    lo = float(samples[0]) - margin
+    spacing = (float(samples[-1]) + margin - lo) / (GRID_NODES - 1)
+    t = (samples - lo) / spacing
+    cell = np.minimum(np.floor(t), GRID_NODES - 2)
+    t -= cell
+    starts = np.searchsorted(cell, np.arange(GRID_NODES - 1))
+    occupied = np.flatnonzero(np.diff(starts, append=samples.size))
+    starts = starts[occupied]
+    sum_t = np.add.reduceat(t, starts)
+    sum_u = np.add.reduceat(1.0 - t, starts)
+    sum_uu = np.add.reduceat(np.square(1.0 - t), starts)
+    counts = np.zeros(GRID_NODES)
+    counts[occupied] = sum_u
+    counts[occupied + 1] += sum_t
+    moments = np.zeros((3, GRID_NODES - 1))
+    moments[0, occupied] = sum_uu
+    moments[1, occupied] = sum_u - sum_uu
+    moments[2, occupied] = sum_t - moments[1, occupied]
+    return counts, moments
+
+
 def binning_reference(samples, est):
     """Linear-binning counts of `samples` on the grid of `est`, from two
     weighted `np.bincount`s over the sorted samples."""
@@ -242,6 +287,10 @@ class TestRunSumBinning:
         # the margin is lost to rounding, so the largest sample sits on the
         # last node: the end of the last cell
         "last_cell": (np.array([-1e20, 0.0, 3.0, 1e20]), 1.0, 1.0),
+        # a margin of 1 and a spacing of exactly 1: whole numbers sit on
+        # nodes, at fraction 0 of the cell they start
+        "on_nodes": (np.array([0.0, 1.0, 1.0, 2.5, 100.0, 4092.5, 4093.0]),
+                     0.125, 0.125),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -273,6 +322,14 @@ class TestRunSumBinning:
             est.moments[0] + 2.0 * est.moments[1] + est.moments[2], runs,
             rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_bits_match_the_cell_array_reference(self, case):
+        samples, h, h_prime = self.CASES[case]
+        est = kde_binned(samples, h, h_prime)
+        counts, moments = cell_array_binning(samples, h, h_prime)
+        assert np.array_equal(est.counts, counts)
+        assert np.array_equal(est.moments, moments)
+
     def test_edge_cases_occupy_the_expected_cells(self):
         occupied = {case: np.flatnonzero(
                         kde_binned(*self.CASES[case]).moments.any(axis=0))
@@ -286,6 +343,11 @@ class TestRunSumBinning:
         est = kde_binned(*self.CASES["last_cell"])
         # t = 1: the sample's whole mass goes to the last node
         assert est.counts[-1] == 1.0 and est.moments[2, -1] == 1.0
+        est = kde_binned(*self.CASES["on_nodes"])
+        assert est.spacing == 1.0
+        # a sample on node i starts cell i: its whole mass goes to node i
+        assert est.counts[1] == 1.0 and est.counts[2] == 2.0
+        assert est.moments[0, 1] == 1.0 and est.counts[3] == 0.5
 
     @pytest.mark.parametrize("case", CASES)
     def test_permuted_input_gives_the_same_bits(self, case):

@@ -103,6 +103,18 @@ class TestSampling:
             assert np.array_equal(a, b)
             assert a.shape == (20, 30)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])
+    def test_mixture_bits_match_the_coin_formula(self, mu):
+        """The component means are added in place, with the same bits as
+        z + mu (2 coin - 1) from the same stream, signed zeros included."""
+        for seed in (0, 1, 7, 2018):
+            rng = np.random.default_rng(seed)
+            coins = rng.integers(0, 2, size=(30, 40))
+            z = rng.standard_normal((30, 40))
+            want = z + mu * (2.0 * coins - 1.0)
+            got = GaussianMixture(mu).sample(30, 40, seed)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             Gaussian(1.0).sample(0, 5, seed=1)

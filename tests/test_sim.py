@@ -16,7 +16,7 @@ from adadenoise import (ExperimentConfig, GaussianMixture, SignalSpec,
 from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
                             mix64, parse_grid, write_records_csv)
 
-from conftest import package_env
+from conftest import package_env, traced_peak_arrays
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -167,6 +167,15 @@ class TestRunTrial:
                          (rec.err_star, res.x_star)):
             dense = np.linalg.norm(est - x, 2) / scale
             assert got == pytest.approx(dense, rel=1e-12)
+
+    def test_allocation_budget(self):
+        """One 400 x 400 trial holds at most about five m x n arrays: X,
+        Y, X*, and the unit-scale copy of Y with its Gram matrix while
+        the baseline decomposes it."""
+        spec = SignalSpec(m=400, n=400, r=1, sigmas=(3.0,))
+        peak = traced_peak_arrays(lambda: run_trial(spec, self.MODEL, 9),
+                                  (400, 400))
+        assert peak <= 5.5
 
     def test_no_full_size_svd(self, monkeypatch):
         """The only SVDs a trial takes are of its small cores: at most

@@ -2,6 +2,7 @@
 the minimax constants."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ class TestMinimaxLimits:
                 minimax_limits(gamma, 1.0)
         with pytest.raises(ValueError, match="fisher_info"):
             minimax_limits(1.0, 0.0)
+
+    def test_reciprocal_aspect_ratio_gives_the_same_bits(self):
+        """Both constants go through the representative >= 1, as
+        `bulk_edge` does, so gamma and 1/gamma agree to the last bit
+        wherever 1/gamma is exactly invertible."""
+        rng = random.Random(0)
+        draws = [rng.uniform(0.01, 50.0) for _ in range(2000)]
+        exact = [g for g in draws if 1.0 / (1.0 / g) == g]
+        assert len(exact) > 1500
+        for gamma in exact:
+            assert minimax_limits(gamma, 1.0) == minimax_limits(1.0 / gamma,
+                                                                1.0)
 
     def test_sandwich(self):
         for gamma in (0.3, 1.0, 2.5):
