@@ -14,13 +14,23 @@ symbols carry a ``scipy_`` prefix and a ``64_`` suffix) through
 `ctypes`, so it needs no dependency beyond numpy and loads no new
 library.  Where those symbols do not resolve (numpy built
 on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
+
+`_scratch` allocates the m x n temporaries that live through the
+largest stretch of a Monte-Carlo trial: `gram_svd`'s unit-scale copy and
+Gram matrix, and the trial's X and Y.  While `scratch_held` is open in a
+thread (`run_grid` holds it for all its trials), each call site gets
+back the same buffer on every call, so a grid's trials reuse one set of
+pages instead of growing the heap and having glibc trim it again after
+every trial; otherwise it allocates afresh, as `np.empty_like` does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +51,54 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+class _Scratch(threading.local):
+    """This thread's scratch buffers: call-site key -> (the arguments of
+    the buffer's `np.empty_like`, the buffer); None while no hold is
+    open."""
+
+    buffers: dict | None = None
+
+
+_SCRATCH = _Scratch()
+
+
+@contextlib.contextmanager
+def scratch_held():
+    """Keep the buffers `_scratch` hands out in this thread while the
+    block runs, and drop them all when it ends, however it ends.  A hold
+    opened inside another shares the outer one's buffers."""
+    if _SCRATCH.buffers is not None:
+        yield
+        return
+    _SCRATCH.buffers = {}
+    try:
+        yield
+    finally:
+        _SCRATCH.buffers = None
+
+
+def _scratch(key: str, prototype: np.ndarray, *, order: str = "K",
+             shape=None) -> np.ndarray:
+    """An uninitialized ``np.empty_like(prototype, order=order,
+    shape=shape)``.
+
+    While `scratch_held` is open in this thread, it is the buffer kept
+    under `key`, made again only when the arguments' shape, strides,
+    dtype or `order` differ from the last call's.  Its contents last
+    until the next call with the same key, so each call site has a key
+    of its own, and no buffer may outlive the call that asked for it.
+    """
+    buffers = _SCRATCH.buffers
+    if buffers is None:
+        return np.empty_like(prototype, order=order, shape=shape)
+    args = (prototype.shape, prototype.strides, prototype.dtype, order, shape)
+    held = buffers.get(key)
+    if held is None or held[0] != args:
+        held = buffers[key] = (args, np.empty_like(prototype, order=order,
+                                                   shape=shape))
+    return held[1]
 
 
 _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
@@ -221,11 +279,20 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     error of about eps * s_1^2, so s_j agrees with the SVD's to about
     eps * s_1^2 / s_j, and column j of the long-side factor is
     orthonormal to the others to about eps * (s_1 / s_j)^2.
+
+    The unit-scale copy and the Gram matrix are `_scratch` buffers, so
+    the calls made under one `scratch_held` share them.
     """
     m, n = a.shape
     e = int(np.frexp(max(a.max(), -a.min()))[1])
-    short = np.ldexp(a if m <= n else a.T, -e)
-    gram = short @ short.T
+    # the copy keeps the layout of the short-side view (the transpose of a
+    # tall C-ordered `a` is F-ordered), and the Gram matrix is C-ordered, as
+    # `np.ldexp` and `@` would make them: the Gram product's BLAS path, and
+    # so its last bits, follow the layouts
+    short = a if m <= n else a.T
+    short = np.ldexp(short, -e, out=_scratch("gram_svd.unit", short))
+    gram = np.matmul(short, short.T, out=_scratch(
+        "gram_svd.gram", short, order="C", shape=(short.shape[0],) * 2))
     # t at unit scale, or inf past the largest double: no value reaches it
     t = math.ldexp(t, -e) if math.frexp(t)[1] - e <= 1024 else math.inf
     lapack = _lapack()

@@ -21,6 +21,9 @@ __all__ = [
     "GaussianMixture",
 ]
 
+_MEANS_BLOCK = 1 << 15  # entries per block of the mixture's means
+
+
 def _phi(x, var=1.0):
     return np.exp(-np.square(x) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
@@ -88,8 +91,9 @@ class Gaussian(NoiseModel):
     def sample(self, m: int, n: int, seed: int) -> np.ndarray:
         if m < 1 or n < 1:
             raise ValueError("m and n must be >= 1")
-        rng = np.random.default_rng(seed)
-        return self.sd * rng.standard_normal((m, n))
+        z = np.random.default_rng(seed).standard_normal((m, n))
+        z *= self.sd
+        return z
 
     def variance(self) -> float:
         return self.var
@@ -124,10 +128,17 @@ class GaussianMixture(NoiseModel):
         if m < 1 or n < 1:
             raise ValueError("m and n must be >= 1")
         rng = np.random.default_rng(seed)
-        coins = rng.integers(0, 2, size=(m, n))
+        # int32 coins are the int64 draw's values, and leave the generator
+        # in the same state
+        coins = rng.integers(0, 2, size=(m, n), dtype=np.int32)
         z = rng.standard_normal((m, n))
-        # a coin picks -mu or mu, the same bits as mu * (2 coin - 1)
-        z += np.array([-self.mu, self.mu])[coins]
+        # a coin picks -mu or mu, the same bits as mu * (2 coin - 1); added
+        # block by block, so no m x n array of means is formed
+        table = np.array([-self.mu, self.mu])
+        flat, picks = z.reshape(-1), coins.reshape(-1)
+        for start in range(0, flat.size, _MEANS_BLOCK):
+            block = slice(start, start + _MEANS_BLOCK)
+            flat[block] += table[picks[block]]
         return z
 
     def variance(self) -> float:

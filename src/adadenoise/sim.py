@@ -17,13 +17,14 @@ import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimator import baseline_estimate, denoise
-from .linalg import op_norm, set_blas_threads, subspace_overlap
+from .linalg import (_scratch, op_norm, scratch_held, set_blas_threads,
+                     subspace_overlap)
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
 __all__ = [
@@ -111,11 +112,16 @@ def make_signal(spec: SignalSpec, seed: int):
     U and V are independent Haar frames drawn from sub-seeds of `seed`.
     Returns (x, u, v).
     """
+    u, v, left = _signal_factors(spec, seed)
+    return left @ v.T, u, v
+
+
+def _signal_factors(spec: SignalSpec, seed: int):
+    """(u, v, left) of `make_signal`, whose signal is ``left @ v.T``."""
     u = haar_orthonormal(spec.m, spec.r, derive_seed(seed, ROLE_U))
     v = haar_orthonormal(spec.n, spec.r, derive_seed(seed, ROLE_V))
     scale = (spec.m * spec.n) ** 0.25
-    x = scale * (u * np.asarray(spec.sigmas)) @ v.T
-    return x, u, v
+    return u, v, scale * (u * np.asarray(spec.sigmas))
 
 
 @dataclass(frozen=True)
@@ -146,11 +152,16 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     thresholding: both estimators are asked for r factors.  Both
     estimates and the signal have low rank, so their errors are taken
     from the factors (`_low_rank_op_norm`); only X* - X is decomposed at
-    full size.
+    full size.  X and Y are scratch buffers (`linalg.scratch_held`): in
+    a grid, every trial reuses the same two.
     """
-    x, u, v = make_signal(spec, seed)
-    y = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
-    y += x
+    u, v, left = _signal_factors(spec, seed)
+    w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
+    # X as `make_signal` forms it (C-ordered float64), Y as W is laid out
+    x = np.matmul(left, v.T, out=_scratch("trial.signal", left, order="C",
+                                          shape=w.shape))
+    y = np.add(w, x, out=_scratch("trial.observation", w))
+    del w
 
     res = denoise(y, factors=spec.r)
     base = baseline_estimate(y, noise_sd=float(np.sqrt(model.variance())),
@@ -393,6 +404,17 @@ def _trial_task(args):
     return run_trial(*args)
 
 
+# a pool worker's hold on its scratch buffers, kept for the worker's life
+_WORKER_SCRATCH = ExitStack()
+
+
+def _init_worker() -> None:
+    """Set up a pool worker of `run_grid`: one BLAS thread, and one set of
+    scratch buffers for all the trials it runs."""
+    set_blas_threads(1)
+    _WORKER_SCRATCH.enter_context(scratch_held())
+
+
 def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     """Run the full cells x trials cross product and write the CSV.
 
@@ -404,7 +426,10 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     BLAS runs one thread per process while the trials run, in this
     process and in each pool worker, so that a record does not depend on
     the thread count of the calling shell or on `workers`; this
-    process's count is restored afterwards.
+    process's count is restored afterwards.  Each process also keeps one
+    set of scratch buffers (`linalg.scratch_held`) for all the trials it
+    runs, so a trial's large temporaries reuse the previous trial's
+    memory; this process drops them when the grid ends.
     """
     _check_output(config.output)
     tasks = []
@@ -418,10 +443,10 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     parallel = config.workers > 1
     threads = set_blas_threads(1)
     try:
-        with (ProcessPoolExecutor(max_workers=config.workers,
-                                  initializer=set_blas_threads,
-                                  initargs=(1,)) if parallel
-              else nullcontext()) as pool:
+        with scratch_held(), (
+                ProcessPoolExecutor(max_workers=config.workers,
+                                    initializer=_init_worker) if parallel
+                else nullcontext()) as pool:
             mapped = (pool.map(_trial_task, tasks, chunksize=4) if parallel
                       else map(_trial_task, tasks))
             results = []

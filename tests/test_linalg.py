@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -217,6 +218,111 @@ class TestGramEigen:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=package_env(), check=True)
         assert res.stdout.strip() == "0"
+
+
+class TestScratch:
+    """`linalg._scratch` hands out one buffer per call site while
+    `scratch_held` is open in the thread, and a fresh array otherwise;
+    either way with the layout `np.empty_like` gives."""
+
+    BASE = np.arange(60.0).reshape(6, 10)
+    PROTOTYPES = {"C": BASE, "F": np.asfortranarray(BASE), "T": BASE.T,
+                  "strided": BASE[::2, 1::3], "column": BASE[:, 3:4],
+                  "flat": BASE.ravel()}
+
+    @pytest.mark.parametrize("name", PROTOTYPES)
+    @pytest.mark.parametrize("kwargs", [{}, {"order": "C", "shape": (4, 4)}],
+                             ids=["like", "C-shape"])
+    def test_layout_is_empty_like(self, name, kwargs):
+        prototype = self.PROTOTYPES[name]
+        want = np.empty_like(prototype, **kwargs)
+        got = [linalg._scratch("test", prototype, **kwargs)]
+        with linalg.scratch_held():
+            got += [linalg._scratch("test", prototype, **kwargs)] * 2
+        for buf in got:
+            assert ((buf.shape, buf.strides, buf.dtype)
+                    == (want.shape, want.strides, want.dtype))
+
+    def test_one_buffer_per_key_while_held(self):
+        a = self.BASE
+        assert linalg._scratch("k", a) is not linalg._scratch("k", a)
+        with linalg.scratch_held():
+            first = linalg._scratch("k", a)
+            assert linalg._scratch("k", a) is first
+            assert not np.shares_memory(linalg._scratch("other", a), first)
+            # other arguments make a new buffer, which the key then keeps
+            transposed = linalg._scratch("k", a.T)
+            assert transposed is not first
+            assert transposed.strides == np.empty_like(a.T).strides
+            assert linalg._scratch("k", a.T) is transposed
+        assert linalg._SCRATCH.buffers is None
+
+    def test_nested_hold_shares_the_outer_one(self):
+        with linalg.scratch_held():
+            first = linalg._scratch("k", self.BASE)
+            with linalg.scratch_held():
+                assert linalg._scratch("k", self.BASE) is first
+            assert linalg._scratch("k", self.BASE) is first
+        assert linalg._SCRATCH.buffers is None
+
+    def test_hold_dropped_when_the_block_raises(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with linalg.scratch_held():
+                linalg._scratch("k", self.BASE)
+                raise RuntimeError("inside")
+        assert linalg._SCRATCH.buffers is None
+
+    def test_hold_is_per_thread(self):
+        seen = []
+        with linalg.scratch_held():
+            linalg._scratch("k", self.BASE)
+            other = threading.Thread(
+                target=lambda: seen.append(linalg._SCRATCH.buffers))
+            other.start()
+            other.join()
+        assert seen == [None]
+
+    @pytest.mark.parametrize("shape", [(150, 90), (90, 150), (60, 60),
+                                       (40, 1), (1, 40)])
+    def test_gram_svd_buffers_keep_the_fresh_layouts(self, monkeypatch,
+                                                     backend, shape):
+        """Held or not, the unit-scale copy and the Gram matrix are laid
+        out as `np.ldexp` and `@` lay out fresh ones, and every bit of the
+        result is the same, for C, F and strided inputs of either
+        orientation.  The Gram product's BLAS path follows the layouts:
+        a C-ordered copy of a tall C input's transpose changes the last
+        bits.  (The stride of a length-1 axis places no element, and
+        numpy's own choice for it differs between `np.ldexp` and
+        `np.empty_like`.)"""
+        def layout(a):
+            return a.shape, [s for s, n in zip(a.strides, a.shape) if n > 1]
+
+        made = {}
+        scratch = linalg._scratch
+
+        def recording(key, prototype, **kwargs):
+            made[key] = scratch(key, prototype, **kwargs)
+            return made[key]
+
+        monkeypatch.setattr(linalg, "_scratch", recording)
+        rng = np.random.default_rng(36)
+        big = rng.standard_normal((2 * shape[0], 2 * shape[1]))
+        for a in (np.ascontiguousarray(big[::2, ::2]),
+                  np.asfortranarray(big[::2, ::2]), big[::2, ::2],
+                  big[:shape[0], :shape[1]]):
+            short = a if a.shape[0] <= a.shape[1] else a.T
+            fresh_unit = np.ldexp(short, -1)
+            fresh_gram = fresh_unit @ fresh_unit.T
+            fresh = linalg.gram_svd(a, 1.0, 3)
+            with linalg.scratch_held():
+                linalg.gram_svd(a, 1.0, 3)
+                held = linalg.gram_svd(a, 1.0, 3)
+            for key, want in (("gram_svd.unit", fresh_unit),
+                              ("gram_svd.gram", fresh_gram)):
+                assert layout(made[key]) == layout(want)
+            assert fresh[0] == held[0]
+            for x, y in zip((*fresh[1:4], fresh[4]()), (*held[1:4], held[4]())):
+                assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 @pytest.mark.parametrize("entry", ["denoise", "write_matrix_csv", "op_norm"])

@@ -115,6 +115,18 @@ class TestSampling:
             got = GaussianMixture(mu).sample(30, 40, seed)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("shape", [(400, 400), (33, 17), (1, 1)])
+    def test_int32_coins_are_the_default_draw(self, shape):
+        """The sampler draws its coins as int32: the same values as the
+        default int64 draw, with the generator left in the same state."""
+        for seed in range(5):
+            wide, narrow = (np.random.default_rng(seed) for _ in range(2))
+            assert np.array_equal(wide.integers(0, 2, size=shape),
+                                  narrow.integers(0, 2, size=shape,
+                                                  dtype=np.int32))
+            assert (wide.bit_generator.state
+                    == narrow.bit_generator.state)
+
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             Gaussian(1.0).sample(0, 5, seed=1)

@@ -3,16 +3,17 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adadenoise import linalg, sim
-from adadenoise import (ExperimentConfig, GaussianMixture, SignalSpec,
-                        baseline_estimate, denoise, haar_orthonormal,
-                        load_config, make_signal, op_norm, run_grid,
-                        run_trial)
+from adadenoise import (ExperimentConfig, Gaussian, GaussianMixture,
+                        SignalSpec, baseline_estimate, denoise,
+                        haar_orthonormal, load_config, make_signal, op_norm,
+                        run_grid, run_trial)
 from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
                             mix64, parse_grid, write_records_csv)
 
@@ -409,21 +410,98 @@ class TestRunGrid:
         the hold the records differ in the last bits."""
         code = ("import sys\n"
                 "from adadenoise import ExperimentConfig, run_grid\n"
-                "config = ExperimentConfig(ns=(400,), ranks=(1,), "
-                "sigma1_grid=(3.0,), trials=2, base_seed=5, "
-                "output=sys.argv[1], workers=int(sys.argv[2]))\n"
+                "config = ExperimentConfig(ns=(int(sys.argv[3]),), "
+                "ranks=(1,), sigma1_grid=(3.0,), trials=2, base_seed=5, "
+                "gamma=float(sys.argv[4]), output=sys.argv[1], "
+                "workers=int(sys.argv[2]))\n"
                 "for rec in run_grid(config):\n"
                 "    print(repr(rec))\n")
-        runs = set()
-        for threads in ("1", "2"):
-            for workers in ("1", "2"):
-                out = tmp_path / f"{threads}_{workers}.csv"
-                res = subprocess.run(
-                    [sys.executable, "-c", code, str(out), workers],
-                    capture_output=True, text=True, check=True, timeout=300,
-                    env={**package_env(), "OPENBLAS_NUM_THREADS": threads})
-                runs.add((res.stdout, out.read_bytes()))
-        assert len(runs) == 1
+        # a square cell, and a tall one (150 x 90), whose Gram step works
+        # on the transpose
+        for n, gamma in (("400", "1.0"), ("90", repr(5 / 3))):
+            runs = set()
+            for threads in ("1", "2"):
+                for workers in ("1", "2"):
+                    out = tmp_path / f"{n}_{threads}_{workers}.csv"
+                    res = subprocess.run(
+                        [sys.executable, "-c", code, str(out), workers, n,
+                         gamma],
+                        capture_output=True, text=True, check=True,
+                        timeout=300, env={**package_env(),
+                                          "OPENBLAS_NUM_THREADS": threads})
+                    runs.add((res.stdout, out.read_bytes()))
+            assert len(runs) == 1
+
+    @pytest.mark.parametrize("noise", [GaussianMixture(2.0), Gaussian(4.0)],
+                             ids=["mixture", "gaussian"])
+    def test_held_buffers_leave_records_and_csv_unchanged(self, tmp_path,
+                                                          noise):
+        """A grid's trials share one set of scratch buffers; its records
+        (every bit) and CSV bytes equal those of trials run one at a time
+        outside any grid, on a tall, a wide and a square cell."""
+        for n, gamma in ((90, 5 / 3), (150, 0.6), (60, 1.0)):
+            config = self.small_config(tmp_path, ns=(n,), gamma=gamma,
+                                       ranks=(1, 2), sigma1_grid=(1.0, 3.0),
+                                       trials=2, noise=noise)
+            records = run_grid(config)
+            alone = [dataclasses.replace(
+                run_trial(spec, noise, config.trial_seed(spec, trial)),
+                trial=trial)
+                for spec in config.cells() for trial in range(2)]
+            assert {(rec.m, rec.n) for rec in alone} == {(round(gamma * n),
+                                                          n)}
+            assert repr(records) == repr(alone)
+            write_records_csv(alone, tmp_path / "alone.csv", max_rank=2)
+            assert (Path(config.output).read_bytes()
+                    == (tmp_path / "alone.csv").read_bytes())
+
+    def test_second_trial_allocation_budget(self, tmp_path):
+        """In a grid, a 400 x 400 trial after the first allocates only
+        what the held buffers do not cover, at most about 2.6 m x n
+        arrays at a time (5.1 for a trial outside a grid): W and its
+        coins, the sorted entries with their binning fractions, and X*.
+        X, Y and the unit-scale copies and Gram matrices the spectral
+        steps decompose are the first trial's buffers."""
+        peaks = []
+
+        def progress(done, total):
+            if done == 1:
+                tracemalloc.start()
+            else:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        config = self.small_config(tmp_path, ns=(400,), sigma1_grid=(3.0,),
+                                   trials=2)
+        try:
+            run_grid(config, progress=progress)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] / (8 * 400 * 400) <= 3.1
+
+    def test_buffers_dropped_when_the_grid_ends(self, tmp_path, monkeypatch):
+        """The grid holds its scratch buffers while its trials run and
+        drops them when it returns, or when a trial raises."""
+        config = self.small_config(tmp_path, trials=2)
+        held = []
+        run_grid(config, progress=lambda done, total: held.append(
+            len(linalg._SCRATCH.buffers)))
+        assert held[0] > 0 and held[1] == held[0]
+        assert linalg._SCRATCH.buffers is None
+
+        trial = sim.run_trial
+        ran = []
+
+        def second_raises(*args):
+            if ran:
+                raise RuntimeError("trial failed")
+            ran.append(trial(*args))
+            return ran[-1]
+
+        monkeypatch.setattr(sim, "run_trial", second_raises)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_grid(config)
+        assert ran and linalg._SCRATCH.buffers is None
 
     def test_blas_held_at_one_thread_and_restored(self, tmp_path):
         outer = linalg.set_blas_threads(2)
