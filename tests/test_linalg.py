@@ -321,7 +321,8 @@ class TestScratch:
                               ("gram_svd.gram", fresh_gram)):
                 assert layout(made[key]) == layout(want)
             assert fresh[0] == held[0]
-            for x, y in zip((*fresh[1:4], fresh[4]()), (*held[1:4], held[4]())):
+            for x, y in zip((*fresh[1:4], fresh[4]()),
+                            (*held[1:4], held[4]())):
                 assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
