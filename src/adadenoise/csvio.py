@@ -515,16 +515,17 @@ def _parse_csv(data: bytes):
 
 def _read_csv_lines(path, data: bytes) -> np.ndarray:
     """Read the bytes `data` of the matrix CSV `path` one line at a time,
-    as UTF-8 text with universal newlines whatever the locale, skipping
-    blank lines: ``float()`` of each comma-separated token of the stripped
-    line.  The reference `read_matrix_csv` agrees with bit for bit, and
-    the source of its every error: a malformed or ragged row, a non-finite
-    entry (the first, named with its line), a file that is not UTF-8 text
-    or has no rows."""
+    as UTF-8 text with universal newlines whatever the locale, less a
+    leading byte-order mark, skipping blank lines: ``float()`` of each
+    comma-separated token of the stripped line.  The reference
+    `read_matrix_csv` agrees with bit for bit, and the source of its
+    every error: a malformed or ragged row, a non-finite entry (the
+    first, named with its line), a file that is not UTF-8 text or has no
+    rows."""
     rows = []
     width = None
     try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -580,8 +581,8 @@ def read_matrix_csv(path) -> np.ndarray:
     ``float()`` rejects or reads as non-finite, or whose first line or
     any block leaves more than a quarter of its tokens to ``float()``
     (a file in another format, such as ``np.savetxt``'s ``%.18e``) is
-    read by the line loop `_read_csv_lines`, which raises every error
-    this function raises.
+    read by the line loop `_read_csv_lines`, which ignores a leading
+    byte-order mark and raises every error this function raises.
     """
     with open(path, "rb") as fh:
         data = fh.read()

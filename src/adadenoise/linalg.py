@@ -15,13 +15,14 @@ symbols carry a ``scipy_`` prefix and a ``64_`` suffix) through
 library.  Where those symbols do not resolve (numpy built
 on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
 
-`_scratch` allocates the m x n temporaries that live through the
+`scratch_buffer` allocates the m x n temporaries that live through the
 largest stretch of a Monte-Carlo trial: `gram_svd`'s unit-scale copy and
 Gram matrix, and the trial's X and Y.  While `scratch_held` is open in a
-thread (`run_grid` holds it for all its trials), each call site gets
-back the same buffer on every call, so a grid's trials reuse one set of
-pages instead of growing the heap and having glibc trim it again after
-every trial; otherwise it allocates afresh, as `np.empty_like` does.
+thread (the grid setup in `sim` holds it for all its trials), each call
+site gets back the same buffer on every call, so a grid's trials reuse
+one set of pages instead of growing the heap and having glibc trim it
+again after every trial; otherwise it allocates afresh, as
+`np.empty_like` does.
 """
 
 from __future__ import annotations
@@ -66,12 +67,9 @@ _SCRATCH = _Scratch()
 
 @contextlib.contextmanager
 def scratch_held():
-    """Keep the buffers `_scratch` hands out in this thread while the
-    block runs, and drop them all when it ends, however it ends.  A hold
-    opened inside another shares the outer one's buffers."""
-    if _SCRATCH.buffers is not None:
-        yield
-        return
+    """Keep the buffers `scratch_buffer` hands out in this thread while
+    the block runs, and drop them all when it ends, however it ends.
+    Holds do not nest: the grid setup in `sim` is the one opener."""
     _SCRATCH.buffers = {}
     try:
         yield
@@ -79,8 +77,8 @@ def scratch_held():
         _SCRATCH.buffers = None
 
 
-def _scratch(key: str, prototype: np.ndarray, *, order: str = "K",
-             shape=None) -> np.ndarray:
+def scratch_buffer(key: str, prototype: np.ndarray, *, order: str = "K",
+                   shape=None) -> np.ndarray:
     """An uninitialized ``np.empty_like(prototype, order=order,
     shape=shape)``.
 
@@ -280,7 +278,7 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     eps * s_1^2 / s_j, and column j of the long-side factor is
     orthonormal to the others to about eps * (s_1 / s_j)^2.
 
-    The unit-scale copy and the Gram matrix are `_scratch` buffers, so
+    The unit-scale copy and the Gram matrix are `scratch_buffer`s, so
     the calls made under one `scratch_held` share them.
     """
     m, n = a.shape
@@ -290,8 +288,8 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     # `np.ldexp` and `@` would make them: the Gram product's BLAS path, and
     # so its last bits, follow the layouts
     short = a if m <= n else a.T
-    short = np.ldexp(short, -e, out=_scratch("gram_svd.unit", short))
-    gram = np.matmul(short, short.T, out=_scratch(
+    short = np.ldexp(short, -e, out=scratch_buffer("gram_svd.unit", short))
+    gram = np.matmul(short, short.T, out=scratch_buffer(
         "gram_svd.gram", short, order="C", shape=(short.shape[0],) * 2))
     # t at unit scale, or inf past the largest double: no value reaches it
     t = math.ldexp(t, -e) if math.frexp(t)[1] - e <= 1024 else math.inf

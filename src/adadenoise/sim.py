@@ -17,13 +17,13 @@ import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimator import baseline_estimate, denoise
-from .linalg import (_scratch, op_norm, scratch_held, set_blas_threads,
+from .linalg import (op_norm, scratch_buffer, scratch_held, set_blas_threads,
                      subspace_overlap)
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
@@ -158,9 +158,9 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     u, v, left = _signal_factors(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
     # X as `make_signal` forms it (C-ordered float64), Y as W is laid out
-    x = np.matmul(left, v.T, out=_scratch("trial.signal", left, order="C",
-                                          shape=w.shape))
-    y = np.add(w, x, out=_scratch("trial.observation", w))
+    x = np.matmul(left, v.T, out=scratch_buffer(
+        "trial.signal", left, order="C", shape=w.shape))
+    y = np.add(w, x, out=scratch_buffer("trial.observation", w))
     del w
 
     res = denoise(y, factors=spec.r)
@@ -343,13 +343,14 @@ REMOVED_KEYS = {
 def load_config(path) -> ExperimentConfig:
     """Read a flat `key = value` config file.
 
-    The file is UTF-8 whatever the locale.  Blank lines and '#' comments
-    are ignored; unknown keys are errors.  Only the keys present are
-    passed on: a key left out keeps its field's default, and
-    `ExperimentConfig`'s fields without one are required.
+    The file is UTF-8 whatever the locale; a leading byte-order mark is
+    ignored.  Blank lines and '#' comments are ignored; unknown keys are
+    errors.  Only the keys present are passed on: a key left out keeps
+    its field's default, and `ExperimentConfig`'s fields without one are
+    required.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file: {exc}") from None
@@ -401,18 +402,31 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _trial_task(args):
-    return run_trial(*args)
+    spec, model, seed, trial = args
+    return dataclasses.replace(run_trial(spec, model, seed), trial=trial)
 
 
-# a pool worker's hold on its scratch buffers, kept for the worker's life
-_WORKER_SCRATCH = ExitStack()
+@contextmanager
+def _grid_process():
+    """Set this process up to run a grid's trials: BLAS at one thread,
+    so that a record does not depend on the calling shell's thread count
+    or on `workers`, and one set of scratch buffers (`linalg.scratch_held`)
+    that all its trials reuse.  On exit, however the block ends, the
+    buffers are dropped and the thread count is restored."""
+    threads = set_blas_threads(1)
+    try:
+        with scratch_held():
+            yield
+    finally:
+        set_blas_threads(threads)
+
+
+# a pool worker's grid setup, kept for the worker's life
+_WORKER_SETUP = ExitStack()
 
 
 def _init_worker() -> None:
-    """Set up a pool worker of `run_grid`: one BLAS thread, and one set of
-    scratch buffers for all the trials it runs."""
-    set_blas_threads(1)
-    _WORKER_SCRATCH.enter_context(scratch_held())
+    _WORKER_SETUP.enter_context(_grid_process())
 
 
 def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
@@ -423,43 +437,27 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     (cell, trial) order either way.  An output path that cannot be
     written raises `OSError` before the first trial.
 
-    BLAS runs one thread per process while the trials run, in this
-    process and in each pool worker, so that a record does not depend on
-    the thread count of the calling shell or on `workers`; this
-    process's count is restored afterwards.  Each process also keeps one
-    set of scratch buffers (`linalg.scratch_held`) for all the trials it
-    runs, so a trial's large temporaries reuse the previous trial's
-    memory; this process drops them when the grid ends.
+    This process runs the trials under `_grid_process` (one BLAS thread,
+    one set of scratch buffers), and each pool worker enters it for life.
     """
     _check_output(config.output)
-    tasks = []
-    order = []
-    for spec in config.cells():
-        for trial in range(config.trials):
-            seed = config.trial_seed(spec, trial)
-            tasks.append((spec, config.noise, seed))
-            order.append(trial)
+    tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)
+             for spec in config.cells() for trial in range(config.trials)]
 
     parallel = config.workers > 1
-    threads = set_blas_threads(1)
-    try:
-        with scratch_held(), (
-                ProcessPoolExecutor(max_workers=config.workers,
-                                    initializer=_init_worker) if parallel
-                else nullcontext()) as pool:
-            mapped = (pool.map(_trial_task, tasks, chunksize=4) if parallel
-                      else map(_trial_task, tasks))
-            results = []
-            for i, rec in enumerate(mapped, 1):
-                results.append(rec)
-                if progress is not None:
-                    progress(i, len(tasks))
-    finally:
-        set_blas_threads(threads)
+    with _grid_process(), (
+            ProcessPoolExecutor(max_workers=config.workers,
+                                initializer=_init_worker) if parallel
+            else nullcontext()) as pool:
+        mapped = (pool.map(_trial_task, tasks, chunksize=4) if parallel
+                  else map(_trial_task, tasks))
+        records = []
+        for i, rec in enumerate(mapped, 1):
+            records.append(rec)
+            if progress is not None:
+                progress(i, len(tasks))
 
-    records = [dataclasses.replace(rec, trial=trial)
-               for rec, trial in zip(results, order)]
-    write_records_csv(records, config.output, max_rank=max(config.ranks))
+    write_records_csv(records, config.output)
     return records
 
 
@@ -484,13 +482,14 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def write_records_csv(records, path, max_rank: int) -> None:
-    """Emit records with the stable column schema.
+def write_records_csv(records, path) -> None:
+    """Emit a list of records with the stable column schema.
 
-    Rows with r < max_rank leave the unused overlap columns empty.  The
-    wall_ms column is written as 0 so that identical configs reproduce
-    identical files.
+    One overlap column per rank up to the records' largest (none without
+    records), left empty in rows of a smaller rank; wall_ms is written as
+    0 so that identical configs reproduce identical files.
     """
+    max_rank = max((rec.r for rec in records), default=0)
     ov_a_cols = [f"ov_a_{i}" for i in range(1, max_rank + 1)]
     ov_b_cols = [f"ov_b_{i}" for i in range(1, max_rank + 1)]
     header = (["n", "m", "r", "sigma1", "trial", "seed", "i_hat", "k_hat"]

@@ -221,7 +221,7 @@ class TestGramEigen:
 
 
 class TestScratch:
-    """`linalg._scratch` hands out one buffer per call site while
+    """`linalg.scratch_buffer` hands out one buffer per call site while
     `scratch_held` is open in the thread, and a fresh array otherwise;
     either way with the layout `np.empty_like` gives."""
 
@@ -236,46 +236,39 @@ class TestScratch:
     def test_layout_is_empty_like(self, name, kwargs):
         prototype = self.PROTOTYPES[name]
         want = np.empty_like(prototype, **kwargs)
-        got = [linalg._scratch("test", prototype, **kwargs)]
+        got = [linalg.scratch_buffer("test", prototype, **kwargs)]
         with linalg.scratch_held():
-            got += [linalg._scratch("test", prototype, **kwargs)] * 2
+            got += [linalg.scratch_buffer("test", prototype, **kwargs)] * 2
         for buf in got:
             assert ((buf.shape, buf.strides, buf.dtype)
                     == (want.shape, want.strides, want.dtype))
 
     def test_one_buffer_per_key_while_held(self):
         a = self.BASE
-        assert linalg._scratch("k", a) is not linalg._scratch("k", a)
+        buffer = linalg.scratch_buffer
+        assert buffer("k", a) is not buffer("k", a)
         with linalg.scratch_held():
-            first = linalg._scratch("k", a)
-            assert linalg._scratch("k", a) is first
-            assert not np.shares_memory(linalg._scratch("other", a), first)
+            first = buffer("k", a)
+            assert buffer("k", a) is first
+            assert not np.shares_memory(buffer("other", a), first)
             # other arguments make a new buffer, which the key then keeps
-            transposed = linalg._scratch("k", a.T)
+            transposed = buffer("k", a.T)
             assert transposed is not first
             assert transposed.strides == np.empty_like(a.T).strides
-            assert linalg._scratch("k", a.T) is transposed
-        assert linalg._SCRATCH.buffers is None
-
-    def test_nested_hold_shares_the_outer_one(self):
-        with linalg.scratch_held():
-            first = linalg._scratch("k", self.BASE)
-            with linalg.scratch_held():
-                assert linalg._scratch("k", self.BASE) is first
-            assert linalg._scratch("k", self.BASE) is first
+            assert buffer("k", a.T) is transposed
         assert linalg._SCRATCH.buffers is None
 
     def test_hold_dropped_when_the_block_raises(self):
         with pytest.raises(RuntimeError, match="inside"):
             with linalg.scratch_held():
-                linalg._scratch("k", self.BASE)
+                linalg.scratch_buffer("k", self.BASE)
                 raise RuntimeError("inside")
         assert linalg._SCRATCH.buffers is None
 
     def test_hold_is_per_thread(self):
         seen = []
         with linalg.scratch_held():
-            linalg._scratch("k", self.BASE)
+            linalg.scratch_buffer("k", self.BASE)
             other = threading.Thread(
                 target=lambda: seen.append(linalg._SCRATCH.buffers))
             other.start()
@@ -298,13 +291,13 @@ class TestScratch:
             return a.shape, [s for s, n in zip(a.strides, a.shape) if n > 1]
 
         made = {}
-        scratch = linalg._scratch
+        scratch = linalg.scratch_buffer
 
         def recording(key, prototype, **kwargs):
             made[key] = scratch(key, prototype, **kwargs)
             return made[key]
 
-        monkeypatch.setattr(linalg, "_scratch", recording)
+        monkeypatch.setattr(linalg, "scratch_buffer", recording)
         rng = np.random.default_rng(36)
         big = rng.standard_normal((2 * shape[0], 2 * shape[1]))
         for a in (np.ascontiguousarray(big[::2, ::2]),
@@ -576,6 +569,24 @@ class TestMatrixCsv:
             text=True, env={**package_env(), "PYTHONUTF8": "0", "LC_ALL": "C"})
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[[1.0, 2.0]]"
+
+    @pytest.mark.parametrize("plain", [b"1.5,2\n3,4\n", "written"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, plain):
+        """A leading UTF-8 byte-order mark, which spreadsheet exports
+        write, reads as the same file without it, bit for bit (the plain
+        written file goes through the kernel, the marked one through the
+        line loop)."""
+        path = tmp_path / "plain.csv"
+        if plain == "written":
+            write_matrix_csv(np.random.default_rng(51).standard_normal(
+                (5, 4)), path)
+        else:
+            path.write_bytes(plain)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert isinstance(read_outcome(read_matrix_csv, marked), tuple)
+        assert (read_outcome(read_matrix_csv, marked)
+                == read_outcome(read_matrix_csv, path))
 
     @pytest.mark.parametrize("fmt", ["%.18e", "%.17E", "%.20f"])
     def test_other_format_goes_to_the_line_loop(self, tmp_path, monkeypatch,

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -24,6 +25,22 @@ def test_public_names_resolve_to_their_modules():
         owners = [mod for mod in modules if name in mod.__all__]
         assert len(owners) == 1, f"{name} is listed in {owners}"
         assert getattr(adadenoise, name) is getattr(owners[0], name)
+
+
+def test_no_module_imports_another_modules_private_name():
+    """No package module imports an underscore name from another one
+    (``from .<module> import _<name>``): what modules share is in the
+    open, and a private name can change with its own module alone."""
+    found = []
+    for path in sorted(Path(adadenoise.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0
+                         or (node.module or "").startswith("adadenoise"))):
+                found += [f"{path.name}:{node.lineno}: {alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 def _readme_section(title: str) -> str:

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,14 @@ class TestConfig:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "(1.0, 2.0)"
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        """A leading UTF-8 byte-order mark, which spreadsheet exports
+        write, is not read as part of the first key."""
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + b"n = 60\nsigma1 = 1.0\n"
+                         b"trials = 1\noutput = o.csv\n")
+        assert load_config(path).ns == (60,)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# heading\n\nn = 60  # inline\nsigma1 = 1.0\n"
@@ -432,17 +441,21 @@ class TestRunGrid:
                     runs.add((res.stdout, out.read_bytes()))
             assert len(runs) == 1
 
-    @pytest.mark.parametrize("noise", [GaussianMixture(2.0), Gaussian(4.0)],
-                             ids=["mixture", "gaussian"])
+    @pytest.mark.parametrize("noise, workers", [
+        (GaussianMixture(2.0), 1), (Gaussian(4.0), 1),
+        (GaussianMixture(2.0), 2), (Gaussian(4.0), 2)],
+        ids=["mixture", "gaussian", "mixture-pool", "gaussian-pool"])
     def test_held_buffers_leave_records_and_csv_unchanged(self, tmp_path,
-                                                          noise):
-        """A grid's trials share one set of scratch buffers; its records
-        (every bit) and CSV bytes equal those of trials run one at a time
-        outside any grid, on a tall, a wide and a square cell."""
+                                                          noise, workers):
+        """A grid's trials share one set of scratch buffers per process;
+        its records (every bit, trial indices included) and CSV bytes
+        (columns up to the largest rank) equal those of trials run one at
+        a time outside any grid, on a tall, a wide and a square cell, in
+        this process or in a pool."""
         for n, gamma in ((90, 5 / 3), (150, 0.6), (60, 1.0)):
             config = self.small_config(tmp_path, ns=(n,), gamma=gamma,
                                        ranks=(1, 2), sigma1_grid=(1.0, 3.0),
-                                       trials=2, noise=noise)
+                                       trials=2, noise=noise, workers=workers)
             records = run_grid(config)
             alone = [dataclasses.replace(
                 run_trial(spec, noise, config.trial_seed(spec, trial)),
@@ -451,7 +464,7 @@ class TestRunGrid:
             assert {(rec.m, rec.n) for rec in alone} == {(round(gamma * n),
                                                           n)}
             assert repr(records) == repr(alone)
-            write_records_csv(alone, tmp_path / "alone.csv", max_rank=2)
+            write_records_csv(alone, tmp_path / "alone.csv")
             assert (Path(config.output).read_bytes()
                     == (tmp_path / "alone.csv").read_bytes())
 
@@ -517,6 +530,33 @@ class TestRunGrid:
             assert linalg.set_blas_threads(None) == before
         finally:
             linalg.set_blas_threads(outer)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_grid_process_setup(self, fail):
+        """The setup this process and every pool worker run the trials
+        under: BLAS at one thread and a scratch hold open inside it, the
+        thread count restored and the hold dropped after it, also when the
+        block raises."""
+        outer = linalg.set_blas_threads(2)
+        # None where numpy's BLAS exports no OpenBLAS thread controls
+        inside, after = (None, None) if outer is None else (1, 2)
+        try:
+            with pytest.raises(RuntimeError) if fail else nullcontext():
+                with sim._grid_process():
+                    assert linalg.set_blas_threads(None) == inside
+                    assert linalg._SCRATCH.buffers == {}
+                    if fail:
+                        raise RuntimeError("inside")
+            assert linalg._SCRATCH.buffers is None
+            assert linalg.set_blas_threads(None) == after
+        finally:
+            linalg.set_blas_threads(outer)
+
+    def test_no_records_write_the_header(self, tmp_path):
+        write_records_csv([], tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_text() == (
+            "n,m,r,sigma1,trial,seed,i_hat,k_hat,err_a,err_b,err_star,"
+            "wall_ms\n")
 
     def test_mixed_ranks_pad_overlap_columns(self, tmp_path):
         config = self.small_config(tmp_path, ns=(20,), ranks=(1, 2),
