@@ -23,7 +23,7 @@ import numpy as np
 from .csvio import read_matrix_csv, write_matrix_csv
 from .estimator import baseline_estimate, denoise
 from .shrinkage import debiased_sv, error_limit, inflated_sv, overlap_limit
-from .sim import REMOVED_KEYS, ConfigError, load_config, parse_grid, run_grid
+from .sim import ConfigError, load_config, parse_grid, run_grid
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -33,17 +33,23 @@ def _err(msg: str) -> None:
     print(f"adadenoise: {msg}", file=sys.stderr)
 
 
-def cmd_simulate(args) -> int:
+def _read(kind, path, read, malformed=""):
+    """`read(path)`, or None after reporting why the `kind` file at `path`
+    could not be read."""
     try:
-        config = load_config(args.config)
+        return read(path)
     except FileNotFoundError:
-        _err(f"config file not found: {args.config}")
-        return USAGE_ERROR
+        _err(f"{kind} file not found: {path}")
     except OSError as exc:
-        _err(f"cannot read config file {args.config}: {exc.strerror}")
-        return USAGE_ERROR
-    except ConfigError as exc:
-        _err(str(exc))
+        _err(f"cannot read {kind} file {path}: {exc.strerror}")
+    except ValueError as exc:  # ConfigError included
+        _err(f"{malformed}{exc}")
+    return None
+
+
+def cmd_simulate(args) -> int:
+    config = _read("config", args.config, load_config)
+    if config is None:
         return USAGE_ERROR
 
     shown = False
@@ -53,22 +59,19 @@ def cmd_simulate(args) -> int:
         print(f"\rtrial {done}/{total}", end="", file=sys.stderr, flush=True)
         shown = True
 
-    def end_progress() -> None:
-        if shown:  # ends the progress line; no blank line without one
-            print(file=sys.stderr)
-
     t0 = time.perf_counter()
     try:
-        records = run_grid(config, progress=progress)
+        try:
+            records = run_grid(config, progress=progress)
+        finally:
+            if shown:  # ends the progress line; no blank line without one
+                print(file=sys.stderr)
     except OSError as exc:
-        end_progress()
         _err(f"cannot write results: {exc}")
         return RUNTIME_ERROR
     except Exception as exc:  # pipeline failure
-        end_progress()
         _err(f"simulation failed: {exc}")
         return RUNTIME_ERROR
-    end_progress()
     elapsed = time.perf_counter() - t0
     cells = len(records) // config.trials
     print(f"cells={cells} trials={len(records)} wall={elapsed:.2f}s "
@@ -99,16 +102,8 @@ def cmd_denoise(args) -> int:
         _err("--noise-sd must be positive and finite")
         return USAGE_ERROR
 
-    try:
-        y = read_matrix_csv(args.input)
-    except FileNotFoundError:
-        _err(f"input file not found: {args.input}")
-        return USAGE_ERROR
-    except OSError as exc:
-        _err(f"cannot read input file {args.input}: {exc.strerror}")
-        return USAGE_ERROR
-    except ValueError as exc:
-        _err(f"malformed input: {exc}")
+    y = _read("input", args.input, read_matrix_csv, "malformed input: ")
+    if y is None:
         return USAGE_ERROR
 
     try:
@@ -210,13 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:  # a removed setting's flag is refused with the reason
-        keys = [a.lstrip("-").split("=")[0].replace("-", "_") for a in extra]
-        why = {REMOVED_KEYS[key] for key in keys if key in REMOVED_KEYS}
-        parser.error(" ".join(["unrecognized arguments:", *extra])
-                     + "".join(f" ({w})" for w in sorted(why)))
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -5,8 +5,7 @@ the trial seed through the splitmix64 finalizer with a per-role salt
 ('U', 'V', 'W'), so adding a new consumer never shifts existing streams,
 and per-trial seeds derive from (base_seed, cell identity, trial index)
 rather than enumeration order.  Re-running a config reproduces its CSV
-byte for byte; the wall_ms column, kept for the file's schema, is
-always 0.
+byte for byte.
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ class SignalSpec:
             raise ValueError("need 1 <= r <= min(m, n)")
         if len(self.sigmas) != self.r:
             raise ValueError("need exactly r singular values")
-        if any(s <= 0 for s in self.sigmas):
-            raise ValueError("singular values must be positive")
+        if not all(0 < s < math.inf for s in self.sigmas):
+            raise ValueError("singular values must be positive and finite")
         if any(a < b for a, b in zip(self.sigmas, self.sigmas[1:])):
             raise ValueError("singular values must be descending")
 
@@ -331,13 +330,6 @@ _SCHEMA = {
     "workers": (ExperimentConfig, "workers", int),
 }
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-# keys of earlier versions, refused with the reason they are gone
-REMOVED_KEYS = {
-    **dict.fromkeys(("h", "h_prime"),
-                    "the kernel bandwidths follow the input's shape"),
-    **dict.fromkeys(("eps", "delta"),
-                    "eps and delta are constants of the method"),
-}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -363,9 +355,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
-            why = REMOVED_KEYS.get(key)
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}"
-                              + (f": {why}" if why else ""))
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in parsed:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
@@ -486,15 +476,14 @@ def write_records_csv(records, path) -> None:
     """Emit a list of records with the stable column schema.
 
     One overlap column per rank up to the records' largest (none without
-    records), left empty in rows of a smaller rank; wall_ms is written as
-    0 so that identical configs reproduce identical files.
+    records), left empty in rows of a smaller rank.
     """
     max_rank = max((rec.r for rec in records), default=0)
     ov_a_cols = [f"ov_a_{i}" for i in range(1, max_rank + 1)]
     ov_b_cols = [f"ov_b_{i}" for i in range(1, max_rank + 1)]
     header = (["n", "m", "r", "sigma1", "trial", "seed", "i_hat", "k_hat"]
               + ov_a_cols + ov_b_cols
-              + ["err_a", "err_b", "err_star", "wall_ms"])
+              + ["err_a", "err_b", "err_star"])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for rec in records:
@@ -507,5 +496,5 @@ def write_records_csv(records, path) -> None:
                     str(rec.k_hat)]
                    + ov_a + ov_b
                    + [_fmt(rec.err_adaptive), _fmt(rec.err_baseline),
-                      _fmt(rec.err_star), "0"])
+                      _fmt(rec.err_star)])
             fh.write(",".join(row) + "\n")

@@ -9,7 +9,6 @@ from adadenoise import (GaussianMixture, baseline_estimate, denoise,
                         overlap_limit, read_matrix_csv, write_matrix_csv)
 
 from adadenoise.cli import main
-from adadenoise.sim import REMOVED_KEYS
 
 from conftest import fail_lapack, package_env, row_format_csv
 
@@ -75,19 +74,18 @@ class TestSimulate:
             assert res.returncode == 2
             assert line.split()[0] in res.stderr
 
-    @pytest.mark.parametrize("line, word", [
+    @pytest.mark.parametrize("line, key", [
         ("eps = 0", "eps"),
         ("delta = -0.5", "delta"), ("delta = nan", "delta"),
         ("delta = inf", "delta"),
-        ("h = -1", "bandwidths"), ("h = inf", "bandwidths"),
-        ("h_prime = 0", "bandwidths"), ("h_prime = inf", "bandwidths")])
+        ("h = -1", "h"), ("h = inf", "h"),
+        ("h_prime = 0", "h_prime"), ("h_prime = inf", "h_prime")])
     def test_invalid_denoiser_setting_is_usage_error(self, tmp_path, line,
-                                                     word):
-        # the denoiser has no settings: a key of an earlier version is
-        # refused by name, with the reason it is gone
-        key = line.split("=")[0].strip()
-        assert_simulate_usage_error(tmp_path, line, word, f"key {key!r}",
-                                    REMOVED_KEYS[key])
+                                                     key):
+        # the denoiser has no settings: a key of an earlier version is an
+        # unknown key, named with its line
+        assert_simulate_usage_error(tmp_path, line,
+                                    f"bad.cfg:5: unknown config key {key!r}")
 
     @pytest.mark.parametrize("lines, key", [
         ("noise_mu = -1", "noise_mu"), ("noise_mu = nan", "noise_mu"),
@@ -239,12 +237,13 @@ class TestDenoise:
         ("--mode=baseline --noise-sd=-1", "noise-sd"),
         ("--mode=baseline --noise-sd=inf", "noise-sd"),
         ("--noise-sd=1", "only applies to --mode baseline"),
-        ("--h=-1", "bandwidths"), ("--h=inf", "bandwidths")])
+        ("--h=-1", "unrecognized arguments"),
+        ("--h=inf", "unrecognized arguments")])
     def test_invalid_setting_is_usage_error(self, tmp_path, noisy_matrix,
                                             flag, word):
-        # a flag of a removed setting is refused with the reason it is
-        # gone; the adaptive mode estimates the noise, so a noise sd
-        # given to it is refused, not ignored
+        # a flag of a removed setting is an unknown flag; the adaptive
+        # mode estimates the noise, so a noise sd given to it is refused,
+        # not ignored
         path, _ = noisy_matrix
         prefix = tmp_path / "x"
         res = run_cli("denoise", str(path), "-o", str(prefix), *flag.split())

@@ -110,6 +110,26 @@ def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
         assert parse(cell.strip("`")) == loaded[key], key
 
 
+def test_readme_csv_schema_is_the_written_header(tmp_path):
+    """The README's schema line, with `ov_a_1..ov_a_R` and
+    `ov_b_1..ov_b_R` spelled out for rank-R records, is the header
+    `write_records_csv` writes."""
+    section = _readme_section("CSV schema")
+    (line,) = re.findall(r"```\n(.*)\n```", section)
+    rank = 3
+    for prefix in ("ov_a", "ov_b"):
+        line = line.replace(f"{prefix}_1..{prefix}_R", ",".join(
+            f"{prefix}_{i}" for i in range(1, rank + 1)))
+    record = sim.TrialRecord(
+        n=10, m=10, r=rank, sigma1=3.0, trial=0, seed=1, i_hat=1.0,
+        k_hat=rank, overlaps_adaptive=(1.0,) * rank,
+        overlaps_baseline=(1.0,) * rank, err_adaptive=0.1,
+        err_baseline=0.2, err_star=0.1)
+    sim.write_records_csv([record], tmp_path / "records.csv")
+    header = (tmp_path / "records.csv").read_text().splitlines()[0]
+    assert line == header
+
+
 def _denoise_flags() -> set[str]:
     parser = cli.build_parser()
     (subparsers,) = [action for action in parser._actions
@@ -130,7 +150,7 @@ def test_denoiser_settings_are_one_set_on_every_surface():
     the matrix, the baseline's noise sd and the number of factors; the
     config keys build the grid and the noise model only; the `denoise`
     flags other than help, output, mode and the baseline's noise sd are
-    none; and each removed setting is refused with its reason."""
+    none."""
     assert list(inspect.signature(estimator.denoise).parameters) == [
         "y", "factors"]
     assert list(inspect.signature(estimator.baseline_estimate).parameters) \
@@ -141,6 +161,6 @@ def test_denoiser_settings_are_one_set_on_every_surface():
     assert owners == {sim.ExperimentConfig, *sim._NOISE_KINDS.values()}
     fields = {f.name for f in dataclasses.fields(sim.ExperimentConfig)}
     removed = {"eps", "delta", "h", "h_prime"}
-    assert not fields & removed and set(sim.REMOVED_KEYS) == removed
+    assert not fields & removed and not removed & set(sim._SCHEMA)
     other = {"-h", "--help", "-o", "--output-prefix", "--mode", "--noise-sd"}
     assert _denoise_flags() == other
