@@ -16,13 +16,12 @@ library.  Where those symbols do not resolve (numpy built
 on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
 
 `scratch_buffer` allocates the m x n temporaries that live through the
-largest stretch of a Monte-Carlo trial: `gram_svd`'s unit-scale copy and
-Gram matrix, and the trial's X and Y.  While `scratch_held` is open in a
-thread (the grid setup in `sim` holds it for all its trials), each call
-site gets back the same buffer on every call, so a grid's trials reuse
-one set of pages instead of growing the heap and having glibc trim it
-again after every trial; otherwise it allocates afresh, as
-`np.empty_like` does.
+largest stretch of a Monte-Carlo trial: `gram_svd`'s unit-scale copy,
+and the trial's X and Y.  While `scratch_held` is open in a thread (the
+grid setup in `sim` holds it for all its trials), each call site gets
+back the same buffer on every call, so a grid's trials reuse one set of
+pages instead of growing the heap and having glibc trim it again after
+every trial; otherwise it allocates afresh, as `np.empty_like` does.
 """
 
 from __future__ import annotations
@@ -55,9 +54,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 class _Scratch(threading.local):
-    """This thread's scratch buffers: call-site key -> (the arguments of
-    the buffer's `np.empty_like`, the buffer); None while no hold is
-    open."""
+    """This thread's scratch buffers: call-site key -> (the prototype's
+    shape, strides and dtype, the buffer); None while no hold is open."""
 
     buffers: dict | None = None
 
@@ -77,25 +75,22 @@ def scratch_held():
         _SCRATCH.buffers = None
 
 
-def scratch_buffer(key: str, prototype: np.ndarray, *, order: str = "K",
-                   shape=None) -> np.ndarray:
-    """An uninitialized ``np.empty_like(prototype, order=order,
-    shape=shape)``.
+def scratch_buffer(key: str, prototype: np.ndarray) -> np.ndarray:
+    """An uninitialized ``np.empty_like(prototype)``.
 
     While `scratch_held` is open in this thread, it is the buffer kept
-    under `key`, made again only when the arguments' shape, strides,
-    dtype or `order` differ from the last call's.  Its contents last
-    until the next call with the same key, so each call site has a key
-    of its own, and no buffer may outlive the call that asked for it.
+    under `key`, made again when the prototype's shape, strides or dtype
+    differ from the last call's.  Its contents last until the next call
+    with the same key, so each call site has a string-literal key of its
+    own, and no buffer may outlive the call that asked for it.
     """
     buffers = _SCRATCH.buffers
     if buffers is None:
-        return np.empty_like(prototype, order=order, shape=shape)
-    args = (prototype.shape, prototype.strides, prototype.dtype, order, shape)
+        return np.empty_like(prototype)
+    args = (prototype.shape, prototype.strides, prototype.dtype)
     held = buffers.get(key)
     if held is None or held[0] != args:
-        held = buffers[key] = (args, np.empty_like(prototype, order=order,
-                                                   shape=shape))
+        held = buffers[key] = (args, np.empty_like(prototype))
     return held[1]
 
 
@@ -278,19 +273,17 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     eps * s_1^2 / s_j, and column j of the long-side factor is
     orthonormal to the others to about eps * (s_1 / s_j)^2.
 
-    The unit-scale copy and the Gram matrix are `scratch_buffer`s, so
-    the calls made under one `scratch_held` share them.
+    The unit-scale copy is a `scratch_buffer`: one `scratch_held` shares it.
     """
     m, n = a.shape
     e = int(np.frexp(max(a.max(), -a.min()))[1])
-    # the copy keeps the layout of the short-side view (the transpose of a
-    # tall C-ordered `a` is F-ordered), and the Gram matrix is C-ordered, as
-    # `np.ldexp` and `@` would make them: the Gram product's BLAS path, and
-    # so its last bits, follow the layouts
+    # held, as without it a 400 x 400 grid trial takes ~1,860 minor faults;
+    # laid out as `np.ldexp` lays out the short-side view (the transpose of
+    # a tall C-ordered `a` is F-ordered): the Gram product's BLAS path, and
+    # so its last bits, follow the layout
     short = a if m <= n else a.T
     short = np.ldexp(short, -e, out=scratch_buffer("gram_svd.unit", short))
-    gram = np.matmul(short, short.T, out=scratch_buffer(
-        "gram_svd.gram", short, order="C", shape=(short.shape[0],) * 2))
+    gram = short @ short.T
     # t at unit scale, or inf past the largest double: no value reaches it
     t = math.ldexp(t, -e) if math.frexp(t)[1] - e <= 1024 else math.inf
     lapack = _lapack()

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
+# most points a start:stop:step spec may give: a grid of more never ends
+_MAX_GRID_POINTS = 10**6
 
 ROLE_U = 0x55  # left factor
 ROLE_V = 0x56  # right factor
@@ -151,14 +153,14 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     thresholding: both estimators are asked for r factors.  Both
     estimates and the signal have low rank, so their errors are taken
     from the factors (`_low_rank_op_norm`); only X* - X is decomposed at
-    full size.  X and Y are scratch buffers (`linalg.scratch_held`): in
-    a grid, every trial reuses the same two.
+    full size.  X and Y are scratch buffers laid out as the noise draw
+    (`linalg.scratch_held`): in a grid, every trial reuses the same two.
     """
     u, v, left = _signal_factors(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
-    # X as `make_signal` forms it (C-ordered float64), Y as W is laid out
-    x = np.matmul(left, v.T, out=scratch_buffer(
-        "trial.signal", left, order="C", shape=w.shape))
+    # X and Y are laid out as W, which both samplers return C-ordered; each
+    # is held, as without it a 400 x 400 grid trial takes ~865 minor faults
+    x = np.matmul(left, v.T, out=scratch_buffer("trial.signal", w))
     y = np.add(w, x, out=scratch_buffer("trial.observation", w))
     del w
 
@@ -273,8 +275,8 @@ class ExperimentConfig:
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse '2.0', '1,2,3' or 'start:stop:step' (stop inclusive) into
-    finite values."""
+    """Parse '2.0', '1,2,3' or 'start:stop:step' (stop inclusive, at most
+    `_MAX_GRID_POINTS` points) into finite values."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -284,8 +286,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"bad grid spec {text!r}") from None
+        # an overflow makes the count inf, which fails here, not in `round`
         if not (math.isfinite(start) and math.isfinite(stop)
-                and 0 < step < math.inf and start <= stop):
+                and 0 < step < math.inf and start <= stop
+                and (stop - start) / step + 1 <= _MAX_GRID_POINTS):
             raise ConfigError(f"bad grid spec {text!r}")
         count = int(round((stop - start) / step)) + 1
         return tuple(round(start + i * step, 12) for i in range(count)
@@ -400,9 +404,9 @@ def _trial_task(args):
 def _grid_process():
     """Set this process up to run a grid's trials: BLAS at one thread,
     so that a record does not depend on the calling shell's thread count
-    or on `workers`, and one set of scratch buffers (`linalg.scratch_held`)
-    that all its trials reuse.  On exit, however the block ends, the
-    buffers are dropped and the thread count is restored."""
+    or on `workers`, and the scratch buffers (`linalg.scratch_held`) X, Y
+    and `gram_svd`'s copy that all its trials reuse.  On exit, however
+    the block ends, they are dropped and the thread count is restored."""
     threads = set_blas_threads(1)
     try:
         with scratch_held():
@@ -413,6 +417,7 @@ def _grid_process():
 
 # a pool worker's grid setup, kept for the worker's life
 _WORKER_SETUP = ExitStack()
+_CHUNKSIZE = 4  # trials per pool task
 
 
 def _init_worker() -> None:
@@ -435,12 +440,13 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
              for spec in config.cells() for trial in range(config.trials)]
 
     parallel = config.workers > 1
+    workers = min(config.workers, math.ceil(len(tasks) / _CHUNKSIZE))
     with _grid_process(), (
-            ProcessPoolExecutor(max_workers=config.workers,
+            ProcessPoolExecutor(max_workers=workers,
                                 initializer=_init_worker) if parallel
             else nullcontext()) as pool:
-        mapped = (pool.map(_trial_task, tasks, chunksize=4) if parallel
-                  else map(_trial_task, tasks))
+        mapped = (pool.map(_trial_task, tasks, chunksize=_CHUNKSIZE)
+                  if parallel else map(_trial_task, tasks))
         records = []
         for i, rec in enumerate(mapped, 1):
             records.append(rec)

@@ -64,6 +64,20 @@ class TestSimulate:
         assert res.returncode == 2
         assert "not found" in res.stderr
 
+    @pytest.mark.parametrize("spec", ["1:1e308:1e-308", "0:1e300:1"],
+                             ids=["infinite", "huge"])
+    def test_unbounded_sigma1_range_is_usage_error(self, tmp_path, spec):
+        """A range whose point count is infinite or past the cap is a
+        config error, not an overflow traceback or a hang."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"n = 24\nsigma1 = {spec}\ntrials = 1\n"
+                       "output = o.csv\n")
+        res = run_cli("simulate", str(bad), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert f"bad grid spec '{spec}'" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_key_named(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         for line in ("frobnicate = yes", "kde_mode = binned",
@@ -453,8 +467,13 @@ class TestTheory:
         (["--what", "H", "--sigma", "nan"], "bad grid spec 'nan'"),
         (["--what", "Hinv", "--sigma", "inf"], "bad grid spec 'inf'"),
         (["--what", "H", "--sigma", "1,nan"], "bad grid spec '1,nan'"),
+        (["--what", "H", "--sigma", "1:1e308:1e-308"],
+         "bad grid spec '1:1e308:1e-308'"),
+        (["--what", "H", "--sigma", "0:1e300:1"],
+         "bad grid spec '0:1e300:1'"),
     ], ids=["gamma-zero", "gamma-negative", "gamma-nan", "sigma-nan",
-            "H-sigma-nan", "Hinv-sigma-inf", "H-sigma-list-nan"])
+            "H-sigma-nan", "Hinv-sigma-inf", "H-sigma-list-nan",
+            "H-sigma-range-infinite", "H-sigma-range-huge"])
     def test_out_of_domain_input_is_usage_error(self, args, message):
         res = run_cli("theory", *args)
         assert res.returncode == 2, res.stdout

@@ -230,15 +230,13 @@ class TestScratch:
                   "strided": BASE[::2, 1::3], "column": BASE[:, 3:4],
                   "flat": BASE.ravel()}
 
-    @pytest.mark.parametrize("name", PROTOTYPES)
-    @pytest.mark.parametrize("kwargs", [{}, {"order": "C", "shape": (4, 4)}],
-                             ids=["like", "C-shape"])
-    def test_layout_is_empty_like(self, name, kwargs):
+    @pytest.mark.parametrize("name", PROTOTYPES, ids=lambda n: f"like-{n}")
+    def test_layout_is_empty_like(self, name):
         prototype = self.PROTOTYPES[name]
-        want = np.empty_like(prototype, **kwargs)
-        got = [linalg.scratch_buffer("test", prototype, **kwargs)]
+        want = np.empty_like(prototype)
+        got = [linalg.scratch_buffer("test", prototype)]
         with linalg.scratch_held():
-            got += [linalg.scratch_buffer("test", prototype, **kwargs)] * 2
+            got += [linalg.scratch_buffer("test", prototype)] * 2
         for buf in got:
             assert ((buf.shape, buf.strides, buf.dtype)
                     == (want.shape, want.strides, want.dtype))
@@ -279,22 +277,21 @@ class TestScratch:
                                        (40, 1), (1, 40)])
     def test_gram_svd_buffers_keep_the_fresh_layouts(self, monkeypatch,
                                                      backend, shape):
-        """Held or not, the unit-scale copy and the Gram matrix are laid
-        out as `np.ldexp` and `@` lay out fresh ones, and every bit of the
-        result is the same, for C, F and strided inputs of either
-        orientation.  The Gram product's BLAS path follows the layouts:
-        a C-ordered copy of a tall C input's transpose changes the last
-        bits.  (The stride of a length-1 axis places no element, and
-        numpy's own choice for it differs between `np.ldexp` and
-        `np.empty_like`.)"""
+        """Held or not, the unit-scale copy is laid out as `np.ldexp`
+        lays out a fresh one, and every bit of the result is the same,
+        for C, F and strided inputs of either orientation.  The Gram
+        product's BLAS path follows the copy's layout: a C-ordered copy
+        of a tall C input's transpose changes the last bits.  (The
+        stride of a length-1 axis places no element, and numpy's own
+        choice for it differs between `np.ldexp` and `np.empty_like`.)"""
         def layout(a):
             return a.shape, [s for s, n in zip(a.strides, a.shape) if n > 1]
 
         made = {}
         scratch = linalg.scratch_buffer
 
-        def recording(key, prototype, **kwargs):
-            made[key] = scratch(key, prototype, **kwargs)
+        def recording(key, prototype):
+            made[key] = scratch(key, prototype)
             return made[key]
 
         monkeypatch.setattr(linalg, "scratch_buffer", recording)
@@ -304,15 +301,13 @@ class TestScratch:
                   np.asfortranarray(big[::2, ::2]), big[::2, ::2],
                   big[:shape[0], :shape[1]]):
             short = a if a.shape[0] <= a.shape[1] else a.T
-            fresh_unit = np.ldexp(short, -1)
-            fresh_gram = fresh_unit @ fresh_unit.T
             fresh = linalg.gram_svd(a, 1.0, 3)
             with linalg.scratch_held():
                 linalg.gram_svd(a, 1.0, 3)
                 held = linalg.gram_svd(a, 1.0, 3)
-            for key, want in (("gram_svd.unit", fresh_unit),
-                              ("gram_svd.gram", fresh_gram)):
-                assert layout(made[key]) == layout(want)
+            assert set(made) == {"gram_svd.unit"}
+            assert (layout(made["gram_svd.unit"])
+                    == layout(np.ldexp(short, -1)))
             assert fresh[0] == held[0]
             for x, y in zip((*fresh[1:4], fresh[4]()),
                             (*held[1:4], held[4]())):

@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import math
 import multiprocessing
+import os
+import platform
 import re
 import subprocess
 import sys
@@ -23,6 +26,39 @@ from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
 from conftest import package_env, traced_peak_arrays
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# minor faults per 400 x 400 trial after a process's first, read by
+# `test_held_buffers_stop_page_faults`: argv is the CSV path and `workers`
+FAULTS_SCRIPT = """\
+import resource, statistics, sys
+from adadenoise import ExperimentConfig, run_grid
+
+out, workers = sys.argv[1], int(sys.argv[2])
+
+
+def grid(trials, sigma1_grid, progress=None):
+    run_grid(ExperimentConfig(ns=(400,), sigma1_grid=sigma1_grid,
+                              trials=trials, base_seed=9, output=out,
+                              workers=workers), progress)
+
+
+def faults(who):
+    return resource.getrusage(who).ru_minflt
+
+
+if workers == 1:
+    counts = []
+    grid(6, (3.0,), lambda done, total: counts.append(
+        faults(resource.RUSAGE_SELF)))
+    print(statistics.median(b - a for a, b in zip(counts, counts[1:])))
+else:
+    taken = []
+    for trials in (2, 6):
+        before = faults(resource.RUSAGE_CHILDREN)
+        grid(trials, (1.0, 2.0, 3.0))
+        taken.append(faults(resource.RUSAGE_CHILDREN) - before)
+    print((taken[1] - taken[0]) / (3 * 4))
+"""
 
 
 class TestSeeds:
@@ -222,8 +258,11 @@ class TestConfig:
         grid = parse_grid("0.2:4.0:0.2")
         assert len(grid) == 20
         assert grid[0] == 0.2 and grid[-1] == 4.0
+        # the last three are a range of infinitely many points, which
+        # `round` cannot take, one too many to list, and one past the cap
         for bad in ("1:2", "1:inf:1", "1:nan:1", "nan:2:1", "1:2:inf",
-                    "nan", "inf", "1,nan", "1,-inf"):
+                    "nan", "inf", "1,nan", "1,-inf",
+                    "1:1e308:1e-308", "0:1e300:1", "0:1000000:1"):
             with pytest.raises(ConfigError):
                 parse_grid(bad)
 
@@ -477,9 +516,10 @@ class TestRunGrid:
         """In a grid, a 400 x 400 trial after the first allocates only
         what the held buffers do not cover, at most about 2.6 m x n
         arrays at a time (5.1 for a trial outside a grid): W and its
-        coins, the sorted entries with their binning fractions, and X*.
-        X, Y and the unit-scale copies and Gram matrices the spectral
-        steps decompose are the first trial's buffers."""
+        coins, the sorted entries with their binning fractions, X*, and
+        the Gram matrices the spectral steps decompose.  X, Y and the
+        unit-scale copies the Gram matrices are formed from are the
+        first trial's buffers."""
         peaks = []
 
         def progress(done, total):
@@ -496,6 +536,48 @@ class TestRunGrid:
         finally:
             tracemalloc.stop()
         assert peaks[0] / (8 * 400 * 400) <= 3.1
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("resource") is None
+        or platform.libc_ver()[0] != "glibc",
+        reason="reads minor faults through `resource`, on glibc's heap")
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+    def test_held_buffers_stop_page_faults(self, tmp_path, workers):
+        """A 400 x 400 trial after a process's first takes fewer minor
+        faults than the pages of one m x n array: glibc would otherwise
+        trim the freed top of its heap after each trial and fault the
+        pages in again.  In the grid's own process, the median over
+        trials 2-6 of one cell; in a pool of 2 workers, the faults of its
+        reaped workers per trial that a run of 6 trials per cell takes
+        beyond one of 2 (3 cells, so that both runs start both workers).
+        The grids run in a fresh process, whose heap starts clean."""
+        res = subprocess.run(
+            [sys.executable, "-c", FAULTS_SCRIPT, str(tmp_path / "out.csv"),
+             str(workers)],
+            capture_output=True, text=True, check=True, timeout=300,
+            env={**package_env(), "OPENBLAS_NUM_THREADS": "1"})
+        pages = math.ceil(8 * 400 * 400 / os.sysconf("SC_PAGE_SIZE"))
+        assert float(res.stdout) < pages
+
+    def test_pool_starts_no_worker_without_a_chunk(self, tmp_path,
+                                                   monkeypatch):
+        """The pool starts at most one worker per chunk of trials: a
+        3-trial grid at `workers = 4` is one chunk and starts one worker,
+        and its records are those of `workers = 1`."""
+        started = []
+        pool = sim.ProcessPoolExecutor
+
+        def recording(**kwargs):
+            started.append(kwargs["max_workers"])
+            return pool(**kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording)
+        serial = run_grid(self.small_config(
+            tmp_path, output=str(tmp_path / "s.csv")))
+        parallel = run_grid(self.small_config(
+            tmp_path, output=str(tmp_path / "p.csv"), workers=4))
+        assert started == [1]
+        assert repr(parallel) == repr(serial)
 
     def test_buffers_dropped_when_the_grid_ends(self, tmp_path, monkeypatch):
         """The grid holds its scratch buffers while its trials run and
