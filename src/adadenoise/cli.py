@@ -3,7 +3,7 @@
 Three subcommands wrap the library one-to-one:
 
 * ``simulate CONFIG``  -- run a Monte-Carlo grid, write its CSV.
-* ``denoise INPUT -o PREFIX``  -- denoise one matrix file.
+* ``denoise INPUT -o PREFIX [--noise-sd SD]``  -- denoise one matrix file.
 * ``theory --what ... --sigma ...``  -- tabulate closed-form curves.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or parse failure.
@@ -92,12 +92,6 @@ def _write_meta(path, fields) -> None:
 
 
 def cmd_denoise(args) -> int:
-    if args.mode == "baseline" and args.noise_sd is None:
-        _err("--noise-sd is required with --mode baseline")
-        return USAGE_ERROR
-    if args.mode != "baseline" and args.noise_sd is not None:
-        _err("--noise-sd only applies to --mode baseline")
-        return USAGE_ERROR
     if args.noise_sd is not None and not (0 < args.noise_sd < math.inf):
         _err("--noise-sd must be positive and finite")
         return USAGE_ERROR
@@ -107,11 +101,11 @@ def cmd_denoise(args) -> int:
         return USAGE_ERROR
 
     try:
-        if args.mode == "adaptive":
+        if args.noise_sd is None:
             res = denoise(y)
             meta = [("i_hat", res.i_hat), ("k_hat", res.k_hat),
                     ("y_bar", res.y_bar)]
-        else:  # baseline
+        else:  # the baseline, at the known noise sd
             res = baseline_estimate(y, noise_sd=args.noise_sd)
             meta = [("noise_sd", args.noise_sd), ("k_hat", res.k_hat)]
         # the full spectrum is taken on first read of sigma0; read it
@@ -185,10 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("input", help="input matrix (headerless CSV)")
     p_den.add_argument("-o", "--output-prefix", required=True,
                        help="prefix for _xhat.csv/_xstar.csv/_meta.txt outputs")
-    p_den.add_argument("--mode", choices=["adaptive", "baseline"],
-                       default="adaptive")
     p_den.add_argument("--noise-sd", type=float, default=None,
-                       help="noise standard deviation (baseline mode)")
+                       help="known noise sd: run the PCA baseline at it")
     p_den.set_defaults(func=cmd_denoise)
 
     p_th = sub.add_parser("theory", allow_abbrev=False,

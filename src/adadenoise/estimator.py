@@ -91,9 +91,9 @@ class DenoiseResult:
     the adaptive pipeline and the input's for the PCA baseline.  It is
     formed on its first read, from the diagonal and off-diagonal the
     result keeps of the decomposition, with the same values as if
-    formed at once; nothing else in the pipeline reads it.  It agrees
-    with the SVD's values to about eps * s_1^2 / s_j absolute
-    (`linalg.gram_svd`), and values past the numerical rank rho read 0.
+    formed at once; in the package only the CLI and pickling read it.
+    It agrees with the SVD's values to about eps * s_1^2 / s_j absolute
+    (`linalg.gram_svd`); values past the numerical rank rho read 0.
     `sigma_shrunk` holds the thresholded-and-debiased singular values of
     x_hat on the same scale, min(m, n) of them, zero past k_hat.
     `u_hat` (m x k) and `v_hat` (n x k) hold the leading
@@ -128,6 +128,11 @@ class DenoiseResult:
     def sigma0(self) -> np.ndarray:
         """All min(m, n) scaled singular values, taken on first read."""
         return self._spectrum() / self._scale
+
+    def __getstate__(self):
+        """Pickled with `sigma0`'s values in place of the function that
+        takes them, which cannot be pickled."""
+        return {**vars(self), "sigma0": self.sigma0, "_spectrum": None}
 
 
 def _score_gain(est: DensityEstimate, psi: np.ndarray, n: int) -> float:

@@ -121,7 +121,7 @@ class DensityEstimate:
 
     def evaluate(self, x, table, out=None):
         """Linear interpolation at `x` (scalar or array) of `table`, a
-        function tabulated on the grid.
+        function tabulated on the grid: one value per node, or ValueError.
 
         The cell index comes straight from the uniform spacing, O(1) per
         point.  Points outside the grid clamp to the end values, as in
@@ -129,6 +129,8 @@ class DensityEstimate:
         float64 array of x's shape, which may be `x` itself; it is
         returned.
         """
+        if np.shape(table) != self.counts.shape:
+            raise ValueError("table must hold one value per grid node")
         x = np.asarray(x, dtype=np.float64)
         if out is None:
             out = np.empty(x.shape)

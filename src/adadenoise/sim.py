@@ -439,8 +439,8 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)
              for spec in config.cells() for trial in range(config.trials)]
 
-    parallel = config.workers > 1
     workers = min(config.workers, math.ceil(len(tasks) / _CHUNKSIZE))
+    parallel = workers > 1  # one chunk: a pool would only add pickling
     with _grid_process(), (
             ProcessPoolExecutor(max_workers=workers,
                                 initializer=_init_worker) if parallel

@@ -41,6 +41,17 @@ class McGrid:
         return self.cells[sigma1]
 
 
+@pytest.fixture(params=["lapack", "eigh"])
+def backend(request, monkeypatch):
+    """Runs a test on each `gram_svd` backend: numpy's bundled LAPACK,
+    and the `np.linalg.eigh` fallback forced by hiding the former."""
+    if request.param == "eigh":
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    elif linalg._lapack() is None:
+        pytest.skip("numpy's LAPACK does not export the LAPACKE routines")
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def mc_grid():
     """50 trials at n = m = 400, rank 1, mixture noise, per sigma1 cell."""

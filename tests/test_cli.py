@@ -218,7 +218,7 @@ class TestDenoise:
             extra, res = [], denoise(y)
             expected = {"xhat": res.x_hat, "xstar": res.x_star}
         else:
-            extra = ["--mode", "baseline", "--noise-sd", "2.2360679775"]
+            extra = ["--noise-sd", "2.2360679775"]
             expected = {"xhat": baseline_estimate(y, 2.2360679775).x_hat}
         run = run_cli("denoise", str(path), "-o", str(prefix), *extra)
         assert run.returncode == 0, run.stderr
@@ -229,35 +229,26 @@ class TestDenoise:
             assert written == row_format_csv(matrix)
 
     def test_baseline_mode(self, tmp_path, noisy_matrix):
+        """A known noise sd runs the PCA baseline at it."""
         path, y = noisy_matrix
         prefix = tmp_path / "bl"
         res = run_cli("denoise", str(path), "-o", str(prefix),
-                      "--mode", "baseline", "--noise-sd", "2.2360679775")
+                      "--noise-sd", "2.2360679775")
         assert res.returncode == 0, res.stderr
         lib = baseline_estimate(y, noise_sd=2.2360679775)
         xhat = read_matrix_csv(f"{prefix}_xhat.csv")
         np.testing.assert_array_equal(xhat, lib.x_hat)
 
-    def test_baseline_requires_noise_sd(self, tmp_path, noisy_matrix):
-        path, _ = noisy_matrix
-        res = run_cli("denoise", str(path), "-o", str(tmp_path / "x"),
-                      "--mode", "baseline")
-        assert res.returncode == 2
-        assert "--noise-sd" in res.stderr
-
     @pytest.mark.parametrize("flag, word", [
         ("--eps=0", "eps"), ("--delta=-1", "delta"),
         ("--delta=nan", "delta"), ("--delta=inf", "delta"),
-        ("--mode=baseline --noise-sd=-1", "noise-sd"),
-        ("--mode=baseline --noise-sd=inf", "noise-sd"),
-        ("--noise-sd=1", "only applies to --mode baseline"),
+        ("--noise-sd=-1", "noise-sd"), ("--noise-sd=inf", "noise-sd"),
         ("--h=-1", "unrecognized arguments"),
         ("--h=inf", "unrecognized arguments")])
     def test_invalid_setting_is_usage_error(self, tmp_path, noisy_matrix,
                                             flag, word):
-        # a flag of a removed setting is an unknown flag; the adaptive
-        # mode estimates the noise, so a noise sd given to it is refused,
-        # not ignored
+        # a flag of a removed setting is an unknown flag; a noise sd that
+        # is not positive and finite is refused before the input is read
         path, _ = noisy_matrix
         prefix = tmp_path / "x"
         res = run_cli("denoise", str(path), "-o", str(prefix), *flag.split())
@@ -270,6 +261,8 @@ class TestDenoise:
     @pytest.mark.parametrize("flag, value", [("--kde-bins", "4096"),
                                              ("--gamma", "1"),
                                              ("--mode", "star"),
+                                             ("--mode", "baseline"),
+                                             ("--mode", "adaptive"),
                                              ("--h", "0.3"),
                                              ("--h-prime", "0.3"),
                                              ("--noise", "1"),
@@ -277,8 +270,9 @@ class TestDenoise:
     def test_deleted_option_is_usage_error(self, tmp_path, noisy_matrix,
                                            flag, value):
         """The grid size is fixed, the aspect ratio is the input's m/n,
-        the adaptive mode writes X*, the bandwidths follow the input's
-        shape and eps and delta are constants: none is an option.  No
+        the adaptive pipeline writes X*, a known noise sd alone picks the
+        baseline, the bandwidths follow the input's shape and eps and
+        delta are constants: none is an option.  No
         prefix of a flag is read as that flag: `--h` is not `--help`
         and `--noise` not `--noise-sd`."""
         path, _ = noisy_matrix
@@ -295,7 +289,7 @@ class TestDenoise:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("mode", [
-        [], ["--mode", "baseline", "--noise-sd", "1"]],
+        [], ["--noise-sd", "1"]],
         ids=["adaptive", "baseline"])
     def test_unwritable_output_is_runtime_error(self, tmp_path, noisy_matrix,
                                                 mode):
@@ -322,7 +316,7 @@ class TestDenoise:
         assert "Eigenvalues did not converge" in err
 
     @pytest.mark.parametrize("mode", [
-        [], ["--mode", "baseline", "--noise-sd", "1"]],
+        [], ["--noise-sd", "1"]],
         ids=["adaptive", "baseline"])
     def test_spectrum_failure_leaves_no_output(self, tmp_path, noisy_matrix,
                                                monkeypatch, capsys, mode):
@@ -345,7 +339,7 @@ class TestDenoise:
         path = tmp_path / "big.csv"
         write_matrix_csv(np.full((30, 40), 1e307), path)
         code = main(["denoise", str(path), "-o", str(tmp_path / "z"),
-                     "--mode", "baseline", "--noise-sd", "1"])
+                     "--noise-sd", "1"])
         assert code == 1
         err = capsys.readouterr().err
         assert "denoising failed" in err
@@ -360,7 +354,7 @@ class TestDenoise:
         write_matrix_csv(y, path)
         prefix = tmp_path / "x"
         code = main(["denoise", str(path), "-o", str(prefix),
-                     "--mode", "baseline", "--noise-sd", "1"])
+                     "--noise-sd", "1"])
         assert code == 0
         x_hat = read_matrix_csv(f"{prefix}_xhat.csv")
         assert np.array_equal(
@@ -375,7 +369,7 @@ class TestDenoise:
         write_matrix_csv(1e-170 * y, path)
         prefix = tmp_path / "x"
         code = main(["denoise", str(path), "-o", str(prefix),
-                     "--mode", "baseline", "--noise-sd", "1e-170"])
+                     "--noise-sd", "1e-170"])
         assert code == 0
         x_hat = read_matrix_csv(f"{prefix}_xhat.csv")
         assert np.array_equal(

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -522,6 +523,21 @@ class TestLazySpectrum:
         assert again.sigma0 is again.sigma0  # taken once, then kept
         np.testing.assert_array_equal(again.sigma0, want)
 
+    @pytest.mark.parametrize("read_first", [False, True],
+                             ids=["sigma0-unread", "sigma0-read"])
+    def test_result_pickles_bitwise(self, backend, read_first):
+        """A result survives a pickle round trip, as from a process pool,
+        with the same bits, whether or not `sigma0` was read first."""
+        spec = SignalSpec(m=60, n=50, r=2, sigmas=(5.0, 4.0))
+        x, _, _ = make_signal(spec, seed=80)
+        y = x + GaussianMixture(2.0).sample(60, 50, seed=81)
+        for res in (denoise(y), baseline_estimate(y, math.sqrt(5.0))):
+            if read_first:
+                res.sigma0
+            back = pickle.loads(pickle.dumps(res))
+            for name in ("x_hat", "sigma0", "u_hat", "v_hat", "x_star"):
+                assert np.array_equal(getattr(back, name),
+                                      getattr(res, name)), name
 
     def test_x_hat_is_formed_on_first_read(self):
         spec = SignalSpec(m=60, n=80, r=2, sigmas=(5.0, 4.0))

@@ -199,6 +199,16 @@ class TestKdeBinned:
             with pytest.raises(ValueError, match="out must be"):
                 est.evaluate(x, table, out=bad)
 
+    def test_lookup_takes_one_value_per_node(self, mixture_samples):
+        """A table of any other length than the grid's is refused, not
+        interpolated into wrong values."""
+        est = kde_binned(mixture_samples, 0.2, 0.3)
+        for table in (est.density[:100], np.arange(5.0),
+                      np.append(est.density, 0.0),
+                      est.density.reshape(2, -1)):
+            with pytest.raises(ValueError, match="one value per grid node"):
+                est.evaluate([0.0, 1.0], table)
+
     def test_grid_is_uniform_and_increasing(self, mixture_samples):
         est = kde_binned(mixture_samples, 0.3, 0.3)
         assert isinstance(est, DensityEstimate)

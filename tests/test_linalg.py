@@ -56,17 +56,6 @@ class TestOpNorm:
         assert norm <= best * 1.25
 
 
-@pytest.fixture(params=["lapack", "eigh"])
-def backend(request, monkeypatch):
-    """Runs a test on each `gram_svd` backend: numpy's bundled LAPACK,
-    and the `np.linalg.eigh` fallback forced by hiding the former."""
-    if request.param == "eigh":
-        monkeypatch.setattr(linalg, "_lapack", lambda: None)
-    elif linalg._lapack() is None:
-        pytest.skip("numpy's LAPACK does not export the LAPACKE routines")
-    return request.param
-
-
 class TestOpNormEigh(TestOpNorm):
     """`TestOpNorm` on the `np.linalg.eigh` fallback, forced by hiding
     the resolved LAPACK routines."""

@@ -7,6 +7,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import adadenoise
 from adadenoise import cli, estimator, sim
 
@@ -150,26 +152,39 @@ def test_readme_csv_schema_is_the_written_header(tmp_path):
     assert line == header
 
 
-def _denoise_flags() -> set[str]:
-    parser = cli.build_parser()
-    (subparsers,) = [action for action in parser._actions
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = [action for action in cli.build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]
-    return {flag for action in subparsers.choices["denoise"]._actions
-            for flag in action.option_strings}
+    return subparsers.choices
 
 
-def test_readme_denoise_options_exist():
-    section = _readme_section("### `adadenoise denoise")
+def test_readme_has_one_section_per_subcommand():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sections = re.findall(r"^### `adadenoise (\w+)", text, re.MULTILINE)
+    assert sorted(sections) == sorted(_subcommands())
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_readme_section_names_exactly_the_parsers_flags(command):
+    """The README's section on a subcommand names each of its flags by
+    its long form, and no other flag: a stale flag fails, and so does
+    an undocumented one.  `-h/--help` is left out."""
+    section = _readme_section(f"### `adadenoise {command}")
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
-    flags = _denoise_flags()
-    assert named and named <= flags, named - flags
+    actions = [set(action.option_strings)
+               for action in _subcommands()[command]._actions
+               if action.option_strings and action.dest != "help"]
+    # every flag has a long form, so naming long forms covers them all
+    assert all(any(f.startswith("--") for f in a) for a in actions)
+    flags = {f for a in actions for f in a if f.startswith("--")}
+    assert named == flags, (named - flags, flags - named)
 
 
 def test_denoiser_settings_are_one_set_on_every_surface():
     """The denoiser has no settings on any surface: the estimators take
     the matrix, the baseline's noise sd and the number of factors; the
     config keys build the grid and the noise model only; the `denoise`
-    flags other than help, output, mode and the baseline's noise sd are
+    flags other than help, output and the baseline's noise sd are
     none."""
     assert list(inspect.signature(estimator.denoise).parameters) == [
         "y", "factors"]
@@ -182,5 +197,6 @@ def test_denoiser_settings_are_one_set_on_every_surface():
     fields = {f.name for f in dataclasses.fields(sim.ExperimentConfig)}
     removed = {"eps", "delta", "h", "h_prime"}
     assert not fields & removed and not removed & set(sim._SCHEMA)
-    other = {"-h", "--help", "-o", "--output-prefix", "--mode", "--noise-sd"}
-    assert _denoise_flags() == other
+    other = {"-h", "--help", "-o", "--output-prefix", "--noise-sd"}
+    assert {flag for action in _subcommands()["denoise"]._actions
+            for flag in action.option_strings} == other

@@ -448,9 +448,11 @@ class TestRunGrid:
         assert [r.sigma1 for r in records] == [1.0, 1.0, 2.0, 2.0]
 
     def test_parallel_matches_serial(self, tmp_path):
-        serial = self.small_config(tmp_path, output=str(tmp_path / "s.csv"))
-        parallel = self.small_config(tmp_path, output=str(tmp_path / "p.csv"),
-                                     workers=2)
+        # 5 trials: two chunks, so the pool starts
+        serial = self.small_config(tmp_path, trials=5,
+                                   output=str(tmp_path / "s.csv"))
+        parallel = self.small_config(tmp_path, trials=5, workers=2,
+                                     output=str(tmp_path / "p.csv"))
         run_grid(serial)
         run_grid(parallel)
         assert (Path(serial.output).read_bytes()
@@ -459,12 +461,13 @@ class TestRunGrid:
     def test_records_do_not_depend_on_blas_threads(self, tmp_path):
         """Records (all bits) and the CSV are the same for one and two
         OpenBLAS threads in the calling environment and for one and two
-        workers.  At n = 400 threaded BLAS splits its sums, so without
-        the hold the records differ in the last bits."""
+        workers (5 trials, two chunks, so the pool starts).  At n = 400
+        threaded BLAS splits its sums, so without the hold the records
+        differ in the last bits."""
         code = ("import sys\n"
                 "from adadenoise import ExperimentConfig, run_grid\n"
                 "config = ExperimentConfig(ns=(int(sys.argv[3]),), "
-                "ranks=(1,), sigma1_grid=(3.0,), trials=2, base_seed=5, "
+                "ranks=(1,), sigma1_grid=(3.0,), trials=5, base_seed=5, "
                 "gamma=float(sys.argv[4]), output=sys.argv[1], "
                 "workers=int(sys.argv[2]))\n"
                 "for rec in run_grid(config):\n"
@@ -561,9 +564,10 @@ class TestRunGrid:
 
     def test_pool_starts_no_worker_without_a_chunk(self, tmp_path,
                                                    monkeypatch):
-        """The pool starts at most one worker per chunk of trials: a
-        3-trial grid at `workers = 4` is one chunk and starts one worker,
-        and its records are those of `workers = 1`."""
+        """The pool starts at most one worker per chunk of trials, and
+        none for a grid of one chunk: at `workers = 4` a 3-trial grid runs
+        in process and a 5-trial grid starts two workers.  Both give the
+        records of `workers = 1`."""
         started = []
         pool = sim.ProcessPoolExecutor
 
@@ -572,12 +576,14 @@ class TestRunGrid:
             return pool(**kwargs)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", recording)
-        serial = run_grid(self.small_config(
-            tmp_path, output=str(tmp_path / "s.csv")))
-        parallel = run_grid(self.small_config(
-            tmp_path, output=str(tmp_path / "p.csv"), workers=4))
-        assert started == [1]
-        assert repr(parallel) == repr(serial)
+        for trials, pools in ((3, []), (5, [2])):
+            serial = run_grid(self.small_config(
+                tmp_path, trials=trials, output=str(tmp_path / "s.csv")))
+            parallel = run_grid(self.small_config(
+                tmp_path, trials=trials, output=str(tmp_path / "p.csv"),
+                workers=4))
+            assert started == pools
+            assert repr(parallel) == repr(serial)
 
     def test_buffers_dropped_when_the_grid_ends(self, tmp_path, monkeypatch):
         """The grid holds its scratch buffers while its trials run and
