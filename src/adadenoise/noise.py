@@ -29,7 +29,17 @@ def _phi(x, var=1.0):
 
 
 class NoiseModel(ABC):
-    """Common interface for scalar noise distributions."""
+    """Common interface for scalar noise distributions.
+
+    Two models are equal, and hash alike, when they are of one kind with
+    equal parameters.
+    """
+
+    def __eq__(self, other):
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((type(self), *vars(self).values()))
 
     @abstractmethod
     def density(self, x):

@@ -16,7 +16,7 @@ import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,27 +311,28 @@ def _list(parse):
 _NOISE_KINDS = {"mixture": GaussianMixture, "gaussian": Gaussian}
 
 
-def _noise_kind(text: str) -> type[NoiseModel]:
-    if text not in _NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {text!r}")
-    return _NOISE_KINDS[text]
+def _noise(text: str) -> NoiseModel:
+    """Parse `KIND [PARAM]`: the model of that kind, with PARAM as its
+    one constructor argument when given."""
+    kind, *param = text.split() or [""]
+    if kind not in _NOISE_KINDS or len(param) > 1:
+        raise ValueError(f"want 'KIND [PARAM]' with KIND one of "
+                         f"{', '.join(_NOISE_KINDS)}, not {text!r}")
+    return _NOISE_KINDS[kind](*map(float, param))
 
 
-# config key -> (the object its value builds, that object's field, parser);
-# `noise` picks the model that its kind's one parameter key builds
+# config key -> (the `ExperimentConfig` field its value sets, parser)
 _SCHEMA = {
-    "n": (ExperimentConfig, "ns", _list(int)),
-    "rank": (ExperimentConfig, "ranks", _list(int)),
-    "sigma1": (ExperimentConfig, "sigma1_grid", parse_grid),
-    "sigma_ratios": (ExperimentConfig, "sigma_ratios", _list(float)),
-    "noise": (ExperimentConfig, "noise", _noise_kind),
-    "noise_mu": (GaussianMixture, "mu", float),
-    "noise_variance": (Gaussian, "variance", float),
-    "trials": (ExperimentConfig, "trials", int),
-    "base_seed": (ExperimentConfig, "base_seed", int),
-    "gamma": (ExperimentConfig, "gamma", float),
-    "output": (ExperimentConfig, "output", str),
-    "workers": (ExperimentConfig, "workers", int),
+    "n": ("ns", _list(int)),
+    "rank": ("ranks", _list(int)),
+    "sigma1": ("sigma1_grid", parse_grid),
+    "sigma_ratios": ("sigma_ratios", _list(float)),
+    "noise": ("noise", _noise),
+    "trials": ("trials", int),
+    "base_seed": ("base_seed", int),
+    "gamma": ("gamma", float),
+    "output": ("output", str),
+    "workers": ("workers", int),
 }
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
@@ -350,7 +351,7 @@ def load_config(path) -> ExperimentConfig:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file: {exc}") from None
-    parsed = {}
+    settings = {}
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -360,37 +361,21 @@ def load_config(path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in parsed:
+        name, parse = _SCHEMA[key]
+        if name in settings:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            parsed[key] = _SCHEMA[key][2](value)
+            settings[name] = parse(value)
         except ValueError as exc:  # ConfigError included
             raise ConfigError(f"{path}: key {key!r}: {exc}") from None
 
-    for key, (owner, name, _) in _SCHEMA.items():
-        if (owner is ExperimentConfig and key not in parsed
+    for key, (name, _) in _SCHEMA.items():
+        if (name not in settings
                 and _FIELDS[name].default is dataclasses.MISSING
                 and _FIELDS[name].default_factory is dataclasses.MISSING):
             raise ConfigError(f"{path}: missing required key {key!r}")
-
-    def given(owner):
-        return {_SCHEMA[key][1]: value for key, value in parsed.items()
-                if _SCHEMA[key][0] is owner}
-
-    settings = given(ExperimentConfig)
-    kind = settings.pop("noise", _FIELDS["noise"].default_factory)
-    for key in parsed:
-        owner = _SCHEMA[key][0]
-        if owner in _NOISE_KINDS.values() and owner is not kind:
-            other = {m: name for name, m in _NOISE_KINDS.items()}[owner]
-            raise ConfigError(f"{path}: {key!r} only applies to {other} noise")
     try:
-        noise = kind(**given(kind))
-    except ValueError as exc:  # a noise kind has one parameter key
-        key = next(key for key in parsed if _SCHEMA[key][0] is kind)
-        raise ConfigError(f"{path}: key {key!r}: {exc}") from None
-    try:
-        return ExperimentConfig(**settings, noise=noise)
+        return ExperimentConfig(**settings)
     except ValueError as exc:  # ConfigError included: name the file
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -446,12 +431,15 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
                                 initializer=_init_worker) if parallel
             else nullcontext()) as pool:
         mapped = (pool.map(_trial_task, tasks, chunksize=_CHUNKSIZE)
-                  if parallel else map(_trial_task, tasks))
-        records = []
-        for i, rec in enumerate(mapped, 1):
-            records.append(rec)
-            if progress is not None:
-                progress(i, len(tasks))
+                  if parallel else (_trial_task(task) for task in tasks))
+        # closed however the loop ends: a pool's map then cancels the
+        # trials it queued, which the pool's exit would otherwise wait for
+        with closing(mapped):
+            records = []
+            for i, rec in enumerate(mapped, 1):
+                records.append(rec)
+                if progress is not None:
+                    progress(i, len(tasks))
 
     write_records_csv(records, config.output)
     return records

@@ -79,14 +79,18 @@ class TestSimulate:
         assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_key_named(self, tmp_path):
+        """An unknown key, a key of an earlier version among them, exits
+        2 with the key and its line named."""
         bad = tmp_path / "bad.cfg"
         for line in ("frobnicate = yes", "kde_mode = binned",
-                     "kde_bins = 4096", "h = 0.3", "h_prime = 0.3"):
+                     "kde_bins = 4096", "h = 0.3", "h_prime = 0.3",
+                     "noise_mu = 2.0", "noise_variance = 1.0"):
             bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
                            f"output = o.csv\n{line}\n")
             res = run_cli("simulate", str(bad), cwd=tmp_path)
             assert res.returncode == 2
-            assert line.split()[0] in res.stderr
+            key = line.split()[0]
+            assert f"bad.cfg:5: unknown config key {key!r}" in res.stderr
 
     @pytest.mark.parametrize("line, key", [
         ("eps = 0", "eps"),
@@ -102,8 +106,9 @@ class TestSimulate:
                                     f"bad.cfg:5: unknown config key {key!r}")
 
     @pytest.mark.parametrize("lines, key", [
-        ("noise_mu = -1", "noise_mu"), ("noise_mu = nan", "noise_mu"),
-        ("noise = gaussian\nnoise_variance = -1", "noise_variance"),
+        ("noise = mixture -1", "key 'noise'"),
+        ("noise = mixture nan", "key 'noise'"),
+        ("noise = gaussian -1", "key 'noise'"),
         ("gamma = inf", "gamma")])
     def test_invalid_config_value_is_usage_error(self, tmp_path, lines, key):
         assert_simulate_usage_error(tmp_path, lines, key)

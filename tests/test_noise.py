@@ -216,3 +216,21 @@ class TestScore:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             Gaussian(1.0).score(0.0, eps=-1e-3)
+
+
+class TestEquality:
+    def test_models_are_equal_by_kind_and_parameter(self):
+        assert Gaussian(4) == Gaussian(4.0)
+        assert GaussianMixture() == GaussianMixture(2.0)
+        assert Gaussian(1.0) != Gaussian(2.0)
+        assert GaussianMixture(1.0) != GaussianMixture(1.5)
+        # one parameter value, two kinds
+        assert Gaussian(1.0) != GaussianMixture(1.0)
+        assert Gaussian(1.0) != 1.0
+
+    def test_equal_models_hash_alike(self):
+        assert hash(Gaussian(4)) == hash(Gaussian(4.0))
+        assert hash(GaussianMixture(0.0)) == hash(GaussianMixture(-0.0))
+        models = {Gaussian(1.0), Gaussian(1.0), GaussianMixture(1.0),
+                  GaussianMixture(1.0)}
+        assert models == {Gaussian(1.0), GaussianMixture(1.0)}

@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -26,6 +27,25 @@ from adadenoise.sim import (ROLE_U, ROLE_V, ROLE_W, ConfigError, derive_seed,
 from conftest import package_env, traced_peak_arrays
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+NOISE_KINDS = ("key 'noise': want 'KIND [PARAM]' with KIND one of "
+               + ", ".join(sim._NOISE_KINDS))
+
+
+class LoggedMixture(GaussianMixture):
+    """Mixture noise whose every draw appends a line to the file `log`
+    and takes at least 10 ms, so that a test counts the trials a pool
+    worker ran; it pickles, so a worker can take it."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = str(log)
+
+    def sample(self, m, n, seed):
+        with open(self.log, "a") as fh:
+            fh.write("draw\n")
+        time.sleep(0.01)
+        return super().sample(m, n, seed)
+
 
 # minor faults per 400 x 400 trial after a process's first, read by
 # `test_held_buffers_stop_page_faults`: argv is the CSV path and `workers`
@@ -296,11 +316,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("line, word", [
         ("sigma1 = 3:1:1", "bad grid spec '3:1:1'"),
-        ("sigma1 = 1\nnoise_mu = -1", "key 'noise_mu'"),
+        ("sigma1 = 1\nnoise = mixture -1", "key 'noise'"),
         ("sigma1 = 1\ngamma = inf", "gamma must be positive"),
-        ("sigma1 = 1\nnoise = gaussian\nnoise_mu = 1",
-         "'noise_mu' only applies to mixture noise")],
-        ids=["grid", "setting", "gamma", "other_kind"])
+        # no kind, an unknown kind and a second parameter list the kinds
+        ("sigma1 = 1\nnoise =", NOISE_KINDS),
+        ("sigma1 = 1\nnoise = student 3", NOISE_KINDS),
+        ("sigma1 = 1\nnoise = mixture 1 2", NOISE_KINDS)],
+        ids=["grid", "setting", "gamma", "no_kind", "unknown_kind",
+             "two_parameters"])
     def test_value_errors_name_the_file(self, tmp_path, line, word):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"n = 60\ntrials = 1\noutput = o.csv\n{line}\n")
@@ -308,6 +331,26 @@ class TestConfig:
             load_config(bad)
         assert str(info.value).startswith(f"{bad}: ")
         assert word in str(info.value)
+
+    @pytest.mark.parametrize("value, noise", [
+        ("mixture", GaussianMixture(2.0)),
+        ("mixture 1.5", GaussianMixture(1.5)),
+        ("gaussian", Gaussian(1.0)), ("gaussian 4", Gaussian(4.0))])
+    def test_noise_is_a_kind_and_its_parameter(self, tmp_path, value, noise):
+        """`noise = KIND [PARAM]` builds that kind's model with PARAM as
+        its one argument, or with the model's default without it."""
+        path = tmp_path / "noise.cfg"
+        path.write_text("n = 60\nsigma1 = 1\ntrials = 1\noutput = o.csv\n"
+                        f"noise = {value}\n")
+        assert load_config(path).noise == noise
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                             ids=lambda path: path.name)
+    def test_loaded_config_equals_itself(self, path):
+        """Two loads of one file give equal configs with equal hashes:
+        the noise model compares by kind and parameter."""
+        first, second = load_config(path), load_config(path)
+        assert first == second and hash(first) == hash(second)
 
     @pytest.mark.parametrize("key", sim._SCHEMA)
     def test_malformed_value_names_the_file_and_key(self, tmp_path, key):
@@ -584,6 +627,23 @@ class TestRunGrid:
                 workers=4))
             assert started == pools
             assert repr(parallel) == repr(serial)
+
+    def test_error_in_the_loop_cancels_queued_trials(self, tmp_path):
+        """An error in the grid's own loop, here `progress` raising on the
+        first record, cancels the trials a pool has queued: of 80 trials
+        in 20 chunks only the chunks already handed to the 2 workers run,
+        not all 80 that the pool's exit would wait for."""
+        log = tmp_path / "draws.log"
+        config = self.small_config(tmp_path, sigma1_grid=(1.0, 2.0),
+                                   trials=40, workers=2,
+                                   noise=LoggedMixture(log))
+
+        def progress(done, total):
+            raise RuntimeError("progress failed")
+
+        with pytest.raises(RuntimeError, match="progress failed"):
+            run_grid(config, progress=progress)
+        assert len(log.read_text().splitlines()) <= 40
 
     def test_buffers_dropped_when_the_grid_ends(self, tmp_path, monkeypatch):
         """The grid holds its scratch buffers while its trials run and
