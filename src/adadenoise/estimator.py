@@ -36,8 +36,9 @@ the m n entries (Y's) and one m x n scored array, plus one
 min(m, n)-sized Gram decomposition (`linalg.gram_svd`: one tridiagonal
 reduction, a count, the top few values and vectors; its docstring gives
 the accuracy of the squared spectrum).  Besides its input, a call holds
-at most two m x n arrays at a time: the sorted entries and their binning
-fractions, then X* and the copy `gram_svd` scales.
+at most two m x n arrays at a time: the sorted entries, which become X*
+in place, with one block of binning fractions or lookups, then X* and
+the copy `gram_svd` scales.
 """
 
 from __future__ import annotations
@@ -176,13 +177,13 @@ def denoise_entrywise(y):
     y_bar = mean_entry(samples)
     samples -= y_bar
     est = kde_binned(samples, *bandwidths(*y.shape))
-    del samples  # not held through the lookup's temporaries
 
     psi = -est.deriv / (est.density + EPS)
-    # psi is looked up into the centered entries themselves; C order keeps
-    # the flat view `evaluate` writes through, and X*'s layout, whatever
-    # Y's is
-    scored = np.subtract(y, y_bar, order="C")
+    # psi is looked up into the centered entries themselves, formed in the
+    # sorted copy's place; C order keeps the flat view `evaluate` writes
+    # through, and X*'s layout, whatever Y's is
+    scored = np.subtract(y, y_bar, out=samples.reshape(y.shape))
+    del samples
     est.evaluate(scored, psi, out=scored)
     # both moments come from the grid, where the entries were binned in
     # sorted order: they depend only on the multiset of entries, never on

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_LOOKUP_BLOCK = 1 << 15  # points per block of a lookup: small temporaries
+_LOOKUP_BLOCK = 1 << 15  # points per block of a lookup or a binning pass
 # Kernel cut-off and grid margin, in bandwidths: the Gaussian tail beyond
 # it is below double precision noise.
 TRUNCATION = 8.0
@@ -125,9 +125,10 @@ class DensityEstimate:
 
         The cell index comes straight from the uniform spacing, O(1) per
         point.  Points outside the grid clamp to the end values, as in
-        ``np.interp``.  The values go to `out` when given, a C-contiguous
-        float64 array of x's shape, which may be `x` itself; it is
-        returned.
+        ``np.interp``, and a NaN point reads NaN.  The values go to `out`
+        when given, a C-contiguous float64 array of x's shape, which may
+        be `x` itself; it is returned.  The points are looked up a block
+        of ``_LOOKUP_BLOCK`` at a time, through three block-sized buffers.
         """
         if np.shape(table) != self.counts.shape:
             raise ValueError("table must hold one value per grid node")
@@ -139,15 +140,30 @@ class DensityEstimate:
             raise ValueError("out must be a C-contiguous float64 array of "
                              "the points' shape")
         flat, dest = x.ravel(), out.reshape(-1)
+        # three block buffers serve every block: the position, then the
+        # fraction t; the cell, then the table values; the cell's index
+        size = min(flat.size, _LOOKUP_BLOCK)
+        pos, vals = np.empty((2, size))
+        idx = np.empty(size, dtype=np.intp)
         for start in range(0, flat.size, _LOOKUP_BLOCK):
-            pos = (flat[start:start + _LOOKUP_BLOCK] - self.lo) / self.spacing
-            cell = np.clip(np.floor(pos), 0, table.size - 2)
-            frac = np.clip(pos - cell, 0.0, 1.0)
-            idx = cell.astype(np.intp)
+            stop = min(start + _LOOKUP_BLOCK, flat.size)
+            k = stop - start
+            frac, cell, i, d = pos[:k], vals[:k], idx[:k], dest[start:stop]
+            np.subtract(flat[start:stop], self.lo, out=frac)
+            frac /= self.spacing
+            np.clip(np.floor(frac, out=cell), 0, table.size - 2, out=cell)
+            np.subtract(frac, cell, out=frac)
+            np.clip(frac, 0.0, 1.0, out=frac)
+            i[:] = cell
             # (1 - t) f[i] + t f[i+1] gives the end values exactly at t = 0
-            # and t = 1, so points off the grid clamp as in np.interp
-            dest[start:start + _LOOKUP_BLOCK] = ((1.0 - frac) * table[idx]
-                                                 + frac * table[idx + 1])
+            # and t = 1, so points off the grid clamp as in np.interp.  The
+            # indices are in range ('clip' only spares `take` a copy), and
+            # a NaN point reads NaN
+            np.subtract(1.0, frac, out=d)
+            d *= np.take(table, i, out=cell, mode="clip")
+            i += 1
+            d += np.multiply(np.take(table, i, out=cell, mode="clip"), frac,
+                             out=cell)
         return float(dest[0]) if x.ndim == 0 else out
 
     def square_sum(self, table) -> float:
@@ -170,9 +186,12 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     grid nodes, which keeps the binning error second order in the cell
     width.  The samples are binned in sorted order, each cell's run summed
     pairwise, so the tables depend only on their multiset; samples that
-    come sorted are not sorted again.  The build holds one sample-sized
-    array, the binning fractions.  Samples so large that the grid margin
-    is lost to rounding are an error.
+    come sorted are not sorted again.  Besides the sorted samples, the
+    build holds no sample-sized array: it takes the cell starts and the
+    binning fractions a block of ``_LOOKUP_BLOCK`` samples at a time, in
+    one buffer, and only a cell whose run is longer than a block gets an
+    array of the run's size.  Samples so large that the grid margin is
+    lost to rounding are an error.
     """
     samples = _sorted(np.asarray(samples, dtype=np.float64))
     if samples.size == 0:
@@ -194,22 +213,42 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
 
     # sorted samples fill each cell in one contiguous run.  Cell i starts
     # at the first position t >= i, since floor(t) >= i exactly when
-    # t >= i (the clamp to the last cell moves no start); t, the position
-    # in cells, then becomes the binning fraction in place, block by block
-    t = samples - lo
-    t /= spacing
-    starts = np.searchsorted(t, np.arange(GRID_NODES - 1))
-    for start in range(0, t.size, _LOOKUP_BLOCK):
-        block = t[start:start + _LOOKUP_BLOCK]
-        block -= np.minimum(np.floor(block), GRID_NODES - 2)
-    occupied = np.flatnonzero(np.diff(starts, append=samples.size))
-    starts = starts[occupied]
-    sum_t = np.add.reduceat(t, starts)
-    u = np.subtract(1.0, t, out=t)
-    sum_u = np.add.reduceat(u, starts)
-    u *= u
-    sum_uu = np.add.reduceat(u, starts)
-    del t, u
+    # t >= i (the clamp to the last cell moves no start): at the count of
+    # t < i, summed over blocks of t, the position in cells
+    n = samples.size
+    buffer = np.empty((2, min(n, _LOOKUP_BLOCK)))
+    nodes = np.arange(GRID_NODES - 1, dtype=np.float64)
+    starts = np.zeros(GRID_NODES - 1, dtype=np.intp)
+    for start in range(0, n, _LOOKUP_BLOCK):
+        block = samples[start:start + _LOOKUP_BLOCK]
+        t = np.subtract(block, lo, out=buffer[0, :block.size])
+        t /= spacing
+        starts += np.searchsorted(t, nodes)
+    occupied = np.flatnonzero(np.diff(starts, append=n))
+    bounds = np.append(starts[occupied], n)
+    # t becomes the binning fraction in blocks of whole runs, so that each
+    # run is one segment of `np.add.reduceat`, summed pairwise as over the
+    # whole array; a run longer than a block gets an array of its own
+    sum_t, sum_u, sum_uu = np.empty((3, occupied.size))
+    first = 0
+    while first < occupied.size:
+        a = bounds[first]
+        last = int(np.searchsorted(bounds, a + _LOOKUP_BLOCK, "right")) - 1
+        last = max(last, first + 1)
+        size = bounds[last] - a
+        t, cell = (buffer[:, :size] if size <= buffer.shape[1]
+                   else np.empty((2, size)))
+        np.subtract(samples[a:a + size], lo, out=t)
+        t /= spacing
+        t -= np.minimum(np.floor(t, out=cell), GRID_NODES - 2, out=cell)
+        runs = bounds[first:last] - a
+        sum_t[first:last] = np.add.reduceat(t, runs)
+        u = np.subtract(1.0, t, out=t)
+        sum_u[first:last] = np.add.reduceat(u, runs)
+        u *= u
+        sum_uu[first:last] = np.add.reduceat(u, runs)
+        first = last
+    del buffer, t, cell, u
     counts = np.zeros(GRID_NODES)
     counts[occupied] = sum_u
     counts[occupied + 1] += sum_t
@@ -219,7 +258,6 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     moments[1, occupied] = sum_u - sum_uu
     moments[2, occupied] = sum_t - moments[1, occupied]
 
-    n = samples.size
     density = _smooth(counts, spacing, h, gaussian_kernel, n * h)
     deriv = _smooth(counts, spacing, h_prime, gaussian_kernel_deriv,
                     n * h_prime * h_prime)

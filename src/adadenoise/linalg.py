@@ -16,12 +16,15 @@ library.  Where those symbols do not resolve (numpy built
 on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
 
 `scratch_buffer` allocates the m x n temporaries that live through the
-largest stretch of a Monte-Carlo trial: `gram_svd`'s unit-scale copy,
-and the trial's X and Y.  While `scratch_held` is open in a thread (the
-grid setup in `sim` holds it for all its trials), each call site gets
-back the same buffer on every call, so a grid's trials reuse one set of
-pages instead of growing the heap and having glibc trim it again after
-every trial; otherwise it allocates afresh, as `np.empty_like` does.
+largest stretch of a Monte-Carlo trial: `gram_svd`'s unit-scale copy and
+Gram matrix, and the trial's Y.  While `scratch_held` is open in a
+thread (the grid setup in `sim` holds it for all its trials), each call
+site gets back the same buffer on every call, so a grid's trials reuse
+one set of pages instead of growing the heap and having glibc trim it
+again after every trial; otherwise it allocates afresh, as
+`np.empty_like` does.  Each thread holds its own buffers: a grid's
+helper thread, which opens a hold of its own, never shares one with the
+thread that runs the trials.
 """
 
 from __future__ import annotations
@@ -273,7 +276,8 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     eps * s_1^2 / s_j, and column j of the long-side factor is
     orthonormal to the others to about eps * (s_1 / s_j)^2.
 
-    The unit-scale copy is a `scratch_buffer`: one `scratch_held` shares it.
+    The unit-scale copy and the Gram matrix are `scratch_buffer`s: one
+    `scratch_held` shares them.
     """
     m, n = a.shape
     e = int(np.frexp(max(a.max(), -a.min()))[1])
@@ -283,7 +287,13 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     # so its last bits, follow the layout
     short = a if m <= n else a.T
     short = np.ldexp(short, -e, out=scratch_buffer("gram_svd.unit", short))
-    gram = short @ short.T
+    # held too, C-ordered as a fresh product: a trial's X* is alive while
+    # the product is formed, and the two reach glibc's trim threshold (twice
+    # one such array), so without the hold the heap is trimmed after every
+    # trial and ~650 pages of a 400 x 400 trial fault in again
+    size = min(m, n)
+    gram = np.matmul(short, short.T, out=scratch_buffer(
+        "gram_svd.gram", np.broadcast_to(0.0, (size, size))))
     # t at unit scale, or inf past the largest double: no value reaches it
     t = math.ldexp(t, -e) if math.frexp(t)[1] - e <= 1024 else math.inf
     lapack = _lapack()

@@ -6,6 +6,15 @@ the trial seed through the splitmix64 finalizer with a per-role salt
 and per-trial seeds derive from (base_seed, cell identity, trial index)
 rather than enumeration order.  Re-running a config reproduces its CSV
 byte for byte.
+
+A process that runs a grid's trials itself, on 2 CPUs or more, runs each
+trial's PCA baseline on a helper thread, beside the trial's entrywise
+step: the baseline's time is LAPACK's, the entrywise step's numpy's
+(sort, binning, lookup), and the two share the cores.  Pool workers and
+their caller run none: the pool's processes fill the cores, and the
+caller forks them, which must not happen beside a live thread.  Each
+estimator runs on one BLAS thread, so the records do not depend on
+where the baseline ran.
 """
 
 from __future__ import annotations
@@ -14,8 +23,10 @@ import dataclasses
 import errno
 import math
 import os
+import queue
 import struct
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from contextlib import ExitStack, closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -153,20 +164,39 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     thresholding: both estimators are asked for r factors.  Both
     estimates and the signal have low rank, so their errors are taken
     from the factors (`_low_rank_op_norm`); only X* - X is decomposed at
-    full size.  X and Y are scratch buffers laid out as the noise draw
-    (`linalg.scratch_held`): in a grid, every trial reuses the same two.
+    full size.  Y is a scratch buffer laid out as the noise draw
+    (`linalg.scratch_held`): in a grid, every trial reuses the same one,
+    and X is formed in it, before W is added and again once the
+    estimators are done with Y.
+    Where this thread has a helper (a grid run in its own process on 2
+    CPUs or more, `_grid_process`), the baseline runs on it beside
+    `denoise`, and is waited for before its result is read or the trial
+    raises, whatever raised: the next trial overwrites Y.  Elsewhere the
+    two run one after the other.  The record is the same either way.
     """
     u, v, left = _signal_factors(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
-    # X and Y are laid out as W, which both samplers return C-ordered; each
-    # is held, as without it a 400 x 400 grid trial takes ~865 minor faults
-    x = np.matmul(left, v.T, out=scratch_buffer("trial.signal", w))
-    y = np.add(w, x, out=scratch_buffer("trial.observation", w))
+    # Y is laid out as W, which both samplers return C-ordered, and held, as
+    # without it a 400 x 400 grid trial takes ~865 minor faults; X is formed
+    # in it and W added, as x + w is w + x bit for bit
+    y = np.matmul(left, v.T, out=scratch_buffer("trial.observation", w))
+    y += w
     del w
 
-    res = denoise(y, factors=spec.r)
-    base = baseline_estimate(y, noise_sd=float(np.sqrt(model.variance())),
-                             factors=spec.r)
+    noise_sd = float(np.sqrt(model.variance()))
+    submit = _HELPER.submit
+    if submit is None:
+        res = denoise(y, factors=spec.r)
+        base = baseline_estimate(y, noise_sd=noise_sd, factors=spec.r)
+    else:
+        # the baseline's LAPACK work runs beside the entrywise step's numpy
+        pending = submit(baseline_estimate, y, noise_sd=noise_sd,
+                         factors=spec.r)
+        try:
+            res = denoise(y, factors=spec.r)
+        finally:
+            wait((pending,))  # Y is a scratch buffer the next trial overwrites
+        base = pending.result()
 
     scale = (spec.m * spec.n) ** 0.25
     ov_a = tuple(subspace_overlap(res.u_hat[:, :i], u[:, :i])
@@ -178,9 +208,10 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
         np.hstack([est.u_hat[:, :est.k_hat], u]),
         np.concatenate([est.sigma_shrunk[:est.k_hat], -sigmas]),
         np.hstack([est.v_hat[:, :est.k_hat], v])) for est in (res, base))
-    # nothing reads X* after this, so X* - X is formed in place
+    # nothing reads Y or X* after this: X, the same product, is formed again
+    # in Y's place, and X* - X in place
     x_star = res.x_star
-    x_star -= x
+    x_star -= np.matmul(left, v.T, out=y)
     err_s = op_norm(x_star) / scale
     return TrialRecord(n=spec.n, m=spec.m, r=spec.r, sigma1=spec.sigmas[0],
                        trial=-1, seed=seed, i_hat=res.i_hat, k_hat=res.k_hat,
@@ -385,16 +416,73 @@ def _trial_task(args):
     return dataclasses.replace(run_trial(spec, model, seed), trial=trial)
 
 
+class _Helper(threading.local):
+    """This thread's helper: ``submit(fn, *args, **kwargs)`` runs the call
+    on the helper thread and returns its `Future`; None while this thread
+    has no helper."""
+
+    submit = None
+
+
+_HELPER = _Helper()
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 @contextmanager
-def _grid_process():
+def _helper_thread():
+    """Run a helper thread for this thread's trials while the block runs.
+    It holds scratch buffers of its own (`linalg.scratch_held`) for its
+    life, and runs the calls handed to it one at a time.  On exit, however
+    the block ends, it finishes the call it runs, drops its buffers and is
+    joined."""
+    calls = queue.SimpleQueue()
+
+    def serve():
+        with scratch_held():
+            for future, fn, args, kwargs in iter(calls.get, None):
+                try:
+                    future.set_result(fn(*args, **kwargs))
+                except BaseException as exc:  # the caller re-raises it
+                    future.set_exception(exc)
+
+    def submit(fn, *args, **kwargs):
+        future = Future()
+        calls.put((future, fn, args, kwargs))
+        return future
+
+    thread = threading.Thread(target=serve, name="adadenoise-helper",
+                              daemon=True)
+    thread.start()
+    _HELPER.submit = submit
+    try:
+        yield
+    finally:
+        _HELPER.submit = None
+        calls.put(None)
+        thread.join()
+
+
+@contextmanager
+def _grid_process(helper: bool = False):
     """Set this process up to run a grid's trials: BLAS at one thread,
     so that a record does not depend on the calling shell's thread count
-    or on `workers`, and the scratch buffers (`linalg.scratch_held`) X, Y
-    and `gram_svd`'s copy that all its trials reuse.  On exit, however
-    the block ends, they are dropped and the thread count is restored."""
+    or on `workers`, and the scratch buffers (`linalg.scratch_held`) Y
+    and `gram_svd`'s copy and Gram matrix that all its trials reuse.
+    With `helper`, for a process that runs the trials itself, and at
+    least 2 CPUs to run on, a helper thread (`_helper_thread`) takes each
+    trial's baseline.  On exit, however the block ends, the helper is
+    joined, the buffers are dropped and the thread count is restored."""
     threads = set_blas_threads(1)
     try:
-        with scratch_held():
+        with scratch_held(), (_helper_thread() if helper and _cpus() >= 2
+                              else nullcontext()):
             yield
     finally:
         set_blas_threads(threads)
@@ -419,6 +507,8 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
 
     This process runs the trials under `_grid_process` (one BLAS thread,
     one set of scratch buffers), and each pool worker enters it for life.
+    Where this process runs the trials itself, a helper thread runs each
+    trial's baseline beside its entrywise step, on 2 CPUs or more.
     """
     _check_output(config.output)
     tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)
@@ -426,7 +516,7 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
 
     workers = min(config.workers, math.ceil(len(tasks) / _CHUNKSIZE))
     parallel = workers > 1  # one chunk: a pool would only add pickling
-    with _grid_process(), (
+    with _grid_process(helper=not parallel), (
             ProcessPoolExecutor(max_workers=workers,
                                 initializer=_init_worker) if parallel
             else nullcontext()) as pool:

@@ -577,8 +577,9 @@ class TestAllocationBudget:
 
     def test_denoise_wide(self):
         y = GaussianMixture(2.0).sample(100, 6400, seed=80)
-        # the sorted entries with the binning fractions, or X* with the
-        # unit-scale copy the spectral step decomposes
+        # X* with the unit-scale copy the spectral step decomposes; before
+        # it, the sorted entries (which become X*) with a block of binning
+        # fractions or lookups
         assert traced_peak_arrays(lambda: denoise(y), y.shape) <= 2.6
 
 

@@ -267,12 +267,13 @@ class TestScratch:
     def test_gram_svd_buffers_keep_the_fresh_layouts(self, monkeypatch,
                                                      backend, shape):
         """Held or not, the unit-scale copy is laid out as `np.ldexp`
-        lays out a fresh one, and every bit of the result is the same,
-        for C, F and strided inputs of either orientation.  The Gram
-        product's BLAS path follows the copy's layout: a C-ordered copy
-        of a tall C input's transpose changes the last bits.  (The
-        stride of a length-1 axis places no element, and numpy's own
-        choice for it differs between `np.ldexp` and `np.empty_like`.)"""
+        lays out a fresh one, the Gram matrix as a fresh product, and
+        every bit of the result is the same, for C, F and strided inputs
+        of either orientation.  The Gram product's BLAS path follows the
+        copy's layout: a C-ordered copy of a tall C input's transpose
+        changes the last bits.  (The stride of a length-1 axis places no
+        element, and numpy's own choice for it differs between `np.ldexp`
+        and `np.empty_like`.)"""
         def layout(a):
             return a.shape, [s for s, n in zip(a.strides, a.shape) if n > 1]
 
@@ -294,9 +295,11 @@ class TestScratch:
             with linalg.scratch_held():
                 linalg.gram_svd(a, 1.0, 3)
                 held = linalg.gram_svd(a, 1.0, 3)
-            assert set(made) == {"gram_svd.unit"}
+            assert set(made) == {"gram_svd.unit", "gram_svd.gram"}
             assert (layout(made["gram_svd.unit"])
                     == layout(np.ldexp(short, -1)))
+            assert (layout(made["gram_svd.gram"])
+                    == layout(short @ short.T))
             assert fresh[0] == held[0]
             for x, y in zip((*fresh[1:4], fresh[4]()),
                             (*held[1:4], held[4]())):

@@ -7,8 +7,10 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -47,11 +49,33 @@ class LoggedMixture(GaussianMixture):
         return super().sample(m, n, seed)
 
 
+def helper_threads():
+    """The grid helper threads alive in this process."""
+    return [t for t in threading.enumerate() if t.name == "adadenoise-helper"]
+
+
+class HelperLoggedMixture(GaussianMixture):
+    """Mixture noise whose every draw appends to the file `log` the id of
+    the process drawing and the number of grid helper threads alive in
+    it; it pickles, so that a pool worker can take it."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = str(log)
+
+    def sample(self, m, n, seed):
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(helper_threads())}\n")
+        return super().sample(m, n, seed)
+
+
 # minor faults per 400 x 400 trial after a process's first, read by
-# `test_held_buffers_stop_page_faults`: argv is the CSV path and `workers`
+# `test_held_buffers_stop_page_faults`: argv is the CSV path and `workers`.
+# In process, the grid runs with its helper thread whatever the CPU count,
+# and the script checks that it did
 FAULTS_SCRIPT = """\
-import resource, statistics, sys
-from adadenoise import ExperimentConfig, run_grid
+import resource, statistics, sys, threading
+from adadenoise import ExperimentConfig, run_grid, sim
 
 out, workers = sys.argv[1], int(sys.argv[2])
 
@@ -67,9 +91,16 @@ def faults(who):
 
 
 if workers == 1:
-    counts = []
-    grid(6, (3.0,), lambda done, total: counts.append(
-        faults(resource.RUSAGE_SELF)))
+    sim._cpus = lambda: 2
+    counts, helpers = [], set()
+
+    def progress(done, total):
+        counts.append(faults(resource.RUSAGE_SELF))
+        helpers.add(sum(t.name == "adadenoise-helper"
+                        for t in threading.enumerate()))
+
+    grid(6, (3.0,), progress)
+    assert helpers == {1}, f"helper threads seen: {helpers}"
     print(statistics.median(b - a for a, b in zip(counts, counts[1:])))
 else:
     taken = []
@@ -232,9 +263,9 @@ class TestRunTrial:
             assert got == pytest.approx(dense, rel=1e-12)
 
     def test_allocation_budget(self):
-        """One 400 x 400 trial holds at most about five m x n arrays: X,
-        Y, X*, and the unit-scale copy of Y with its Gram matrix while
-        the baseline decomposes it."""
+        """One 400 x 400 trial holds at most about four m x n arrays (it
+        reads 4.1): Y, which X is formed in, X*, and the unit-scale copy
+        of Y with its Gram matrix while the baseline decomposes it."""
         spec = SignalSpec(m=400, n=400, r=1, sigmas=(3.0,))
         peak = traced_peak_arrays(lambda: run_trial(spec, self.MODEL, 9),
                                   (400, 400))
@@ -560,12 +591,14 @@ class TestRunGrid:
 
     def test_second_trial_allocation_budget(self, tmp_path):
         """In a grid, a 400 x 400 trial after the first allocates only
-        what the held buffers do not cover, at most about 2.6 m x n
-        arrays at a time (5.1 for a trial outside a grid): W and its
-        coins, the sorted entries with their binning fractions, X*, and
-        the Gram matrices the spectral steps decompose.  X, Y and the
-        unit-scale copies the Gram matrices are formed from are the
-        first trial's buffers."""
+        what the held buffers do not cover, about 1.8 m x n arrays at a
+        time (4.1 for a trial outside a grid), under a bound of 3.1: W
+        with its coins (1.5), then the sorted entries, which become X*,
+        with a block of binning fractions or the lookup's three blocks
+        (1.6).  Y, which X is formed in, and the unit-scale copies and
+        Gram matrices the spectral steps decompose are the first trial's
+        buffers; where a helper thread runs the baselines, it holds a
+        copy and a Gram matrix of its own, beside this thread's."""
         peaks = []
 
         def progress(done, total):
@@ -647,13 +680,32 @@ class TestRunGrid:
 
     def test_buffers_dropped_when_the_grid_ends(self, tmp_path, monkeypatch):
         """The grid holds its scratch buffers while its trials run and
-        drops them when it returns, or when a trial raises."""
+        drops them when it returns, or when a trial raises; so does its
+        helper thread, which holds its own and ends with the grid."""
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        baseline = sim.baseline_estimate
+        helper_held = []
+
+        def recording(*args, **kwargs):
+            result = baseline(*args, **kwargs)
+            helper_held.append((threading.current_thread().name, [
+                weakref.ref(buf) for _, buf in
+                linalg._SCRATCH.buffers.values()]))
+            return result
+
+        monkeypatch.setattr(sim, "baseline_estimate", recording)
         config = self.small_config(tmp_path, trials=2)
         held = []
         run_grid(config, progress=lambda done, total: held.append(
             len(linalg._SCRATCH.buffers)))
         assert held[0] > 0 and held[1] == held[0]
         assert linalg._SCRATCH.buffers is None
+        # the unit-scale copy and the Gram matrix, kept from the first
+        # baseline to the second and dropped with the helper
+        assert [name for name, _ in helper_held] == ["adadenoise-helper"] * 2
+        assert len(helper_held[0][1]) == 2
+        assert ([ref() for ref in helper_held[0][1]]
+                == [None, None]) and helper_threads() == []
 
         trial = sim.run_trial
         ran = []
@@ -665,9 +717,113 @@ class TestRunGrid:
             return ran[-1]
 
         monkeypatch.setattr(sim, "run_trial", second_raises)
+        helper_held.clear()
         with pytest.raises(RuntimeError, match="trial failed"):
             run_grid(config)
         assert ran and linalg._SCRATCH.buffers is None
+        assert len(helper_held) == 1 and helper_threads() == []
+        assert [ref() for ref in helper_held[0][1]] == [None, None]
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+    def test_helper_leaves_records_and_csv_unchanged(self, tmp_path,
+                                                     monkeypatch, workers):
+        """On 2 CPUs, a grid that runs its trials in its own process hands
+        each trial's baseline to a helper thread; on 1 CPU, in a pool's
+        workers and in the pool's caller none starts.  The records (every
+        bit) and the CSV bytes are the same either way, on a tall, a wide
+        and a square cell (8 trials in 2 chunks, so the pool starts)."""
+        for n, gamma in ((90, 5 / 3), (150, 0.6), (60, 1.0)):
+            runs = []
+            for cpus in (1, 2):
+                monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+                log = tmp_path / f"{n}_{cpus}.log"
+                config = self.small_config(
+                    tmp_path, ns=(n,), gamma=gamma, ranks=(1, 2),
+                    sigma1_grid=(1.0, 3.0), trials=2,
+                    noise=HelperLoggedMixture(log), workers=workers,
+                    output=str(tmp_path / f"{n}_{cpus}.csv"))
+                seen = []
+                records = run_grid(config, progress=lambda done, total:
+                                   seen.append(len(helper_threads())))
+                runs.append((repr(records),
+                             Path(config.output).read_bytes()))
+                helper = int(cpus == 2 and workers == 1)
+                draws = [line.split() for line in
+                         log.read_text().splitlines()]
+                assert len(draws) == len(records) == 8
+                # the caller, then where each trial ran
+                assert seen == [helper] * 8
+                assert {int(count) for _, count in draws} == {helper}
+                assert ({int(pid) != os.getpid() for pid, _ in draws}
+                        == {workers == 2})
+                assert helper_threads() == []
+            assert runs[0] == runs[1]
+
+    def test_helper_records_hold_under_frequent_switches(self, tmp_path,
+                                                         monkeypatch):
+        """The two threads share Y, read-only while both run, and hand
+        the baseline over through a future: with the interpreter switching
+        threads every microsecond, 24 trials give the records they give
+        with no helper."""
+        config = self.small_config(tmp_path, ns=(40,), ranks=(1, 2),
+                                   sigma1_grid=(1.0, 3.0), trials=6)
+        runs = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cpus in (1, 2):
+                monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+                runs.append(repr(run_grid(config)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] and helper_threads() == []
+
+    @pytest.mark.parametrize("fails", ["baseline", "denoise"])
+    def test_trial_error_waits_for_the_baseline(self, tmp_path, monkeypatch,
+                                                fails):
+        """With a helper thread, an error in either estimator is the one
+        `run_grid` raises, and the trial raises it only once the baseline
+        has returned, as the next trial overwrites the Y it reads.  No
+        helper thread outlives the grid."""
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        events = []
+        baseline, denoise_ = sim.baseline_estimate, sim.denoise
+
+        def slow_baseline(*args, **kwargs):
+            events.append(("baseline", threading.current_thread().name))
+            if fails == "baseline":
+                raise RuntimeError("baseline failed")
+            time.sleep(0.2)
+            result = baseline(*args, **kwargs)
+            events.append(("baseline done", None))
+            return result
+
+        def watched_denoise(*args, **kwargs):
+            if fails == "denoise":
+                raise RuntimeError("denoise failed")
+            result = denoise_(*args, **kwargs)
+            events.append(("denoise done", None))
+            return result
+
+        trial = sim.run_trial
+
+        def watched_trial(*args):
+            try:
+                return trial(*args)
+            except RuntimeError:
+                events.append(("raised", None))
+                raise
+
+        monkeypatch.setattr(sim, "baseline_estimate", slow_baseline)
+        monkeypatch.setattr(sim, "denoise", watched_denoise)
+        monkeypatch.setattr(sim, "run_trial", watched_trial)
+        with pytest.raises(RuntimeError, match=f"{fails} failed"):
+            run_grid(self.small_config(tmp_path, trials=2))
+        assert ("baseline", "adadenoise-helper") in events
+        done = "denoise done" if fails == "baseline" else "baseline done"
+        assert [event for event, _ in events].count("raised") == 1
+        assert [event for event, _ in events][-2:] == [done, "raised"]
+        assert helper_threads() == []
 
     def test_blas_held_at_one_thread_and_restored(self, tmp_path):
         outer = linalg.set_blas_threads(2)
@@ -704,6 +860,50 @@ class TestRunGrid:
             assert linalg.set_blas_threads(None) == after
         finally:
             linalg.set_blas_threads(outer)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_grid_process_helper(self, monkeypatch, fail):
+        """`_grid_process(helper=True)` runs a helper thread, with this
+        thread's `run_trial` handing it the baselines, while the block
+        runs, on 2 CPUs; it is joined when the block ends, however it
+        ends.  On 1 CPU, and without `helper`, none starts."""
+        for cpus, helper, starts in ((2, True, True), (1, True, False),
+                                     (2, False, False)):
+            monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+            with pytest.raises(RuntimeError) if fail else nullcontext():
+                with sim._grid_process(helper=helper):
+                    assert len(helper_threads()) == starts
+                    assert (sim._HELPER.submit is not None) == starts
+                    if fail:
+                        raise RuntimeError("inside")
+            assert helper_threads() == [] and sim._HELPER.submit is None
+
+    def test_only_an_in_process_grid_asks_for_a_helper(self, tmp_path,
+                                                       monkeypatch):
+        """`run_grid` asks its setup for a helper thread only when it runs
+        the trials itself: a pool's caller forks the workers, and forking
+        beside a live helper thread hung them in a probe."""
+        asked = []
+        setup = sim._grid_process
+
+        def recording(helper=False):
+            asked.append(helper)
+            return setup()
+
+        monkeypatch.setattr(sim, "_grid_process", recording)
+        for trials, workers in ((3, 4), (5, 4), (5, 1)):
+            run_grid(self.small_config(tmp_path, trials=trials,
+                                       workers=workers))
+        assert asked == [True, False, True]
+
+    def test_pool_worker_runs_no_helper(self, monkeypatch):
+        """A pool worker's setup starts no helper thread, on any number of
+        CPUs: the pool's processes already fill them."""
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        with ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("fork"),
+                initializer=sim._init_worker) as pool:
+            assert pool.submit(helper_threads).result() == []
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_worker_pins_blas(self, monkeypatch, method):
