@@ -12,8 +12,9 @@
 
 It bins in a canonical order (the samples sorted), so its results
 depend only on the multiset of samples, never on their layout.  Sorted,
-the samples of each grid cell form one contiguous run, found by one
-binary search per cell and summed with ``np.add.reduceat``.  The same
+the samples of each grid cell form one contiguous run, found by a
+binary search per cell in each block of samples and summed with
+``np.add.reduceat``.  The same
 pass keeps each cell's second moments of the binning fractions, so the
 sum over the samples of an interpolated table (``counts @ f``) and of
 its square (``DensityEstimate.square_sum``) cost O(GRID_NODES), not a

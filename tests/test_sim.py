@@ -841,42 +841,33 @@ class TestRunGrid:
             linalg.set_blas_threads(outer)
 
     @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-    def test_grid_process_setup(self, fail):
+    def test_grid_process_setup(self, monkeypatch, fail):
         """The setup this process and every pool worker run the trials
         under: BLAS at one thread and a scratch hold open inside it, the
         thread count restored and the hold dropped after it, also when the
-        block raises."""
+        block raises.  With `helper` and 2 CPUs a helper thread runs while
+        the block does, and is joined when it ends; on 1 CPU, and without
+        `helper`, none starts."""
         outer = linalg.set_blas_threads(2)
         # None where numpy's BLAS exports no OpenBLAS thread controls
         inside, after = (None, None) if outer is None else (1, 2)
         try:
-            with pytest.raises(RuntimeError) if fail else nullcontext():
-                with sim._grid_process():
-                    assert linalg.set_blas_threads(None) == inside
-                    assert linalg._SCRATCH.buffers == {}
-                    if fail:
-                        raise RuntimeError("inside")
-            assert linalg._SCRATCH.buffers is None
-            assert linalg.set_blas_threads(None) == after
+            for cpus, helper, starts in ((2, False, 0), (2, True, 1),
+                                         (1, True, 0)):
+                monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+                with pytest.raises(RuntimeError) if fail else nullcontext():
+                    with sim._grid_process(helper=helper):
+                        assert linalg.set_blas_threads(None) == inside
+                        assert linalg._SCRATCH.buffers == {}
+                        assert len(helper_threads()) == starts
+                        assert (sim._HELPER.submit is not None) == starts
+                        if fail:
+                            raise RuntimeError("inside")
+                assert linalg._SCRATCH.buffers is None
+                assert linalg.set_blas_threads(None) == after
+                assert helper_threads() == [] and sim._HELPER.submit is None
         finally:
             linalg.set_blas_threads(outer)
-
-    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-    def test_grid_process_helper(self, monkeypatch, fail):
-        """`_grid_process(helper=True)` runs a helper thread, with this
-        thread's `run_trial` handing it the baselines, while the block
-        runs, on 2 CPUs; it is joined when the block ends, however it
-        ends.  On 1 CPU, and without `helper`, none starts."""
-        for cpus, helper, starts in ((2, True, True), (1, True, False),
-                                     (2, False, False)):
-            monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-            with pytest.raises(RuntimeError) if fail else nullcontext():
-                with sim._grid_process(helper=helper):
-                    assert len(helper_threads()) == starts
-                    assert (sim._HELPER.submit is not None) == starts
-                    if fail:
-                        raise RuntimeError("inside")
-            assert helper_threads() == [] and sim._HELPER.submit is None
 
     def test_only_an_in_process_grid_asks_for_a_helper(self, tmp_path,
                                                        monkeypatch):
@@ -895,15 +886,6 @@ class TestRunGrid:
             run_grid(self.small_config(tmp_path, trials=trials,
                                        workers=workers))
         assert asked == [True, False, True]
-
-    def test_pool_worker_runs_no_helper(self, monkeypatch):
-        """A pool worker's setup starts no helper thread, on any number of
-        CPUs: the pool's processes already fill them."""
-        monkeypatch.setattr(sim, "_cpus", lambda: 2)
-        with ProcessPoolExecutor(
-                1, mp_context=multiprocessing.get_context("fork"),
-                initializer=sim._init_worker) as pool:
-            assert pool.submit(helper_threads).result() == []
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_worker_pins_blas(self, monkeypatch, method):
