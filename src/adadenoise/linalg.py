@@ -281,7 +281,8 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     """
     m, n = a.shape
     e = int(np.frexp(max(a.max(), -a.min()))[1])
-    # held, as without it a 400 x 400 grid trial takes ~1,860 minor faults;
+    # held, as without it a grid's trial can hold X*, this copy and a helper
+    # thread's copy at once (~3.0 new m x n arrays at 400 x 400, not ~1.8);
     # laid out as `np.ldexp` lays out the short-side view (the transpose of
     # a tall C-ordered `a` is F-ordered): the Gram product's BLAS path, and
     # so its last bits, follow the layout

@@ -177,8 +177,8 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     u, v, left = _signal_factors(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
     # Y is laid out as W, which both samplers return C-ordered, and held, as
-    # without it a 400 x 400 grid trial takes ~865 minor faults; X is formed
-    # in it and W added, as x + w is w + x bit for bit
+    # without it a grid trial takes ~410 minor faults at n = 300 and ~935 at
+    # n = 800; X is formed in it and W added, as x + w is w + x bit for bit
     y = np.matmul(left, v.T, out=scratch_buffer("trial.observation", w))
     y += w
     del w
