@@ -14,26 +14,13 @@ symbols carry a ``scipy_`` prefix and a ``64_`` suffix) through
 `ctypes`, so it needs no dependency beyond numpy and loads no new
 library.  Where those symbols do not resolve (numpy built
 on Accelerate or MKL, for example) it falls back to `np.linalg.eigh`.
-
-`scratch_buffer` allocates the m x n temporaries that live through the
-largest stretch of a Monte-Carlo trial: `gram_svd`'s unit-scale copy and
-Gram matrix, and the trial's Y.  While `scratch_held` is open in a
-thread (the grid setup in `sim` holds it for all its trials), each call
-site gets back the same buffer on every call, so a grid's trials reuse
-one set of pages instead of growing the heap and having glibc trim it
-again after every trial; otherwise it allocates afresh, as
-`np.empty_like` does.  Each thread holds its own buffers: a grid's
-helper thread, which opens a hold of its own, never shares one with the
-thread that runs the trials.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,47 +41,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-class _Scratch(threading.local):
-    """This thread's scratch buffers: call-site key -> (the prototype's
-    shape, strides and dtype, the buffer); None while no hold is open."""
-
-    buffers: dict | None = None
-
-
-_SCRATCH = _Scratch()
-
-
-@contextlib.contextmanager
-def scratch_held():
-    """Keep the buffers `scratch_buffer` hands out in this thread while
-    the block runs, and drop them all when it ends, however it ends.
-    Holds do not nest: the grid setup in `sim` is the one opener."""
-    _SCRATCH.buffers = {}
-    try:
-        yield
-    finally:
-        _SCRATCH.buffers = None
-
-
-def scratch_buffer(key: str, prototype: np.ndarray) -> np.ndarray:
-    """An uninitialized ``np.empty_like(prototype)``.
-
-    While `scratch_held` is open in this thread, it is the buffer kept
-    under `key`, made again when the prototype's shape, strides or dtype
-    differ from the last call's.  Its contents last until the next call
-    with the same key, so each call site has a string-literal key of its
-    own, and no buffer may outlive the call that asked for it.
-    """
-    buffers = _SCRATCH.buffers
-    if buffers is None:
-        return np.empty_like(prototype)
-    args = (prototype.shape, prototype.strides, prototype.dtype)
-    held = buffers.get(key)
-    if held is None or held[0] != args:
-        held = buffers[key] = (args, np.empty_like(prototype))
-    return held[1]
 
 
 _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
@@ -275,26 +221,13 @@ def gram_svd(a: np.ndarray, t: float, k: int):
     error of about eps * s_1^2, so s_j agrees with the SVD's to about
     eps * s_1^2 / s_j, and column j of the long-side factor is
     orthonormal to the others to about eps * (s_1 / s_j)^2.
-
-    The unit-scale copy and the Gram matrix are `scratch_buffer`s: one
-    `scratch_held` shares them.
     """
     m, n = a.shape
     e = int(np.frexp(max(a.max(), -a.min()))[1])
-    # held, as without it a grid's trial can hold X*, this copy and a helper
-    # thread's copy at once (~3.0 new m x n arrays at 400 x 400, not ~1.8);
-    # laid out as `np.ldexp` lays out the short-side view (the transpose of
-    # a tall C-ordered `a` is F-ordered): the Gram product's BLAS path, and
-    # so its last bits, follow the layout
-    short = a if m <= n else a.T
-    short = np.ldexp(short, -e, out=scratch_buffer("gram_svd.unit", short))
-    # held too, C-ordered as a fresh product: a trial's X* is alive while
-    # the product is formed, and the two reach glibc's trim threshold (twice
-    # one such array), so without the hold the heap is trimmed after every
-    # trial and ~650 pages of a 400 x 400 trial fault in again
-    size = min(m, n)
-    gram = np.matmul(short, short.T, out=scratch_buffer(
-        "gram_svd.gram", np.broadcast_to(0.0, (size, size))))
+    # in the short-side view's layout (F-ordered for a tall C-ordered `a`):
+    # the Gram product's BLAS path, and so its last bits, follow the layout
+    short = np.ldexp(a if m <= n else a.T, -e)
+    gram = np.matmul(short, short.T)
     # t at unit scale, or inf past the largest double: no value reaches it
     t = math.ldexp(t, -e) if math.frexp(t)[1] - e <= 1024 else math.inf
     lapack = _lapack()

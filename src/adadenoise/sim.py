@@ -15,10 +15,16 @@ their caller run none: the pool's processes fill the cores, and the
 caller forks them, which must not happen beside a live thread.  Each
 estimator runs on one BLAS thread, so the records do not depend on
 where the baseline ran.
+
+A grid process also has glibc keep the heap its trials free
+(`_keep_heap`), so that each trial reuses the pages of the one before
+instead of faulting them in again; the settings last for the rest of
+the process.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import errno
 import math
@@ -33,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import baseline_estimate, denoise
-from .linalg import (op_norm, scratch_buffer, scratch_held, set_blas_threads,
-                     subspace_overlap)
+from .linalg import op_norm, set_blas_threads, subspace_overlap
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
 __all__ = [
@@ -164,23 +169,19 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     thresholding: both estimators are asked for r factors.  Both
     estimates and the signal have low rank, so their errors are taken
     from the factors (`_low_rank_op_norm`); only X* - X is decomposed at
-    full size.  Y is a scratch buffer laid out as the noise draw
-    (`linalg.scratch_held`): in a grid, every trial reuses the same one,
-    and X is formed in it, before W is added and again once the
-    estimators are done with Y.
+    full size.  Y is formed as X with W added in place, and X is formed
+    again in Y's place once the estimators are done with Y.
     Where this thread has a helper (a grid run in its own process on 2
     CPUs or more, `_grid_process`), the baseline runs on it beside
     `denoise`, and is waited for before its result is read or the trial
-    raises, whatever raised: the next trial overwrites Y.  Elsewhere the
-    two run one after the other.  The record is the same either way.
+    raises, whatever raised: it reads Y, in whose place X is formed, and
+    a trial that raises leaves no call running on.  Elsewhere the two run
+    one after the other.  The record is the same either way.
     """
     u, v, left = _signal_factors(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
-    # Y is laid out as W, which both samplers return C-ordered, and held, as
-    # without it a grid trial takes ~410 minor faults at n = 300 and ~935 at
-    # n = 800; X is formed in it and W added, as x + w is w + x bit for bit
-    y = np.matmul(left, v.T, out=scratch_buffer("trial.observation", w))
-    y += w
+    y = left @ v.T
+    y += w  # x + w is w + x bit for bit
     del w
 
     noise_sd = float(np.sqrt(model.variance()))
@@ -195,7 +196,7 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
         try:
             res = denoise(y, factors=spec.r)
         finally:
-            wait((pending,))  # Y is a scratch buffer the next trial overwrites
+            wait((pending,))  # it reads Y, in whose place X is formed
         base = pending.result()
 
     scale = (spec.m * spec.n) ** 0.25
@@ -438,19 +439,16 @@ def _cpus() -> int:
 @contextmanager
 def _helper_thread():
     """Run a helper thread for this thread's trials while the block runs.
-    It holds scratch buffers of its own (`linalg.scratch_held`) for its
-    life, and runs the calls handed to it one at a time.  On exit, however
-    the block ends, it finishes the call it runs, drops its buffers and is
-    joined."""
+    It runs the calls handed to it one at a time.  On exit, however the
+    block ends, it finishes the call it runs and is joined."""
     calls = queue.SimpleQueue()
 
     def serve():
-        with scratch_held():
-            for future, fn, args, kwargs in iter(calls.get, None):
-                try:
-                    future.set_result(fn(*args, **kwargs))
-                except BaseException as exc:  # the caller re-raises it
-                    future.set_exception(exc)
+        for future, fn, args, kwargs in iter(calls.get, None):
+            try:
+                future.set_result(fn(*args, **kwargs))
+            except BaseException as exc:  # the caller re-raises it
+                future.set_exception(exc)
 
     def submit(fn, *args, **kwargs):
         future = Future()
@@ -469,20 +467,56 @@ def _helper_thread():
         thread.join()
 
 
+def _libc():
+    """The symbols this process has loaded, the C library's among them,
+    or None where `ctypes` cannot open them."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):  # Windows: the program has no handle
+        return None
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
+
+def _keep_heap() -> None:
+    """Have glibc keep freed heap for this process's later allocations:
+    it returns no free top of the heap under 1 GiB to the system, and
+    serves every allocation under 32 MiB (its 64-bit maximum for the
+    setting) from the heap rather than from a mapping of its own.  A
+    grid's trials then reuse the pages the trial before freed; by
+    default glibc trims the heap after a trial, or maps a large array
+    afresh, and each trial faults its pages in again.
+
+    The settings last for the rest of the process: glibc has no getter
+    for either, and setting one switches off its dynamic thresholds for
+    good, so nothing could be restored.  Does nothing off glibc, where
+    `mallopt` does not resolve."""
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    for param, value in ((_M_TRIM_THRESHOLD, 1 << 30),
+                         (_M_MMAP_THRESHOLD, 1 << 25)):
+        if mallopt(param, value) != 1:
+            raise RuntimeError(f"mallopt({param}, {value}) failed")
+
+
 @contextmanager
 def _grid_process(helper: bool = False):
-    """Set this process up to run a grid's trials: BLAS at one thread,
-    so that a record does not depend on the calling shell's thread count
-    or on `workers`, and the scratch buffers (`linalg.scratch_held`) Y
-    and `gram_svd`'s copy and Gram matrix that all its trials reuse.
-    With `helper`, for a process that runs the trials itself, and at
-    least 2 CPUs to run on, a helper thread (`_helper_thread`) takes each
-    trial's baseline.  On exit, however the block ends, the helper is
-    joined, the buffers are dropped and the thread count is restored."""
+    """Set this process up to run a grid's trials: glibc's heap kept for
+    reuse (`_keep_heap`) for the rest of the process, and BLAS at one
+    thread, so that a record does not depend on the calling shell's
+    thread count or on `workers`.  With `helper`, for a process that
+    runs the trials itself, and at least 2 CPUs to run on, a helper
+    thread (`_helper_thread`) takes each trial's baseline.  On exit,
+    however the block ends, the helper is joined and the thread count is
+    restored."""
+    _keep_heap()
     threads = set_blas_threads(1)
     try:
-        with scratch_held(), (_helper_thread() if helper and _cpus() >= 2
-                              else nullcontext()):
+        with (_helper_thread() if helper and _cpus() >= 2
+              else nullcontext()):
             yield
     finally:
         set_blas_threads(threads)
@@ -506,7 +540,9 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     written raises `OSError` before the first trial.
 
     This process runs the trials under `_grid_process` (one BLAS thread,
-    one set of scratch buffers), and each pool worker enters it for life.
+    glibc's heap kept for reuse), and each pool worker enters it for
+    life.  The heap settings outlast the grid: the process keeps up to
+    1 GiB of freed heap, and takes arrays under 32 MiB from the heap.
     Where this process runs the trials itself, a helper thread runs each
     trial's baseline beside its entrywise step, on 2 CPUs or more.
     """

@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -207,103 +206,6 @@ class TestGramEigen:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=package_env(), check=True)
         assert res.stdout.strip() == "0"
-
-
-class TestScratch:
-    """`linalg.scratch_buffer` hands out one buffer per call site while
-    `scratch_held` is open in the thread, and a fresh array otherwise;
-    either way with the layout `np.empty_like` gives."""
-
-    BASE = np.arange(60.0).reshape(6, 10)
-    PROTOTYPES = {"C": BASE, "F": np.asfortranarray(BASE), "T": BASE.T,
-                  "strided": BASE[::2, 1::3], "column": BASE[:, 3:4],
-                  "flat": BASE.ravel()}
-
-    @pytest.mark.parametrize("name", PROTOTYPES, ids=lambda n: f"like-{n}")
-    def test_layout_is_empty_like(self, name):
-        prototype = self.PROTOTYPES[name]
-        want = np.empty_like(prototype)
-        got = [linalg.scratch_buffer("test", prototype)]
-        with linalg.scratch_held():
-            got += [linalg.scratch_buffer("test", prototype)] * 2
-        for buf in got:
-            assert ((buf.shape, buf.strides, buf.dtype)
-                    == (want.shape, want.strides, want.dtype))
-
-    def test_one_buffer_per_key_while_held(self):
-        a = self.BASE
-        buffer = linalg.scratch_buffer
-        assert buffer("k", a) is not buffer("k", a)
-        with linalg.scratch_held():
-            first = buffer("k", a)
-            assert buffer("k", a) is first
-            assert not np.shares_memory(buffer("other", a), first)
-            # other arguments make a new buffer, which the key then keeps
-            transposed = buffer("k", a.T)
-            assert transposed is not first
-            assert transposed.strides == np.empty_like(a.T).strides
-            assert buffer("k", a.T) is transposed
-        assert linalg._SCRATCH.buffers is None
-
-    def test_hold_dropped_when_the_block_raises(self):
-        with pytest.raises(RuntimeError, match="inside"):
-            with linalg.scratch_held():
-                linalg.scratch_buffer("k", self.BASE)
-                raise RuntimeError("inside")
-        assert linalg._SCRATCH.buffers is None
-
-    def test_hold_is_per_thread(self):
-        seen = []
-        with linalg.scratch_held():
-            linalg.scratch_buffer("k", self.BASE)
-            other = threading.Thread(
-                target=lambda: seen.append(linalg._SCRATCH.buffers))
-            other.start()
-            other.join()
-        assert seen == [None]
-
-    @pytest.mark.parametrize("shape", [(150, 90), (90, 150), (60, 60),
-                                       (40, 1), (1, 40)])
-    def test_gram_svd_buffers_keep_the_fresh_layouts(self, monkeypatch,
-                                                     backend, shape):
-        """Held or not, the unit-scale copy is laid out as `np.ldexp`
-        lays out a fresh one, the Gram matrix as a fresh product, and
-        every bit of the result is the same, for C, F and strided inputs
-        of either orientation.  The Gram product's BLAS path follows the
-        copy's layout: a C-ordered copy of a tall C input's transpose
-        changes the last bits.  (The stride of a length-1 axis places no
-        element, and numpy's own choice for it differs between `np.ldexp`
-        and `np.empty_like`.)"""
-        def layout(a):
-            return a.shape, [s for s, n in zip(a.strides, a.shape) if n > 1]
-
-        made = {}
-        scratch = linalg.scratch_buffer
-
-        def recording(key, prototype):
-            made[key] = scratch(key, prototype)
-            return made[key]
-
-        monkeypatch.setattr(linalg, "scratch_buffer", recording)
-        rng = np.random.default_rng(36)
-        big = rng.standard_normal((2 * shape[0], 2 * shape[1]))
-        for a in (np.ascontiguousarray(big[::2, ::2]),
-                  np.asfortranarray(big[::2, ::2]), big[::2, ::2],
-                  big[:shape[0], :shape[1]]):
-            short = a if a.shape[0] <= a.shape[1] else a.T
-            fresh = linalg.gram_svd(a, 1.0, 3)
-            with linalg.scratch_held():
-                linalg.gram_svd(a, 1.0, 3)
-                held = linalg.gram_svd(a, 1.0, 3)
-            assert set(made) == {"gram_svd.unit", "gram_svd.gram"}
-            assert (layout(made["gram_svd.unit"])
-                    == layout(np.ldexp(short, -1)))
-            assert (layout(made["gram_svd.gram"])
-                    == layout(short @ short.T))
-            assert fresh[0] == held[0]
-            for x, y in zip((*fresh[1:4], fresh[4]()),
-                            (*held[1:4], held[4]())):
-                assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 @pytest.mark.parametrize("entry", ["denoise", "write_matrix_csv", "op_norm"])

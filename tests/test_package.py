@@ -45,26 +45,6 @@ def test_no_module_imports_another_modules_private_name():
     assert found == []
 
 
-def test_scratch_buffer_keys_are_literal_and_distinct():
-    """Every `scratch_buffer` call in the package passes its key as a
-    string literal, and no two calls share a key: a held buffer's
-    contents last until the next call with its key, so two call sites
-    with one key would overwrite each other's arrays."""
-    keys = []
-    for path in sorted(Path(adadenoise.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            func = getattr(node, "func", None)
-            if getattr(func, "id", getattr(func, "attr", None)) \
-                    != "scratch_buffer":
-                continue
-            key = node.args[0] if node.args else None
-            assert (isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)), \
-                f"{path.name}:{node.lineno}: key is not a string literal"
-            keys.append(key.value)
-    assert keys and len(keys) == len(set(keys)), keys
-
-
 def _readme_section(title: str) -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     start = text.index(title)

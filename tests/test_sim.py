@@ -10,10 +10,10 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,10 +69,12 @@ class HelperLoggedMixture(GaussianMixture):
         return super().sample(m, n, seed)
 
 
-# minor faults per 400 x 400 trial after a process's first, read by
-# `test_held_buffers_stop_page_faults`: argv is the CSV path and `workers`.
-# In process, the grid runs with its helper thread whatever the CPU count,
-# and the script checks that it did
+# minor faults per trial after a process's first, read by
+# `test_trials_after_the_first_reuse_their_pages` on a square 200 x 200,
+# a tall 600 x 200 and a square 400 x 400 cell in turn: argv is the CSV
+# path and `workers`; prints one line `m n faults` per cell.  In process,
+# the grids run with their helper thread whatever the CPU count, and the
+# script checks that they did
 FAULTS_SCRIPT = """\
 import resource, statistics, sys, threading
 from adadenoise import ExperimentConfig, run_grid, sim
@@ -80,8 +82,8 @@ from adadenoise import ExperimentConfig, run_grid, sim
 out, workers = sys.argv[1], int(sys.argv[2])
 
 
-def grid(trials, sigma1_grid, progress=None):
-    run_grid(ExperimentConfig(ns=(400,), sigma1_grid=sigma1_grid,
+def grid(n, gamma, trials, sigma1_grid, progress=None):
+    run_grid(ExperimentConfig(ns=(n,), gamma=gamma, sigma1_grid=sigma1_grid,
                               trials=trials, base_seed=9, output=out,
                               workers=workers), progress)
 
@@ -90,25 +92,27 @@ def faults(who):
     return resource.getrusage(who).ru_minflt
 
 
-if workers == 1:
-    sim._cpus = lambda: 2
-    counts, helpers = [], set()
+sim._cpus = lambda: 2
+for m, n in ((200, 200), (600, 200), (400, 400)):
+    if workers == 1:
+        counts, helpers = [], set()
 
-    def progress(done, total):
-        counts.append(faults(resource.RUSAGE_SELF))
-        helpers.add(sum(t.name == "adadenoise-helper"
-                        for t in threading.enumerate()))
+        def progress(done, total):
+            counts.append(faults(resource.RUSAGE_SELF))
+            helpers.add(sum(t.name == "adadenoise-helper"
+                            for t in threading.enumerate()))
 
-    grid(6, (3.0,), progress)
-    assert helpers == {1}, f"helper threads seen: {helpers}"
-    print(statistics.median(b - a for a, b in zip(counts, counts[1:])))
-else:
-    taken = []
-    for trials in (2, 6):
-        before = faults(resource.RUSAGE_CHILDREN)
-        grid(trials, (1.0, 2.0, 3.0))
-        taken.append(faults(resource.RUSAGE_CHILDREN) - before)
-    print((taken[1] - taken[0]) / (3 * 4))
+        grid(n, m / n, 6, (3.0,), progress)
+        assert helpers == {1}, f"helper threads seen: {helpers}"
+        taken = statistics.median(b - a for a, b in zip(counts, counts[1:]))
+    else:
+        runs = []
+        for trials in (2, 6):
+            before = faults(resource.RUSAGE_CHILDREN)
+            grid(n, m / n, trials, (1.0, 2.0, 3.0))
+            runs.append(faults(resource.RUSAGE_CHILDREN) - before)
+        taken = (runs[1] - runs[0]) / (3 * 4)
+    print(m, n, taken)
 """
 
 
@@ -566,13 +570,12 @@ class TestRunGrid:
         (GaussianMixture(2.0), 1), (Gaussian(4.0), 1),
         (GaussianMixture(2.0), 2), (Gaussian(4.0), 2)],
         ids=["mixture", "gaussian", "mixture-pool", "gaussian-pool"])
-    def test_held_buffers_leave_records_and_csv_unchanged(self, tmp_path,
-                                                          noise, workers):
-        """A grid's trials share one set of scratch buffers per process;
-        its records (every bit, trial indices included) and CSV bytes
-        (columns up to the largest rank) equal those of trials run one at
-        a time outside any grid, on a tall, a wide and a square cell, in
-        this process or in a pool."""
+    def test_grid_records_equal_trials_run_alone(self, tmp_path, noise,
+                                                 workers):
+        """A grid's records (every bit, trial indices included) and CSV
+        bytes (columns up to the largest rank) equal those of trials run
+        one at a time outside any grid, on a tall, a wide and a square
+        cell, in this process or in a pool."""
         for n, gamma in ((90, 5 / 3), (150, 0.6), (60, 1.0)):
             config = self.small_config(tmp_path, ns=(n,), gamma=gamma,
                                        ranks=(1, 2), sigma1_grid=(1.0, 3.0),
@@ -589,54 +592,68 @@ class TestRunGrid:
             assert (Path(config.output).read_bytes()
                     == (tmp_path / "alone.csv").read_bytes())
 
-    def test_second_trial_allocation_budget(self, tmp_path):
-        """In a grid, a 400 x 400 trial after the first allocates only
-        what the held buffers do not cover, about 1.8 m x n arrays at a
-        time (4.1 for a trial outside a grid), under a bound of 3.1: W
-        with its coins (1.5), then the sorted entries, which become X*,
-        with a block of binning fractions or the lookup's three blocks
-        (1.6).  Y, which X is formed in, and the unit-scale copies and
-        Gram matrices the spectral steps decompose are the first trial's
-        buffers; where a helper thread runs the baselines, it holds a
-        copy and a Gram matrix of its own, beside this thread's."""
-        peaks = []
+    @pytest.mark.parametrize("cpus, bound", [(2, 6.5), (1, 4.5)],
+                             ids=["helper", "no-helper"])
+    def test_second_trial_live_peak(self, tmp_path, monkeypatch, cpus,
+                                    bound):
+        """Everything live in a grid's second 400 x 400 trial, on both
+        threads, peaks at about 4.1 m x n arrays without a helper thread:
+        Y, X* and the unit-scale copy and Gram matrix of one spectral
+        step.  With the helper's baseline under way beside it, the
+        baseline's copy and Gram matrix may come on top (4.9-6.1 arrays,
+        as the two threads meet).  Traced from before the grid starts,
+        so nothing kept from the first trial escapes the count; an
+        untraced grid first takes imports out of it."""
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        peaks, helpers = [], set()
 
         def progress(done, total):
+            helpers.add(len(helper_threads()))
             if done == 1:
-                tracemalloc.start()
+                tracemalloc.reset_peak()
             else:
                 peaks.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.stop()
 
         config = self.small_config(tmp_path, ns=(400,), sigma1_grid=(3.0,),
                                    trials=2)
+        run_grid(config)
+        tracemalloc.start()
         try:
             run_grid(config, progress=progress)
         finally:
             tracemalloc.stop()
-        assert peaks[0] / (8 * 400 * 400) <= 3.1
+        assert helpers == {cpus - 1}
+        assert peaks[0] / (8 * 400 * 400) <= bound
 
     @pytest.mark.skipif(
         importlib.util.find_spec("resource") is None
         or platform.libc_ver()[0] != "glibc",
         reason="reads minor faults through `resource`, on glibc's heap")
     @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
-    def test_held_buffers_stop_page_faults(self, tmp_path, workers):
-        """A 400 x 400 trial after a process's first takes fewer minor
-        faults than the pages of one m x n array: glibc would otherwise
-        trim the freed top of its heap after each trial and fault the
-        pages in again.  In the grid's own process, the median over
-        trials 2-6 of one cell; in a pool of 2 workers, the faults of its
-        reaped workers per trial that a run of 6 trials per cell takes
-        beyond one of 2 (3 cells, so that both runs start both workers).
-        The grids run in a fresh process, whose heap starts clean."""
+    def test_trials_after_the_first_reuse_their_pages(self, tmp_path,
+                                                      workers):
+        """A 200 x 200, a 600 x 200 and a 400 x 400 trial after a
+        process's first each take fewer minor faults than the pages of
+        one of its m x n arrays: glibc would otherwise trim the freed top
+        of its heap after each trial, or map and unmap a large array
+        afresh, and the trial would fault its pages in again.  In the
+        grid's own process, the median over trials 2-6 of one cell; in a
+        pool of 2 workers, the faults of its reaped workers per trial
+        that a run of 6 trials per cell takes beyond one of 2 (3 cells,
+        so that both runs start both workers).  The grids run in a fresh
+        process, whose heap starts clean."""
         res = subprocess.run(
             [sys.executable, "-c", FAULTS_SCRIPT, str(tmp_path / "out.csv"),
              str(workers)],
             capture_output=True, text=True, check=True, timeout=300,
             env={**package_env(), "OPENBLAS_NUM_THREADS": "1"})
-        pages = math.ceil(8 * 400 * 400 / os.sysconf("SC_PAGE_SIZE"))
-        assert float(res.stdout) < pages
+        cells = [line.split() for line in res.stdout.splitlines()]
+        assert [(int(m), int(n)) for m, n, _ in cells] == [
+            (200, 200), (600, 200), (400, 400)]
+        over = [(m, n, faults) for m, n, faults in cells if float(faults)
+                >= math.ceil(8 * int(m) * int(n)
+                             / os.sysconf("SC_PAGE_SIZE"))]
+        assert over == []
 
     def test_pool_starts_no_worker_without_a_chunk(self, tmp_path,
                                                    monkeypatch):
@@ -677,52 +694,6 @@ class TestRunGrid:
         with pytest.raises(RuntimeError, match="progress failed"):
             run_grid(config, progress=progress)
         assert len(log.read_text().splitlines()) <= 40
-
-    def test_buffers_dropped_when_the_grid_ends(self, tmp_path, monkeypatch):
-        """The grid holds its scratch buffers while its trials run and
-        drops them when it returns, or when a trial raises; so does its
-        helper thread, which holds its own and ends with the grid."""
-        monkeypatch.setattr(sim, "_cpus", lambda: 2)
-        baseline = sim.baseline_estimate
-        helper_held = []
-
-        def recording(*args, **kwargs):
-            result = baseline(*args, **kwargs)
-            helper_held.append((threading.current_thread().name, [
-                weakref.ref(buf) for _, buf in
-                linalg._SCRATCH.buffers.values()]))
-            return result
-
-        monkeypatch.setattr(sim, "baseline_estimate", recording)
-        config = self.small_config(tmp_path, trials=2)
-        held = []
-        run_grid(config, progress=lambda done, total: held.append(
-            len(linalg._SCRATCH.buffers)))
-        assert held[0] > 0 and held[1] == held[0]
-        assert linalg._SCRATCH.buffers is None
-        # the unit-scale copy and the Gram matrix, kept from the first
-        # baseline to the second and dropped with the helper
-        assert [name for name, _ in helper_held] == ["adadenoise-helper"] * 2
-        assert len(helper_held[0][1]) == 2
-        assert ([ref() for ref in helper_held[0][1]]
-                == [None, None]) and helper_threads() == []
-
-        trial = sim.run_trial
-        ran = []
-
-        def second_raises(*args):
-            if ran:
-                raise RuntimeError("trial failed")
-            ran.append(trial(*args))
-            return ran[-1]
-
-        monkeypatch.setattr(sim, "run_trial", second_raises)
-        helper_held.clear()
-        with pytest.raises(RuntimeError, match="trial failed"):
-            run_grid(config)
-        assert ran and linalg._SCRATCH.buffers is None
-        assert len(helper_held) == 1 and helper_threads() == []
-        assert [ref() for ref in helper_held[0][1]] == [None, None]
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
     def test_helper_leaves_records_and_csv_unchanged(self, tmp_path,
@@ -843,9 +814,8 @@ class TestRunGrid:
     @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
     def test_grid_process_setup(self, monkeypatch, fail):
         """The setup this process and every pool worker run the trials
-        under: BLAS at one thread and a scratch hold open inside it, the
-        thread count restored and the hold dropped after it, also when the
-        block raises.  With `helper` and 2 CPUs a helper thread runs while
+        under: BLAS at one thread, the thread count restored after it,
+        also when the block raises.  With `helper` and 2 CPUs a helper thread runs while
         the block does, and is joined when it ends; on 1 CPU, and without
         `helper`, none starts."""
         outer = linalg.set_blas_threads(2)
@@ -858,16 +828,53 @@ class TestRunGrid:
                 with pytest.raises(RuntimeError) if fail else nullcontext():
                     with sim._grid_process(helper=helper):
                         assert linalg.set_blas_threads(None) == inside
-                        assert linalg._SCRATCH.buffers == {}
                         assert len(helper_threads()) == starts
                         assert (sim._HELPER.submit is not None) == starts
                         if fail:
                             raise RuntimeError("inside")
-                assert linalg._SCRATCH.buffers is None
                 assert linalg.set_blas_threads(None) == after
                 assert helper_threads() == [] and sim._HELPER.submit is None
         finally:
             linalg.set_blas_threads(outer)
+
+    def test_heap_settings(self, monkeypatch):
+        """Each entry to the grid setup sets glibc's trim threshold to
+        1 GiB and its mmap threshold to 32 MiB; a setting `mallopt`
+        refuses raises, before BLAS is touched."""
+        calls, took = [], [1]
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return took[0]
+
+        monkeypatch.setattr(sim, "_libc",
+                            lambda: SimpleNamespace(mallopt=mallopt))
+        for _ in range(2):
+            with sim._grid_process():
+                pass
+        assert calls == [(-1, 1 << 30), (-3, 1 << 25)] * 2
+        took[0] = 0
+        before = linalg.set_blas_threads(None)
+        with pytest.raises(RuntimeError, match="mallopt"):
+            with sim._grid_process():
+                pass
+        assert linalg.set_blas_threads(None) == before
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+    def test_records_do_not_depend_on_the_heap_settings(
+            self, tmp_path, monkeypatch, workers):
+        """Off glibc, where the C library has no `mallopt`, the grid setup
+        leaves the heap as it is, and a grid gives the records and CSV
+        bytes it gives with glibc's settings applied, in this process or
+        in a pool (whose forked workers take the patched handle)."""
+        config = self.small_config(tmp_path, ns=(60,), ranks=(1, 2),
+                                   sigma1_grid=(1.0, 3.0), trials=4,
+                                   workers=workers)
+        applied = run_grid(config)
+        csv = Path(config.output).read_bytes()
+        monkeypatch.setattr(sim, "_libc", lambda: SimpleNamespace())
+        assert repr(run_grid(config)) == repr(applied)
+        assert Path(config.output).read_bytes() == csv
 
     def test_only_an_in_process_grid_asks_for_a_helper(self, tmp_path,
                                                        monkeypatch):
