@@ -472,7 +472,7 @@ def _libc():
     or None where `ctypes` cannot open them."""
     try:
         return ctypes.CDLL(None)
-    except (OSError, TypeError):  # Windows: the program has no handle
+    except (OSError, TypeError):  # no handle for the running program
         return None
 
 

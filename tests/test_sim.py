@@ -815,9 +815,9 @@ class TestRunGrid:
     def test_grid_process_setup(self, monkeypatch, fail):
         """The setup this process and every pool worker run the trials
         under: BLAS at one thread, the thread count restored after it,
-        also when the block raises.  With `helper` and 2 CPUs a helper thread runs while
-        the block does, and is joined when it ends; on 1 CPU, and without
-        `helper`, none starts."""
+        also when the block raises.  With `helper` and 2 CPUs a helper
+        thread runs while the block does, and is joined when it ends; on
+        1 CPU, and without `helper`, none starts."""
         outer = linalg.set_blas_threads(2)
         # None where numpy's BLAS exports no OpenBLAS thread controls
         inside, after = (None, None) if outer is None else (1, 2)
@@ -854,11 +854,15 @@ class TestRunGrid:
                 pass
         assert calls == [(-1, 1 << 30), (-3, 1 << 25)] * 2
         took[0] = 0
-        before = linalg.set_blas_threads(None)
-        with pytest.raises(RuntimeError, match="mallopt"):
-            with sim._grid_process():
-                pass
-        assert linalg.set_blas_threads(None) == before
+        outer = linalg.set_blas_threads(2)
+        try:
+            with pytest.raises(RuntimeError, match="mallopt"):
+                with sim._grid_process():
+                    pass
+            # None where numpy's BLAS exports no OpenBLAS thread controls
+            assert linalg.set_blas_threads(None) == (outer and 2)
+        finally:
+            linalg.set_blas_threads(outer)
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
     def test_records_do_not_depend_on_the_heap_settings(
