@@ -201,8 +201,8 @@ def denoise_entrywise(y):
     return scored, i_hat, y_bar
 
 
-def _spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
-                       factors: int, **scored) -> DenoiseResult:
+def spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
+                      factors: int, **scored) -> DenoiseResult:
     """The spectral step both estimators share.
 
     Decomposes `a` through its Gram matrix on the short side
@@ -244,8 +244,8 @@ def denoise(y, *, factors: int = 3) -> DenoiseResult:
     """
     x_star, i_hat, y_bar = denoise_entrywise(y)
     # X* is a spiked matrix with noise sd i_hat^-1/2
-    return _spectral_estimate(x_star, i_hat ** -0.5, DELTA, factors,
-                              x_star=x_star, i_hat=i_hat, y_bar=y_bar)
+    return spectral_estimate(x_star, i_hat ** -0.5, DELTA, factors,
+                             x_star=x_star, i_hat=i_hat, y_bar=y_bar)
 
 
 def baseline_estimate(y, noise_sd: float, *,
@@ -254,4 +254,4 @@ def baseline_estimate(y, noise_sd: float, *,
 
     `factors` is as for `denoise`.
     """
-    return _spectral_estimate(as_matrix(y, "y"), noise_sd, DELTA, factors)
+    return spectral_estimate(as_matrix(y, "y"), noise_sd, DELTA, factors)

@@ -7,14 +7,15 @@ and per-trial seeds derive from (base_seed, cell identity, trial index)
 rather than enumeration order.  Re-running a config reproduces its CSV
 byte for byte.
 
-A process that runs a grid's trials itself, on 2 CPUs or more, runs each
-trial's PCA baseline on a helper thread, beside the trial's entrywise
-step: the baseline's time is LAPACK's, the entrywise step's numpy's
-(sort, binning, lookup), and the two share the cores.  Pool workers and
-their caller run none: the pool's processes fill the cores, and the
-caller forks them, which must not happen beside a live thread.  Each
-estimator runs on one BLAS thread, so the records do not depend on
-where the baseline ran.
+A process that runs a grid's trials itself, on 2 CPUs or more, runs two
+of each trial's three dense decompositions on a helper thread: the PCA
+baseline's, beside the trial's entrywise step, and that of X* - X for
+`err_star`, beside the adaptive spectral step.  The decompositions'
+time is LAPACK's, the entrywise step's numpy's (sort, binning, lookup),
+and the two threads share the cores.  Pool workers and their caller
+run none: the pool's processes fill the cores, and the caller forks
+them, which must not happen beside a live thread.  Each call runs on
+one BLAS thread, so the records do not depend on where it ran.
 
 A grid process also has glibc keep the heap its trials free
 (`_keep_heap`), so that each trial reuses the pages of the one before
@@ -38,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import baseline_estimate, denoise
+from .estimator import (DELTA, baseline_estimate, denoise_entrywise,
+                        spectral_estimate)
 from .linalg import op_norm, set_blas_threads, subspace_overlap
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
@@ -169,14 +171,20 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     thresholding: both estimators are asked for r factors.  Both
     estimates and the signal have low rank, so their errors are taken
     from the factors (`_low_rank_op_norm`); only X* - X is decomposed at
-    full size.  Y is formed as X with W added in place, and X is formed
-    again in Y's place once the estimators are done with Y.
-    Where this thread has a helper (a grid run in its own process on 2
-    CPUs or more, `_grid_process`), the baseline runs on it beside
-    `denoise`, and is waited for before its result is read or the trial
-    raises, whatever raised: it reads Y, in whose place X is formed, and
-    a trial that raises leaves no call running on.  Elsewhere the two run
-    one after the other.  The record is the same either way.
+    full size (`_star_error`).  Y is formed as X with W added in place.
+
+    The adaptive estimate is `denoise`'s two steps, run apart: the
+    entrywise step, then the spectral step on X*.  Two calls go to this
+    thread's helper, where it has one (a grid run in its own process on
+    2 CPUs or more, `_grid_process`): the baseline, handed over before
+    the entrywise step, and X* - X, handed over between the two steps so
+    that it runs beside the spectral step.  X* - X is formed in Y's
+    place: the helper runs its calls in order, so Y is overwritten only
+    once the baseline has read it, and X* is only read.  Both calls are
+    waited for before either result is read or the trial raises,
+    whatever raised, so a trial leaves no call running on.  Without a
+    helper each call runs as it is handed over.  The record is the same
+    either way.
     """
     u, v, left = _signal_factors(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
@@ -185,19 +193,18 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     del w
 
     noise_sd = float(np.sqrt(model.variance()))
-    submit = _HELPER.submit
-    if submit is None:
-        res = denoise(y, factors=spec.r)
-        base = baseline_estimate(y, noise_sd=noise_sd, factors=spec.r)
-    else:
-        # the baseline's LAPACK work runs beside the entrywise step's numpy
-        pending = submit(baseline_estimate, y, noise_sd=noise_sd,
-                         factors=spec.r)
-        try:
-            res = denoise(y, factors=spec.r)
-        finally:
-            wait((pending,))  # it reads Y, in whose place X is formed
-        base = pending.result()
+    submit = _HELPER.submit or _run_now
+    pending = [submit(baseline_estimate, y, noise_sd=noise_sd,
+                      factors=spec.r)]
+    try:
+        x_star, i_hat, y_bar = denoise_entrywise(y)
+        pending.append(submit(_star_error, x_star, left, v, out=y))
+        # as `denoise` does: X* is a spiked matrix with noise sd i_hat^-1/2
+        res = spectral_estimate(x_star, i_hat ** -0.5, DELTA, spec.r,
+                                x_star=x_star, i_hat=i_hat, y_bar=y_bar)
+    finally:
+        wait(pending)
+    base, star = (call.result() for call in pending)
 
     scale = (spec.m * spec.n) ** 0.25
     ov_a = tuple(subspace_overlap(res.u_hat[:, :i], u[:, :i])
@@ -209,15 +216,19 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
         np.hstack([est.u_hat[:, :est.k_hat], u]),
         np.concatenate([est.sigma_shrunk[:est.k_hat], -sigmas]),
         np.hstack([est.v_hat[:, :est.k_hat], v])) for est in (res, base))
-    # nothing reads Y or X* after this: X, the same product, is formed again
-    # in Y's place, and X* - X in place
-    x_star = res.x_star
-    x_star -= np.matmul(left, v.T, out=y)
-    err_s = op_norm(x_star) / scale
     return TrialRecord(n=spec.n, m=spec.m, r=spec.r, sigma1=spec.sigmas[0],
                        trial=-1, seed=seed, i_hat=res.i_hat, k_hat=res.k_hat,
                        overlaps_adaptive=ov_a, overlaps_baseline=ov_b,
-                       err_adaptive=err_a, err_baseline=err_b, err_star=err_s)
+                       err_adaptive=err_a, err_baseline=err_b,
+                       err_star=star / scale)
+
+
+def _star_error(x_star: np.ndarray, left: np.ndarray, v: np.ndarray, *,
+                out: np.ndarray) -> float:
+    """Operator norm of X* - X, where X = ``left @ v.T`` is formed in
+    `out`'s place and X* - X after it; `x_star` is only read."""
+    np.matmul(left, v.T, out=out)
+    return op_norm(np.subtract(x_star, out, out=out))
 
 
 def _low_rank_op_norm(left: np.ndarray, values: np.ndarray,
@@ -428,6 +439,17 @@ class _Helper(threading.local):
 _HELPER = _Helper()
 
 
+def _run_now(fn, *args, **kwargs) -> Future:
+    """Run the call on this thread: `_Helper.submit` for a thread with no
+    helper.  Returns the call's finished `Future`."""
+    future = Future()
+    try:
+        future.set_result(fn(*args, **kwargs))
+    except BaseException as exc:  # the caller re-raises it
+        future.set_exception(exc)
+    return future
+
+
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -439,16 +461,23 @@ def _cpus() -> int:
 @contextmanager
 def _helper_thread():
     """Run a helper thread for this thread's trials while the block runs.
-    It runs the calls handed to it one at a time.  On exit, however the
-    block ends, it finishes the call it runs and is joined."""
+    It runs the calls handed to it one at a time, in the order they were
+    handed over, and drops each call's function and arguments before it
+    settles the call's future: a trial's calls take its m x n arrays,
+    which must not stay alive on the helper into the next trial.  On
+    exit, however the block ends, it finishes the call it runs and is
+    joined."""
     calls = queue.SimpleQueue()
 
     def serve():
         for future, fn, args, kwargs in iter(calls.get, None):
             try:
-                future.set_result(fn(*args, **kwargs))
+                outcome, settle = fn(*args, **kwargs), future.set_result
             except BaseException as exc:  # the caller re-raises it
-                future.set_exception(exc)
+                outcome, settle = exc, future.set_exception
+            del future, fn, args, kwargs
+            settle(outcome)
+            del outcome, settle
 
     def submit(fn, *args, **kwargs):
         future = Future()
@@ -509,7 +538,8 @@ def _grid_process(helper: bool = False):
     thread, so that a record does not depend on the calling shell's
     thread count or on `workers`.  With `helper`, for a process that
     runs the trials itself, and at least 2 CPUs to run on, a helper
-    thread (`_helper_thread`) takes each trial's baseline.  On exit,
+    thread (`_helper_thread`) takes each trial's baseline and X* - X
+    decomposition (`run_trial`).  On exit,
     however the block ends, the helper is joined and the thread count is
     restored."""
     _keep_heap()
@@ -543,8 +573,9 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     glibc's heap kept for reuse), and each pool worker enters it for
     life.  The heap settings outlast the grid: the process keeps up to
     1 GiB of freed heap, and takes arrays under 32 MiB from the heap.
-    Where this process runs the trials itself, a helper thread runs each
-    trial's baseline beside its entrywise step, on 2 CPUs or more.
+    Where this process runs the trials itself, on 2 CPUs or more, a
+    helper thread runs each trial's baseline beside its entrywise step
+    and its X* - X decomposition beside the adaptive spectral step.
     """
     _check_output(config.output)
     tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)

@@ -599,11 +599,12 @@ class TestRunGrid:
         """Everything live in a grid's second 400 x 400 trial, on both
         threads, peaks at about 4.1 m x n arrays without a helper thread:
         Y, X* and the unit-scale copy and Gram matrix of one spectral
-        step.  With the helper's baseline under way beside it, the
-        baseline's copy and Gram matrix may come on top (4.9-6.1 arrays,
-        as the two threads meet).  Traced from before the grid starts,
-        so nothing kept from the first trial escapes the count; an
-        untraced grid first takes imports out of it."""
+        step.  With the helper, X* - X is decomposed there beside the
+        adaptive spectral step, so the copy and Gram matrix of a second
+        decomposition come on top (6.09-6.11 arrays in 8 of 8 runs).
+        Traced from before the grid starts, so nothing kept from the first
+        trial escapes the count; an untraced grid first takes imports out
+        of it."""
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
         peaks, helpers = [], set()
 
@@ -624,6 +625,28 @@ class TestRunGrid:
             tracemalloc.stop()
         assert helpers == {cpus - 1}
         assert peaks[0] / (8 * 400 * 400) <= bound
+
+    def test_helper_keeps_no_trial_alive(self, tmp_path, monkeypatch):
+        """Once a 400 x 400 grid trial has returned, as `progress` is
+        called, the traced live memory is the same with the helper thread
+        as without it: the helper drops each call's arguments (Y, X*) as
+        the call ends, so they do not live on into the next trial.
+        Traced from before the grid starts; an untraced grid first takes
+        imports out of the count."""
+        live = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+            config = self.small_config(tmp_path, ns=(400,),
+                                       sigma1_grid=(3.0,), trials=2)
+            run_grid(config)
+            readings = live[cpus] = []
+            tracemalloc.start()
+            try:
+                run_grid(config, progress=lambda done, total: readings.append(
+                    tracemalloc.get_traced_memory()[0] / (8 * 400 * 400)))
+            finally:
+                tracemalloc.stop()
+        assert all(abs(a - b) < 0.1 for a, b in zip(live[1], live[2]))
 
     @pytest.mark.skipif(
         importlib.util.find_spec("resource") is None
@@ -732,10 +755,10 @@ class TestRunGrid:
 
     def test_helper_records_hold_under_frequent_switches(self, tmp_path,
                                                          monkeypatch):
-        """The two threads share Y, read-only while both run, and hand
-        the baseline over through a future: with the interpreter switching
-        threads every microsecond, 24 trials give the records they give
-        with no helper."""
+        """The two threads share Y and X*, each read-only while both run,
+        and hand the results over through futures: with the interpreter
+        switching threads every microsecond, 24 trials give the records
+        they give with no helper."""
         config = self.small_config(tmp_path, ns=(40,), ranks=(1, 2),
                                    sigma1_grid=(1.0, 3.0), trials=6)
         runs = []
@@ -749,33 +772,38 @@ class TestRunGrid:
             sys.setswitchinterval(interval)
         assert runs[0] == runs[1] and helper_threads() == []
 
-    @pytest.mark.parametrize("fails", ["baseline", "denoise"])
-    def test_trial_error_waits_for_the_baseline(self, tmp_path, monkeypatch,
-                                                fails):
-        """With a helper thread, an error in either estimator is the one
-        `run_grid` raises, and the trial raises it only once the baseline
-        has returned, as the next trial overwrites the Y it reads.  No
+    @pytest.mark.parametrize("fails",
+                             ["baseline", "entrywise", "star", "spectral"])
+    def test_trial_error_waits_for_the_helper(self, tmp_path, monkeypatch,
+                                              fails):
+        """With a helper thread, an error in any of a trial's four calls
+        (the baseline and X* - X on the helper, the entrywise and the
+        spectral step on the calling thread) is the one `run_grid` raises,
+        and the trial raises it only once every call it handed to the
+        helper has returned: the baseline reads Y, X* - X is formed in Y's
+        place, and the next trial forms its own Y.  The helper's calls take
+        0.2 s each, so a trial that did not wait would raise first.  No
         helper thread outlives the grid."""
         monkeypatch.setattr(sim, "_cpus", lambda: 2)
         events = []
-        baseline, denoise_ = sim.baseline_estimate, sim.denoise
 
-        def slow_baseline(*args, **kwargs):
-            events.append(("baseline", threading.current_thread().name))
-            if fails == "baseline":
-                raise RuntimeError("baseline failed")
-            time.sleep(0.2)
-            result = baseline(*args, **kwargs)
-            events.append(("baseline done", None))
-            return result
+        def watched(name, call, delay):
+            def run(*args, **kwargs):
+                events.append((name, threading.current_thread().name))
+                if name == fails:
+                    raise RuntimeError(f"{name} failed")
+                time.sleep(delay)
+                result = call(*args, **kwargs)
+                events.append((f"{name} done", None))
+                return result
+            return run
 
-        def watched_denoise(*args, **kwargs):
-            if fails == "denoise":
-                raise RuntimeError("denoise failed")
-            result = denoise_(*args, **kwargs)
-            events.append(("denoise done", None))
-            return result
-
+        for name, attr, delay in (("baseline", "baseline_estimate", 0.2),
+                                  ("entrywise", "denoise_entrywise", 0),
+                                  ("star", "_star_error", 0.2),
+                                  ("spectral", "spectral_estimate", 0)):
+            monkeypatch.setattr(sim, attr,
+                                watched(name, getattr(sim, attr), delay))
         trial = sim.run_trial
 
         def watched_trial(*args):
@@ -785,16 +813,58 @@ class TestRunGrid:
                 events.append(("raised", None))
                 raise
 
-        monkeypatch.setattr(sim, "baseline_estimate", slow_baseline)
-        monkeypatch.setattr(sim, "denoise", watched_denoise)
         monkeypatch.setattr(sim, "run_trial", watched_trial)
         with pytest.raises(RuntimeError, match=f"{fails} failed"):
             run_grid(self.small_config(tmp_path, trials=2))
-        assert ("baseline", "adadenoise-helper") in events
-        done = "denoise done" if fails == "baseline" else "baseline done"
-        assert [event for event, _ in events].count("raised") == 1
-        assert [event for event, _ in events][-2:] == [done, "raised"]
+        helper, caller = "adadenoise-helper", threading.main_thread().name
+        started = {(name, thread) for name, thread in events if thread}
+        assert started == ({("baseline", helper), ("entrywise", caller)}
+                           if fails == "entrywise" else
+                           {("baseline", helper), ("entrywise", caller),
+                            ("star", helper), ("spectral", caller)})
+        names = [name for name, _ in events]
+        assert names.count("raised") == 1 and names[-1] == "raised"
+        assert all(f"{name} done" in names for name, thread in started
+                   if thread == helper and name != fails)
         assert helper_threads() == []
+
+    @pytest.mark.parametrize("slow", ["star", "spectral"])
+    def test_records_do_not_depend_on_the_interleaving(self, tmp_path,
+                                                       monkeypatch, slow):
+        """X* - X runs on the helper beside the adaptive spectral step on
+        the calling thread, and both read X*.  With either side held back
+        by 50 ms, so that the other finishes first in every trial, the
+        records (every bit) and the CSV bytes equal those of a grid run
+        with no helper, on a tall, a wide and a square cell."""
+        order = []
+
+        def recorded(name, call):
+            def run(*args, **kwargs):
+                if name == slow:
+                    time.sleep(0.05)
+                result = call(*args, **kwargs)
+                order.append(name)
+                return result
+            return run
+
+        for n, gamma in ((90, 5 / 3), (150, 0.6), (60, 1.0)):
+            config = self.small_config(tmp_path, ns=(n,), gamma=gamma,
+                                       ranks=(1, 2), sigma1_grid=(1.0, 3.0),
+                                       trials=2)
+            runs = []
+            for cpus in (1, 2):
+                with monkeypatch.context() as patch:
+                    patch.setattr(sim, "_cpus", lambda: cpus)
+                    if cpus == 2:
+                        for name, attr in (("star", "_star_error"),
+                                           ("spectral", "spectral_estimate")):
+                            patch.setattr(sim, attr,
+                                          recorded(name, getattr(sim, attr)))
+                    runs.append((repr(run_grid(config)),
+                                 Path(config.output).read_bytes()))
+            assert runs[0] == runs[1]
+        fast = "star" if slow == "spectral" else "spectral"
+        assert order == [fast, slow] * 24
 
     def test_blas_held_at_one_thread_and_restored(self, tmp_path):
         outer = linalg.set_blas_threads(2)

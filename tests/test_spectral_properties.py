@@ -6,7 +6,7 @@ full spectrum (`sigma0`, taken on first read).  They must agree with
 the one shrink rule applied to the full spectrum.  `gram_svd` solves at
 unit scale, so scaling the input by a power of two scales every value
 by it, bit for bit.  The step is called directly
-(`estimator._spectral_estimate`), so that the threshold margin delta,
+(`estimator.spectral_estimate`), so that the threshold margin delta,
 a constant of both estimators, can vary.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from adadenoise import linalg, shrink_known_sd
-from adadenoise.estimator import _spectral_estimate
+from adadenoise.estimator import spectral_estimate
 from adadenoise.shrinkage import shrink_threshold
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
@@ -53,7 +53,7 @@ def check_spectral_step(backend, a, noise_sd, delta, factors):
     1e-12 relative of tau, where either side is right, are skipped.
     Returns the result."""
     with on_backend(backend):
-        res = _spectral_estimate(a, noise_sd, delta, factors)
+        res = spectral_estimate(a, noise_sd, delta, factors)
         sigma0 = res.sigma0
     m, n = a.shape
     tau = shrink_threshold(noise_sd, delta, m / n)
@@ -182,12 +182,12 @@ def test_power_of_two_scaling(backend, case, k, delta, factors):
     t = shrink_threshold(noise_sd, delta, m / n) * (m * n) ** 0.25
     with on_backend(backend):
         count, s, u, v, values = linalg.gram_svd(a, t, factors)
-        res = _spectral_estimate(a, noise_sd, delta, factors)
+        res = spectral_estimate(a, noise_sd, delta, factors)
         unit = values(), res.sigma0, res.sigma_shrunk, res.x_hat
         assume(all(stays_normal(x, k) for x in (a, noise_sd, s) + unit))
         got = linalg.gram_svd(np.ldexp(a, k), np.ldexp(t, k), factors)
-        scaled = _spectral_estimate(np.ldexp(a, k), np.ldexp(noise_sd, k),
-                                    delta, factors)
+        scaled = spectral_estimate(np.ldexp(a, k), np.ldexp(noise_sd, k),
+                                   delta, factors)
         assert got[0] == count
         np.testing.assert_array_equal(got[2], u, strict=True)
         np.testing.assert_array_equal(got[3], v, strict=True)
