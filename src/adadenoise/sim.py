@@ -441,11 +441,12 @@ _HELPER = _Helper()
 
 def _run_now(fn, *args, **kwargs) -> Future:
     """Run the call on this thread: `_Helper.submit` for a thread with no
-    helper.  Returns the call's finished `Future`."""
+    helper.  Returns the call's finished `Future`; an interrupt is not
+    kept in it but raised at once, as nothing else runs."""
     future = Future()
     try:
         future.set_result(fn(*args, **kwargs))
-    except BaseException as exc:  # the caller re-raises it
+    except Exception as exc:  # the caller re-raises it
         future.set_exception(exc)
     return future
 
