@@ -236,16 +236,21 @@ def spectral_estimate(a: np.ndarray, noise_sd: float, delta: float,
                          sigma_shrunk=sigma_shrunk, k_hat=k_hat, **scored)
 
 
+def adaptive_spectral(x_star: np.ndarray, i_hat: float, y_bar: float,
+                      factors: int) -> DenoiseResult:
+    """The adaptive pipeline's spectral step, on what `denoise_entrywise`
+    returns: X* is a spiked matrix with noise sd i_hat^-1/2."""
+    return spectral_estimate(x_star, i_hat ** -0.5, DELTA, factors,
+                             x_star=x_star, i_hat=i_hat, y_bar=y_bar)
+
+
 def denoise(y, *, factors: int = 3) -> DenoiseResult:
     """Run the full adaptive pipeline on Y.
 
     `factors` is how many leading singular vectors to return at least
     (`DenoiseResult`).
     """
-    x_star, i_hat, y_bar = denoise_entrywise(y)
-    # X* is a spiked matrix with noise sd i_hat^-1/2
-    return spectral_estimate(x_star, i_hat ** -0.5, DELTA, factors,
-                             x_star=x_star, i_hat=i_hat, y_bar=y_bar)
+    return adaptive_spectral(*denoise_entrywise(y), factors)
 
 
 def baseline_estimate(y, noise_sd: float, *,

@@ -8,14 +8,16 @@ rather than enumeration order.  Re-running a config reproduces its CSV
 byte for byte.
 
 A process that runs a grid's trials itself, on 2 CPUs or more, runs two
-of each trial's three dense decompositions on a helper thread: the PCA
-baseline's, beside the trial's entrywise step, and that of X* - X for
-`err_star`, beside the adaptive spectral step.  The decompositions'
-time is LAPACK's, the entrywise step's numpy's (sort, binning, lookup),
-and the two threads share the cores.  Pool workers and their caller
-run none: the pool's processes fill the cores, and the caller forks
-them, which must not happen beside a live thread.  Each call runs on
-one BLAS thread, so the records do not depend on where it ran.
+of each trial's three dense decompositions on a helper thread, the one
+thread of a standard-library `ThreadPoolExecutor`, started on first
+use: the PCA baseline's, beside the trial's entrywise step, and that of
+X* - X for `err_star`, beside the adaptive spectral step.  The
+decompositions' time is LAPACK's, the entrywise step's numpy's (sort,
+binning, lookup), and the two threads share the cores.  Pool workers
+and their caller run none: the pool's processes fill the cores, and the
+caller forks them, which must not happen beside a live thread.  Each
+call runs on one BLAS thread, so the records do not depend on where it
+ran.
 
 A grid process also has glibc keep the heap its trials free
 (`_keep_heap`), so that each trial reuses the pages of the one before
@@ -30,17 +32,16 @@ import dataclasses
 import errno
 import math
 import os
-import queue
 import struct
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import (Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor, wait)
 from contextlib import ExitStack, closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import (DELTA, baseline_estimate, denoise_entrywise,
-                        spectral_estimate)
+from .estimator import adaptive_spectral, baseline_estimate, denoise_entrywise
 from .linalg import op_norm, set_blas_threads, subspace_overlap
 from .noise import Gaussian, GaussianMixture, NoiseModel
 
@@ -174,17 +175,18 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     full size (`_star_error`).  Y is formed as X with W added in place.
 
     The adaptive estimate is `denoise`'s two steps, run apart: the
-    entrywise step, then the spectral step on X*.  Two calls go to this
-    thread's helper, where it has one (a grid run in its own process on
-    2 CPUs or more, `_grid_process`): the baseline, handed over before
-    the entrywise step, and X* - X, handed over between the two steps so
-    that it runs beside the spectral step.  X* - X is formed in Y's
-    place: the helper runs its calls in order, so Y is overwritten only
-    once the baseline has read it, and X* is only read.  Both calls are
-    waited for before either result is read or the trial raises,
-    whatever raised, so a trial leaves no call running on.  Without a
-    helper each call runs as it is handed over.  The record is the same
-    either way.
+    entrywise step, then the spectral step on X* (`adaptive_spectral`).
+    Two calls go to this thread's helper, where it has one (a grid run in
+    its own process on 2 CPUs or more, `_grid_process`): the baseline,
+    handed over before the entrywise step, and X* - X, handed over
+    between the two steps so that it runs beside the spectral step.
+    X* - X is formed in Y's place: the helper, a one-thread executor,
+    runs its calls in order, so Y is overwritten only once the baseline
+    has read it, and X* is only read.  Both calls are waited for before
+    either result is read or the trial raises, whatever raised: the
+    executor lives for the whole grid, and a trial must leave no call
+    running on.  Without a helper each call runs as it is handed over.
+    The record is the same either way.
     """
     u, v, left = _signal_factors(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
@@ -199,9 +201,7 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     try:
         x_star, i_hat, y_bar = denoise_entrywise(y)
         pending.append(submit(_star_error, x_star, left, v, out=y))
-        # as `denoise` does: X* is a spiked matrix with noise sd i_hat^-1/2
-        res = spectral_estimate(x_star, i_hat ** -0.5, DELTA, spec.r,
-                                x_star=x_star, i_hat=i_hat, y_bar=y_bar)
+        res = adaptive_spectral(x_star, i_hat, y_bar, spec.r)
     finally:
         wait(pending)
     base, star = (call.result() for call in pending)
@@ -430,8 +430,8 @@ def _trial_task(args):
 
 class _Helper(threading.local):
     """This thread's helper: ``submit(fn, *args, **kwargs)`` runs the call
-    on the helper thread and returns its `Future`; None while this thread
-    has no helper."""
+    on the helper thread (`ThreadPoolExecutor.submit`) and returns its
+    `Future`; None while this thread has no helper."""
 
     submit = None
 
@@ -457,44 +457,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-@contextmanager
-def _helper_thread():
-    """Run a helper thread for this thread's trials while the block runs.
-    It runs the calls handed to it one at a time, in the order they were
-    handed over, and drops each call's function and arguments before it
-    settles the call's future: a trial's calls take its m x n arrays,
-    which must not stay alive on the helper into the next trial.  On
-    exit, however the block ends, it finishes the call it runs and is
-    joined."""
-    calls = queue.SimpleQueue()
-
-    def serve():
-        for future, fn, args, kwargs in iter(calls.get, None):
-            try:
-                outcome, settle = fn(*args, **kwargs), future.set_result
-            except BaseException as exc:  # the caller re-raises it
-                outcome, settle = exc, future.set_exception
-            del future, fn, args, kwargs
-            settle(outcome)
-            del outcome, settle
-
-    def submit(fn, *args, **kwargs):
-        future = Future()
-        calls.put((future, fn, args, kwargs))
-        return future
-
-    thread = threading.Thread(target=serve, name="adadenoise-helper",
-                              daemon=True)
-    thread.start()
-    _HELPER.submit = submit
-    try:
-        yield
-    finally:
-        _HELPER.submit = None
-        calls.put(None)
-        thread.join()
 
 
 def _libc():
@@ -538,18 +500,25 @@ def _grid_process(helper: bool = False):
     reuse (`_keep_heap`) for the rest of the process, and BLAS at one
     thread, so that a record does not depend on the calling shell's
     thread count or on `workers`.  With `helper`, for a process that
-    runs the trials itself, and at least 2 CPUs to run on, a helper
-    thread (`_helper_thread`) takes each trial's baseline and X* - X
-    decomposition (`run_trial`).  On exit,
-    however the block ends, the helper is joined and the thread count is
+    runs the trials itself, and at least 2 CPUs to run on, this thread's
+    helper (`_HELPER`) is a one-thread executor, which takes each
+    trial's baseline and X* - X decomposition (`run_trial`) and runs
+    them one at a time, in the order they were handed over; its thread
+    starts with the first call.  The executor drops each call's function
+    and arguments once it has settled the call's future, so a trial's
+    m x n arrays do not stay alive on the helper into the next trial.
+    On exit, however the block ends, the executor finishes every call
+    handed to it and joins its thread, and the thread count is
     restored."""
     _keep_heap()
     threads = set_blas_threads(1)
     try:
-        with (_helper_thread() if helper and _cpus() >= 2
-              else nullcontext()):
+        with (ThreadPoolExecutor(1, thread_name_prefix="adadenoise-helper")
+              if helper and _cpus() >= 2 else nullcontext()) as pool:
+            _HELPER.submit = None if pool is None else pool.submit
             yield
     finally:
+        _HELPER.submit = None
         set_blas_threads(threads)
 
 
@@ -575,8 +544,9 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     life.  The heap settings outlast the grid: the process keeps up to
     1 GiB of freed heap, and takes arrays under 32 MiB from the heap.
     Where this process runs the trials itself, on 2 CPUs or more, a
-    helper thread runs each trial's baseline beside its entrywise step
-    and its X* - X decomposition beside the adaptive spectral step.
+    one-thread executor, whose thread starts with the first trial, runs
+    each trial's baseline beside its entrywise step and its X* - X
+    decomposition beside the adaptive spectral step.
     """
     _check_output(config.output)
     tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)

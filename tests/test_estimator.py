@@ -562,8 +562,8 @@ class TestLazySpectrum:
                 return results[-1]
             return call
 
-        monkeypatch.setattr(sim, "spectral_estimate",
-                            keeping(sim.spectral_estimate))
+        monkeypatch.setattr(sim, "adaptive_spectral",
+                            keeping(sim.adaptive_spectral))
         monkeypatch.setattr(sim, "baseline_estimate",
                             keeping(baseline_estimate))
         run_trial(SignalSpec(m=60, n=80, r=1, sigmas=(5.0,)),

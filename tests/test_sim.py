@@ -49,9 +49,13 @@ class LoggedMixture(GaussianMixture):
         return super().sample(m, n, seed)
 
 
+# the name every grid helper thread's name starts with
+HELPER = "adadenoise-helper"
+
+
 def helper_threads():
     """The grid helper threads alive in this process."""
-    return [t for t in threading.enumerate() if t.name == "adadenoise-helper"]
+    return [t for t in threading.enumerate() if t.name.startswith(HELPER)]
 
 
 class HelperLoggedMixture(GaussianMixture):
@@ -99,7 +103,7 @@ for m, n in ((200, 200), (600, 200), (400, 400)):
 
         def progress(done, total):
             counts.append(faults(resource.RUSAGE_SELF))
-            helpers.add(sum(t.name == "adadenoise-helper"
+            helpers.add(sum(t.name.startswith("adadenoise-helper")
                             for t in threading.enumerate()))
 
         grid(n, m / n, 6, (3.0,), progress)
@@ -722,10 +726,12 @@ class TestRunGrid:
     def test_helper_leaves_records_and_csv_unchanged(self, tmp_path,
                                                      monkeypatch, workers):
         """On 2 CPUs, a grid that runs its trials in its own process hands
-        each trial's baseline to a helper thread; on 1 CPU, in a pool's
-        workers and in the pool's caller none starts.  The records (every
-        bit) and the CSV bytes are the same either way, on a tall, a wide
-        and a square cell (8 trials in 2 chunks, so the pool starts)."""
+        each trial's baseline to a helper thread, which starts with the
+        first trial's first call, after that trial's noise draw; on 1 CPU,
+        in a pool's workers and in the pool's caller none starts.  The
+        records (every bit) and the CSV bytes are the same either way, on
+        a tall, a wide and a square cell (8 trials in 2 chunks, so the
+        pool starts)."""
         for n, gamma in ((90, 5 / 3), (150, 0.6), (60, 1.0)):
             runs = []
             for cpus in (1, 2):
@@ -745,9 +751,11 @@ class TestRunGrid:
                 draws = [line.split() for line in
                          log.read_text().splitlines()]
                 assert len(draws) == len(records) == 8
-                # the caller, then where each trial ran
+                # the caller, then where each trial ran: the first draw
+                # comes before the helper's first call
                 assert seen == [helper] * 8
-                assert {int(count) for _, count in draws} == {helper}
+                assert [int(count) for _, count in draws] == (
+                    [0] + [helper] * 7)
                 assert ({int(pid) != os.getpid() for pid, _ in draws}
                         == {workers == 2})
                 assert helper_threads() == []
@@ -789,7 +797,9 @@ class TestRunGrid:
 
         def watched(name, call, delay):
             def run(*args, **kwargs):
-                events.append((name, threading.current_thread().name))
+                thread = threading.current_thread().name
+                events.append((name, "helper" if thread.startswith(HELPER)
+                               else thread))
                 if name == fails:
                     raise RuntimeError(f"{name} failed")
                 time.sleep(delay)
@@ -801,7 +811,7 @@ class TestRunGrid:
         for name, attr, delay in (("baseline", "baseline_estimate", 0.2),
                                   ("entrywise", "denoise_entrywise", 0),
                                   ("star", "_star_error", 0.2),
-                                  ("spectral", "spectral_estimate", 0)):
+                                  ("spectral", "adaptive_spectral", 0)):
             monkeypatch.setattr(sim, attr,
                                 watched(name, getattr(sim, attr), delay))
         trial = sim.run_trial
@@ -816,7 +826,7 @@ class TestRunGrid:
         monkeypatch.setattr(sim, "run_trial", watched_trial)
         with pytest.raises(RuntimeError, match=f"{fails} failed"):
             run_grid(self.small_config(tmp_path, trials=2))
-        helper, caller = "adadenoise-helper", threading.main_thread().name
+        helper, caller = "helper", threading.main_thread().name
         started = {(name, thread) for name, thread in events if thread}
         assert started == ({("baseline", helper), ("entrywise", caller)}
                            if fails == "entrywise" else
@@ -827,6 +837,36 @@ class TestRunGrid:
         assert all(f"{name} done" in names for name, thread in started
                    if thread == helper and name != fails)
         assert helper_threads() == []
+
+    @pytest.mark.parametrize("where", ["progress", "entrywise"])
+    def test_interrupt_ends_the_grid_cleanly(self, tmp_path, monkeypatch,
+                                             where):
+        """A `KeyboardInterrupt`, from `progress` at trial 2 or from the
+        first trial's entrywise step, raised while the helper thread runs,
+        ends an in-process grid: `run_grid` raises it, no helper thread is
+        left and the BLAS thread count is restored."""
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        helpers = []
+
+        def interrupt(*args):
+            helpers.append(len(helper_threads()))
+            raise KeyboardInterrupt
+
+        def progress(done, total):
+            if where == "progress" and done == 2:
+                interrupt()
+
+        if where == "entrywise":
+            monkeypatch.setattr(sim, "denoise_entrywise", interrupt)
+        outer = linalg.set_blas_threads(2)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_grid(self.small_config(tmp_path, trials=4), progress)
+            assert helpers == [1] and helper_threads() == []
+            # None where numpy's BLAS exports no OpenBLAS thread controls
+            assert linalg.set_blas_threads(None) == (outer and 2)
+        finally:
+            linalg.set_blas_threads(outer)
 
     @pytest.mark.parametrize("slow", ["star", "spectral"])
     def test_records_do_not_depend_on_the_interleaving(self, tmp_path,
@@ -857,7 +897,7 @@ class TestRunGrid:
                     patch.setattr(sim, "_cpus", lambda: cpus)
                     if cpus == 2:
                         for name, attr in (("star", "_star_error"),
-                                           ("spectral", "spectral_estimate")):
+                                           ("spectral", "adaptive_spectral")):
                             patch.setattr(sim, attr,
                                           recorded(name, getattr(sim, attr)))
                     runs.append((repr(run_grid(config)),
@@ -885,9 +925,10 @@ class TestRunGrid:
     def test_grid_process_setup(self, monkeypatch, fail):
         """The setup this process and every pool worker run the trials
         under: BLAS at one thread, the thread count restored after it,
-        also when the block raises.  With `helper` and 2 CPUs a helper
-        thread runs while the block does, and is joined when it ends; on
-        1 CPU, and without `helper`, none starts."""
+        also when the block raises.  With `helper` and 2 CPUs, a call
+        handed over in the block runs on the one helper thread, which is
+        joined when the block ends; on 1 CPU, and without `helper`, the
+        call runs on this thread and no helper starts."""
         outer = linalg.set_blas_threads(2)
         # None where numpy's BLAS exports no OpenBLAS thread controls
         inside, after = (None, None) if outer is None else (1, 2)
@@ -898,8 +939,11 @@ class TestRunGrid:
                 with pytest.raises(RuntimeError) if fail else nullcontext():
                     with sim._grid_process(helper=helper):
                         assert linalg.set_blas_threads(None) == inside
-                        assert len(helper_threads()) == starts
                         assert (sim._HELPER.submit is not None) == starts
+                        ran = (sim._HELPER.submit or sim._run_now)(
+                            threading.current_thread).result(timeout=60)
+                        assert ran.name.startswith(HELPER) == starts
+                        assert len(helper_threads()) == starts
                         if fail:
                             raise RuntimeError("inside")
                 assert linalg.set_blas_threads(None) == after
