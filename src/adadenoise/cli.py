@@ -23,7 +23,8 @@ import numpy as np
 from .csvio import read_matrix_csv, write_matrix_csv
 from .estimator import baseline_estimate, denoise
 from .shrinkage import debiased_sv, error_limit, inflated_sv, overlap_limit
-from .sim import ConfigError, load_config, parse_grid, run_grid
+from .sim import (ConfigError, check_output, load_config, parse_grid,
+                  run_grid)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -100,7 +101,14 @@ def cmd_denoise(args) -> int:
     if y is None:
         return USAGE_ERROR
 
+    prefix = args.output_prefix
+    xhat, xstar, meta_path = (f"{prefix}_xhat.csv", f"{prefix}_xstar.csv",
+                              f"{prefix}_meta.txt")
     try:
+        # before the work, so that an unwritable output fails at once
+        for path in ((xhat, xstar, meta_path) if args.noise_sd is None
+                     else (xhat, meta_path)):
+            check_output(path)
         if args.noise_sd is None:
             res = denoise(y)
             meta = [("i_hat", res.i_hat), ("k_hat", res.k_hat),
@@ -111,11 +119,10 @@ def cmd_denoise(args) -> int:
         # the full spectrum is taken on first read of sigma0; read it
         # before any file is written, so a failure leaves no output behind
         meta += [("sigma0", res.sigma0), ("sigma_shrunk", res.sigma_shrunk)]
-        prefix = args.output_prefix
-        write_matrix_csv(res.x_hat, f"{prefix}_xhat.csv")
+        write_matrix_csv(res.x_hat, xhat)
         if res.x_star is not None:
-            write_matrix_csv(res.x_star, f"{prefix}_xstar.csv")
-        _write_meta(f"{prefix}_meta.txt", meta)
+            write_matrix_csv(res.x_star, xstar)
+        _write_meta(meta_path, meta)
     except OSError as exc:
         _err(f"cannot write outputs: {exc}")
         return RUNTIME_ERROR

@@ -7,22 +7,23 @@ and per-trial seeds derive from (base_seed, cell identity, trial index)
 rather than enumeration order.  Re-running a config reproduces its CSV
 byte for byte.
 
-A process that runs a grid's trials itself, on 2 CPUs or more, runs two
-of each trial's three dense decompositions on a helper thread, the one
+Only a process that runs a grid's trials is set up for them
+(`_grid_setup`): BLAS at one thread, so that the records do not depend
+on where a trial ran, and glibc keeping the heap the trials free
+(`_keep_heap`), so that each trial reuses the pages of the one before
+instead of faulting them in again; the heap settings last for the rest
+of the process.  That is each pool worker, or `run_grid`'s own process
+when it runs the trials itself; a pool's caller keeps its settings.
+
+A grid that runs its trials in process, on 2 CPUs or more, runs two of
+each trial's three dense decompositions on a helper thread, the one
 thread of a standard-library `ThreadPoolExecutor`, started on first
 use: the PCA baseline's, beside the trial's entrywise step, and that of
 X* - X for `err_star`, beside the adaptive spectral step.  The
 decompositions' time is LAPACK's, the entrywise step's numpy's (sort,
-binning, lookup), and the two threads share the cores.  Pool workers
-and their caller run none: the pool's processes fill the cores, and the
-caller forks them, which must not happen beside a live thread.  Each
-call runs on one BLAS thread, so the records do not depend on where it
-ran.
-
-A grid process also has glibc keep the heap its trials free
-(`_keep_heap`), so that each trial reuses the pages of the one before
-instead of faulting them in again; the settings last for the rest of
-the process.
+binning, lookup), and the two threads share the cores.  A pool's
+workers and its caller run none: the pool's processes fill the cores,
+and the caller forks them, which must not happen beside a live thread.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import struct
 import threading
 from concurrent.futures import (Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
-from contextlib import ExitStack, closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,7 +196,7 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     del w
 
     noise_sd = float(np.sqrt(model.variance()))
-    submit = _HELPER.submit or _run_now
+    submit = getattr(_HELPER, "submit", _run_now)
     pending = [submit(baseline_estimate, y, noise_sd=noise_sd,
                       factors=spec.r)]
     try:
@@ -428,19 +429,13 @@ def _trial_task(args):
     return dataclasses.replace(run_trial(spec, model, seed), trial=trial)
 
 
-class _Helper(threading.local):
-    """This thread's helper: ``submit(fn, *args, **kwargs)`` runs the call
-    on the helper thread (`ThreadPoolExecutor.submit`) and returns its
-    `Future`; None while this thread has no helper."""
-
-    submit = None
-
-
-_HELPER = _Helper()
+# this thread's helper: `submit` is a one-thread executor's while
+# `_grid_process` gives this thread one, and unset otherwise
+_HELPER = threading.local()
 
 
 def _run_now(fn, *args, **kwargs) -> Future:
-    """Run the call on this thread: `_Helper.submit` for a thread with no
+    """Run the call on this thread: `submit` for a thread with no
     helper.  Returns the call's finished `Future`; an interrupt is not
     kept in it but raised at once, as nothing else runs."""
     future = Future()
@@ -494,41 +489,41 @@ def _keep_heap() -> None:
             raise RuntimeError(f"mallopt({param}, {value}) failed")
 
 
-@contextmanager
-def _grid_process(helper: bool = False):
-    """Set this process up to run a grid's trials: glibc's heap kept for
-    reuse (`_keep_heap`) for the rest of the process, and BLAS at one
-    thread, so that a record does not depend on the calling shell's
-    thread count or on `workers`.  With `helper`, for a process that
-    runs the trials itself, and at least 2 CPUs to run on, this thread's
-    helper (`_HELPER`) is a one-thread executor, which takes each
-    trial's baseline and X* - X decomposition (`run_trial`) and runs
-    them one at a time, in the order they were handed over; its thread
-    starts with the first call.  The executor drops each call's function
-    and arguments once it has settled the call's future, so a trial's
-    m x n arrays do not stay alive on the helper into the next trial.
-    On exit, however the block ends, the executor finishes every call
-    handed to it and joins its thread, and the thread count is
-    restored."""
+def _grid_setup() -> int:
+    """Set this process up to run a grid's trials, and return its old
+    BLAS thread count: glibc's heap kept for reuse (`_keep_heap`) for the
+    rest of the process, and BLAS at one thread, so that a record does
+    not depend on the calling shell's thread count or on `workers`.  A
+    pool worker's initializer, kept for the worker's life."""
     _keep_heap()
-    threads = set_blas_threads(1)
+    return set_blas_threads(1)
+
+
+@contextmanager
+def _grid_process():
+    """Run a grid's trials in this process: `_grid_setup`, and with at
+    least 2 CPUs to run on, this thread's helper (`_HELPER`), a
+    one-thread executor that takes each trial's baseline and X* - X
+    decomposition (`run_trial`) and runs them one at a time, in the
+    order they were handed over; its thread starts with the first call.
+    The executor drops each call's function and arguments once it has
+    settled the call's future, so a trial's m x n arrays do not stay
+    alive on the helper into the next trial.  On exit, however the block
+    ends, the executor finishes every call handed to it and joins its
+    thread, and the BLAS thread count is restored."""
+    threads = _grid_setup()
     try:
         with (ThreadPoolExecutor(1, thread_name_prefix="adadenoise-helper")
-              if helper and _cpus() >= 2 else nullcontext()) as pool:
-            _HELPER.submit = None if pool is None else pool.submit
+              if _cpus() >= 2 else nullcontext()) as pool:
+            if pool is not None:
+                _HELPER.submit = pool.submit
             yield
     finally:
-        _HELPER.submit = None
+        vars(_HELPER).pop("submit", None)
         set_blas_threads(threads)
 
 
-# a pool worker's grid setup, kept for the worker's life
-_WORKER_SETUP = ExitStack()
 _CHUNKSIZE = 4  # trials per pool task
-
-
-def _init_worker() -> None:
-    _WORKER_SETUP.enter_context(_grid_process())
 
 
 def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
@@ -539,25 +534,25 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     (cell, trial) order either way.  An output path that cannot be
     written raises `OSError` before the first trial.
 
-    This process runs the trials under `_grid_process` (one BLAS thread,
-    glibc's heap kept for reuse), and each pool worker enters it for
-    life.  The heap settings outlast the grid: the process keeps up to
-    1 GiB of freed heap, and takes arrays under 32 MiB from the heap.
-    Where this process runs the trials itself, on 2 CPUs or more, a
-    one-thread executor, whose thread starts with the first trial, runs
-    each trial's baseline beside its entrywise step and its X* - X
+    Only the processes that run the trials are set up for them
+    (`_grid_setup`: one BLAS thread, glibc's heap kept for reuse): each
+    pool worker, for its life, or this process, under `_grid_process`,
+    when it runs the trials itself; a pool's caller keeps its settings.
+    The heap settings outlast the grid: the process keeps up to 1 GiB of
+    freed heap, and takes arrays under 32 MiB from the heap.  Where this
+    process runs the trials itself, on 2 CPUs or more, a one-thread
+    executor, whose thread starts with the first trial, runs each
+    trial's baseline beside its entrywise step and its X* - X
     decomposition beside the adaptive spectral step.
     """
-    _check_output(config.output)
+    check_output(config.output)
     tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)
              for spec in config.cells() for trial in range(config.trials)]
 
     workers = min(config.workers, math.ceil(len(tasks) / _CHUNKSIZE))
     parallel = workers > 1  # one chunk: a pool would only add pickling
-    with _grid_process(helper=not parallel), (
-            ProcessPoolExecutor(max_workers=workers,
-                                initializer=_init_worker) if parallel
-            else nullcontext()) as pool:
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_grid_setup)
+          if parallel else _grid_process()) as pool:
         mapped = (pool.map(_trial_task, tasks, chunksize=_CHUNKSIZE)
                   if parallel else (_trial_task(task) for task in tasks))
         # closed however the loop ends: a pool's map then cancels the
@@ -573,8 +568,8 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     return records
 
 
-def _check_output(path) -> None:
-    """Raise `OSError` naming `path` when the CSV could not be written
+def check_output(path) -> None:
+    """Raise `OSError` naming `path` when a file could not be written
     there; the file is neither created nor truncated."""
     # as given: `abspath` would turn 'new/.' into 'new', in directory '.'
     directory = os.path.dirname(path) or os.curdir

@@ -8,6 +8,7 @@ import pytest
 from adadenoise import (GaussianMixture, baseline_estimate, denoise,
                         overlap_limit, read_matrix_csv, write_matrix_csv)
 
+from adadenoise import cli
 from adadenoise.cli import main
 
 from conftest import fail_lapack, package_env, row_format_csv
@@ -305,6 +306,33 @@ class TestDenoise:
         assert "cannot write outputs" in res.stderr
         assert str(prefix) in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("mode", [
+        [], ["--noise-sd", "1"]],
+        ids=["adaptive", "baseline"])
+    @pytest.mark.parametrize("blocked", ["dir", "meta"])
+    def test_unwritable_output_fails_before_denoising(
+            self, tmp_path, noisy_matrix, monkeypatch, capsys, mode, blocked):
+        """Each output path is checked once the input is read and before
+        the input is denoised: with the prefix's directory missing, or
+        only the meta file's path taken by a directory, neither estimator
+        runs and no file is written."""
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the input was denoised")
+
+        monkeypatch.setattr(cli, "denoise", no_estimate)
+        monkeypatch.setattr(cli, "baseline_estimate", no_estimate)
+        path, _ = noisy_matrix
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocked == "meta":
+            (out / "p_meta.txt").mkdir()
+        prefix = out / "p" if blocked == "meta" else out / "missing" / "p"
+        assert main(["denoise", str(path), "-o", str(prefix), *mode]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write outputs" in err and str(prefix) in err
+        assert [p.name for p in out.iterdir()] == (
+            ["p_meta.txt"] if blocked == "meta" else [])
 
     def test_decomposition_failure_is_runtime_error(self, tmp_path,
                                                     noisy_matrix,

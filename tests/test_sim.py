@@ -923,31 +923,29 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
     def test_grid_process_setup(self, monkeypatch, fail):
-        """The setup this process and every pool worker run the trials
-        under: BLAS at one thread, the thread count restored after it,
-        also when the block raises.  With `helper` and 2 CPUs, a call
-        handed over in the block runs on the one helper thread, which is
-        joined when the block ends; on 1 CPU, and without `helper`, the
-        call runs on this thread and no helper starts."""
+        """The setup this process runs a grid's trials under: BLAS at one
+        thread, the thread count restored after it, also when the block
+        raises.  On 2 CPUs, a call handed over in the block runs on the
+        one helper thread, which is joined when the block ends; on 1 CPU
+        the call runs on this thread and no helper starts."""
         outer = linalg.set_blas_threads(2)
         # None where numpy's BLAS exports no OpenBLAS thread controls
         inside, after = (None, None) if outer is None else (1, 2)
         try:
-            for cpus, helper, starts in ((2, False, 0), (2, True, 1),
-                                         (1, True, 0)):
+            for cpus in (2, 1):
                 monkeypatch.setattr(sim, "_cpus", lambda: cpus)
                 with pytest.raises(RuntimeError) if fail else nullcontext():
-                    with sim._grid_process(helper=helper):
+                    with sim._grid_process():
                         assert linalg.set_blas_threads(None) == inside
-                        assert (sim._HELPER.submit is not None) == starts
-                        ran = (sim._HELPER.submit or sim._run_now)(
+                        ran = getattr(sim._HELPER, "submit", sim._run_now)(
                             threading.current_thread).result(timeout=60)
-                        assert ran.name.startswith(HELPER) == starts
-                        assert len(helper_threads()) == starts
+                        assert ran.name.startswith(HELPER) == (cpus == 2)
+                        assert len(helper_threads()) == cpus - 1
                         if fail:
                             raise RuntimeError("inside")
                 assert linalg.set_blas_threads(None) == after
-                assert helper_threads() == [] and sim._HELPER.submit is None
+                assert helper_threads() == []
+                assert not hasattr(sim._HELPER, "submit")
         finally:
             linalg.set_blas_threads(outer)
 
@@ -996,34 +994,84 @@ class TestRunGrid:
 
     def test_only_an_in_process_grid_asks_for_a_helper(self, tmp_path,
                                                        monkeypatch):
-        """`run_grid` asks its setup for a helper thread only when it runs
-        the trials itself: a pool's caller forks the workers, and forking
-        beside a live helper thread hung them in a probe."""
-        asked = []
-        setup = sim._grid_process
+        """On 2 CPUs, a grid that runs its trials itself has a helper
+        thread; a pool's caller has none, and no helper to start one,
+        when it builds the pool: it forks the workers, and forking beside
+        a live helper thread hung them in a probe."""
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        built, helpers = [], []
+        pool = sim.ProcessPoolExecutor
 
-        def recording(helper=False):
-            asked.append(helper)
-            return setup()
+        def recording(**kwargs):
+            built.append((len(helper_threads()),
+                          hasattr(sim._HELPER, "submit")))
+            return pool(**kwargs)
 
-        monkeypatch.setattr(sim, "_grid_process", recording)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording)
         for trials, workers in ((3, 4), (5, 4), (5, 1)):
             run_grid(self.small_config(tmp_path, trials=trials,
-                                       workers=workers))
-        assert asked == [True, False, True]
+                                       workers=workers),
+                     progress=lambda done, total: helpers.append(
+                         len(helper_threads())))
+        assert built == [(0, False)]
+        assert helpers == [1] * 3 + [0] * 5 + [1] * 5
 
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_a_pool_leaves_its_caller_alone(self, tmp_path, monkeypatch):
+        """A pool grid sets up only its workers: the caller makes no glibc
+        heap setting and keeps its BLAS thread count while the trials run
+        (its forked workers take the patched C library handle, each with
+        its own copy of the record).  The records and the CSV bytes equal
+        those of the grid run in process, which makes both settings."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(sim, "_libc",
+                            lambda: SimpleNamespace(mallopt=mallopt))
+        pool = sim.ProcessPoolExecutor
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", lambda **kwargs: pool(
+            mp_context=multiprocessing.get_context("fork"), **kwargs))
+        outer = linalg.set_blas_threads(2)
+        try:
+            runs = []
+            for workers in (2, 1):
+                config = self.small_config(
+                    tmp_path, ns=(60,), ranks=(1, 2), sigma1_grid=(1.0, 3.0),
+                    trials=3, workers=workers,
+                    output=str(tmp_path / f"{workers}.csv"))
+                threads = []
+                records = run_grid(config, progress=lambda done, total:
+                                   threads.append(
+                                       linalg.set_blas_threads(None)))
+                runs.append((repr(records), Path(config.output).read_bytes()))
+                if workers == 2:
+                    # None where numpy's BLAS exports no OpenBLAS controls
+                    assert calls == [] and threads == [outer and 2] * 12
+            assert calls == [(-1, 1 << 30), (-3, 1 << 25)]
+            assert runs[0] == runs[1]
+        finally:
+            linalg.set_blas_threads(outer)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_pool_worker_pins_blas(self, monkeypatch, method):
-        """A pool worker that does not fork from this process loads its
-        own OpenBLAS, at the thread count of the environment; its
-        initializer pins that to one thread."""
-        if linalg.set_blas_threads(None) is None:
+        """A pool worker starts at the BLAS thread count of its caller
+        (forked, with the caller at 2 threads) or of the environment (its
+        own OpenBLAS loaded, with 2 threads asked for); its initializer,
+        the grid setup, pins that to one thread."""
+        outer = linalg.set_blas_threads(2)
+        if outer is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread controls")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        with ProcessPoolExecutor(
-                1, mp_context=multiprocessing.get_context(method),
-                initializer=sim._init_worker) as pool:
-            assert pool.submit(linalg.set_blas_threads, None).result() == 1
+        try:
+            with ProcessPoolExecutor(
+                    1, mp_context=multiprocessing.get_context(method),
+                    initializer=sim._grid_setup) as pool:
+                assert pool.submit(
+                    linalg.set_blas_threads, None).result() == 1
+        finally:
+            linalg.set_blas_threads(outer)
 
     def test_no_records_write_the_header(self, tmp_path):
         write_records_csv([], tmp_path / "empty.csv")

@@ -105,6 +105,9 @@ def test_random_shapes_and_scales(backend, case, delta, factors):
 @BACKENDS
 @PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1), delta=DELTAS)
+@example(seed=109479, delta=0.0)
+@example(seed=109479, delta=0.01)
+@example(seed=109479, delta=0.2)
 def test_more_kept_than_factors(backend, seed, delta):
     """A strong rank-5 signal with factors = 3: all 5 survive, so
     k_hat > factors.  The top noise values of a 30 x 50 matrix can sit
