@@ -15,13 +15,13 @@ instead of faulting them in again; the heap settings last for the rest
 of the process.  That is each pool worker, or `run_grid`'s own process
 when it runs the trials itself; a pool's caller keeps its settings.
 
-A grid that runs its trials in process, on 2 CPUs or more, runs two of
-each trial's three dense decompositions on a helper thread, the one
-thread of a standard-library `ThreadPoolExecutor`, started on first
-use: the PCA baseline's, beside the trial's entrywise step, and that of
-X* - X for `err_star`, beside the adaptive spectral step.  The
-decompositions' time is LAPACK's, the entrywise step's numpy's (sort,
-binning, lookup), and the two threads share the cores.  A pool's
+A grid that runs its trials in process runs two of each trial's three
+dense decompositions on a helper thread, the one thread of a
+standard-library `ThreadPoolExecutor`, started on first use: the PCA
+baseline's, beside the trial's entrywise step, and that of X* - X for
+`err_star`, beside the adaptive spectral step.  The decompositions'
+time is LAPACK's, the entrywise step's numpy's (sort, binning, lookup),
+and the two threads share the cores, or take turns on one.  A pool's
 workers and its caller run none: the pool's processes fill the cores,
 and the caller forks them, which must not happen beside a live thread.
 """
@@ -37,7 +37,7 @@ import struct
 import threading
 from concurrent.futures import (Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +54,7 @@ __all__ = [
     "make_signal",
     "TrialRecord",
     "run_trial",
+    "SIGMA_RATIOS",
     "ExperimentConfig",
     "parse_grid",
     "load_config",
@@ -69,6 +70,8 @@ _MAX_GRID_POINTS = 10**6
 ROLE_U = 0x55  # left factor
 ROLE_V = 0x56  # right factor
 ROLE_W = 0x57  # noise matrix
+
+SIGMA_RATIOS = (1.0, 0.8, 0.6)  # a cell's singular values over its top one
 
 
 def mix64(z: int) -> int:
@@ -178,9 +181,9 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     The adaptive estimate is `denoise`'s two steps, run apart: the
     entrywise step, then the spectral step on X* (`adaptive_spectral`).
     Two calls go to this thread's helper, where it has one (a grid run in
-    its own process on 2 CPUs or more, `_grid_process`): the baseline,
-    handed over before the entrywise step, and X* - X, handed over
-    between the two steps so that it runs beside the spectral step.
+    its own process, `_grid_process`): the baseline, handed over before
+    the entrywise step, and X* - X, handed over between the two steps so
+    that it runs beside the spectral step.
     X* - X is formed in Y's place: the helper, a one-thread executor,
     runs its calls in order, so Y is overwritten only once the baseline
     has read it, and X* is only read.  Both calls are waited for before
@@ -260,7 +263,6 @@ class ExperimentConfig:
     ns: tuple[int, ...]
     ranks: tuple[int, ...] = (1,)
     sigma1_grid: tuple[float, ...]
-    sigma_ratios: tuple[float, ...] = (1.0, 0.8, 0.6)
     noise: NoiseModel = field(default_factory=GaussianMixture)
     trials: int
     base_seed: int = 0
@@ -271,21 +273,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.ns or any(n < 2 for n in self.ns):
             raise ConfigError("n must list integers >= 2")
-        if not self.ranks or any(r < 1 for r in self.ranks):
-            raise ConfigError("rank must list integers >= 1")
+        top = len(SIGMA_RATIOS)
+        if not self.ranks or any(not 1 <= r <= top for r in self.ranks):
+            raise ConfigError(f"rank must list integers >= 1 and <= {top}")
+        for key, values in (("n", self.ns), ("rank", self.ranks)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat a value")
         if not self.sigma1_grid or not all(0 < s < math.inf
                                            for s in self.sigma1_grid):
             raise ConfigError("sigma1 grid must be positive and finite")
         if any(b <= a for a, b in zip(self.sigma1_grid, self.sigma1_grid[1:])):
             raise ConfigError("sigma1 grid must be strictly increasing")
-        if len(self.sigma_ratios) < max(self.ranks):
-            raise ConfigError("sigma_ratios must cover the largest rank")
-        if self.sigma_ratios[0] != 1.0:
-            raise ConfigError("sigma_ratios must start at 1.0")
-        if any(b > a for a, b in zip(self.sigma_ratios, self.sigma_ratios[1:])):
-            raise ConfigError("sigma_ratios must be non-increasing")
-        if not all(0 < r < math.inf for r in self.sigma_ratios):
-            raise ConfigError("sigma_ratios must be positive and finite")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not (0 < self.gamma < math.inf):
@@ -308,7 +306,7 @@ class ExperimentConfig:
             m = round(self.gamma * n)
             for r in self.ranks:
                 for sigma1 in self.sigma1_grid:
-                    sigmas = tuple(sigma1 * x for x in self.sigma_ratios[:r])
+                    sigmas = tuple(sigma1 * x for x in SIGMA_RATIOS[:r])
                     yield SignalSpec(m=m, n=n, r=r, sigmas=sigmas)
 
     def trial_seed(self, spec: SignalSpec, trial: int) -> int:
@@ -370,7 +368,6 @@ _SCHEMA = {
     "n": ("ns", _list(int)),
     "rank": ("ranks", _list(int)),
     "sigma1": ("sigma1_grid", parse_grid),
-    "sigma_ratios": ("sigma_ratios", _list(float)),
     "noise": ("noise", _noise),
     "trials": ("trials", int),
     "base_seed": ("base_seed", int),
@@ -446,14 +443,6 @@ def _run_now(fn, *args, **kwargs) -> Future:
     return future
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _libc():
     """The symbols this process has loaded, the C library's among them,
     or None where `ctypes` cannot open them."""
@@ -501,22 +490,19 @@ def _grid_setup() -> int:
 
 @contextmanager
 def _grid_process():
-    """Run a grid's trials in this process: `_grid_setup`, and with at
-    least 2 CPUs to run on, this thread's helper (`_HELPER`), a
-    one-thread executor that takes each trial's baseline and X* - X
-    decomposition (`run_trial`) and runs them one at a time, in the
-    order they were handed over; its thread starts with the first call.
-    The executor drops each call's function and arguments once it has
-    settled the call's future, so a trial's m x n arrays do not stay
-    alive on the helper into the next trial.  On exit, however the block
-    ends, the executor finishes every call handed to it and joins its
-    thread, and the BLAS thread count is restored."""
+    """Run a grid's trials in this process: `_grid_setup`, and this
+    thread's helper (`_HELPER`), a one-thread executor that takes each
+    trial's baseline and X* - X decomposition (`run_trial`) and runs them
+    one at a time, in the order they were handed over; its thread starts
+    with the first call.  The executor drops each call's function and
+    arguments once it has settled the call's future, so a trial's m x n
+    arrays do not stay alive on the helper into the next trial.  On exit,
+    however the block ends, the executor finishes every call handed to it
+    and joins its thread, and the BLAS thread count is restored."""
     threads = _grid_setup()
     try:
-        with (ThreadPoolExecutor(1, thread_name_prefix="adadenoise-helper")
-              if _cpus() >= 2 else nullcontext()) as pool:
-            if pool is not None:
-                _HELPER.submit = pool.submit
+        with ThreadPoolExecutor(1, "adadenoise-helper") as pool:
+            _HELPER.submit = pool.submit
             yield
     finally:
         vars(_HELPER).pop("submit", None)
@@ -539,11 +525,10 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     pool worker, for its life, or this process, under `_grid_process`,
     when it runs the trials itself; a pool's caller keeps its settings.
     The heap settings outlast the grid: the process keeps up to 1 GiB of
-    freed heap, and takes arrays under 32 MiB from the heap.  Where this
-    process runs the trials itself, on 2 CPUs or more, a one-thread
-    executor, whose thread starts with the first trial, runs each
-    trial's baseline beside its entrywise step and its X* - X
-    decomposition beside the adaptive spectral step.
+    freed heap, and takes arrays under 32 MiB from the heap.  Trials run
+    in this process hand their baseline and X* - X decomposition to a
+    one-thread executor, started with the first trial, where they run
+    beside the entrywise and the adaptive spectral step.
     """
     check_output(config.output)
     tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)

@@ -51,6 +51,10 @@ def assert_simulate_usage_error(tmp_path, lines, *words):
     assert not (tmp_path / "o.csv").exists()
 
 
+def no_trial(*args):
+    raise AssertionError("a trial ran")
+
+
 class TestSimulate:
     def test_smoke_run(self, tmp_path):
         res = run_cli("simulate", str(SMOKE_CFG), cwd=tmp_path)
@@ -81,17 +85,23 @@ class TestSimulate:
 
     def test_unknown_key_named(self, tmp_path):
         """An unknown key, a key of an earlier version among them, exits
-        2 with the key and its line named."""
+        2 with the key and its line named, and runs no trial.  The ratios
+        of a cell's singular values to its top one are a constant,
+        `sim.SIGMA_RATIOS`, so a `sigma_ratios` line is one such key, even
+        one that spells out that constant."""
         bad = tmp_path / "bad.cfg"
         for line in ("frobnicate = yes", "kde_mode = binned",
                      "kde_bins = 4096", "h = 0.3", "h_prime = 0.3",
-                     "noise_mu = 2.0", "noise_variance = 1.0"):
+                     "noise_mu = 2.0", "noise_variance = 1.0",
+                     "sigma_ratios = 1.0,0.8,0.6"):
             bad.write_text("n = 24\nsigma1 = 1.0\ntrials = 1\n"
                            f"output = o.csv\n{line}\n")
             res = run_cli("simulate", str(bad), cwd=tmp_path)
             assert res.returncode == 2
             key = line.split()[0]
             assert f"bad.cfg:5: unknown config key {key!r}" in res.stderr
+            assert "trial " not in res.stderr
+            assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("line, key", [
         ("eps = 0", "eps"),
@@ -105,6 +115,24 @@ class TestSimulate:
         # unknown key, named with its line
         assert_simulate_usage_error(tmp_path, line,
                                     f"bad.cfg:5: unknown config key {key!r}")
+
+    @pytest.mark.parametrize("grid, key", [
+        ("n = 20, 20\nrank = 1", "n"), ("n = 20\nrank = 1, 1", "rank"),
+        ("n = 20, 30\nrank = 1, 3, 1", "rank")], ids=["n", "rank", "ranks"])
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, monkeypatch,
+                                                capsys, grid, key):
+        """A value listed twice under `n` or `rank` would run the same
+        trials twice and write their rows twice, which a per-cell mean
+        would count as more trials: it is a config error that names the
+        key, and no trial runs."""
+        monkeypatch.setattr("adadenoise.sim.run_trial", no_trial)
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{grid}\nsigma1 = 1.0\ntrials = 1\noutput = o.csv\n")
+        assert main(["simulate", str(bad)]) == 2
+        assert (f"{bad}: {key} must not repeat a value"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("lines, key", [
         ("noise = mixture -1", "key 'noise'"),

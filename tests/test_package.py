@@ -116,8 +116,8 @@ def test_readme_config_defaults_are_the_loaded_defaults(tmp_path):
 
     config = load()
     loaded = {
-        "rank": config.ranks, "sigma_ratios": config.sigma_ratios,
-        "noise": config.noise, "base_seed": config.base_seed,
+        "rank": config.ranks, "noise": config.noise,
+        "base_seed": config.base_seed,
         "gamma": config.gamma, "workers": config.workers,
     }
     for key, cell in defaults.items():
@@ -187,7 +187,7 @@ def test_denoiser_settings_are_one_set_on_every_surface():
         == ["y"]
     fields = {f.name for f in dataclasses.fields(sim.ExperimentConfig)}
     assert sorted(name for name, _ in sim._SCHEMA.values()) == sorted(fields)
-    removed = {"eps", "delta", "h", "h_prime"}
+    removed = {"eps", "delta", "h", "h_prime", "sigma_ratios"}
     assert not fields & removed and not removed & set(sim._SCHEMA)
     other = {"-h", "--help", "-o", "--output-prefix", "--noise-sd"}
     assert {flag for action in _subcommands()["denoise"]._actions

@@ -58,6 +58,33 @@ def helper_threads():
     return [t for t in threading.enumerate() if t.name.startswith(HELPER)]
 
 
+class InlineExecutor:
+    """Stand-in for `sim.ThreadPoolExecutor` that runs each call on the
+    calling thread as it is handed over (`sim._run_now`): a grid's trials
+    then run as a pool worker's do, with no helper thread."""
+
+    def __init__(self, *args):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args, **kwargs):
+        return sim._run_now(fn, *args, **kwargs)
+
+
+def trials_alone(config, noise=None):
+    """The records of `config`'s grid, from trials run one at a time
+    outside any grid, on `noise` in place of the config's if given."""
+    return [dataclasses.replace(run_trial(spec, noise or config.noise,
+                                          config.trial_seed(spec, trial)),
+                                trial=trial)
+            for spec in config.cells() for trial in range(config.trials)]
+
+
 class HelperLoggedMixture(GaussianMixture):
     """Mixture noise whose every draw appends to the file `log` the id of
     the process drawing and the number of grid helper threads alive in
@@ -77,11 +104,11 @@ class HelperLoggedMixture(GaussianMixture):
 # `test_trials_after_the_first_reuse_their_pages` on a square 200 x 200,
 # a tall 600 x 200 and a square 400 x 400 cell in turn: argv is the CSV
 # path and `workers`; prints one line `m n faults` per cell.  In process,
-# the grids run with their helper thread whatever the CPU count, and the
-# script checks that they did
+# the grids run with their helper thread, and the script checks that
+# they did
 FAULTS_SCRIPT = """\
 import resource, statistics, sys, threading
-from adadenoise import ExperimentConfig, run_grid, sim
+from adadenoise import ExperimentConfig, run_grid
 
 out, workers = sys.argv[1], int(sys.argv[2])
 
@@ -96,7 +123,6 @@ def faults(who):
     return resource.getrusage(who).ru_minflt
 
 
-sim._cpus = lambda: 2
 for m, n in ((200, 200), (600, 200), (400, 400)):
     if workers == 1:
         counts, helpers = [], set()
@@ -424,7 +450,7 @@ class TestConfig:
         dict(delta=math.inf), dict(h=math.inf), dict(h_prime=math.inf),
         dict(gamma=math.inf), dict(gamma=math.nan),
         dict(sigma1_grid=(math.inf,)), dict(sigma1_grid=(math.nan,)),
-        dict(sigma_ratios=(1.0, math.nan))])
+        dict(ranks=(4,))])
     def test_invalid_cell_settings_rejected(self, over):
         """Cell shapes are checked when the config is built, not when
         the grid runs.  The denoiser has no settings: eps and delta are
@@ -443,9 +469,9 @@ class TestConfig:
         (dict(ranks=(0,)), "rank must list integers >= 1"),
         (dict(sigma1_grid=(2.0, 1.0)),
          "sigma1 grid must be strictly increasing"),
-        (dict(ranks=(4,)), "sigma_ratios must cover the largest rank"),
-        (dict(sigma_ratios=(0.9, 0.8, 0.6)), "must start at 1.0"),
-        (dict(sigma_ratios=(1.0, 0.6, 0.8)), "must be non-increasing"),
+        (dict(ranks=(1, 4)), "rank must list integers >= 1 and <= 3"),
+        (dict(ns=(60, 80, 60)), "n must not repeat a value"),
+        (dict(ranks=(1, 1)), "rank must not repeat a value"),
         (dict(trials=0), "trials must be >= 1"),
         (dict(workers=0), "workers must be >= 1")])
     def test_invalid_grid_names_the_rule(self, over, message):
@@ -585,10 +611,7 @@ class TestRunGrid:
                                        ranks=(1, 2), sigma1_grid=(1.0, 3.0),
                                        trials=2, noise=noise, workers=workers)
             records = run_grid(config)
-            alone = [dataclasses.replace(
-                run_trial(spec, noise, config.trial_seed(spec, trial)),
-                trial=trial)
-                for spec in config.cells() for trial in range(2)]
+            alone = trials_alone(config)
             assert {(rec.m, rec.n) for rec in alone} == {(round(gamma * n),
                                                           n)}
             assert repr(records) == repr(alone)
@@ -596,20 +619,22 @@ class TestRunGrid:
             assert (Path(config.output).read_bytes()
                     == (tmp_path / "alone.csv").read_bytes())
 
-    @pytest.mark.parametrize("cpus, bound", [(2, 6.5), (1, 4.5)],
+    @pytest.mark.parametrize("helper, bound", [(True, 6.5), (False, 4.5)],
                              ids=["helper", "no-helper"])
-    def test_second_trial_live_peak(self, tmp_path, monkeypatch, cpus,
+    def test_second_trial_live_peak(self, tmp_path, monkeypatch, helper,
                                     bound):
         """Everything live in a grid's second 400 x 400 trial, on both
-        threads, peaks at about 4.1 m x n arrays without a helper thread:
-        Y, X* and the unit-scale copy and Gram matrix of one spectral
-        step.  With the helper, X* - X is decomposed there beside the
-        adaptive spectral step, so the copy and Gram matrix of a second
-        decomposition come on top (6.09-6.11 arrays in 8 of 8 runs).
-        Traced from before the grid starts, so nothing kept from the first
-        trial escapes the count; an untraced grid first takes imports out
-        of it."""
-        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        threads, peaks at about 4.1 m x n arrays without a helper thread,
+        as in a pool worker (run here in process through
+        `InlineExecutor`): Y, X* and the unit-scale copy and Gram matrix
+        of one spectral step.  With the helper, X* - X is decomposed there
+        beside the adaptive spectral step, so the copy and Gram matrix of
+        a second decomposition come on top (6.09-6.11 arrays in 8 of 8
+        runs).  Traced from before the grid starts, so nothing kept from
+        the first trial escapes the count; an untraced grid first takes
+        imports out of it."""
+        if not helper:
+            monkeypatch.setattr(sim, "ThreadPoolExecutor", InlineExecutor)
         peaks, helpers = [], set()
 
         def progress(done, total):
@@ -627,30 +652,34 @@ class TestRunGrid:
             run_grid(config, progress=progress)
         finally:
             tracemalloc.stop()
-        assert helpers == {cpus - 1}
+        assert helpers == {int(helper)}
         assert peaks[0] / (8 * 400 * 400) <= bound
 
     def test_helper_keeps_no_trial_alive(self, tmp_path, monkeypatch):
         """Once a 400 x 400 grid trial has returned, as `progress` is
         called, the traced live memory is the same with the helper thread
-        as without it: the helper drops each call's arguments (Y, X*) as
-        the call ends, so they do not live on into the next trial.
-        Traced from before the grid starts; an untraced grid first takes
-        imports out of the count."""
+        as without it (`InlineExecutor`): the helper drops each call's
+        arguments (Y, X*) as the call ends, so they do not live on into
+        the next trial.  Traced from before the grid starts; an untraced
+        grid first takes imports out of the count."""
         live = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-            config = self.small_config(tmp_path, ns=(400,),
-                                       sigma1_grid=(3.0,), trials=2)
-            run_grid(config)
-            readings = live[cpus] = []
-            tracemalloc.start()
-            try:
-                run_grid(config, progress=lambda done, total: readings.append(
-                    tracemalloc.get_traced_memory()[0] / (8 * 400 * 400)))
-            finally:
-                tracemalloc.stop()
-        assert all(abs(a - b) < 0.1 for a, b in zip(live[1], live[2]))
+        for helper in (False, True):
+            with monkeypatch.context() as patch:
+                if not helper:
+                    patch.setattr(sim, "ThreadPoolExecutor", InlineExecutor)
+                config = self.small_config(tmp_path, ns=(400,),
+                                           sigma1_grid=(3.0,), trials=2)
+                run_grid(config)
+                readings = live[helper] = []
+                tracemalloc.start()
+                try:
+                    run_grid(config, progress=lambda done, total:
+                             readings.append(tracemalloc.get_traced_memory()[0]
+                                             / (8 * 400 * 400)))
+                finally:
+                    tracemalloc.stop()
+        assert all(abs(a - b) < 0.1
+                   for a, b in zip(live[False], live[True]))
 
     @pytest.mark.skipif(
         importlib.util.find_spec("resource") is None
@@ -724,61 +753,54 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
     def test_helper_leaves_records_and_csv_unchanged(self, tmp_path,
-                                                     monkeypatch, workers):
-        """On 2 CPUs, a grid that runs its trials in its own process hands
-        each trial's baseline to a helper thread, which starts with the
-        first trial's first call, after that trial's noise draw; on 1 CPU,
-        in a pool's workers and in the pool's caller none starts.  The
-        records (every bit) and the CSV bytes are the same either way, on
-        a tall, a wide and a square cell (8 trials in 2 chunks, so the
-        pool starts)."""
+                                                     workers):
+        """A grid that runs its trials in its own process hands each
+        trial's baseline to a helper thread, which starts with the first
+        trial's first call, after that trial's noise draw; in a pool's
+        workers and in the pool's caller none starts.  The records (every
+        bit) and the CSV bytes are those of trials run alone, with no
+        helper, on a tall, a wide and a square cell (8 trials in 2
+        chunks, so the pool starts)."""
+        helper = int(workers == 1)
         for n, gamma in ((90, 5 / 3), (150, 0.6), (60, 1.0)):
-            runs = []
-            for cpus in (1, 2):
-                monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-                log = tmp_path / f"{n}_{cpus}.log"
-                config = self.small_config(
-                    tmp_path, ns=(n,), gamma=gamma, ranks=(1, 2),
-                    sigma1_grid=(1.0, 3.0), trials=2,
-                    noise=HelperLoggedMixture(log), workers=workers,
-                    output=str(tmp_path / f"{n}_{cpus}.csv"))
-                seen = []
-                records = run_grid(config, progress=lambda done, total:
-                                   seen.append(len(helper_threads())))
-                runs.append((repr(records),
-                             Path(config.output).read_bytes()))
-                helper = int(cpus == 2 and workers == 1)
-                draws = [line.split() for line in
-                         log.read_text().splitlines()]
-                assert len(draws) == len(records) == 8
-                # the caller, then where each trial ran: the first draw
-                # comes before the helper's first call
-                assert seen == [helper] * 8
-                assert [int(count) for _, count in draws] == (
-                    [0] + [helper] * 7)
-                assert ({int(pid) != os.getpid() for pid, _ in draws}
-                        == {workers == 2})
-                assert helper_threads() == []
-            assert runs[0] == runs[1]
+            log = tmp_path / f"{n}.log"
+            config = self.small_config(
+                tmp_path, ns=(n,), gamma=gamma, ranks=(1, 2),
+                sigma1_grid=(1.0, 3.0), trials=2,
+                noise=HelperLoggedMixture(log), workers=workers)
+            seen = []
+            records = run_grid(config, progress=lambda done, total:
+                               seen.append(len(helper_threads())))
+            draws = [line.split() for line in log.read_text().splitlines()]
+            assert len(draws) == len(records) == 8
+            # the caller, then where each trial ran: the first draw comes
+            # before the helper's first call
+            assert seen == [helper] * 8
+            assert [int(count) for _, count in draws] == [0] + [helper] * 7
+            assert ({int(pid) != os.getpid() for pid, _ in draws}
+                    == {workers == 2})
+            assert helper_threads() == []
+            alone = trials_alone(config, GaussianMixture())
+            assert repr(records) == repr(alone)
+            write_records_csv(alone, tmp_path / "alone.csv")
+            assert (Path(config.output).read_bytes()
+                    == (tmp_path / "alone.csv").read_bytes())
 
-    def test_helper_records_hold_under_frequent_switches(self, tmp_path,
-                                                         monkeypatch):
+    def test_helper_records_hold_under_frequent_switches(self, tmp_path):
         """The two threads share Y and X*, each read-only while both run,
         and hand the results over through futures: with the interpreter
         switching threads every microsecond, 24 trials give the records
-        they give with no helper."""
+        they give run alone, with no helper."""
         config = self.small_config(tmp_path, ns=(40,), ranks=(1, 2),
                                    sigma1_grid=(1.0, 3.0), trials=6)
-        runs = []
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
-            for cpus in (1, 2):
-                monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-                runs.append(repr(run_grid(config)))
+            records = run_grid(config)
         finally:
             sys.setswitchinterval(interval)
-        assert runs[0] == runs[1] and helper_threads() == []
+        assert repr(records) == repr(trials_alone(config))
+        assert helper_threads() == []
 
     @pytest.mark.parametrize("fails",
                              ["baseline", "entrywise", "star", "spectral"])
@@ -792,7 +814,6 @@ class TestRunGrid:
         place, and the next trial forms its own Y.  The helper's calls take
         0.2 s each, so a trial that did not wait would raise first.  No
         helper thread outlives the grid."""
-        monkeypatch.setattr(sim, "_cpus", lambda: 2)
         events = []
 
         def watched(name, call, delay):
@@ -845,7 +866,6 @@ class TestRunGrid:
         first trial's entrywise step, raised while the helper thread runs,
         ends an in-process grid: `run_grid` raises it, no helper thread is
         left and the BLAS thread count is restored."""
-        monkeypatch.setattr(sim, "_cpus", lambda: 2)
         helpers = []
 
         def interrupt(*args):
@@ -874,8 +894,8 @@ class TestRunGrid:
         """X* - X runs on the helper beside the adaptive spectral step on
         the calling thread, and both read X*.  With either side held back
         by 50 ms, so that the other finishes first in every trial, the
-        records (every bit) and the CSV bytes equal those of a grid run
-        with no helper, on a tall, a wide and a square cell."""
+        records (every bit) and the CSV bytes equal those of trials run
+        alone, with no helper, on a tall, a wide and a square cell."""
         order = []
 
         def recorded(name, call):
@@ -891,18 +911,16 @@ class TestRunGrid:
             config = self.small_config(tmp_path, ns=(n,), gamma=gamma,
                                        ranks=(1, 2), sigma1_grid=(1.0, 3.0),
                                        trials=2)
-            runs = []
-            for cpus in (1, 2):
-                with monkeypatch.context() as patch:
-                    patch.setattr(sim, "_cpus", lambda: cpus)
-                    if cpus == 2:
-                        for name, attr in (("star", "_star_error"),
-                                           ("spectral", "adaptive_spectral")):
-                            patch.setattr(sim, attr,
-                                          recorded(name, getattr(sim, attr)))
-                    runs.append((repr(run_grid(config)),
-                                 Path(config.output).read_bytes()))
-            assert runs[0] == runs[1]
+            alone = trials_alone(config)
+            write_records_csv(alone, tmp_path / "alone.csv")
+            with monkeypatch.context() as patch:
+                for name, attr in (("star", "_star_error"),
+                                   ("spectral", "adaptive_spectral")):
+                    patch.setattr(sim, attr,
+                                  recorded(name, getattr(sim, attr)))
+                assert repr(run_grid(config)) == repr(alone)
+            assert (Path(config.output).read_bytes()
+                    == (tmp_path / "alone.csv").read_bytes())
         fast = "star" if slow == "spectral" else "spectral"
         assert order == [fast, slow] * 24
 
@@ -922,30 +940,27 @@ class TestRunGrid:
             linalg.set_blas_threads(outer)
 
     @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-    def test_grid_process_setup(self, monkeypatch, fail):
+    def test_grid_process_setup(self, fail):
         """The setup this process runs a grid's trials under: BLAS at one
         thread, the thread count restored after it, also when the block
-        raises.  On 2 CPUs, a call handed over in the block runs on the
-        one helper thread, which is joined when the block ends; on 1 CPU
-        the call runs on this thread and no helper starts."""
+        raises.  A call handed over in the block runs on the one helper
+        thread, which is joined when the block ends."""
         outer = linalg.set_blas_threads(2)
         # None where numpy's BLAS exports no OpenBLAS thread controls
         inside, after = (None, None) if outer is None else (1, 2)
         try:
-            for cpus in (2, 1):
-                monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-                with pytest.raises(RuntimeError) if fail else nullcontext():
-                    with sim._grid_process():
-                        assert linalg.set_blas_threads(None) == inside
-                        ran = getattr(sim._HELPER, "submit", sim._run_now)(
-                            threading.current_thread).result(timeout=60)
-                        assert ran.name.startswith(HELPER) == (cpus == 2)
-                        assert len(helper_threads()) == cpus - 1
-                        if fail:
-                            raise RuntimeError("inside")
-                assert linalg.set_blas_threads(None) == after
-                assert helper_threads() == []
-                assert not hasattr(sim._HELPER, "submit")
+            with pytest.raises(RuntimeError) if fail else nullcontext():
+                with sim._grid_process():
+                    assert linalg.set_blas_threads(None) == inside
+                    ran = sim._HELPER.submit(
+                        threading.current_thread).result(timeout=60)
+                    assert ran.name.startswith(HELPER)
+                    assert len(helper_threads()) == 1
+                    if fail:
+                        raise RuntimeError("inside")
+            assert linalg.set_blas_threads(None) == after
+            assert helper_threads() == []
+            assert not hasattr(sim._HELPER, "submit")
         finally:
             linalg.set_blas_threads(outer)
 
@@ -994,11 +1009,10 @@ class TestRunGrid:
 
     def test_only_an_in_process_grid_asks_for_a_helper(self, tmp_path,
                                                        monkeypatch):
-        """On 2 CPUs, a grid that runs its trials itself has a helper
-        thread; a pool's caller has none, and no helper to start one,
-        when it builds the pool: it forks the workers, and forking beside
-        a live helper thread hung them in a probe."""
-        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        """A grid that runs its trials itself has a helper thread; a
+        pool's caller has none, and no helper to start one, when it
+        builds the pool: it forks the workers, and forking beside a live
+        helper thread hung them in a probe."""
         built, helpers = [], []
         pool = sim.ProcessPoolExecutor
 
