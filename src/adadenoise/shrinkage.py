@@ -99,13 +99,17 @@ def debiased_sv(y, gamma: float = 1.0):
 
 
 def overlap_limit(sigma: float, t: float, gamma: float = 1.0) -> float:
-    """Limit of the smallest singular value of the left-factor product.
+    """Limit of the short side's factor overlap: the smallest singular
+    value of the product of the estimated and planted factors of the
+    shorter dimension (the left factors when gamma = m/n <= 1).
 
     Zero when sigma^2 * t <= 1 (no recovery); above the threshold
 
         sqrt((1 - t^-2 sigma^-4) / (1 + min(g^1/2, g^-1/2) t^-1 sigma^-2)),
 
-    increasing to 1 as sigma grows.  Symmetric in gamma <-> 1/gamma.
+    increasing to 1 as sigma grows.  Symmetric in gamma <-> 1/gamma.  The
+    long side's overlap has max(g^1/2, g^-1/2) in place of the min, and
+    is lower off gamma = 1; this function does not give it.
     """
     if not (sigma > 0 and t > 0):
         raise ValueError("sigma and t must be positive")

@@ -19,11 +19,13 @@ A grid that runs its trials in process runs two of each trial's three
 dense decompositions on a helper thread, the one thread of a
 standard-library `ThreadPoolExecutor`, started on first use: the PCA
 baseline's, beside the trial's entrywise step, and that of X* - X for
-`err_star`, beside the adaptive spectral step.  The decompositions'
-time is LAPACK's, the entrywise step's numpy's (sort, binning, lookup),
-and the two threads share the cores, or take turns on one.  A pool's
-workers and its caller run none: the pool's processes fill the cores,
-and the caller forks them, which must not happen beside a live thread.
+`err_star`, beside the adaptive spectral step and the forming of the
+next trial's Y, which then hands over its baseline as it starts.  The
+decompositions' time is LAPACK's, the entrywise step's numpy's (sort,
+binning, lookup), and the two threads share the cores, or take turns on
+one.  A pool's workers and its caller run none: the pool's processes
+fill the cores, and the caller forks them, which must not happen beside
+a live thread.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     thresholding: both estimators are asked for r factors.  Both
     estimates and the signal have low rank, so their errors are taken
     from the factors (`_low_rank_op_norm`); only X* - X is decomposed at
-    full size (`_star_error`).  Y is formed as X with W added in place.
+    full size (`_star_error`).  Y is formed as X with W added in place,
+    in a grid run in process by the trial before (`_trial`).
 
     The adaptive estimate is `denoise`'s two steps, run apart: the
     entrywise step, then the spectral step on X* (`adaptive_spectral`).
@@ -192,12 +195,25 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     running on.  Without a helper each call runs as it is handed over.
     The record is the same either way.
     """
+    return _trial(spec, model, seed, _observe(spec, model, seed), ())[0]
+
+
+def _observe(spec: SignalSpec, model: NoiseModel, seed: int):
+    """A trial's observation ``(u, v, left, y)``: the signal's factors
+    and Y = X + W, formed as X with W added in place."""
     u, v, left = _signal_factors(spec, seed)
     w = model.sample(spec.m, spec.n, derive_seed(seed, ROLE_W))
     y = left @ v.T
     y += w  # x + w is w + x bit for bit
-    del w
+    return u, v, left, y
 
+
+def _trial(spec: SignalSpec, model: NoiseModel, seed: int, observation,
+           ahead):
+    """`run_trial` on `observation`; also forms, while the helper
+    decomposes X* - X, the observation of the trial `ahead` names as
+    (spec, model, seed), and returns it with the record (None without)."""
+    u, v, left, y = observation
     noise_sd = float(np.sqrt(model.variance()))
     submit = getattr(_HELPER, "submit", _run_now)
     pending = [submit(baseline_estimate, y, noise_sd=noise_sd,
@@ -206,6 +222,7 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
         x_star, i_hat, y_bar = denoise_entrywise(y)
         pending.append(submit(_star_error, x_star, left, v, out=y))
         res = adaptive_spectral(x_star, i_hat, y_bar, spec.r)
+        after = _observe(*ahead) if ahead else None
     finally:
         wait(pending)
     base, star = (call.result() for call in pending)
@@ -224,7 +241,7 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
                        trial=-1, seed=seed, i_hat=res.i_hat, k_hat=res.k_hat,
                        overlaps_adaptive=ov_a, overlaps_baseline=ov_b,
                        err_adaptive=err_a, err_baseline=err_b,
-                       err_star=star / scale)
+                       err_star=star / scale), after
 
 
 def _star_error(x_star: np.ndarray, left: np.ndarray, v: np.ndarray, *,
@@ -426,6 +443,16 @@ def _trial_task(args):
     return dataclasses.replace(run_trial(spec, model, seed), trial=trial)
 
 
+def _trials_in_process(tasks):
+    """`_trial_task` over `tasks`, in order, each trial forming the next
+    one's observation (`_trial`), the first formed here."""
+    observation = _observe(*tasks[0][:3])
+    for (spec, model, seed, trial), ahead in zip(tasks, tasks[1:] + [()]):
+        record, observation = _trial(spec, model, seed, observation,
+                                     ahead[:3])
+        yield dataclasses.replace(record, trial=trial)
+
+
 # this thread's helper: `submit` is a one-thread executor's while
 # `_grid_process` gives this thread one, and unset otherwise
 _HELPER = threading.local()
@@ -528,7 +555,9 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     freed heap, and takes arrays under 32 MiB from the heap.  Trials run
     in this process hand their baseline and X* - X decomposition to a
     one-thread executor, started with the first trial, where they run
-    beside the entrywise and the adaptive spectral step.
+    beside the entrywise and the adaptive spectral step; beside X* - X,
+    each but the last forms the next one's observation, whose Y (one
+    m x n array) is live while `progress` runs.
     """
     check_output(config.output)
     tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)
@@ -539,7 +568,7 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     with (ProcessPoolExecutor(max_workers=workers, initializer=_grid_setup)
           if parallel else _grid_process()) as pool:
         mapped = (pool.map(_trial_task, tasks, chunksize=_CHUNKSIZE)
-                  if parallel else (_trial_task(task) for task in tasks))
+                  if parallel else _trials_in_process(tasks))
         # closed however the loop ends: a pool's map then cancels the
         # trials it queued, which the pool's exit would otherwise wait for
         with closing(mapped):

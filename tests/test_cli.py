@@ -125,7 +125,7 @@ class TestSimulate:
         trials twice and write their rows twice, which a per-cell mean
         would count as more trials: it is a config error that names the
         key, and no trial runs."""
-        monkeypatch.setattr("adadenoise.sim.run_trial", no_trial)
+        monkeypatch.setattr("adadenoise.sim._observe", no_trial)
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"{grid}\nsigma1 = 1.0\ntrials = 1\noutput = o.csv\n")
@@ -182,7 +182,7 @@ class TestSimulate:
         def fail(*args):
             raise ValueError("trial failed")
 
-        monkeypatch.setattr("adadenoise.sim.run_trial", fail)
+        monkeypatch.setattr("adadenoise.sim._trial", fail)
         out = tmp_path / "o.csv"
         out.write_text("old results\n")
         cfg = tmp_path / "c.cfg"
@@ -205,7 +205,7 @@ class TestSimulate:
         def fail(*args):
             raise ValueError("trial failed")
 
-        monkeypatch.setattr("adadenoise.sim.run_trial", fail)
+        monkeypatch.setattr("adadenoise.sim._trial", fail)
         cfg.write_text(f"n = 24\nsigma1 = 1.0\ntrials = 1\n"
                        f"output = {tmp_path / 'o.csv'}\n")
         assert main(["simulate", str(cfg)]) == 1

@@ -623,29 +623,31 @@ class TestRunGrid:
                              ids=["helper", "no-helper"])
     def test_second_trial_live_peak(self, tmp_path, monkeypatch, helper,
                                     bound):
-        """Everything live in a grid's second 400 x 400 trial, on both
-        threads, peaks at about 4.1 m x n arrays without a helper thread,
-        as in a pool worker (run here in process through
-        `InlineExecutor`): Y, X* and the unit-scale copy and Gram matrix
-        of one spectral step.  With the helper, X* - X is decomposed there
-        beside the adaptive spectral step, so the copy and Gram matrix of
-        a second decomposition come on top (6.09-6.11 arrays in 8 of 8
-        runs).  Traced from before the grid starts, so nothing kept from
-        the first trial escapes the count; an untraced grid first takes
-        imports out of it."""
+        """Everything live in the second and third trials of a 3-trial
+        400 x 400 grid, on both threads, peaks at about 4.1 m x n arrays
+        without a helper thread, as in a pool worker (run here in process
+        through `InlineExecutor`): Y, X* and the unit-scale copy and Gram
+        matrix of one spectral step.  With the helper, X* - X is decomposed
+        there beside the adaptive spectral step, so the copy and Gram
+        matrix of a second decomposition come on top (6.09-6.11 arrays in
+        8 of 8 runs).  The second trial forms the third one's observation
+        (W, then Y) once its own spectral step is done, while the helper
+        may still hold X* - X's copy and Gram matrix; the third forms none.
+        Traced from before the grid starts, so nothing kept from the first
+        trial escapes the count; an untraced grid first takes imports out
+        of it."""
         if not helper:
             monkeypatch.setattr(sim, "ThreadPoolExecutor", InlineExecutor)
         peaks, helpers = [], set()
 
         def progress(done, total):
             helpers.add(len(helper_threads()))
-            if done == 1:
-                tracemalloc.reset_peak()
-            else:
+            if done > 1:
                 peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
 
         config = self.small_config(tmp_path, ns=(400,), sigma1_grid=(3.0,),
-                                   trials=2)
+                                   trials=3)
         run_grid(config)
         tracemalloc.start()
         try:
@@ -653,7 +655,8 @@ class TestRunGrid:
         finally:
             tracemalloc.stop()
         assert helpers == {int(helper)}
-        assert peaks[0] / (8 * 400 * 400) <= bound
+        assert len(peaks) == 2
+        assert max(peaks) / (8 * 400 * 400) <= bound
 
     def test_helper_keeps_no_trial_alive(self, tmp_path, monkeypatch):
         """Once a 400 x 400 grid trial has returned, as `progress` is
@@ -802,18 +805,19 @@ class TestRunGrid:
         assert repr(records) == repr(trials_alone(config))
         assert helper_threads() == []
 
-    @pytest.mark.parametrize("fails",
-                             ["baseline", "entrywise", "star", "spectral"])
+    @pytest.mark.parametrize("fails", ["baseline", "entrywise", "star",
+                                       "spectral", "observe"])
     def test_trial_error_waits_for_the_helper(self, tmp_path, monkeypatch,
                                               fails):
-        """With a helper thread, an error in any of a trial's four calls
-        (the baseline and X* - X on the helper, the entrywise and the
-        spectral step on the calling thread) is the one `run_grid` raises,
-        and the trial raises it only once every call it handed to the
-        helper has returned: the baseline reads Y, X* - X is formed in Y's
-        place, and the next trial forms its own Y.  The helper's calls take
-        0.2 s each, so a trial that did not wait would raise first.  No
-        helper thread outlives the grid."""
+        """With a helper thread, an error in any of a trial's five calls
+        (the baseline and X* - X on the helper; the entrywise and the
+        spectral step, and forming the next trial's observation, on the
+        calling thread) is the one `run_grid` raises, and the trial raises
+        it only once every call it handed to the helper has returned: the
+        baseline reads Y, X* - X is formed in Y's place, and the next trial
+        forms its own Y.  The helper's calls take 0.2 s each, so a trial
+        that did not wait would raise first.  No helper thread outlives
+        the grid."""
         events = []
 
         def watched(name, call, delay):
@@ -835,7 +839,16 @@ class TestRunGrid:
                                   ("spectral", "adaptive_spectral", 0)):
             monkeypatch.setattr(sim, attr,
                                 watched(name, getattr(sim, attr), delay))
-        trial = sim.run_trial
+        # the grid forms the first trial's observation itself, before the
+        # trial starts; each trial but the last forms the next one's
+        first, observe = sim._observe, watched("observe", sim._observe, 0)
+        observed = []
+
+        def next_observation(*args):
+            observed.append(args)
+            return (observe if len(observed) > 1 else first)(*args)
+
+        trial = sim._trial
 
         def watched_trial(*args):
             try:
@@ -844,20 +857,55 @@ class TestRunGrid:
                 events.append(("raised", None))
                 raise
 
-        monkeypatch.setattr(sim, "run_trial", watched_trial)
+        monkeypatch.setattr(sim, "_observe", next_observation)
+        monkeypatch.setattr(sim, "_trial", watched_trial)
         with pytest.raises(RuntimeError, match=f"{fails} failed"):
             run_grid(self.small_config(tmp_path, trials=2))
         helper, caller = "helper", threading.main_thread().name
         started = {(name, thread) for name, thread in events if thread}
+        calls = {("baseline", helper), ("entrywise", caller),
+                 ("star", helper), ("spectral", caller)}
         assert started == ({("baseline", helper), ("entrywise", caller)}
-                           if fails == "entrywise" else
-                           {("baseline", helper), ("entrywise", caller),
-                            ("star", helper), ("spectral", caller)})
+                           if fails == "entrywise" else calls
+                           if fails == "spectral" else
+                           calls | {("observe", caller)})
         names = [name for name, _ in events]
         assert names.count("raised") == 1 and names[-1] == "raised"
         assert all(f"{name} done" in names for name, thread in started
                    if thread == helper and name != fails)
         assert helper_threads() == []
+
+    def test_next_noise_sampled_beside_star_error(self, tmp_path,
+                                                  monkeypatch):
+        """In a grid run in process, each trial but the last samples the
+        next trial's noise on the calling thread before its own X* - X,
+        held back by 0.2 s on the helper, is done; the grid samples the
+        first trial's noise before any trial starts.  The records are
+        those of trials run alone."""
+        events = []
+
+        class Mixture(GaussianMixture):
+            def sample(self, m, n, seed):
+                events.append(("sample", threading.current_thread().name))
+                return super().sample(m, n, seed)
+
+        star = sim._star_error
+
+        def slow_star(*args, **kwargs):
+            time.sleep(0.2)
+            result = star(*args, **kwargs)
+            events.append(("star done", threading.current_thread().name))
+            return result
+
+        monkeypatch.setattr(sim, "_star_error", slow_star)
+        config = self.small_config(tmp_path, trials=3, noise=Mixture())
+        records = run_grid(config)
+        caller, helper = threading.main_thread().name, f"{HELPER}_0"
+        assert events == [("sample", caller), ("sample", caller),
+                          ("star done", helper), ("sample", caller),
+                          ("star done", helper), ("star done", helper)]
+        monkeypatch.undo()
+        assert repr(records) == repr(trials_alone(config, GaussianMixture()))
 
     @pytest.mark.parametrize("where", ["progress", "entrywise"])
     def test_interrupt_ends_the_grid_cleanly(self, tmp_path, monkeypatch,
@@ -1118,7 +1166,7 @@ class TestRunGrid:
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(sim, "run_trial", no_trial)
+        monkeypatch.setattr(sim, "_observe", no_trial)
         for output, error in (("nodir/o.csv", FileNotFoundError),
                               (".", IsADirectoryError),
                               ("o.csv", PermissionError)):
