@@ -519,7 +519,7 @@ def _grid_setup() -> int:
 def _grid_process():
     """Run a grid's trials in this process: `_grid_setup`, and this
     thread's helper (`_HELPER`), a one-thread executor that takes each
-    trial's baseline and X* - X decomposition (`run_trial`) and runs them
+    trial's baseline and X* - X decomposition (`_trial`) and runs them
     one at a time, in the order they were handed over; its thread starts
     with the first call.  The executor drops each call's function and
     arguments once it has settled the call's future, so a trial's m x n
@@ -556,8 +556,7 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     in this process hand their baseline and X* - X decomposition to a
     one-thread executor, started with the first trial, where they run
     beside the entrywise and the adaptive spectral step; beside X* - X,
-    each but the last forms the next one's observation, whose Y (one
-    m x n array) is live while `progress` runs.
+    each but the last forms the next one's Y, live while `progress` runs.
     """
     check_output(config.output)
     tasks = [(spec, config.noise, config.trial_seed(spec, trial), trial)

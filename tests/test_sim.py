@@ -629,10 +629,11 @@ class TestRunGrid:
         through `InlineExecutor`): Y, X* and the unit-scale copy and Gram
         matrix of one spectral step.  With the helper, X* - X is decomposed
         there beside the adaptive spectral step, so the copy and Gram
-        matrix of a second decomposition come on top (6.09-6.11 arrays in
-        8 of 8 runs).  The second trial forms the third one's observation
-        (W, then Y) once its own spectral step is done, while the helper
-        may still hold X* - X's copy and Gram matrix; the third forms none.
+        matrix of a second decomposition come on top.  The second trial
+        forms the third one's observation (W, then Y) once its own
+        spectral step is done, while the helper may still hold X* - X's
+        copy and Gram matrix; the third forms none.  Both read 6.07-6.13
+        arrays with the helper and 4.06-4.11 without, in 6 runs each.
         Traced from before the grid starts, so nothing kept from the first
         trial escapes the count; an untraced grid first takes imports out
         of it."""
