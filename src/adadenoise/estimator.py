@@ -3,20 +3,20 @@
 Given a single noisy matrix Y the pipeline
 
 1. centers the entries by the grand mean, c = Y - mean(Y), and uses them
-   as surrogate noise samples,
-2. builds kernel estimates of the noise density and its derivative (two
-   independent bandwidths, h = 1.2 (mn)^{-1/5} and h' = (mn)^{-1/7},
-   fixed by the shape: `bandwidths`) on one grid, from one binning
-   pass, and tabulates the regularized score map psi = -p'/(p + EPS) on
-   that grid,
-3. looks psi up at the centered entries and measures two moments of it
-   on the grid, in O(GRID_NODES) each, from the binning of step 2:
+   as surrogate noise samples (the front end, `denoise_entrywise`),
+2. scores them (the scorer, `_kde_score`, which makes every choice of
+   the kernel estimate): kernel estimates of the noise density and its
+   derivative (two independent bandwidths, h = 1.2 (mn)^{-1/5} and
+   h' = (mn)^{-1/7}, fixed by the shape) on one grid, from one binning
+   pass, give the regularized score map psi = -p'/(p + EPS) on that
+   grid, and the binning gives two moments of it in O(GRID_NODES) each:
    the signal gain a = mean psi'(c), less the slope each entry's own
-   kernel adds, and the noise variance b = mean psi(c)^2 + EPS.
-   The Fisher-information estimate is i_hat = a^2/b (floored at EPS),
-   and the looked-up array is scaled in place to the rescaled score
-   matrix X* = (a/b) psi(c) / i_hat, which is psi(c) / a unless the
-   floor binds; X* is a spiked matrix with noise level i_hat^{-1/2},
+   kernel adds, and the noise variance b = mean psi(c)^2 + EPS,
+3. looks psi up at the centered entries (the front end again).  The
+   Fisher-information estimate is i_hat = a^2/b (floored at EPS), and
+   the looked-up array is scaled in place to the rescaled score matrix
+   X* = (a/b) psi(c) / i_hat, which is psi(c) / a unless the floor
+   binds; X* is a spiked matrix with noise level i_hat^{-1/2},
 4. decomposes X* in (m n)^{1/4}-scaled units through the eigenvalues of
    its Gram matrix on the short side, and threshold-shrinks that
    spectrum at noise level i_hat^{-1/2} with the same rule the PCA
@@ -58,7 +58,6 @@ __all__ = [
     "EPS",
     "DELTA",
     "DenoiseResult",
-    "bandwidths",
     "denoise_entrywise",
     "denoise",
     "baseline_estimate",
@@ -69,13 +68,6 @@ __all__ = [
 # relative threshold margin of the shrink step.
 EPS = 1e-3
 DELTA = 0.01
-
-
-def bandwidths(m: int, n: int) -> tuple[float, float]:
-    """(h, h_prime) for an m x n input: the rule of thumb
-    h = 1.2 (mn)^{-1/5}, h' = (mn)^{-1/7}."""
-    mn = m * n
-    return 1.2 * mn ** -0.2, mn ** (-1.0 / 7.0)
 
 
 @dataclass(frozen=True)
@@ -136,21 +128,28 @@ class DenoiseResult:
         return {**vars(self), "sigma0": self.sigma0, "_spectrum": None}
 
 
-def _score_gain(est: DensityEstimate, psi: np.ndarray, n: int) -> float:
-    """Signal gain of the score map: its mean slope over the `n` binned
-    samples, less each sample's self-influence.
+def _kde_score(samples: np.ndarray, m: int,
+               n: int) -> tuple[DensityEstimate, np.ndarray, float, float]:
+    """The kernel-density scorer: ``(est, psi, gain, variance)`` for the
+    sorted, centered entries of an m x n matrix.
 
-    Each entry's own kernel in the derivative estimate moves with the
-    entry, so it adds slope K(0) / (N h'^3 (p + EPS)) to psi at that
-    entry but no gain on the signal; that share is taken out.  The slope
-    is tabulated on the grid and weighted by the linear-binning counts,
-    which equals the mean of the interpolated slope at the samples at
-    O(GRID_NODES) cost.
+    `est` is the KDE at the rule-of-thumb bandwidths h = 1.2 (mn)^{-1/5},
+    h' = (mn)^{-1/7}, and `psi` = -p'/(p + EPS) on its grid, for
+    `est.evaluate`.  `gain` is psi's mean slope at the samples, less each
+    sample's self-influence: its own kernel in the derivative estimate
+    moves with it, adding slope K(0) / (N h'^3 (p + EPS)) to psi there
+    but no gain on the signal.  `variance` is psi's mean square plus EPS.
+    Both are taken on the grid, weighted by the binning, in O(GRID_NODES).
+    Nothing returned refers to `samples`.
     """
-    self_slope = float(gaussian_kernel(0.0)) / (n * est.h_prime ** 3)
-    slope = (np.gradient(psi, est.spacing)
-             - self_slope / (est.density + EPS))
-    return float(est.counts @ slope) / n
+    mn = m * n
+    est = kde_binned(samples, 1.2 * mn ** -0.2, mn ** (-1.0 / 7.0))
+    regularized = est.density + EPS
+    psi = -est.deriv / regularized
+    self_slope = float(gaussian_kernel(0.0)) / (mn * est.h_prime ** 3)
+    slope = np.gradient(psi, est.spacing) - self_slope / regularized
+    gain = float(est.counts @ slope) / mn
+    return est, psi, gain, est.square_sum(psi) / mn + EPS
 
 
 def denoise_entrywise(y):
@@ -169,27 +168,23 @@ def denoise_entrywise(y):
     y = as_matrix(y, "y")
     if min(y.shape) < 2:
         raise ValueError("denoising needs min(m, n) >= 2")
-    # one sort serves the mean, the KDE and both moments of the score map:
-    # centering keeps the order, so sort(Y) - y_bar is sort(Y - y_bar) bit
-    # for bit.  `mean_entry` sums a vector as given and `kde_binned` checks
-    # the order, once
+    # one sort serves the mean and the scorer: centering keeps the order,
+    # so sort(Y) - y_bar is sort(Y - y_bar) bit for bit.  `mean_entry`
+    # sums a vector as given and the scorer's KDE checks the order, once
     samples = np.sort(y, axis=None)
     y_bar = mean_entry(samples)
     samples -= y_bar
-    est = kde_binned(samples, *bandwidths(*y.shape))
-
-    psi = -est.deriv / (est.density + EPS)
+    # the scorer returns before the lookup overwrites the sorted entries;
+    # its gain and variance come from the grid, where the entries were
+    # binned in sorted order: they depend only on the multiset of entries,
+    # never on their layout
+    est, psi, gain, variance = _kde_score(samples, *y.shape)
     # psi is looked up into the centered entries themselves, formed in the
     # sorted copy's place; C order keeps the flat view `evaluate` writes
     # through, and X*'s layout, whatever Y's is
     scored = np.subtract(y, y_bar, out=samples.reshape(y.shape))
     del samples
     est.evaluate(scored, psi, out=scored)
-    # both moments come from the grid, where the entries were binned in
-    # sorted order: they depend only on the multiset of entries, never on
-    # their layout
-    variance = est.square_sum(psi) / scored.size + EPS
-    gain = _score_gain(est, psi, scored.size)
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"score map gain {gain!r} is not positive and "
                          f"finite; the noise density estimate is unusable")

@@ -17,7 +17,8 @@ when it runs the trials itself; a pool's caller keeps its settings.
 
 A grid that runs its trials in process runs two of each trial's three
 dense decompositions on a helper thread, the one thread of a
-standard-library `ThreadPoolExecutor`, started on first use: the PCA
+standard-library `ThreadPoolExecutor` (`_grid_process` yields its
+`submit`, which each trial is passed), started on first use: the PCA
 baseline's, beside the trial's entrywise step, and that of X* - X for
 `err_star`, beside the adaptive spectral step and the forming of the
 next trial's Y, which then hands over its baseline as it starts.  The
@@ -36,7 +37,6 @@ import errno
 import math
 import os
 import struct
-import threading
 from concurrent.futures import (Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
 from contextlib import closing, contextmanager
@@ -183,10 +183,10 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
 
     The adaptive estimate is `denoise`'s two steps, run apart: the
     entrywise step, then the spectral step on X* (`adaptive_spectral`).
-    Two calls go to this thread's helper, where it has one (a grid run in
-    its own process, `_grid_process`): the baseline, handed over before
-    the entrywise step, and X* - X, handed over between the two steps so
-    that it runs beside the spectral step.
+    Two calls go to the grid's helper, where the trial has one (a grid
+    run in its own process, `_grid_process`): the baseline, handed over
+    before the entrywise step, and X* - X, handed over between the two
+    steps so that it runs beside the spectral step.
     X* - X is formed in Y's place: the helper, a one-thread executor,
     runs its calls in order, so Y is overwritten only once the baseline
     has read it, and X* is only read.  Both calls are waited for before
@@ -195,7 +195,8 @@ def run_trial(spec: SignalSpec, model: NoiseModel, seed: int) -> TrialRecord:
     running on.  Without a helper each call runs as it is handed over.
     The record is the same either way.
     """
-    return _trial(spec, model, seed, _observe(spec, model, seed), ())[0]
+    return _trial(spec, model, seed, _observe(spec, model, seed), (),
+                  _run_now)[0]
 
 
 def _observe(spec: SignalSpec, model: NoiseModel, seed: int):
@@ -209,13 +210,13 @@ def _observe(spec: SignalSpec, model: NoiseModel, seed: int):
 
 
 def _trial(spec: SignalSpec, model: NoiseModel, seed: int, observation,
-           ahead):
-    """`run_trial` on `observation`; also forms, while the helper
+           ahead, submit):
+    """`run_trial` on `observation`, handing the baseline and X* - X to
+    `submit` (a helper's, or `_run_now`); also forms, while the helper
     decomposes X* - X, the observation of the trial `ahead` names as
     (spec, model, seed), and returns it with the record (None without)."""
     u, v, left, y = observation
     noise_sd = float(np.sqrt(model.variance()))
-    submit = getattr(_HELPER, "submit", _run_now)
     pending = [submit(baseline_estimate, y, noise_sd=noise_sd,
                       factors=spec.r)]
     try:
@@ -443,23 +444,19 @@ def _trial_task(args):
     return dataclasses.replace(run_trial(spec, model, seed), trial=trial)
 
 
-def _trials_in_process(tasks):
-    """`_trial_task` over `tasks`, in order, each trial forming the next
-    one's observation (`_trial`), the first formed here."""
+def _trials_in_process(tasks, submit):
+    """`_trial_task` over `tasks`, in order, handing each trial's helper
+    calls to `submit`, each trial forming the next one's observation
+    (`_trial`), the first formed here."""
     observation = _observe(*tasks[0][:3])
     for (spec, model, seed, trial), ahead in zip(tasks, tasks[1:] + [()]):
         record, observation = _trial(spec, model, seed, observation,
-                                     ahead[:3])
+                                     ahead[:3], submit)
         yield dataclasses.replace(record, trial=trial)
 
 
-# this thread's helper: `submit` is a one-thread executor's while
-# `_grid_process` gives this thread one, and unset otherwise
-_HELPER = threading.local()
-
-
 def _run_now(fn, *args, **kwargs) -> Future:
-    """Run the call on this thread: `submit` for a thread with no
+    """Run the call on this thread: `submit` for a trial with no
     helper.  Returns the call's finished `Future`; an interrupt is not
     kept in it but raised at once, as nothing else runs."""
     future = Future()
@@ -517,8 +514,8 @@ def _grid_setup() -> int:
 
 @contextmanager
 def _grid_process():
-    """Run a grid's trials in this process: `_grid_setup`, and this
-    thread's helper (`_HELPER`), a one-thread executor that takes each
+    """Run a grid's trials in this process: `_grid_setup`, and the grid's
+    helper, a one-thread executor, whose `submit` is yielded: it takes each
     trial's baseline and X* - X decomposition (`_trial`) and runs them
     one at a time, in the order they were handed over; its thread starts
     with the first call.  The executor drops each call's function and
@@ -529,10 +526,8 @@ def _grid_process():
     threads = _grid_setup()
     try:
         with ThreadPoolExecutor(1, "adadenoise-helper") as pool:
-            _HELPER.submit = pool.submit
-            yield
+            yield pool.submit
     finally:
-        vars(_HELPER).pop("submit", None)
         set_blas_threads(threads)
 
 
@@ -565,9 +560,9 @@ def run_grid(config: ExperimentConfig, progress=None) -> list[TrialRecord]:
     workers = min(config.workers, math.ceil(len(tasks) / _CHUNKSIZE))
     parallel = workers > 1  # one chunk: a pool would only add pickling
     with (ProcessPoolExecutor(max_workers=workers, initializer=_grid_setup)
-          if parallel else _grid_process()) as pool:
-        mapped = (pool.map(_trial_task, tasks, chunksize=_CHUNKSIZE)
-                  if parallel else _trials_in_process(tasks))
+          if parallel else _grid_process()) as runner:
+        mapped = (runner.map(_trial_task, tasks, chunksize=_CHUNKSIZE)
+                  if parallel else _trials_in_process(tasks, runner))
         # closed however the loop ends: a pool's map then cancels the
         # trials it queued, which the pool's exit would otherwise wait for
         with closing(mapped):

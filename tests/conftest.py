@@ -23,7 +23,7 @@ import adadenoise
 from adadenoise import ExperimentConfig, GaussianMixture, SignalSpec, run_trial
 from adadenoise import estimator, linalg
 from adadenoise.kde import (DensityEstimate, gaussian_kernel,
-                            gaussian_kernel_deriv, kde_binned, mean_entry)
+                            gaussian_kernel_deriv, mean_entry)
 from adadenoise.linalg import as_matrix, op_norm
 
 GRID_SIGMAS = (0.2, 0.4, 2.0, 3.0, 4.0)
@@ -127,9 +127,10 @@ def package_env():
 
 class ScoreParts(NamedTuple):
     """The pieces `denoise_entrywise` computes and does not return: the
-    centering mean, the density estimate, the score map psi tabulated on
-    its grid, psi at the centered entries, and the map's signal gain a
-    and noise variance b."""
+    centering mean, and from its scorer (`estimator._kde_score`) the
+    density estimate, the score map psi tabulated on its grid and the
+    map's signal gain a; besides these, two references of the tests' own:
+    psi at the centered entries and the map's noise variance b."""
 
     y_bar: float
     kde: DensityEstimate
@@ -145,18 +146,19 @@ class ScoreParts(NamedTuple):
 
 
 def score_parts(y) -> ScoreParts:
-    """Rebuild the scoring step from the package's building blocks:
-    `mean_entry`, `kde_binned` at the bandwidths for the shape of `y`,
-    the regularizer `estimator.EPS`, and the estimator's `_score_gain`."""
+    """The scoring step of `y`: `mean_entry`, then the estimator's scorer
+    on the sorted centered entries.  `raw` is looked up at the centered
+    entries in their own layout, and `variance` is the direct sorted sum
+    of raw^2, plus `estimator.EPS`: a check of the scorer's O(GRID_NODES)
+    `square_sum`, whose variance is not used."""
     y = np.asarray(y, dtype=np.float64)
     y_bar = mean_entry(y)
     centered = y - y_bar
-    est = kde_binned(centered, *estimator.bandwidths(*y.shape))
-    psi = -est.deriv / (est.density + estimator.EPS)
+    est, psi, gain, _ = estimator._kde_score(np.sort(centered, axis=None),
+                                             *y.shape)
     raw = est.evaluate(centered, psi)
     variance = (float(np.sort(np.square(raw), axis=None).sum() / raw.size)
                 + estimator.EPS)
-    gain = estimator._score_gain(est, psi, raw.size)
     return ScoreParts(y_bar, est, psi, raw, gain, variance)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from adadenoise import (Gaussian, GaussianMixture, SignalSpec,
                         baseline_estimate, debiased_sv, denoise,
-                        denoise_entrywise, gaussian_kernel_deriv, kde_binned,
+                        denoise_entrywise, gaussian_kernel_deriv,
                         make_signal, op_norm, run_trial, shrink_known_sd,
                         subspace_overlap)
 from adadenoise import estimator, kde, linalg, sim
@@ -54,7 +54,7 @@ class TestDenoiseEntrywise:
         x_star, i_hat, y_bar = denoise_entrywise(y)
         assert y_bar == 4.2
         assert np.all(np.isfinite(x_star))
-        h_prime = estimator.bandwidths(8, 6)[1]
+        h_prime = score_parts(y).kde.h_prime
         bound = np.max(np.abs(gaussian_kernel_deriv(
             np.linspace(-5, 5, 2001)))) / h_prime ** 2 / EPS
         # x_star * i_hat = (a/b) psi(c), the scored matrix before the
@@ -122,21 +122,26 @@ class TestDenoiseEntrywise:
         assert res_c.k_hat == res.k_hat == 1
 
     def test_one_grid_and_no_binary_search(self, monkeypatch):
-        """Scoring builds one grid and never calls np.interp."""
-        builds = []
+        """Scoring takes one mean and builds one grid, each through the
+        name `estimator` looks it up by, and never calls np.interp."""
+        calls = []
 
-        def counting_build(*args, **kwargs):
-            builds.append(args)
-            return kde_binned(*args, **kwargs)
+        def counting(name, call):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+            return run
 
         def no_interp(*args, **kwargs):
             raise AssertionError("np.interp called")
 
-        monkeypatch.setattr(estimator, "kde_binned", counting_build)
+        for name in ("kde_binned", "mean_entry"):
+            monkeypatch.setattr(estimator, name,
+                                counting(name, getattr(estimator, name)))
         monkeypatch.setattr(np, "interp", no_interp)
         y = GaussianMixture(2.0).sample(30, 20, seed=6)
         denoise_entrywise(y)
-        assert len(builds) == 1
+        assert sorted(calls) == ["kde_binned", "mean_entry"]
 
     def test_one_sort_for_mean_and_kde(self, monkeypatch):
         """A denoise call sorts one m*n-sized array: Y, whose sorted
@@ -186,8 +191,8 @@ class TestDenoiseEntrywise:
         mean taken from exact kernel sums by central differences."""
         y = GaussianMixture(2.0).sample(60, 50, seed=3)
         eps = EPS
-        h, h_prime = estimator.bandwidths(60, 50)
         scored = score_parts(y)
+        h, h_prime = scored.kde.h, scored.kde.h_prime
         grid = scored.kde.grid
         p = scored.kde.density
         psi = -scored.kde.deriv / (p + eps)
@@ -226,7 +231,13 @@ class TestDenoiseEntrywise:
 
     @pytest.mark.parametrize("gain", [0.0, -0.5, math.nan, math.inf])
     def test_unusable_gain_raises(self, monkeypatch, gain):
-        monkeypatch.setattr(estimator, "_score_gain", lambda *args: gain)
+        score = estimator._kde_score
+
+        def bad_gain(*args):
+            est, psi, _, variance = score(*args)
+            return est, psi, gain, variance
+
+        monkeypatch.setattr(estimator, "_kde_score", bad_gain)
         y = GaussianMixture(2.0).sample(20, 20, seed=5)
         with pytest.raises(ValueError, match="gain"):
             denoise_entrywise(y)

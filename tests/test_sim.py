@@ -992,24 +992,22 @@ class TestRunGrid:
     def test_grid_process_setup(self, fail):
         """The setup this process runs a grid's trials under: BLAS at one
         thread, the thread count restored after it, also when the block
-        raises.  A call handed over in the block runs on the one helper
-        thread, which is joined when the block ends."""
+        raises.  A call handed to the `submit` it yields runs on the one
+        helper thread, which is joined when the block ends."""
         outer = linalg.set_blas_threads(2)
         # None where numpy's BLAS exports no OpenBLAS thread controls
         inside, after = (None, None) if outer is None else (1, 2)
         try:
             with pytest.raises(RuntimeError) if fail else nullcontext():
-                with sim._grid_process():
+                with sim._grid_process() as submit:
                     assert linalg.set_blas_threads(None) == inside
-                    ran = sim._HELPER.submit(
-                        threading.current_thread).result(timeout=60)
+                    ran = submit(threading.current_thread).result(timeout=60)
                     assert ran.name.startswith(HELPER)
                     assert len(helper_threads()) == 1
                     if fail:
                         raise RuntimeError("inside")
             assert linalg.set_blas_threads(None) == after
             assert helper_threads() == []
-            assert not hasattr(sim._HELPER, "submit")
         finally:
             linalg.set_blas_threads(outer)
 
@@ -1059,15 +1057,14 @@ class TestRunGrid:
     def test_only_an_in_process_grid_asks_for_a_helper(self, tmp_path,
                                                        monkeypatch):
         """A grid that runs its trials itself has a helper thread; a
-        pool's caller has none, and no helper to start one, when it
-        builds the pool: it forks the workers, and forking beside a live
-        helper thread hung them in a probe."""
+        pool's caller has none when it builds the pool: it forks the
+        workers, and forking beside a live helper thread hung them in a
+        probe."""
         built, helpers = [], []
         pool = sim.ProcessPoolExecutor
 
         def recording(**kwargs):
-            built.append((len(helper_threads()),
-                          hasattr(sim._HELPER, "submit")))
+            built.append(len(helper_threads()))
             return pool(**kwargs)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", recording)
@@ -1076,7 +1073,7 @@ class TestRunGrid:
                                        workers=workers),
                      progress=lambda done, total: helpers.append(
                          len(helper_threads())))
-        assert built == [(0, False)]
+        assert built == [0]
         assert helpers == [1] * 3 + [0] * 5 + [1] * 5
 
     def test_a_pool_leaves_its_caller_alone(self, tmp_path, monkeypatch):
