@@ -12,13 +12,14 @@
 
 It bins in a canonical order (the samples sorted), so its results
 depend only on the multiset of samples, never on their layout.  Sorted,
-the samples of each grid cell form one contiguous run, found by a
-binary search per cell in each block of samples and summed with
-``np.add.reduceat``.  The same
-pass keeps each cell's second moments of the binning fractions, so the
-sum over the samples of an interpolated table (``counts @ f``) and of
-its square (``DensityEstimate.square_sum``) cost O(GRID_NODES), not a
-pass over the samples.  The derivative estimator targets d/dx of the
+the samples of each grid cell form one contiguous run, which starts
+where the samples' clamped cell index changes: one pass, a block of
+samples at a time, finds the runs and sums each with
+``np.add.reduceat``.  The same pass keeps each cell's second moments of
+the binning fractions, so the sum over the samples of an interpolated
+table (``counts @ f``) and of its square
+(``DensityEstimate.square_sum``) cost O(GRID_NODES), not a pass over
+the samples.  The derivative estimator targets d/dx of the
 density: its expectation is the kernel-smoothed p'.  The tests check
 the binned tables against exact kernel sums.
 """
@@ -133,6 +134,7 @@ class DensityEstimate:
         """
         if np.shape(table) != self.counts.shape:
             raise ValueError("table must hold one value per grid node")
+        table = np.asarray(table, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         if out is None:
             out = np.empty(x.shape)
@@ -155,7 +157,8 @@ class DensityEstimate:
             np.clip(np.floor(frac, out=cell), 0, table.size - 2, out=cell)
             np.subtract(frac, cell, out=frac)
             np.clip(frac, 0.0, 1.0, out=frac)
-            i[:] = cell
+            with np.errstate(invalid="ignore"):  # a NaN point's cell
+                i[:] = cell
             # (1 - t) f[i] + t f[i+1] gives the end values exactly at t = 0
             # and t = 1, so points off the grid clamp as in np.interp.  The
             # indices are in range ('clip' only spares `take` a copy), and
@@ -188,11 +191,10 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
     width.  The samples are binned in sorted order, each cell's run summed
     pairwise, so the tables depend only on their multiset; samples that
     come sorted are not sorted again.  Besides the sorted samples, the
-    build holds no sample-sized array: it takes the cell starts and the
-    binning fractions a block of ``_LOOKUP_BLOCK`` samples at a time, in
-    one buffer, and only a cell whose run is longer than a block gets an
-    array of the run's size.  Samples so large that the grid margin is
-    lost to rounding are an error.
+    build holds no sample-sized array: it reads them once, a block of
+    ``_LOOKUP_BLOCK`` at a time through one buffer, and only a run longer
+    than a block gets an array, of at most twice its size.  Samples so
+    large that the grid margin is lost to rounding are an error.
     """
     samples = _sorted(np.asarray(samples, dtype=np.float64))
     if samples.size == 0:
@@ -212,44 +214,39 @@ def kde_binned(samples, h: float, h_prime: float) -> DensityEstimate:
         raise ValueError("samples are too large for the bandwidths: the "
                          "grid margin is lost to rounding")
 
-    # sorted samples fill each cell in one contiguous run.  Cell i starts
-    # at the first position t >= i, since floor(t) >= i exactly when
-    # t >= i (the clamp to the last cell moves no start): at the count of
-    # t < i, summed over blocks of t, the position in cells
+    # a block's runs start where its cells change.  Every block but the
+    # last ends at its last run start, which the next block reads again,
+    # and one that a single cell fills doubles instead.  Each run is one
+    # segment of `np.add.reduceat`, summed pairwise as over the whole array
     n = samples.size
     buffer = np.empty((2, min(n, _LOOKUP_BLOCK)))
-    nodes = np.arange(GRID_NODES - 1, dtype=np.float64)
-    starts = np.zeros(GRID_NODES - 1, dtype=np.intp)
-    for start in range(0, n, _LOOKUP_BLOCK):
-        block = samples[start:start + _LOOKUP_BLOCK]
-        t = np.subtract(block, lo, out=buffer[0, :block.size])
+    cells, sums = [], []
+    a, size = 0, _LOOKUP_BLOCK
+    while a < n:
+        stop = min(a + size, n)
+        t, cell = (buffer[:, :stop - a] if stop - a <= buffer.shape[1]
+                   else np.empty((2, stop - a)))
+        np.subtract(samples[a:stop], lo, out=t)
         t /= spacing
-        starts += np.searchsorted(t, nodes)
-    occupied = np.flatnonzero(np.diff(starts, append=n))
-    bounds = np.append(starts[occupied], n)
-    # t becomes the binning fraction in blocks of whole runs, so that each
-    # run is one segment of `np.add.reduceat`, summed pairwise as over the
-    # whole array; a run longer than a block gets an array of its own
-    sum_t, sum_u, sum_uu = np.empty((3, occupied.size))
-    first = 0
-    while first < occupied.size:
-        a = bounds[first]
-        last = int(np.searchsorted(bounds, a + _LOOKUP_BLOCK, "right")) - 1
-        last = max(last, first + 1)
-        size = bounds[last] - a
-        t, cell = (buffer[:, :size] if size <= buffer.shape[1]
-                   else np.empty((2, size)))
-        np.subtract(samples[a:a + size], lo, out=t)
-        t /= spacing
-        t -= np.minimum(np.floor(t, out=cell), GRID_NODES - 2, out=cell)
-        runs = bounds[first:last] - a
-        sum_t[first:last] = np.add.reduceat(t, runs)
+        np.minimum(np.floor(t, out=cell), GRID_NODES - 2, out=cell)
+        runs = np.append(0, np.flatnonzero(cell[1:] != cell[:-1]) + 1)
+        if stop < n:
+            if runs.size == 1:
+                size *= 2
+                continue
+            stop, runs = a + runs[-1], runs[:-1]
+        t, cell = t[:stop - a], cell[:stop - a]
+        t -= cell
+        sum_t = np.add.reduceat(t, runs)
         u = np.subtract(1.0, t, out=t)
-        sum_u[first:last] = np.add.reduceat(u, runs)
+        sum_u = np.add.reduceat(u, runs)
         u *= u
-        sum_uu[first:last] = np.add.reduceat(u, runs)
-        first = last
+        sums.append((sum_t, sum_u, np.add.reduceat(u, runs)))
+        cells.append(cell[runs])
+        a, size = stop, _LOOKUP_BLOCK
     del buffer, t, cell, u
+    occupied = np.concatenate(cells).astype(np.intp)
+    sum_t, sum_u, sum_uu = map(np.concatenate, zip(*sums))
     counts = np.zeros(GRID_NODES)
     counts[occupied] = sum_u
     counts[occupied + 1] += sum_t

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import adadenoise
-from adadenoise import ExperimentConfig, GaussianMixture, SignalSpec, run_trial
+from adadenoise import ExperimentConfig, GaussianMixture, run_grid
 from adadenoise import estimator, linalg
 from adadenoise.kde import (DensityEstimate, gaussian_kernel,
                             gaussian_kernel_deriv, mean_entry)
@@ -53,19 +53,20 @@ def backend(request, monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def mc_grid():
-    """50 trials at n = m = 400, rank 1, mixture noise, per sigma1 cell."""
+def mc_grid(tmp_path_factory):
+    """50 trials at n = m = 400, rank 1, mixture noise, per sigma1 cell,
+    run by `run_grid`: the records `adadenoise simulate` writes."""
+    output = tmp_path_factory.mktemp("mc_grid") / "grid.csv"
     config = ExperimentConfig(ns=(GRID_N,), ranks=(1,), sigma1_grid=GRID_SIGMAS,
-                              trials=GRID_TRIALS, base_seed=BASE_SEED,
-                              output="unused.csv")
-    model = GaussianMixture(2.0)
+                              noise=GaussianMixture(2.0), trials=GRID_TRIALS,
+                              base_seed=BASE_SEED, output=str(output))
     t0 = time.perf_counter()
+    records = run_grid(config)
+    build_seconds = time.perf_counter() - t0
     cells = {}
-    for spec in config.cells():
-        records = [run_trial(spec, model, config.trial_seed(spec, t))
-                   for t in range(config.trials)]
-        cells[spec.sigmas[0]] = records
-    return McGrid(cells=cells, build_seconds=time.perf_counter() - t0)
+    for rec in records:
+        cells.setdefault(rec.sigma1, []).append(rec)
+    return McGrid(cells=cells, build_seconds=build_seconds)
 
 
 def cell_mean(records, attr, index=None):

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,19 @@ class TestKdeBinned:
             with pytest.raises(ValueError, match="one value per grid node"):
                 est.evaluate([0.0, 1.0], table)
 
+    def test_lookup_takes_a_list_table(self, mixture_samples):
+        est = kde_binned(mixture_samples, 0.2, 0.3)
+        x = [-1.0, 0.0, 2.5]
+        assert np.array_equal(est.evaluate(x, est.density.tolist()),
+                              est.evaluate(x, est.density))
+
+    def test_lookup_takes_an_integer_table(self, mixture_samples):
+        est = kde_binned(mixture_samples, 0.2, 0.3)
+        table = np.arange(GRID_NODES)
+        x = est.lo + est.spacing * np.array([0.0, 10.25, 4000.5])
+        np.testing.assert_allclose(est.evaluate(x, table),
+                                   [0.0, 10.25, 4000.5], rtol=1e-9)
+
     def test_grid_is_uniform_and_increasing(self, mixture_samples):
         est = kde_binned(mixture_samples, 0.3, 0.3)
         assert isinstance(est, DensityEstimate)
@@ -415,20 +429,20 @@ def bits(a):
 
 
 class TestBlockedKernels:
-    """`kde_binned` takes the cell starts and the binning fractions block
-    by block, and `evaluate` looks points up through three block buffers;
-    both give the bits of one pass over whole arrays."""
+    """`kde_binned` reads the sorted samples block by block, and
+    `evaluate` looks points up through three block buffers; both give the
+    bits of one pass over whole arrays."""
 
     RNG = np.random.default_rng(37)
     CASES = {
-        # one cell holds more samples than a block, so its run gets an
-        # array of its own, between runs that share blocks
+        # one cell holds more samples than a block, so its block is
+        # widened, between runs that share blocks
         "long_run": (np.concatenate([RNG.uniform(0.0, 1e-6, 40_000),
                                      RNG.normal(0.0, 50.0, 2_000)]),
                      0.01, 0.02),
         "all_equal": (np.full(50_000, 1.75), 0.2, 0.3),
         "under_one_block": (RNG.normal(0.0, 1.0, 1_000), 0.3, 0.4),
-        # runs straddle the edges of the fixed blocks the starts use
+        # runs straddle the edges of the blocks
         "many_blocks": (GaussianMixture(2.0).sample(400, 500,
                                                     seed=38).ravel(),
                         0.05, 0.08),
@@ -472,8 +486,10 @@ class TestBlockedKernels:
                 == bits(full_array_lookup(est, x[5], table)))
 
     def test_nan_point_reads_nan(self):
+        """A NaN point reads NaN, with no warning from its cell index."""
         est = kde_binned(*self.CASES["under_one_block"])
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = est.evaluate([np.nan, 0.0], est.density)
         assert np.isnan(got[0]) and got[1] == est.evaluate(0.0, est.density)
 
@@ -497,6 +513,65 @@ class TestBlockedKernels:
             lambda: est.evaluate(points, est.density, out=points),
             samples.shape)
         assert peak < 0.2
+
+
+def run_change_binning(samples, est):
+    """Counts and moments of `samples` on the grid of `est` from one array
+    of positions over all the sorted samples, whose runs start where the
+    clamped cell changes: the bitwise reference for the blocks the build
+    reads the samples in."""
+    t = (np.sort(samples) - est.lo) / est.spacing
+    cell = np.minimum(np.floor(t), GRID_NODES - 2)
+    runs = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    occupied = cell[runs].astype(np.intp)
+    t -= cell
+    sum_t = np.add.reduceat(t, runs)
+    sum_u = np.add.reduceat(1.0 - t, runs)
+    sum_uu = np.add.reduceat((1.0 - t) * (1.0 - t), runs)
+    counts = np.zeros(GRID_NODES)
+    counts[occupied] = sum_u
+    counts[occupied + 1] += sum_t
+    moments = np.zeros((3, GRID_NODES - 1))
+    moments[0, occupied] = sum_uu
+    moments[1, occupied] = sum_u - sum_uu
+    moments[2, occupied] = sum_t - moments[1, occupied]
+    return counts, moments
+
+
+class TestBlockBoundaries:
+    """Blocks of the build end at their last run start, and a block one
+    cell fills is widened; the sums are those of whole-array runs."""
+
+    RNG = np.random.default_rng(41)
+    # N around one block and past three, each seeded by its size
+    CASES = {f"normal_{n}": (np.random.default_rng(n).standard_normal(n),
+                             0.01, 0.02)
+             for n in (_LOOKUP_BLOCK - 1, _LOOKUP_BLOCK, _LOOKUP_BLOCK + 1,
+                       3 * _LOOKUP_BLOCK + 7)}
+    CASES.update({
+        "run_over_a_block": (np.concatenate([np.full(100_000, 0.3),
+                                             RNG.standard_normal(20_000)]),
+                             0.01, 0.02),
+        "all_equal": (np.full(3 * _LOOKUP_BLOCK, -2.5), 0.2, 0.3),
+        "two_valued": (np.repeat([-1.0, 1.0], 2 * _LOOKUP_BLOCK), 0.2, 0.3),
+        "t3": (RNG.standard_t(3, 640_000), 0.08, 0.15),
+    })
+
+    def test_cases_cross_the_blocks(self):
+        for case in ("run_over_a_block", "all_equal", "two_valued"):
+            samples, h, h_prime = self.CASES[case]
+            est = kde_binned(samples, h, h_prime)
+            runs = (est.moments[0] + 2.0 * est.moments[1]
+                    + est.moments[2])
+            assert runs.max() > _LOOKUP_BLOCK, case
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_counts_and_moments_match_whole_array_runs(self, case):
+        samples, h, h_prime = self.CASES[case]
+        est = kde_binned(samples, h, h_prime)
+        counts, moments = run_change_binning(samples, est)
+        assert np.array_equal(bits(est.counts), bits(counts))
+        assert np.array_equal(bits(est.moments), bits(moments))
 
 
 class TestComplexityContract:
